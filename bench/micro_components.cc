@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "cost/cardinality.h"
 #include "mpq/mpq.h"
+#include "optimizer/dp.h"
 #include "optimizer/pruning.h"
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
@@ -29,11 +30,16 @@ Query TestQuery(int n) {
   return gen.Generate(n);
 }
 
-ConstraintSet TestConstraints(int n, PlanSpace space, int l) {
+ConstraintSet TestPartition(int n, PlanSpace space, uint64_t partition,
+                            uint64_t m) {
   StatusOr<ConstraintSet> c =
-      ConstraintSet::FromPartitionId(n, space, 0, uint64_t{1} << l);
+      ConstraintSet::FromPartitionId(n, space, partition, m);
   MPQOPT_CHECK(c.ok());
   return std::move(c).value();
+}
+
+ConstraintSet TestConstraints(int n, PlanSpace space, int l) {
+  return TestPartition(n, space, 0, uint64_t{1} << l);
 }
 
 void BM_TableSetIteration(benchmark::State& state) {
@@ -338,21 +344,39 @@ BENCHMARK(BM_MasterSerializeFinalize)
     ->Args({17, 0, 1})
     ->Args({17, 1, 1});
 
+/// End-to-end worker task: decode + constrained DP + encode, for
+/// partition 3 of m = 16. range(0) is the table count, range(1) selects
+/// the plan space (0 = linear, 1 = bushy). The "splits" counter is the
+/// DP's splits per task (DpStats::splits_tried), so the JSON records
+/// carry ns per split next to ns per task.
 void BM_WorkerFullOptimization(benchmark::State& state) {
-  // End-to-end worker task: decode + constrained DP + encode.
-  const Query q = TestQuery(static_cast<int>(state.range(0)));
+  const int n = static_cast<int>(state.range(0));
+  const Query q = TestQuery(n);
   MpqOptions opts;
-  opts.space = PlanSpace::kLinear;
+  opts.space = state.range(1) != 0 ? PlanSpace::kBushy : PlanSpace::kLinear;
   opts.num_workers = 16;
-  const std::vector<uint8_t> request = MpqOptimizer::BuildRequest(q, 3, opts);
+  const uint64_t partition = 3;
+  const std::vector<uint8_t> request =
+      MpqOptimizer::BuildRequest(q, partition, opts);
+  DpConfig config;
+  config.space = opts.space;
+  StatusOr<DpResult> dp = RunPartitionDp(
+      q, TestPartition(n, opts.space, partition, opts.num_workers), config);
+  MPQOPT_CHECK(dp.ok());
   for (auto _ : state) {
     StatusOr<std::vector<uint8_t>> response =
         MpqOptimizer::WorkerMain(request);
     MPQOPT_CHECK(response.ok());
     benchmark::DoNotOptimize(response.value().size());
   }
+  state.counters["splits"] =
+      static_cast<double>(dp.value().stats.splits_tried);
 }
-BENCHMARK(BM_WorkerFullOptimization)->Arg(10)->Arg(14);
+BENCHMARK(BM_WorkerFullOptimization)
+    ->Args({10, 0})
+    ->Args({14, 0})
+    ->Args({17, 0})
+    ->Args({12, 1});
 
 /// Console output as usual, plus one BenchJsonWriter record per run
 /// (bench name with its args as the config, ns/iter as the metric).
@@ -376,6 +400,13 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
         if (run.counters.find("items_per_second") != run.counters.end()) {
           json_->Add(bench, config, "items_per_second",
                      run.counters.at("items_per_second"), "items/s");
+        }
+        const auto splits = run.counters.find("splits");
+        if (splits != run.counters.end() && splits->second.value > 0) {
+          json_->Add(bench, config, "ns_per_split",
+                     run.real_accumulated_time / iters * 1e9 /
+                         splits->second.value,
+                     "ns/split");
         }
       }
     }

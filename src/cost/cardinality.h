@@ -3,13 +3,15 @@
 // Cardinality estimation under the classical independence assumption:
 // |join(S)| = prod_{t in S} |t| * prod_{p inside S} sel(p).
 //
-// The estimator precomputes a per-table adjacency of predicates so that
-// estimating one table set costs O(|S| + #predicates inside S); the DP
-// calls it once per admissible join result.
+// The estimator precomputes a flat per-table adjacency of predicates so
+// that estimating one table set costs O(|S| + #predicates inside S); the
+// DP calls it once per admissible join result.
 
 #ifndef MPQOPT_COST_CARDINALITY_H_
 #define MPQOPT_COST_CARDINALITY_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "catalog/query.h"
@@ -43,10 +45,20 @@ class CardinalityEstimator {
     double selectivity;
   };
 
+  /// Edges incident to table t, in predicate order.
+  std::span<const Edge> EdgesOf(int t) const {
+    return {edges_.data() + edge_begin_[t], edges_.data() + edge_begin_[t + 1]};
+  }
+
   std::vector<double> table_cards_;
-  // adjacency_[t] lists predicates incident to t; to avoid double counting
-  // inside a set, Cardinality() applies an edge only at its lower endpoint.
-  std::vector<std::vector<Edge>> adjacency_;
+  // Table t's incident predicates are edges_[edge_begin_[t] ..
+  // edge_begin_[t + 1]). To avoid double counting inside a set,
+  // Cardinality() applies an edge only at its lower endpoint;
+  // higher_neighbors_[t] masks the tables above t that share a predicate
+  // with it, so a table with none of them in the set skips its edges.
+  std::vector<uint32_t> edge_begin_;
+  std::vector<Edge> edges_;
+  std::vector<uint64_t> higher_neighbors_;
 };
 
 }  // namespace mpqopt

@@ -2,8 +2,6 @@
 
 #include "cost/cost_model.h"
 
-#include <cmath>
-
 namespace mpqopt {
 
 const char* JoinAlgorithmName(JoinAlgorithm alg) {
@@ -28,33 +26,6 @@ CostVector CostModel::ScanCost(double card) const {
   return CostVector::TimeBuffer(card, options_.block_size);
 }
 
-double CostModel::LocalJoinTime(JoinAlgorithm alg, double left_card,
-                                double right_card, double output_card) const {
-  double work = 0;
-  switch (alg) {
-    case JoinAlgorithm::kBlockNestedLoop:
-      work = left_card +
-             std::ceil(left_card / options_.block_size) * right_card;
-      break;
-    case JoinAlgorithm::kHashJoin:
-      work = options_.hash_constant * (left_card + right_card);
-      break;
-    case JoinAlgorithm::kSortMergeJoin: {
-      const double ll = left_card > 2 ? std::log2(left_card) : 1.0;
-      const double lr = right_card > 2 ? std::log2(right_card) : 1.0;
-      work = left_card * ll + right_card * lr + left_card + right_card;
-      break;
-    }
-    case JoinAlgorithm::kScan:
-      MPQOPT_CHECK(false);  // scans are costed via ScanCost()
-  }
-  return work + options_.output_cost_factor * output_card;
-}
-
-double CostModel::SortTime(double card) const {
-  return card * (card > 2 ? std::log2(card) : 1.0);
-}
-
 double CostModel::SortedScanTime(double card) const {
   return options_.sorted_scan_factor * card;
 }
@@ -62,35 +33,6 @@ double CostModel::SortedScanTime(double card) const {
 double CostModel::MergePhaseTime(double left_card, double right_card,
                                  double output_card) const {
   return left_card + right_card + options_.output_cost_factor * output_card;
-}
-
-CostVector CostModel::JoinCost(JoinAlgorithm alg, const CostVector& left_cost,
-                               const CostVector& right_cost, double left_card,
-                               double right_card, double output_card) const {
-  const double local_time =
-      LocalJoinTime(alg, left_card, right_card, output_card);
-  if (objective_ == Objective::kTime) {
-    return CostVector::Scalar(left_cost.time() + right_cost.time() +
-                              local_time);
-  }
-  double local_buffer = 0;
-  switch (alg) {
-    case JoinAlgorithm::kBlockNestedLoop:
-      local_buffer = options_.block_size;
-      break;
-    case JoinAlgorithm::kHashJoin:
-      local_buffer = left_card;  // build-side hash table
-      break;
-    case JoinAlgorithm::kSortMergeJoin:
-      local_buffer = left_card + right_card;  // sort workspace
-      break;
-    case JoinAlgorithm::kScan:
-      MPQOPT_CHECK(false);
-  }
-  const double time = left_cost.time() + right_cost.time() + local_time;
-  double buffer = left_cost[1] > right_cost[1] ? left_cost[1] : right_cost[1];
-  if (local_buffer > buffer) buffer = local_buffer;
-  return CostVector::TimeBuffer(time, buffer);
 }
 
 }  // namespace mpqopt

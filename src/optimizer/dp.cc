@@ -20,10 +20,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Memo entry of the single-objective DP: the best plan for one admissible
 /// table set, O(1) space (Theorem 4) — children are recovered through
-/// left_bits at reconstruction time.
+/// left_bits at reconstruction time. `op` carries the set's cardinality
+/// with its join-time operand terms, prepared once when the entry is
+/// finished rather than for every split that uses it as an operand.
 struct ScalarEntry {
   double cost = kInf;
-  double card = 0;
+  JoinOperand op;
   uint64_t left_bits = 0;
   JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
@@ -45,7 +47,7 @@ struct ParetoPlanRef {
 /// per admissible set instead of one heap vector per set (the hottest
 /// allocation of the multi-objective DP).
 struct ParetoEntry {
-  double card = 0;
+  JoinOperand op;
   const ParetoPlanRef* plans = nullptr;
   uint32_t num_plans = 0;
 };
@@ -62,39 +64,30 @@ class ScalarDp {
     // Initialize admissible singletons with scan plans (inadmissible
     // singletons are provably never used as operands).
     for (int t = 0; t < n; ++t) {
-      scan_card_[t] = query_.table(t).cardinality;
-      scan_cost_[t] = model_.ScanCost(scan_card_[t]).time();
+      scan_[t] = model_.Operand(query_.table(t).cardinality);
+      scan_cost_[t] = model_.ScanCost(scan_[t].card).time();
       const int64_t r = index_.Rank(TableSet::Single(t));
       if (r >= 0) {
-        memo_[static_cast<size_t>(r)] = {scan_cost_[t], scan_card_[t], 0,
+        memo_[static_cast<size_t>(r)] = {scan_cost_[t], scan_[t], 0,
                                          JoinAlgorithm::kScan};
       }
     }
+    int64_t splits = 0;
     const bool linear = index_.space() == PlanSpace::kLinear;
     for (int k = 2; k <= n; ++k) {
       index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
         const double out_card = estimator_.Cardinality(u);
+        const double out_time = model_.OutputTime(out_card);
         ScalarEntry best;
-        best.card = out_card;
         if (linear) {
           for (int t : u) {
             if (!index_.InnerAllowed(t, u)) continue;
             const int64_t lrank = index_.RankWithout(u, rank, t);
             const ScalarEntry& le = memo_[static_cast<size_t>(lrank)];
             MPQOPT_DCHECK(le.cost < kInf);
-            ++stats->splits_tried;
-            const double base = le.cost + scan_cost_[t];
-            for (JoinAlgorithm alg : kJoinAlgorithms) {
-              const double cost =
-                  base +
-                  model_.LocalJoinTime(alg, le.card, scan_card_[t], out_card);
-              ++stats->plans_costed;
-              if (cost < best.cost) {
-                best.cost = cost;
-                best.left_bits = u.Without(t).bits();
-                best.alg = alg;
-              }
-            }
+            ++splits;
+            TryJoins(le.cost + scan_cost_[t], le.op, scan_[t], out_time,
+                     u.Without(t), &best);
           }
         } else {
           index_.ForEachSplit(u, [&](TableSet left, int64_t lrank,
@@ -102,32 +95,25 @@ class ScalarDp {
             const ScalarEntry& le = memo_[static_cast<size_t>(lrank)];
             const ScalarEntry& re = memo_[static_cast<size_t>(rrank)];
             MPQOPT_DCHECK(le.cost < kInf && re.cost < kInf);
-            ++stats->splits_tried;
-            const double base = le.cost + re.cost;
-            for (JoinAlgorithm alg : kJoinAlgorithms) {
-              const double cost =
-                  base + model_.LocalJoinTime(alg, le.card, re.card, out_card);
-              ++stats->plans_costed;
-              if (cost < best.cost) {
-                best.cost = cost;
-                best.left_bits = left.bits();
-                best.alg = alg;
-              }
-            }
+            ++splits;
+            TryJoins(le.cost + re.cost, le.op, re.op, out_time, left, &best);
           });
         }
         MPQOPT_CHECK(best.cost < kInf);  // every admissible set has a split
+        best.op = model_.Operand(out_card);
         memo_[static_cast<size_t>(rank)] = best;
       });
     }
+    // Every split costs each join algorithm once.
+    stats->splits_tried += splits;
+    stats->plans_costed += splits * kNumJoinAlgorithms;
   }
 
   /// Materializes the best plan for `s` into `arena`.
   PlanId Build(TableSet s, PlanArena* arena) const {
     if (s.Count() == 1) {
       const int t = s.Lowest();
-      return arena->MakeScan(t, scan_card_[t],
-                             model_.ScanCost(scan_card_[t]));
+      return arena->MakeScan(t, scan_[t].card, model_.ScanCost(scan_[t].card));
     }
     const int64_t rank = index_.Rank(s);
     MPQOPT_CHECK_GE(rank, 0);
@@ -136,17 +122,34 @@ class ScalarDp {
     const TableSet right = s.Minus(left);
     const PlanId lid = Build(left, arena);
     const PlanId rid = Build(right, arena);
-    return arena->MakeJoin(e.alg, lid, rid, e.card,
+    return arena->MakeJoin(e.alg, lid, rid, e.op.card,
                            CostVector::Scalar(e.cost));
   }
 
  private:
+  /// Costs every join algorithm over one split whose operand plans cost
+  /// `base` together, keeping the cheapest in `best`. The strict < in
+  /// kJoinAlgorithms order means a tie keeps the earlier candidate.
+  void TryJoins(double base, const JoinOperand& left,
+                const JoinOperand& right, double out_time, TableSet left_set,
+                ScalarEntry* best) const {
+    for (JoinAlgorithm alg : kJoinAlgorithms) {
+      const double cost =
+          base + model_.LocalJoinTime(alg, left, right, out_time);
+      if (cost < best->cost) {
+        best->cost = cost;
+        best->left_bits = left_set.bits();
+        best->alg = alg;
+      }
+    }
+  }
+
   const Query& query_;
   const PartitionIndex& index_;
   const CostModel& model_;
   CardinalityEstimator estimator_;
   std::vector<ScalarEntry> memo_;
-  double scan_card_[kMaxTables] = {};
+  JoinOperand scan_[kMaxTables] = {};
   double scan_cost_[kMaxTables] = {};
 };
 
@@ -164,12 +167,12 @@ class ParetoDp {
     const int n = query_.num_tables();
     memo_.assign(static_cast<size_t>(index_.size()), ParetoEntry());
     for (int t = 0; t < n; ++t) {
-      scan_card_[t] = query_.table(t).cardinality;
-      scan_cost_[t] = model_.ScanCost(scan_card_[t]);
+      scan_[t] = model_.Operand(query_.table(t).cardinality);
+      scan_cost_[t] = model_.ScanCost(scan_[t].card);
       const int64_t r = index_.Rank(TableSet::Single(t));
       if (r >= 0) {
         ParetoEntry& e = memo_[static_cast<size_t>(r)];
-        e.card = scan_card_[t];
+        e.op = scan_[t];
         scratch_.assign(1, {scan_cost_[t], 0, 0, 0, JoinAlgorithm::kScan});
         FlushScratch(&e);
       }
@@ -177,27 +180,41 @@ class ParetoDp {
     const auto cost_of = [](const ParetoPlanRef& p) -> const CostVector& {
       return p.cost;
     };
+    int64_t splits = 0;
+    int64_t plans_costed = 0;
     const bool linear = index_.space() == PlanSpace::kLinear;
     for (int k = 2; k <= n; ++k) {
       index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        ParetoEntry entry;
-        entry.card = estimator_.Cardinality(u);
+        const double out_card = estimator_.Cardinality(u);
+        const double out_time = model_.OutputTime(out_card);
         scratch_.clear();
         const auto try_split = [&](TableSet left, const ParetoEntry& le,
                                    const ParetoEntry& re) {
-          ++stats->splits_tried;
+          ++splits;
+          // The operator-local terms depend on the split alone, not on
+          // which operand plans it combines.
+          double local_time[kNumJoinAlgorithms];
+          double local_buffer[kNumJoinAlgorithms];
+          for (int a = 0; a < kNumJoinAlgorithms; ++a) {
+            local_time[a] =
+                model_.LocalJoinTime(kJoinAlgorithms[a], le.op, re.op,
+                                     out_time);
+            local_buffer[a] = model_.LocalJoinBuffer(
+                kJoinAlgorithms[a], le.op.card, re.op.card);
+          }
+          plans_costed += int64_t{le.num_plans} * re.num_plans *
+                          kNumJoinAlgorithms;
           for (uint32_t li = 0; li < le.num_plans; ++li) {
             for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
-              for (JoinAlgorithm alg : kJoinAlgorithms) {
-                ++stats->plans_costed;
+              for (int a = 0; a < kNumJoinAlgorithms; ++a) {
                 ParetoPlanRef cand;
-                cand.cost = model_.JoinCost(alg, le.plans[li].cost,
-                                            re.plans[ri].cost, le.card,
-                                            re.card, entry.card);
+                cand.cost = model_.ComposeJoinCost(
+                    le.plans[li].cost, re.plans[ri].cost, local_time[a],
+                    local_buffer[a]);
                 cand.left_bits = left.bits();
                 cand.left_idx = li;
                 cand.right_idx = ri;
-                cand.alg = alg;
+                cand.alg = kJoinAlgorithms[a];
                 ParetoInsert(&scratch_, cand, cost_of, alpha_);
               }
             }
@@ -210,7 +227,7 @@ class ParetoDp {
             const ParetoPlanRef scan_plan = {scan_cost_[t], 0, 0, 0,
                                              JoinAlgorithm::kScan};
             ParetoEntry scan;
-            scan.card = scan_card_[t];
+            scan.op = scan_[t];
             scan.plans = &scan_plan;
             scan.num_plans = 1;
             try_split(u.Without(t), memo_[static_cast<size_t>(lrank)], scan);
@@ -223,10 +240,14 @@ class ParetoDp {
               });
         }
         MPQOPT_CHECK(!scratch_.empty());
+        ParetoEntry entry;
+        entry.op = model_.Operand(out_card);
         FlushScratch(&entry);
         memo_[static_cast<size_t>(rank)] = entry;
       });
     }
+    stats->splits_tried += splits;
+    stats->plans_costed += plans_costed;
   }
 
   /// Number of Pareto plans stored for table set `s`.
@@ -240,7 +261,7 @@ class ParetoDp {
   PlanId Build(TableSet s, uint32_t idx, PlanArena* arena) const {
     if (s.Count() == 1) {
       const int t = s.Lowest();
-      return arena->MakeScan(t, scan_card_[t], scan_cost_[t]);
+      return arena->MakeScan(t, scan_[t].card, scan_cost_[t]);
     }
     const int64_t rank = index_.Rank(s);
     MPQOPT_CHECK_GE(rank, 0);
@@ -250,7 +271,7 @@ class ParetoDp {
     const TableSet right = s.Minus(left);
     const PlanId lid = Build(left, p.left_idx, arena);
     const PlanId rid = Build(right, p.right_idx, arena);
-    return arena->MakeJoin(p.alg, lid, rid, e.card, p.cost);
+    return arena->MakeJoin(p.alg, lid, rid, e.op.card, p.cost);
   }
 
  private:
@@ -277,7 +298,7 @@ class ParetoDp {
   /// frontier under construction, reused across admissible sets.
   Arena frontier_arena_;
   std::vector<ParetoPlanRef> scratch_;
-  double scan_card_[kMaxTables] = {};
+  JoinOperand scan_[kMaxTables] = {};
   CostVector scan_cost_[kMaxTables];
 };
 

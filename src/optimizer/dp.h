@@ -9,7 +9,8 @@
 //
 // Two objective modes share the enumeration skeleton and differ only in
 // the pruning function and memo entry layout:
-//  * kTime: one best plan per admissible table set (32-byte memo entry).
+//  * kTime: one best plan per admissible table set (48-byte memo entry:
+//    cost, back-pointer, and the set's prepared join-time operand terms).
 //  * kTimeAndBuffer: an alpha-approximate Pareto set per table set.
 
 #ifndef MPQOPT_OPTIMIZER_DP_H_

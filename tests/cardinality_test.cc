@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "catalog/generator.h"
 
 namespace mpqopt {
@@ -123,6 +125,99 @@ TEST(CardinalityTest, MonotoneInTableCardinality) {
   const Query ql(std::move(large), preds);
   EXPECT_LT(CardinalityEstimator(qs).Cardinality(TableSet::AllTables(2)),
             CardinalityEstimator(ql).Cardinality(TableSet::AllTables(2)));
+}
+
+/// Reference estimator over the plain layout, one adjacency vector per
+/// table. The flat layout must reproduce it bit for bit: the same
+/// multiplications in the same order.
+class AdjacencyListEstimator {
+ public:
+  explicit AdjacencyListEstimator(const Query& query) {
+    const int n = query.num_tables();
+    table_cards_.resize(n);
+    for (int i = 0; i < n; ++i) table_cards_[i] = query.table(i).cardinality;
+    adjacency_.resize(n);
+    for (const JoinPredicate& p : query.predicates()) {
+      adjacency_[p.left_table].push_back({p.right_table, p.selectivity});
+      adjacency_[p.right_table].push_back({p.left_table, p.selectivity});
+    }
+  }
+
+  double Cardinality(TableSet s) const {
+    double card = 1.0;
+    for (int t : s) {
+      card *= table_cards_[t];
+      for (const Edge& e : adjacency_[t]) {
+        if (e.other_table > t && s.Contains(e.other_table)) {
+          card *= e.selectivity;
+        }
+      }
+    }
+    return card < 1.0 ? 1.0 : card;
+  }
+
+  double ConnectingSelectivity(TableSet left, TableSet right) const {
+    double sel = 1.0;
+    const TableSet probe = left.Count() <= right.Count() ? left : right;
+    const TableSet other = left.Count() <= right.Count() ? right : left;
+    for (int t : probe) {
+      for (const Edge& e : adjacency_[t]) {
+        if (other.Contains(e.other_table)) sel *= e.selectivity;
+      }
+    }
+    return sel;
+  }
+
+  bool Connected(TableSet left, TableSet right) const {
+    const TableSet probe = left.Count() <= right.Count() ? left : right;
+    const TableSet other = left.Count() <= right.Count() ? right : left;
+    for (int t : probe) {
+      for (const Edge& e : adjacency_[t]) {
+        if (other.Contains(e.other_table)) return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Edge {
+    int other_table;
+    double selectivity;
+  };
+  std::vector<double> table_cards_;
+  std::vector<std::vector<Edge>> adjacency_;
+};
+
+TEST(CardinalityTest, FlatLayoutMatchesAdjacencyListsBitForBit) {
+  for (JoinGraphShape shape :
+       {JoinGraphShape::kStar, JoinGraphShape::kChain, JoinGraphShape::kCycle,
+        JoinGraphShape::kClique}) {
+    for (int n = 1; n <= 12; ++n) {
+      GeneratorOptions opts;
+      opts.shape = shape;
+      QueryGenerator gen(opts, 500 + static_cast<uint64_t>(n));
+      const Query q = gen.Generate(n);
+      const CardinalityEstimator est(q);
+      const AdjacencyListEstimator ref(q);
+      const TableSet all = q.all_tables();
+      for (uint64_t bits = 1; bits <= all.bits(); ++bits) {
+        const TableSet s(bits);
+        // EXPECT_EQ on raw doubles: equal bits, not merely close values.
+        EXPECT_EQ(est.Cardinality(s), ref.Cardinality(s))
+            << JoinGraphShapeName(shape) << " n=" << n << " " << s.ToString();
+        if (s != all) {
+          const TableSet rest = all.Minus(s);
+          EXPECT_EQ(est.ConnectingSelectivity(s, rest),
+                    ref.ConnectingSelectivity(s, rest))
+              << JoinGraphShapeName(shape) << " n=" << n << " "
+              << s.ToString();
+          EXPECT_EQ(est.Connected(s, rest), ref.Connected(s, rest))
+              << JoinGraphShapeName(shape) << " n=" << n << " "
+              << s.ToString();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace mpqopt {
 namespace {
@@ -115,6 +119,144 @@ TEST(CostModelTest, NestedLoopCompetitiveOnTinyOuter) {
   EXPECT_LT(
       model.LocalJoinTime(JoinAlgorithm::kBlockNestedLoop, 10, 1000, 10),
       model.LocalJoinTime(JoinAlgorithm::kSortMergeJoin, 10, 1000, 10));
+}
+
+// ---------------------------------------------------------------------
+// Bit-exact agreement with the textbook formulas. The DP costs plans
+// through prepared operand terms; these tests pin that every entry point
+// computes the same doubles, bit for bit, as the formulas written out
+// literally below.
+// ---------------------------------------------------------------------
+
+double TextbookLocalTime(JoinAlgorithm alg, double left_card,
+                         double right_card, double output_card,
+                         const CostModelOptions& o) {
+  double work = 0;
+  switch (alg) {
+    case JoinAlgorithm::kBlockNestedLoop:
+      work = left_card + std::ceil(left_card / o.block_size) * right_card;
+      break;
+    case JoinAlgorithm::kHashJoin:
+      work = o.hash_constant * (left_card + right_card);
+      break;
+    case JoinAlgorithm::kSortMergeJoin: {
+      const double ll = left_card > 2 ? std::log2(left_card) : 1.0;
+      const double lr = right_card > 2 ? std::log2(right_card) : 1.0;
+      work = left_card * ll + right_card * lr + left_card + right_card;
+      break;
+    }
+    case JoinAlgorithm::kScan:
+      ADD_FAILURE() << "scan is not a join";
+  }
+  return work + o.output_cost_factor * output_card;
+}
+
+CostVector TextbookJoinCost(Objective objective, JoinAlgorithm alg,
+                            const CostVector& left_cost,
+                            const CostVector& right_cost, double left_card,
+                            double right_card, double output_card,
+                            const CostModelOptions& o) {
+  const double local_time =
+      TextbookLocalTime(alg, left_card, right_card, output_card, o);
+  if (objective == Objective::kTime) {
+    return CostVector::Scalar(left_cost.time() + right_cost.time() +
+                              local_time);
+  }
+  double local_buffer = 0;
+  if (alg == JoinAlgorithm::kBlockNestedLoop) local_buffer = o.block_size;
+  if (alg == JoinAlgorithm::kHashJoin) local_buffer = left_card;
+  if (alg == JoinAlgorithm::kSortMergeJoin) {
+    local_buffer = left_card + right_card;
+  }
+  const double time = left_cost.time() + right_cost.time() + local_time;
+  double buffer = left_cost[1] > right_cost[1] ? left_cost[1] : right_cost[1];
+  if (local_buffer > buffer) buffer = local_buffer;
+  return CostVector::TimeBuffer(time, buffer);
+}
+
+/// Cardinalities around every branch of the formulas (1, 2, just above 2
+/// where log2 takes over, block-size multiples, non-integers, 1e12) plus
+/// seeded log-uniform draws.
+std::vector<double> SweepCardinalities() {
+  std::vector<double> cards = {1.0,
+                               2.0,
+                               std::nextafter(2.0, 3.0),
+                               2.5,
+                               3.0,
+                               7.3,
+                               63.999,
+                               64.0,
+                               99.99,
+                               100.0,
+                               100.5,
+                               1000.25,
+                               12345.678,
+                               1e6,
+                               1e12};
+  Rng rng(2026);
+  for (int i = 0; i < 40; ++i) {
+    cards.push_back(std::exp(rng.UniformDouble() * std::log(1e12)));
+  }
+  return cards;
+}
+
+TEST(CostModelTest, PreparedOperandsMatchTextbookFormulaBitForBit) {
+  CostModelOptions tuned;
+  tuned.block_size = 64;
+  tuned.hash_constant = 1.7;
+  tuned.output_cost_factor = 0.5;
+  const std::vector<double> cards = SweepCardinalities();
+  for (const CostModelOptions& o : {CostModelOptions(), tuned}) {
+    for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
+      const CostModel model(objective, o);
+      for (size_t i = 0; i < cards.size(); ++i) {
+        const double l = cards[i];
+        const double r = cards[(i * 7 + 3) % cards.size()];
+        const double out = cards[(i * 13 + 5) % cards.size()];
+        const JoinOperand lo = model.Operand(l);
+        const JoinOperand ro = model.Operand(r);
+        const CostVector lc =
+            objective == Objective::kTime
+                ? CostVector::Scalar(l * 3.25)
+                : CostVector::TimeBuffer(l * 3.25, cards[(i + 1) % 5] * 10);
+        const CostVector rc =
+            objective == Objective::kTime
+                ? CostVector::Scalar(r + 0.125)
+                : CostVector::TimeBuffer(r + 0.125, cards[(i + 3) % 7]);
+        for (JoinAlgorithm alg : kJoinAlgorithms) {
+          const double expected = TextbookLocalTime(alg, l, r, out, o);
+          EXPECT_EQ(model.LocalJoinTime(alg, lo, ro, model.OutputTime(out)),
+                    expected)
+              << JoinAlgorithmName(alg) << " " << l << " " << r;
+          EXPECT_EQ(model.LocalJoinTime(alg, l, r, out), expected)
+              << JoinAlgorithmName(alg) << " " << l << " " << r;
+          const CostVector want =
+              TextbookJoinCost(objective, alg, lc, rc, l, r, out, o);
+          const CostVector wrapped = model.JoinCost(alg, lc, rc, l, r, out);
+          const CostVector composed = model.ComposeJoinCost(
+              lc, rc, model.LocalJoinTime(alg, lo, ro, model.OutputTime(out)),
+              model.LocalJoinBuffer(alg, l, r));
+          ASSERT_EQ(wrapped.num_metrics(), want.num_metrics());
+          ASSERT_EQ(composed.num_metrics(), want.num_metrics());
+          for (int m = 0; m < want.num_metrics(); ++m) {
+            EXPECT_EQ(wrapped[m], want[m]) << JoinAlgorithmName(alg) << m;
+            EXPECT_EQ(composed[m], want[m]) << JoinAlgorithmName(alg) << m;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CostModelTest, OperandTermsMatchTheirDefinitions) {
+  const CostModel model(Objective::kTime);
+  for (double card : SweepCardinalities()) {
+    const JoinOperand op = model.Operand(card);
+    EXPECT_EQ(op.card, card);
+    EXPECT_EQ(op.blocks, std::ceil(card / 100.0)) << card;
+    EXPECT_EQ(op.sort, card > 2 ? card * std::log2(card) : card) << card;
+    EXPECT_EQ(op.sort, model.SortTime(card)) << card;
+  }
 }
 
 TEST(CostModelTest, NumMetricsFollowsObjective) {

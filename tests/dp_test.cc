@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "catalog/generator.h"
@@ -456,6 +458,126 @@ TEST(MultiObjectiveDpTest, TimeMetricMatchesSingleObjectiveOptimum) {
   const double so_time =
       so_result.value().arena.node(so_result.value().best[0]).cost.time();
   EXPECT_NEAR(best_time / so_time, 1.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Plan identity pin.
+// ---------------------------------------------------------------------
+
+/// 64-bit FNV-1a over the raw bytes of the values added.
+class Fnv64 {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) {
+      hash_ ^= b;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Adds a plan tree, pre-order: table set, algorithm, and the raw bits of
+/// the cardinality and of every cost metric.
+void DigestPlan(const PlanArena& arena, PlanId id, Fnv64* h) {
+  const PlanNode& node = arena.node(id);
+  h->Add(node.tables.bits());
+  h->Add(static_cast<uint8_t>(node.algorithm));
+  h->Add(node.cardinality);
+  h->Add(node.cost.num_metrics());
+  for (int i = 0; i < node.cost.num_metrics(); ++i) h->Add(node.cost[i]);
+  if (!node.IsScan()) {
+    DigestPlan(arena, node.left, h);
+    DigestPlan(arena, node.right, h);
+  }
+}
+
+struct PlanPin {
+  JoinGraphShape shape;
+  PlanSpace space;
+  Objective objective;
+  int num_tables;
+  uint64_t seed;
+  uint64_t digest;
+  /// Non-default cost constants, so a DP that drops one of them (say the
+  /// output cost factor, 1 by default) changes the digest.
+  bool tuned_costs = false;
+};
+
+TEST(DpTest, PartitionPlansMatchPinnedDigests) {
+  // Every partition's returned plans and work counters, digested bit by
+  // bit. A changed evaluation order in the cost arithmetic, tie-break or
+  // enumeration order changes a digest, so a change that alters plans
+  // must update these goldens on purpose.
+  constexpr uint64_t kPartitions = 16;
+  const PlanPin pins[] = {
+      {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 101,
+       0x21cb1bcab6e012f6},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTime, 12, 102,
+       0x1c8eab4e6cc993a2},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTime, 12, 103,
+       0x4ccd0800ce83a199},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTime, 12, 104,
+       0xf6de0fda240c0556},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 105,
+       0xc3d4236946188f75},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTime, 12, 106,
+       0x4d6a57fd7a8e3e6d},
+      {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTimeAndBuffer,
+       12, 107, 0x5e7c062fdd4dfcf0},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTimeAndBuffer,
+       12, 108, 0x467ce84748b3f41d},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTimeAndBuffer,
+       12, 109, 0xc55f62c9856fda14},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTimeAndBuffer,
+       12, 110, 0xc465e2fc79881e7e},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
+       12, 111, 0x27d1a89d4f424d63},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTimeAndBuffer,
+       12, 112, 0x52542b9a59a24988},
+      {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 113,
+       0xeb64a7b96818797e, true},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
+       12, 114, 0x2a9ea4e12b629296, true},
+  };
+  for (const PlanPin& pin : pins) {
+    const Query q = RandomQuery(pin.num_tables, pin.shape, pin.seed);
+    DpConfig config;
+    config.space = pin.space;
+    config.objective = pin.objective;
+    if (pin.tuned_costs) {
+      config.cost_options.block_size = 64;
+      config.cost_options.hash_constant = 1.7;
+      config.cost_options.output_cost_factor = 0.5;
+    }
+    Fnv64 h;
+    for (uint64_t part = 0; part < kPartitions; ++part) {
+      StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
+          q.num_tables(), pin.space, part, kPartitions);
+      ASSERT_TRUE(constraints.ok());
+      StatusOr<DpResult> result =
+          RunPartitionDp(q, constraints.value(), config);
+      ASSERT_TRUE(result.ok());
+      const DpResult& r = result.value();
+      h.Add(part);
+      h.Add(r.stats.admissible_sets);
+      h.Add(r.stats.splits_tried);
+      h.Add(r.stats.plans_costed);
+      h.Add(static_cast<uint64_t>(r.best.size()));
+      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
+    }
+    EXPECT_EQ(h.value(), pin.digest)
+        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
+        << " objective=" << static_cast<int>(pin.objective) << " n="
+        << pin.num_tables << " seed=" << pin.seed << ": digest 0x" << std::hex
+        << h.value();
+  }
 }
 
 }  // namespace
