@@ -230,19 +230,20 @@ std::vector<std::vector<uint8_t>> WorkerResponses(const Query& q,
   return responses;
 }
 
-/// Master Phase-3: decode m responses + FinalPrune. range(1) is the
-/// decode thread count (1 = serial). Multi-objective, so every response
-/// carries a plan frontier and the decode is the dominant cost.
+/// Master Phase-3: decode m responses + FinalPrune on the calling thread.
+/// Args: {n, m, objective} with objective 0 = kTime, 1 = kTimeAndBuffer.
+/// n=8, m=16, kTime is the serving shape of perfbench's small8 workloads;
+/// n=14, m=64 with frontiers is where the decode is heaviest.
 void BM_MasterFinalize(benchmark::State& state) {
   const Query q = TestQuery(static_cast<int>(state.range(0)));
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
-  opts.objective = Objective::kTimeAndBuffer;
+  opts.objective = state.range(2) != 0 ? Objective::kTimeAndBuffer
+                                       : Objective::kTime;
   opts.alpha = 1.2;
-  opts.num_workers = 64;
+  opts.num_workers = static_cast<uint64_t>(state.range(1));
   const std::vector<std::vector<uint8_t>> responses =
       WorkerResponses(q, opts);
-  opts.finalize_threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
     StatusOr<MpqResult> result =
         MpqOptimizer::FinalizeResponses(responses, opts);
@@ -252,13 +253,13 @@ void BM_MasterFinalize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(opts.num_workers));
 }
-BENCHMARK(BM_MasterFinalize)->Args({14, 1})->Args({14, 4});
+BENCHMARK(BM_MasterFinalize)->Args({8, 16, 0})->Args({14, 64, 1});
 
 /// The seed's master Phase 3, reproduced through the public slow-path
 /// APIs for the before/after A/B: per-plan Status-returning decode into
 /// one shared arena, then the same final prune. The production path is
-/// FinalizeResponses (raw-cursor decode, pre-sized arenas, optional
-/// decode shards); this stays in the bench as the baseline shape.
+/// FinalizeResponses (raw-cursor decode into one scratch arena, winners
+/// copied out); this stays in the bench as the baseline shape.
 struct SeedFinalizeResult {
   PlanArena arena;
   std::vector<PlanId> best;
@@ -313,7 +314,6 @@ void BM_MasterSerializeFinalize(benchmark::State& state) {
   const std::vector<std::vector<uint8_t>> responses =
       WorkerResponses(q, opts);
   const bool batched = state.range(1) != 0;
-  opts.finalize_threads = batched ? 0 : 1;
   for (auto _ : state) {
     size_t bytes = 0;
     if (batched) {

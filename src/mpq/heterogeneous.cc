@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/serialize.h"
-#include "optimizer/pruning.h"
 #include "plan/plan_serde.h"
 
 namespace mpqopt {
@@ -102,13 +101,7 @@ StatusOr<std::vector<uint8_t>> HeteroMpqOptimizer::WorkerMain(
   if (!(s = probe.ReadDouble(&alpha)).ok()) return s;
   if (end < begin) return Status::Corruption("inverted partition range");
 
-  // Empty share: a legitimately idle worker returns an empty plan set.
-  PlanArena arena;
-  std::vector<PlanId> best;
-  uint64_t admissible_sets = 0;
-  uint64_t splits = 0;
-  uint64_t costed = 0;
-  double seconds = 0;
+  std::vector<std::vector<uint8_t>> replies;
   for (uint64_t part = begin; part < end; ++part) {
     // Patch the partition id in place and delegate to the homogeneous
     // worker logic (identical wire semantics per partition).
@@ -119,41 +112,31 @@ StatusOr<std::vector<uint8_t>> HeteroMpqOptimizer::WorkerMain(
               one.begin() + static_cast<ptrdiff_t>(part_offset));
     StatusOr<std::vector<uint8_t>> reply = MpqOptimizer::WorkerMain(one);
     if (!reply.ok()) return reply.status();
-    ByteReader reader(reply.value());
-    uint64_t part_sets = 0, part_splits = 0, part_costed = 0;
-    double part_seconds = 0;
-    if (!(s = reader.ReadU64(&part_sets)).ok()) return s;
-    if (!(s = reader.ReadU64(&part_splits)).ok()) return s;
-    if (!(s = reader.ReadU64(&part_costed)).ok()) return s;
-    if (!(s = reader.ReadDouble(&part_seconds)).ok()) return s;
-    StatusOr<std::vector<PlanId>> plans = DeserializePlanSet(&reader, &arena);
-    if (!plans.ok()) return plans.status();
-    admissible_sets = std::max(admissible_sets, part_sets);
-    splits += part_splits;
-    costed += part_costed;
-    seconds += part_seconds;
-    // Worker-local final prune across the partitions of this range.
-    const auto cost_of = [&](PlanId id2) -> const CostVector& {
-      return arena.node(id2).cost;
-    };
-    for (PlanId id2 : plans.value()) {
-      if (arena.node(id2).cost.num_metrics() == 1) {
-        if (best.empty() ||
-            arena.node(id2).cost.time() < arena.node(best[0]).cost.time()) {
-          best.assign(1, id2);
-        }
-      } else {
-        ParetoInsert(&best, id2, cost_of, alpha);
-      }
-    }
+    replies.push_back(std::move(reply).value());
+  }
+
+  // Worker-local final prune across the partitions of this range, by the
+  // master's own Phase-3 merge. An empty share (a legitimately idle
+  // worker) keeps the default result: zero counters, an empty plan set.
+  MpqResult range;
+  double seconds = 0;
+  if (!replies.empty()) {
+    MpqOptions options;
+    options.objective = static_cast<Objective>(objective);
+    options.alpha = alpha;
+    StatusOr<MpqResult> pruned =
+        MpqOptimizer::FinalizeResponses(replies, options);
+    if (!pruned.ok()) return pruned.status();
+    range = std::move(pruned).value();
+    for (double part_seconds : range.worker_seconds) seconds += part_seconds;
   }
 
   ByteWriter writer;
-  writer.WriteU64(admissible_sets);
-  writer.WriteU64(splits);
-  writer.WriteU64(costed);
+  writer.WriteU64(static_cast<uint64_t>(range.max_worker_memo_sets));
+  writer.WriteU64(static_cast<uint64_t>(range.total_splits));
+  writer.WriteU64(static_cast<uint64_t>(range.total_plans_costed));
   writer.WriteDouble(seconds);
-  SerializePlanSet(arena, best, &writer);
+  SerializePlanSet(range.arena, range.best, &writer);
   return writer.Release();
 }
 
@@ -184,53 +167,23 @@ StatusOr<MpqResult> HeteroMpqOptimizer::Optimize(const Query& query) {
   RoundResult& round = round_or.value();
 
   const auto merge_start = std::chrono::steady_clock::now();
-  MpqResult result;
-  result.worker_seconds.resize(shares.size());
-  result.worker_memo_sets.resize(shares.size());
+  StatusOr<MpqResult> finalized =
+      MpqOptimizer::FinalizeResponses(round.responses, options_);
+  if (!finalized.ok()) return finalized.status();
+  MpqResult result = std::move(finalized).value();
+  // Simulated heterogeneity: host-measured compute scaled by each
+  // worker's speed factor, so the maximum is taken again.
+  result.max_worker_seconds = 0;
   double slowest_simulated_worker = 0;
   for (size_t i = 0; i < shares.size(); ++i) {
-    ByteReader reader(round.responses[i]);
-    uint64_t sets = 0, splits = 0, costed = 0;
-    double seconds = 0;
-    Status s;
-    if (!(s = reader.ReadU64(&sets)).ok()) return s;
-    if (!(s = reader.ReadU64(&splits)).ok()) return s;
-    if (!(s = reader.ReadU64(&costed)).ok()) return s;
-    if (!(s = reader.ReadDouble(&seconds)).ok()) return s;
-    StatusOr<std::vector<PlanId>> plans =
-        DeserializePlanSet(&reader, &result.arena);
-    if (!plans.ok()) return plans.status();
-
-    // Simulated heterogeneity: host-measured compute scaled by the
-    // worker's speed factor.
-    const double scaled_seconds = seconds / speeds_[i];
+    const double scaled_seconds = result.worker_seconds[i] / speeds_[i];
     result.worker_seconds[i] = scaled_seconds;
-    result.worker_memo_sets[i] = static_cast<int64_t>(sets);
-    result.total_splits += static_cast<int64_t>(splits);
-    result.total_plans_costed += static_cast<int64_t>(costed);
     result.max_worker_seconds =
         std::max(result.max_worker_seconds, scaled_seconds);
-    result.max_worker_memo_sets = std::max(
-        result.max_worker_memo_sets, static_cast<int64_t>(sets));
     const double path =
         options_.network.TransferTime(requests[i].size()) + scaled_seconds +
         options_.network.TransferTime(round.responses[i].size());
     slowest_simulated_worker = std::max(slowest_simulated_worker, path);
-
-    const auto cost_of = [&](PlanId id) -> const CostVector& {
-      return result.arena.node(id).cost;
-    };
-    for (PlanId id : plans.value()) {
-      if (options_.objective == Objective::kTime) {
-        if (result.best.empty() ||
-            result.arena.node(id).cost.time() <
-                result.arena.node(result.best[0]).cost.time()) {
-          result.best.assign(1, id);
-        }
-      } else {
-        ParetoInsert(&result.best, id, cost_of, options_.alpha);
-      }
-    }
   }
   const auto merge_end = std::chrono::steady_clock::now();
 
@@ -243,9 +196,6 @@ StatusOr<MpqResult> HeteroMpqOptimizer::Optimize(const Query& query) {
   result.wall_seconds = round.wall_seconds + result.master_seconds;
   result.network_bytes = round.traffic.bytes_sent;
   result.network_messages = round.traffic.messages;
-  if (result.best.empty()) {
-    return Status::Internal("no plan returned by any worker");
-  }
   return result;
 }
 

@@ -2,10 +2,8 @@
 
 #include "mpq/mpq.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <utility>
 
 #include "common/serialize.h"
 #include "obs/trace.h"
@@ -37,24 +35,6 @@ Status DeserializeReport(ByteReader* reader, WorkerReport* r) {
   if (!(s = reader->ReadU64(&r->plans_costed)).ok()) return s;
   return reader->ReadDouble(&r->seconds);
 }
-
-/// One worker response after decoding — the unit of the sharded finalize.
-/// Each shard decodes into its own arena, so the decode stage shares no
-/// mutable state across threads; the prune then walks the shards in
-/// partition order (ParetoInsert is order-dependent, so the merge must
-/// see the plans in exactly the sequence the serial pass would).
-struct DecodedResponse {
-  WorkerReport report;
-  PlanArena arena;
-  std::vector<PlanId> plans;
-  Status status = Status::OK();
-};
-
-/// A plan reference across shards: partition index + id in its arena.
-struct ShardPlanRef {
-  uint32_t part = 0;
-  PlanId id = kInvalidPlanId;
-};
 
 }  // namespace
 
@@ -179,103 +159,57 @@ StatusOr<MpqResult> MpqOptimizer::FinalizeResponses(
     const std::vector<std::vector<uint8_t>>& responses,
     const MpqOptions& options) {
   const size_t m = responses.size();
-
-  // Decode stage — sharded. Every response decodes into its own arena,
-  // so shards are fully independent; a small pool strip-mines them via
-  // an atomic cursor. finalize_threads = 1 (or m = 1) degenerates to the
-  // serial loop with zero thread overhead.
-  std::vector<DecodedResponse> decoded(m);
-  const auto decode_one = [&](size_t part) {
-    DecodedResponse& d = decoded[part];
-    ByteReader reader(responses[part]);
-    d.status = DeserializeReport(&reader, &d.report);
-    if (!d.status.ok()) return;
-    StatusOr<std::vector<PlanId>> plans = DeserializePlanSet(&reader, &d.arena);
-    if (!plans.ok()) {
-      d.status = plans.status();
-      return;
-    }
-    d.plans = std::move(plans).value();
-  };
-  size_t threads = options.finalize_threads > 0
-                       ? static_cast<size_t>(options.finalize_threads)
-                       : std::max<size_t>(std::thread::hardware_concurrency(), 1);
-  threads = std::min(threads, m);
-  if (threads <= 1) {
-    for (size_t part = 0; part < m; ++part) decode_one(part);
-  } else {
-    std::atomic<size_t> cursor{0};
-    const auto drain = [&]() {
-      for (;;) {
-        const size_t part = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (part >= m) return;
-        decode_one(part);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) pool.emplace_back(drain);
-    for (std::thread& t : pool) t.join();
-  }
-  // Deterministic error reporting: the first failing partition wins,
-  // exactly as the serial pass would have reported it.
-  for (size_t part = 0; part < m; ++part) {
-    if (!decoded[part].status.ok()) return decoded[part].status;
-  }
-
-  // Merge stage — serial, in partition order. ParetoInsert is
-  // order-dependent (alpha-dominance rejection, then weak-dominance
-  // eviction, then append), so the prune must see the plans in exactly
-  // the sequence the serial pass would; only the decode above is
-  // parallel.
   MpqResult result;
   result.worker_seconds.resize(m);
   result.worker_memo_sets.resize(m);
-  std::vector<ShardPlanRef> winners;
-  const auto cost_of = [&](const ShardPlanRef& ref) -> const CostVector& {
-    return decoded[ref.part].arena.node(ref.id).cost;
+  // Every response decodes into one scratch arena and is pruned before
+  // the next is read. ParetoInsert is order-dependent (alpha-dominance
+  // rejection, then weak-dominance eviction, then append), so the prune
+  // must see the plans in partition order; only the winners are copied
+  // into the result, which keeps plan-cache entries minimal.
+  PlanArena scratch;
+  std::vector<PlanId> winners;
+  const auto cost_of = [&scratch](PlanId id) -> const CostVector& {
+    return scratch.node(id).cost;
   };
   for (size_t part = 0; part < m; ++part) {
-    const DecodedResponse& d = decoded[part];
-    result.worker_seconds[part] = d.report.seconds;
+    ByteReader reader(responses[part]);
+    WorkerReport report;
+    Status s = DeserializeReport(&reader, &report);
+    if (!s.ok()) return s;
+    StatusOr<std::vector<PlanId>> plans = DeserializePlanSet(&reader, &scratch);
+    if (!plans.ok()) return plans.status();
+
+    result.worker_seconds[part] = report.seconds;
     result.worker_memo_sets[part] =
-        static_cast<int64_t>(d.report.admissible_sets);
-    result.total_splits += static_cast<int64_t>(d.report.splits_tried);
-    result.total_plans_costed += static_cast<int64_t>(d.report.plans_costed);
-    if (d.report.seconds > result.max_worker_seconds) {
-      result.max_worker_seconds = d.report.seconds;
+        static_cast<int64_t>(report.admissible_sets);
+    result.total_splits += static_cast<int64_t>(report.splits_tried);
+    result.total_plans_costed += static_cast<int64_t>(report.plans_costed);
+    if (report.seconds > result.max_worker_seconds) {
+      result.max_worker_seconds = report.seconds;
     }
     if (result.worker_memo_sets[part] > result.max_worker_memo_sets) {
       result.max_worker_memo_sets = result.worker_memo_sets[part];
     }
 
     // FinalPrune (paper Algorithm 1): compare partition-optimal plans.
-    for (PlanId id : d.plans) {
-      const ShardPlanRef ref{static_cast<uint32_t>(part), id};
+    for (PlanId id : plans.value()) {
       if (options.objective == Objective::kTime) {
         if (winners.empty() ||
-            cost_of(ref).time() < cost_of(winners[0]).time()) {
-          if (winners.empty()) {
-            winners.push_back(ref);
-          } else {
-            winners[0] = ref;
-          }
+            cost_of(id).time() < cost_of(winners[0]).time()) {
+          winners.assign(1, id);
         }
       } else {
-        ParetoInsert(&winners, ref, cost_of, options.alpha);
+        ParetoInsert(&winners, id, cost_of, options.alpha);
       }
     }
   }
   if (winners.empty()) {
     return Status::Internal("no plan returned by any worker");
   }
-  // Materialize only the winning plans into the result arena (in
-  // frontier order). The shards — and with them every losing plan — are
-  // dropped wholesale, which also keeps plan-cache entries minimal.
   result.best.reserve(winners.size());
-  for (const ShardPlanRef& ref : winners) {
-    result.best.push_back(
-        CopyPlan(decoded[ref.part].arena, ref.id, &result.arena));
+  for (PlanId id : winners) {
+    result.best.push_back(CopyPlan(scratch, id, &result.arena));
   }
   return result;
 }
@@ -307,7 +241,7 @@ StatusOr<MpqResult> MpqOptimizer::Optimize(const Query& query) {
   if (!round_or.ok()) return round_or.status();
   RoundResult& round = round_or.value();
 
-  // Phase 3 (master): sharded decode + final prune.
+  // Phase 3 (master): decode + final prune.
   const auto merge_start = std::chrono::steady_clock::now();
   StatusOr<MpqResult> finalized = Status::Internal("round not finalized");
   {

@@ -53,13 +53,6 @@ struct MpqOptions {
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   int64_t max_memo_entries = int64_t{1} << 28;
-  /// Threads for the master's Phase-3 response decode (sharded finalize).
-  /// 0 = auto (hardware concurrency, capped by the partition count);
-  /// 1 = fully serial. Plan choice is byte-identical at every setting:
-  /// only the decode is parallel, the prune itself merges the partitions
-  /// in their original order. Not part of the plan-cache fingerprint —
-  /// a master-side execution knob cannot change the answer.
-  int finalize_threads = 0;
 };
 
 /// Everything the benchmarks need from one run.
@@ -125,12 +118,14 @@ class MpqOptimizer {
   static std::vector<std::vector<uint8_t>> BuildRequests(
       const Query& query, const MpqOptions& options);
 
-  /// The master's Phase 3: decodes the per-partition responses (in
-  /// parallel when options.finalize_threads allows) and final-prunes the
-  /// partition-optimal plans into `MpqResult::best`. Fills the plan/stat
-  /// fields only — timing and traffic are the caller's. Plan choice is
-  /// byte-identical to a fully serial pass: the prune always merges the
-  /// partitions in index order. Exposed for tests and benchmarks.
+  /// The master's Phase 3, one pass on the calling thread: decodes the
+  /// per-partition responses in index order, final-prunes each plan as
+  /// it is decoded (strict < on time for kTime, ParetoInsert with
+  /// options.alpha otherwise), and copies the winners into
+  /// `MpqResult::best`. Returns the first malformed response's status.
+  /// Fills the plan/stat fields only — timing and traffic are the
+  /// caller's. Exposed for tests, benchmarks and the heterogeneous
+  /// optimizer's range and master merges.
   static StatusOr<MpqResult> FinalizeResponses(
       const std::vector<std::vector<uint8_t>>& responses,
       const MpqOptions& options);

@@ -176,39 +176,48 @@ TEST_P(BackendTest, MpqOptimizeMatchesDefaultBackend) {
   EXPECT_EQ(a.value().max_worker_memo_sets, b.value().max_worker_memo_sets);
 }
 
-TEST_P(BackendTest, ShardedFinalizeMatchesSerialOnEveryBackend) {
-  // The master's sharded Phase-3 decode is a host-side knob; over every
-  // backend (and both objectives) it must leave the answer untouched:
-  // byte-identical serialized plans, identical traffic and memo stats.
+TEST_P(BackendTest, OptimizeMatchesDirectFinalizeOnEveryBackend) {
+  // The master's Phase 3 runs on the calling thread whatever hosts the
+  // workers: over every backend (and both objectives) Optimize must pick
+  // byte-identical plans to FinalizeResponses over the same responses
+  // computed in-process, with the same counters.
   const Query q = MakeQuery(9, 420);
   for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
-    MpqOptions serial;
-    serial.space = PlanSpace::kLinear;
-    serial.num_workers = 8;
-    serial.objective = objective;
-    serial.alpha = 1.2;
-    serial.backend = MakeTestBackend();
-    serial.finalize_threads = 1;
-    MpqOptions sharded = serial;
-    sharded.finalize_threads = 4;
+    MpqOptions opts;
+    opts.space = PlanSpace::kLinear;
+    opts.num_workers = 8;
+    opts.objective = objective;
+    opts.alpha = 1.2;
+    opts.backend = MakeTestBackend();
 
-    MpqOptimizer serial_optimizer(serial);
-    MpqOptimizer sharded_optimizer(sharded);
-    StatusOr<MpqResult> a = serial_optimizer.Optimize(q);
-    StatusOr<MpqResult> b = sharded_optimizer.Optimize(q);
-    ASSERT_TRUE(a.ok() && b.ok()) << a.status().ToString() << " / "
-                                  << b.status().ToString();
+    std::vector<std::vector<uint8_t>> responses;
+    for (const std::vector<uint8_t>& request :
+         MpqOptimizer::BuildRequests(q, opts)) {
+      StatusOr<std::vector<uint8_t>> response =
+          MpqOptimizer::WorkerMain(request);
+      ASSERT_TRUE(response.ok());
+      responses.push_back(std::move(response).value());
+    }
+    StatusOr<MpqResult> direct =
+        MpqOptimizer::FinalizeResponses(responses, opts);
+    MpqOptimizer optimizer(opts);
+    StatusOr<MpqResult> hosted = optimizer.Optimize(q);
+    ASSERT_TRUE(direct.ok() && hosted.ok()) << direct.status().ToString()
+                                            << " / "
+                                            << hosted.status().ToString();
 
-    ByteWriter plans_a;
-    ByteWriter plans_b;
-    SerializePlanSet(a.value().arena, a.value().best, &plans_a);
-    SerializePlanSet(b.value().arena, b.value().best, &plans_b);
-    EXPECT_EQ(plans_a.buffer(), plans_b.buffer());
-    EXPECT_EQ(a.value().network_bytes, b.value().network_bytes);
-    EXPECT_EQ(a.value().network_messages, b.value().network_messages);
-    EXPECT_EQ(a.value().worker_memo_sets, b.value().worker_memo_sets);
-    EXPECT_EQ(a.value().total_splits, b.value().total_splits);
-    EXPECT_EQ(a.value().total_plans_costed, b.value().total_plans_costed);
+    ByteWriter plans_direct;
+    ByteWriter plans_hosted;
+    SerializePlanSet(direct.value().arena, direct.value().best,
+                     &plans_direct);
+    SerializePlanSet(hosted.value().arena, hosted.value().best,
+                     &plans_hosted);
+    EXPECT_EQ(plans_hosted.buffer(), plans_direct.buffer());
+    EXPECT_EQ(hosted.value().worker_memo_sets,
+              direct.value().worker_memo_sets);
+    EXPECT_EQ(hosted.value().total_splits, direct.value().total_splits);
+    EXPECT_EQ(hosted.value().total_plans_costed,
+              direct.value().total_plans_costed);
   }
 }
 

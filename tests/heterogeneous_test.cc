@@ -6,6 +6,7 @@
 
 #include "catalog/generator.h"
 #include "optimizer/dp.h"
+#include "plan/plan_serde.h"
 
 namespace mpqopt {
 namespace {
@@ -15,6 +16,12 @@ Query RandomQuery(int n, uint64_t seed) {
   opts.shape = JoinGraphShape::kStar;
   QueryGenerator gen(opts, seed);
   return gen.Generate(n);
+}
+
+std::vector<uint8_t> SerializedBest(const MpqResult& result) {
+  ByteWriter writer;
+  SerializePlanSet(result.arena, result.best, &writer);
+  return writer.Release();
 }
 
 TEST(AssignPartitionsTest, EqualSpeedsEqualShares) {
@@ -89,6 +96,14 @@ TEST(HeteroMpqTest, MatchesHomogeneousMpq) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a.value().arena.node(a.value().best[0]).cost.time(),
                    b.value().arena.node(b.value().best[0]).cost.time());
+  // Range prune then master merge keep the first cheapest plan in
+  // partition order, exactly as one flat merge does.
+  EXPECT_EQ(SerializedBest(b.value()), SerializedBest(a.value()));
+  // The ranges' reports add up to the same work: summed splits and
+  // plans, and the largest memo.
+  EXPECT_EQ(b.value().total_splits, a.value().total_splits);
+  EXPECT_EQ(b.value().total_plans_costed, a.value().total_plans_costed);
+  EXPECT_EQ(b.value().max_worker_memo_sets, a.value().max_worker_memo_sets);
 }
 
 TEST(HeteroMpqTest, OneTaskPerPhysicalWorker) {
@@ -104,8 +119,28 @@ TEST(HeteroMpqTest, OneTaskPerPhysicalWorker) {
   EXPECT_EQ(result.value().worker_seconds.size(), 3u);
 }
 
+/// Each worker's DP work (splits tried, from its own WorkerMain
+/// response) divided by its speed: the simulated time of its share in
+/// units a scheduler stall on a loaded host cannot move.
+std::vector<double> ScaledWork(const Query& q, const MpqOptions& opts,
+                               const std::vector<double>& speeds,
+                               const std::vector<PartitionShare>& shares) {
+  std::vector<double> scaled;
+  for (size_t i = 0; i < shares.size(); ++i) {
+    StatusOr<std::vector<uint8_t>> response = HeteroMpqOptimizer::WorkerMain(
+        HeteroMpqOptimizer::BuildRequest(q, shares[i], opts));
+    MPQOPT_CHECK(response.ok());
+    StatusOr<MpqResult> report =
+        MpqOptimizer::FinalizeResponses({response.value()}, opts);
+    MPQOPT_CHECK(report.ok());
+    scaled.push_back(static_cast<double>(report.value().total_splits) /
+                     speeds[i]);
+  }
+  return scaled;
+}
+
 TEST(HeteroMpqTest, ProportionalAssignmentBalancesSimulatedTime) {
-  // With shares proportional to speed, scaled per-worker times should be
+  // With shares proportional to speed, scaled per-worker work should be
   // within a small factor of each other; with uniform shares on the same
   // (heterogeneous) cluster, the slow worker dominates.
   const Query q = RandomQuery(12, 107);
@@ -113,18 +148,19 @@ TEST(HeteroMpqTest, ProportionalAssignmentBalancesSimulatedTime) {
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 64;
   const std::vector<double> speeds = {4.0, 1.0};
-  HeteroMpqOptimizer mpq(opts, speeds);
-  StatusOr<MpqResult> result = mpq.Optimize(q);
-  ASSERT_TRUE(result.ok());
-  const auto& seconds = result.value().worker_seconds;
-  ASSERT_EQ(seconds.size(), 2u);
-  // 4x-speed worker got 4x the partitions: scaled times comparable.
-  EXPECT_LT(std::max(seconds[0], seconds[1]),
-            3.0 * std::min(seconds[0], seconds[1]));
+  // 4x-speed worker got 4x the partitions: scaled work comparable.
+  const std::vector<double> proportional =
+      ScaledWork(q, opts, speeds, AssignPartitions(speeds, 64));
+  ASSERT_EQ(proportional.size(), 2u);
+  EXPECT_LT(std::max(proportional[0], proportional[1]),
+            3.0 * std::min(proportional[0], proportional[1]));
+  const std::vector<double> uniform =
+      ScaledWork(q, opts, speeds, AssignPartitions({1.0, 1.0}, 64));
+  EXPECT_GT(uniform[1], 3.0 * uniform[0]);
 }
 
 TEST(HeteroMpqTest, MultiObjectiveRange) {
-  const Query q = RandomQuery(8, 109);
+  const Query q = RandomQuery(8, 110);
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
   opts.objective = Objective::kTimeAndBuffer;
@@ -135,8 +171,31 @@ TEST(HeteroMpqTest, MultiObjectiveRange) {
   StatusOr<MpqResult> a = hetero.Optimize(q);
   StatusOr<MpqResult> b = homo.Optimize(q);
   ASSERT_TRUE(a.ok() && b.ok());
-  // Same merged frontier size and same best-time plan.
+  // At alpha = 1 the two-level prune keeps each Pareto-optimal cost's
+  // first plan in partition order, like the flat merge: same frontier,
+  // byte for byte.
+  EXPECT_GT(b.value().best.size(), 1u);
   EXPECT_EQ(a.value().best.size(), b.value().best.size());
+  EXPECT_EQ(SerializedBest(a.value()), SerializedBest(b.value()));
+}
+
+TEST(HeteroMpqTest, IdleWorkerReturnsAnEmptyPlanSet) {
+  const Query q = RandomQuery(8, 113);
+  MpqOptions opts;
+  opts.space = PlanSpace::kLinear;
+  opts.num_workers = 4;
+  StatusOr<std::vector<uint8_t>> idle = HeteroMpqOptimizer::WorkerMain(
+      HeteroMpqOptimizer::BuildRequest(q, PartitionShare{4, 4}, opts));
+  ASSERT_TRUE(idle.ok());
+  // Zero counters and seconds, then a plan count of zero.
+  EXPECT_EQ(idle.value(), std::vector<uint8_t>(4 * 8 + 4, 0));
+  // A cluster with an idle worker still finds the homogeneous plan.
+  HeteroMpqOptimizer hetero(opts, {100.0, 0.001});
+  MpqOptimizer homo(opts);
+  StatusOr<MpqResult> a = hetero.Optimize(q);
+  StatusOr<MpqResult> b = homo.Optimize(q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(SerializedBest(a.value()), SerializedBest(b.value()));
 }
 
 TEST(HeteroMpqTest, RejectsNonPowerOfTwoPartitions) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "catalog/generator.h"
 #include "optimizer/pruning.h"
 #include "plan/plan_serde.h"
@@ -228,75 +233,194 @@ std::vector<uint8_t> SerializedBest(const MpqResult& result) {
   return writer.Release();
 }
 
-TEST(MpqTest, ShardedFinalizeIsByteIdenticalToSerial) {
-  // The sharded Phase-3 parallelizes only the response decode; the
-  // final prune still merges partitions in order. Any thread count must
-  // therefore produce byte-identical plans and identical statistics —
-  // for the single-plan kTime objective and for the order-dependent
-  // multi-objective frontier alike.
-  const Query q = RandomQuery(9, 22);
-  for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
-    MpqOptions opts = Options(PlanSpace::kLinear, 8);
-    opts.objective = objective;
-    opts.alpha = 1.2;
-    const std::vector<std::vector<uint8_t>> requests =
-        MpqOptimizer::BuildRequests(q, opts);
-    std::vector<std::vector<uint8_t>> responses;
-    for (const std::vector<uint8_t>& request : requests) {
-      StatusOr<std::vector<uint8_t>> response =
-          MpqOptimizer::WorkerMain(request);
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      responses.push_back(std::move(response).value());
-    }
-
-    MpqOptions serial = opts;
-    serial.finalize_threads = 1;
-    StatusOr<MpqResult> reference =
-        MpqOptimizer::FinalizeResponses(responses, serial);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-    for (int threads : {2, 4, 8}) {
-      MpqOptions sharded = opts;
-      sharded.finalize_threads = threads;
-      StatusOr<MpqResult> result =
-          MpqOptimizer::FinalizeResponses(responses, sharded);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(SerializedBest(result.value()),
-                SerializedBest(reference.value()))
-          << "threads=" << threads;
-      EXPECT_EQ(result.value().total_splits, reference.value().total_splits);
-      EXPECT_EQ(result.value().total_plans_costed,
-                reference.value().total_plans_costed);
-      EXPECT_EQ(result.value().worker_memo_sets,
-                reference.value().worker_memo_sets);
-      EXPECT_EQ(result.value().max_worker_memo_sets,
-                reference.value().max_worker_memo_sets);
-    }
-  }
-}
-
-TEST(MpqTest, FinalizeSurfacesTheFirstBadResponseByPartitionIndex) {
-  const Query q = RandomQuery(8, 23);
-  MpqOptions opts = Options(PlanSpace::kLinear, 4);
+std::vector<std::vector<uint8_t>> WorkerResponses(const Query& q,
+                                                  const MpqOptions& opts) {
   std::vector<std::vector<uint8_t>> responses;
   for (const std::vector<uint8_t>& request :
        MpqOptimizer::BuildRequests(q, opts)) {
     StatusOr<std::vector<uint8_t>> response =
         MpqOptimizer::WorkerMain(request);
-    ASSERT_TRUE(response.ok());
+    MPQOPT_CHECK(response.ok());
     responses.push_back(std::move(response).value());
   }
-  // Corrupt partitions 1 and 3: whatever the decode-thread interleaving,
-  // the reported failure must be partition 1 (deterministic errors).
+  return responses;
+}
+
+/// The textbook Phase 3, written out as the oracle for FinalizeResponses:
+/// every response's report fields and plans decoded one plan at a time by
+/// the Status-returning DeserializePlan into one shared arena, each plan
+/// pruned as it is read (strict < on time, or ParetoInsert with alpha).
+MpqResult ReferenceFinalize(
+    const std::vector<std::vector<uint8_t>>& responses,
+    const MpqOptions& opts) {
+  MpqResult out;
+  const auto cost_of = [&out](PlanId id) -> const CostVector& {
+    return out.arena.node(id).cost;
+  };
+  for (const std::vector<uint8_t>& response : responses) {
+    ByteReader reader(response);
+    uint64_t sets = 0, splits = 0, costed = 0;
+    double seconds = 0;
+    MPQOPT_CHECK(reader.ReadU64(&sets).ok());
+    MPQOPT_CHECK(reader.ReadU64(&splits).ok());
+    MPQOPT_CHECK(reader.ReadU64(&costed).ok());
+    MPQOPT_CHECK(reader.ReadDouble(&seconds).ok());
+    out.worker_seconds.push_back(seconds);
+    out.worker_memo_sets.push_back(static_cast<int64_t>(sets));
+    out.total_splits += static_cast<int64_t>(splits);
+    out.total_plans_costed += static_cast<int64_t>(costed);
+    out.max_worker_seconds = std::max(out.max_worker_seconds, seconds);
+    out.max_worker_memo_sets =
+        std::max(out.max_worker_memo_sets, static_cast<int64_t>(sets));
+    uint32_t count = 0;
+    MPQOPT_CHECK(reader.ReadU32(&count).ok());
+    for (uint32_t i = 0; i < count; ++i) {
+      StatusOr<PlanId> id = DeserializePlan(&reader, &out.arena);
+      MPQOPT_CHECK(id.ok());
+      if (opts.objective == Objective::kTime) {
+        if (out.best.empty() ||
+            cost_of(id.value()).time() < cost_of(out.best[0]).time()) {
+          out.best.assign(1, id.value());
+        }
+      } else {
+        ParetoInsert(&out.best, id.value(), cost_of, opts.alpha);
+      }
+    }
+  }
+  return out;
+}
+
+/// n identical tables joined as a clique, with power-of-two cardinalities
+/// and selectivities so every cardinality product is exact: mirror-image
+/// join orders cost the same to the last bit, so every partition's best
+/// plan ties on time with every other's.
+Query TiedCliqueQuery(int n) {
+  std::vector<TableInfo> tables(static_cast<size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    tables[static_cast<size_t>(t)].cardinality = 1024;
+    tables[static_cast<size_t>(t)].attribute_domains = {64};
+    tables[static_cast<size_t>(t)].name = "T" + std::to_string(t);
+  }
+  std::vector<JoinPredicate> predicates;
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      predicates.push_back({a, 0, b, 0, 1.0 / 64});
+    }
+  }
+  return Query(std::move(tables), std::move(predicates));
+}
+
+TEST(MpqTest, FinalizeMatchesTextbookDecodeAndPrune) {
+  // FinalizeResponses decodes through the raw-cursor plan decoder into
+  // one scratch arena and copies only the winners out; the oracle decodes
+  // plan by plan and keeps everything. Both must pick byte-identical
+  // plans, in the same frontier order, with the same counters.
+  struct Case {
+    const char* name;
+    PlanSpace space;
+    Query query;
+    uint64_t workers;
+  };
+  const auto generated = [](JoinGraphShape graph, int n) {
+    GeneratorOptions generator;
+    generator.shape = graph;
+    return QueryGenerator(generator, 1).Generate(n);
+  };
+  // Bushy m = 64 needs 18 tables (2^floor(n/3) partitions), a DP too
+  // slow for a unit test; linear covers m = 64 at 12 tables. Bushy m = 16
+  // uses a chain: a 12-table star's exact (alpha = 1) bushy frontiers
+  // take seconds to compute.
+  const Case cases[] = {
+      {"linear star", PlanSpace::kLinear, generated(JoinGraphShape::kStar, 10),
+       1},
+      {"linear star", PlanSpace::kLinear, generated(JoinGraphShape::kStar, 10),
+       16},
+      {"linear star", PlanSpace::kLinear, generated(JoinGraphShape::kStar, 12),
+       64},
+      {"bushy star", PlanSpace::kBushy, generated(JoinGraphShape::kStar, 9), 1},
+      {"bushy chain", PlanSpace::kBushy, generated(JoinGraphShape::kChain, 12),
+       16},
+      {"linear tied clique", PlanSpace::kLinear, TiedCliqueQuery(8), 16},
+  };
+  for (const Case& c : cases) {
+    const Query& q = c.query;
+    for (Objective objective :
+         {Objective::kTime, Objective::kTimeAndBuffer}) {
+      for (double alpha : {1.0, 1.2, 10.0}) {
+        MpqOptions opts = Options(c.space, c.workers);
+        opts.objective = objective;
+        opts.alpha = alpha;
+        const std::vector<std::vector<uint8_t>> responses =
+            WorkerResponses(q, opts);
+        StatusOr<MpqResult> result =
+            MpqOptimizer::FinalizeResponses(responses, opts);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const MpqResult reference = ReferenceFinalize(responses, opts);
+        const MpqResult& got = result.value();
+        SCOPED_TRACE(testing::Message()
+                     << c.name << " n=" << q.num_tables() << " m=" << c.workers
+                     << " objective=" << static_cast<int>(objective)
+                     << " alpha=" << alpha);
+        EXPECT_EQ(SerializedBest(got), SerializedBest(reference));
+        EXPECT_EQ(got.total_splits, reference.total_splits);
+        EXPECT_EQ(got.total_plans_costed, reference.total_plans_costed);
+        EXPECT_EQ(got.worker_seconds, reference.worker_seconds);
+        EXPECT_EQ(got.worker_memo_sets, reference.worker_memo_sets);
+        EXPECT_EQ(got.max_worker_seconds, reference.max_worker_seconds);
+        EXPECT_EQ(got.max_worker_memo_sets, reference.max_worker_memo_sets);
+        // Only the winning plans are materialized in the result arena.
+        size_t nodes = 0;
+        for (PlanId id : got.best) {
+          nodes += static_cast<size_t>(2 * CountJoins(got.arena, id) + 1);
+        }
+        EXPECT_EQ(got.arena.size(), nodes);
+      }
+    }
+  }
+}
+
+TEST(MpqTest, TiedCliquePartitionsTieOnTimeWithDifferentPlans) {
+  // The oracle's tied-clique case exercises the prune's tie-breaking only
+  // if partitions really return different plans of equal time.
+  const MpqOptions opts = Options(PlanSpace::kLinear, 16);
+  const std::vector<std::vector<uint8_t>> responses =
+      WorkerResponses(TiedCliqueQuery(8), opts);
+  StatusOr<MpqResult> first =
+      MpqOptimizer::FinalizeResponses({responses.front()}, opts);
+  StatusOr<MpqResult> last =
+      MpqOptimizer::FinalizeResponses({responses.back()}, opts);
+  ASSERT_TRUE(first.ok() && last.ok());
+  EXPECT_NE(SerializedBest(first.value()), SerializedBest(last.value()));
+  EXPECT_EQ(first.value().arena.node(first.value().best[0]).cost.time(),
+            last.value().arena.node(last.value().best[0]).cost.time());
+}
+
+TEST(MpqTest, FinalizeSurfacesTheFirstBadResponseByPartitionIndex) {
+  const Query q = RandomQuery(8, 23);
+  MpqOptions opts = Options(PlanSpace::kLinear, 4);
+  std::vector<std::vector<uint8_t>> responses = WorkerResponses(q, opts);
+  // Corrupt partitions 1 and 3 differently: the reported failure must be
+  // exactly the one partition 1's response produces on its own.
   responses[1] = {0xff, 0xff};
   responses[3] = {0xff};
-  for (int threads : {1, 4}) {
-    MpqOptions sharded = opts;
-    sharded.finalize_threads = threads;
-    StatusOr<MpqResult> result =
-        MpqOptimizer::FinalizeResponses(responses, sharded);
-    ASSERT_FALSE(result.ok());
-  }
+  StatusOr<MpqResult> alone =
+      MpqOptimizer::FinalizeResponses({responses[1]}, opts);
+  ASSERT_FALSE(alone.ok());
+  StatusOr<MpqResult> result =
+      MpqOptimizer::FinalizeResponses(responses, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), alone.status().code());
+  EXPECT_EQ(result.status().ToString(), alone.status().ToString());
+  // A response that decodes but carries no plan set is a failure too.
+  const std::vector<uint8_t> good = responses[0];
+  responses[1] = std::vector<uint8_t>(good.begin(), good.begin() + 32);
+  StatusOr<MpqResult> truncated =
+      MpqOptimizer::FinalizeResponses(responses, opts);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().ToString(),
+            MpqOptimizer::FinalizeResponses({responses[1]}, opts)
+                .status()
+                .ToString());
 }
 
 TEST(MpqTest, WorkerSecondsPopulatedPerPartition) {
