@@ -100,7 +100,7 @@ inline void PrintHeader(const char* title) {
 /// object with exactly these seven keys, in this order:
 ///
 ///   {"bench":  "fig6",                    // emitting binary / figure
-///    "config": "backend=thread,n=12",     // "key=value,..." data point;
+///    "config": "backend=async,n=12",      // "key=value,..." data point;
 ///                                         //   keys are bench-specific,
 ///                                         //   values never contain ','
 ///    "metric": "latency_p95",             // measurement name

@@ -1,22 +1,16 @@
 // Copyright 2026 mpqopt authors.
 //
 // Figure 6 (repo extension, not in the paper): serving throughput of the
-// OptimizerService under concurrent query load, per execution backend.
+// OptimizerService under concurrent query load.
 //
 // The paper benchmarks one query at a time; a production optimizer
 // endpoint faces many concurrent Optimize() calls. This bench sweeps the
-// number of in-flight queries and compares
-//
-//  * thread  — the shared ThreadBackend: every round spawns and joins a
-//              fresh thread pool (the paper-faithful per-query runtime),
-//  * async   — the shared AsyncBatchBackend: one persistent pool for the
-//              whole service, rounds pipelined and interleaved fairly.
-//
-// Both backends host the same worker-task bytes and return identical
-// plans; the difference is pure host-side scheduling. Expected shape: the
-// backends tie at concurrency 1, and the persistent pool pulls ahead as
-// concurrency grows (no per-round thread spawn, no pool oversubscription
-// — m concurrent thread-backend queries spawn m pools).
+// number of in-flight queries over one shared persistent pool
+// (AsyncBatchBackend): rounds of concurrent queries are pipelined
+// through the same threads and interleaved fairly, and each dispatcher
+// helps drain its own round. Expected shape: throughput rises with
+// concurrency until the pool and the dispatchers together fill the
+// host's cores, then flattens.
 //
 // Knobs: MPQOPT_SERVICE_TABLES (default 10), MPQOPT_SERVICE_WORKERS (16),
 // MPQOPT_SERVICE_TOTAL_QUERIES (48), MPQOPT_POOL_THREADS (4), and the
@@ -28,16 +22,16 @@
 namespace mpqopt {
 namespace {
 
-struct ModeResult {
+struct PointResult {
   double wall_seconds = 0;
   double qps = 0;
 };
 
-ModeResult RunMode(BackendKind kind, const std::vector<Query>& queries,
-                   const MpqOptions& opts, int concurrency, int pool_threads,
-                   int repetitions) {
+PointResult RunPoint(const std::vector<Query>& queries,
+                     const MpqOptions& opts, int concurrency,
+                     int pool_threads, int repetitions) {
   ServiceOptions service_opts;
-  service_opts.backend_kind = kind;
+  service_opts.backend_kind = BackendKind::kAsyncBatch;
   service_opts.network = opts.network;
   service_opts.backend_threads = pool_threads;
   service_opts.dispatcher_threads = concurrency;
@@ -54,12 +48,12 @@ ModeResult RunMode(BackendKind kind, const std::vector<Query>& queries,
     }
     walls.push_back(report.wall_seconds);
   }
-  ModeResult mode;
-  mode.wall_seconds = Median(walls);
-  mode.qps = mode.wall_seconds > 0
-                 ? static_cast<double>(queries.size()) / mode.wall_seconds
-                 : 0;
-  return mode;
+  PointResult result;
+  result.wall_seconds = Median(walls);
+  result.qps = result.wall_seconds > 0
+                   ? static_cast<double>(queries.size()) / result.wall_seconds
+                   : 0;
+  return result;
 }
 
 }  // namespace
@@ -82,7 +76,7 @@ int main(int argc, char** argv) {
   PrintHeader("Figure 6 — service throughput under concurrent queries");
   std::printf(
       "%d-table star queries, %llu workers each, %d queries per point,\n"
-      "%d host threads per backend pool\n\n",
+      "%d pool threads\n\n",
       tables, static_cast<unsigned long long>(workers), total_queries,
       pool_threads);
 
@@ -94,47 +88,31 @@ int main(int argc, char** argv) {
   const std::vector<Query> queries =
       MakeQueries(tables, total_queries, JoinGraphShape::kStar, config.seed);
 
-  TablePrinter table({"concurrency", "thread (ms)", "thread q/s",
-                      "async (ms)", "async q/s", "async speedup"});
+  TablePrinter table({"concurrency", "batch (ms)", "q/s"});
   const int repetitions =
       static_cast<int>(EnvInt("MPQOPT_SERVICE_REPETITIONS", 3));
   for (int concurrency : {1, 2, 4, 8, 16}) {
     if (concurrency > total_queries) break;
     // Warm the page cache / branch predictors once per point with a
-    // throwaway pass so neither mode pays first-touch costs.
-    RunMode(BackendKind::kThread, {queries[0]}, opts, 1, pool_threads, 1);
+    // throwaway pass so the timed batches pay no first-touch costs.
+    RunPoint({queries[0]}, opts, 1, pool_threads, 1);
 
-    const ModeResult threads = RunMode(BackendKind::kThread, queries, opts,
-                                       concurrency, pool_threads, repetitions);
-    const ModeResult async_batch =
-        RunMode(BackendKind::kAsyncBatch, queries, opts, concurrency,
-                pool_threads, repetitions);
-    const double speedup = async_batch.wall_seconds > 0
-                               ? threads.wall_seconds /
-                                     async_batch.wall_seconds
-                               : 0;
+    const PointResult result =
+        RunPoint(queries, opts, concurrency, pool_threads, repetitions);
     table.AddRow({std::to_string(concurrency),
-                  TablePrinter::FormatMillis(threads.wall_seconds),
-                  TablePrinter::FormatDouble(threads.qps, 1),
-                  TablePrinter::FormatMillis(async_batch.wall_seconds),
-                  TablePrinter::FormatDouble(async_batch.qps, 1),
-                  TablePrinter::FormatDouble(speedup, 2)});
+                  TablePrinter::FormatMillis(result.wall_seconds),
+                  TablePrinter::FormatDouble(result.qps, 1)});
     const std::string point = "concurrency=" + std::to_string(concurrency);
-    json.Add("fig6_service_throughput", point + ",backend=thread",
-             "queries_per_second", threads.qps, "q/s");
-    json.Add("fig6_service_throughput", point + ",backend=thread",
-             "wall_time", threads.wall_seconds * 1e3, "ms");
     json.Add("fig6_service_throughput", point + ",backend=async",
-             "queries_per_second", async_batch.qps, "q/s");
+             "queries_per_second", result.qps, "q/s");
     json.Add("fig6_service_throughput", point + ",backend=async",
-             "wall_time", async_batch.wall_seconds * 1e3, "ms");
+             "wall_time", result.wall_seconds * 1e3, "ms");
   }
   table.Print();
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;
   std::printf(
-      "\nExpected shape: near-tie at concurrency 1; the persistent pool\n"
-      "(async) pulls ahead as concurrency grows — per-round thread spawn\n"
-      "and pool oversubscription cost the thread backend one pool per\n"
-      "in-flight query.\n");
+      "\nExpected shape: throughput rises with concurrency while the\n"
+      "rounds of concurrent queries fill idle pool threads, then\n"
+      "flattens once the pool and the dispatchers occupy every core.\n");
   return 0;
 }

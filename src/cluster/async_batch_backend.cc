@@ -47,13 +47,9 @@ struct AsyncBatchBackend::ActiveRound {
 
 AsyncBatchBackend::AsyncBatchBackend(NetworkModel model, int pool_threads)
     : ExecutionBackend(model) {
-  int threads = pool_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  pool_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
+  MPQOPT_CHECK(pool_threads >= 0);
+  pool_.reserve(static_cast<size_t>(pool_threads));
+  for (int i = 0; i < pool_threads; ++i) {
     pool_.emplace_back([this]() { WorkerLoop(); });
   }
 }

@@ -1,10 +1,9 @@
 // Copyright 2026 mpqopt authors.
 //
-// Persistent-pool execution for serving workloads. ThreadBackend pays a
-// thread spawn + join for every round — fine for one benchmark query,
-// wasteful when a service pushes many concurrent optimizer rounds per
-// second. AsyncBatchBackend keeps a fixed pool of host threads alive for
-// the backend's lifetime and pipelines rounds through it:
+// Persistent-pool execution: the in-process runtime of every optimizer
+// that is not handed a backend, and of OptimizerService. A fixed pool of
+// host threads stays alive for the backend's lifetime — no thread spawn
+// or join per round — and pipelines rounds through it:
 //
 //  * Rounds submitted concurrently from any number of threads share the
 //    pool; their tasks are interleaved fairly (each pool thread claims at
@@ -15,11 +14,12 @@
 //    only when a round arrives or retires and when an idle worker parks.
 //  * The submitting thread does not just block: it helps drain its own
 //    round, so a single-threaded caller still makes progress even when
-//    the pool is busy with other rounds.
+//    the pool is busy with other rounds — and a pool of zero threads
+//    runs every task on the submitting thread, one after another.
 //
 // Responses, per-task compute measurement, traffic accounting, and the
-// modeled cluster time are identical to the other backends (shared
-// FinalizeRound); only the host-side scheduling differs.
+// modeled cluster time are identical to the rpc backend (shared
+// FinalizeRound); only the hosting differs.
 
 #ifndef MPQOPT_CLUSTER_ASYNC_BATCH_BACKEND_H_
 #define MPQOPT_CLUSTER_ASYNC_BATCH_BACKEND_H_
@@ -36,8 +36,9 @@ namespace mpqopt {
 /// across concurrently submitting threads.
 class AsyncBatchBackend : public ExecutionBackend {
  public:
-  /// `pool_threads` fixes the pool size (0 = hardware concurrency).
-  explicit AsyncBatchBackend(NetworkModel model, int pool_threads = 0);
+  /// `pool_threads` is the exact pool size; 0 runs every task on the
+  /// submitting thread. MakeBackend picks a size from the core count.
+  explicit AsyncBatchBackend(NetworkModel model, int pool_threads);
   ~AsyncBatchBackend() override;
 
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(AsyncBatchBackend);

@@ -2,10 +2,10 @@
 
 #include "cluster/backend.h"
 
+#include <thread>
+
 #include "cluster/async_batch_backend.h"
-#include "cluster/process_backend.h"
 #include "cluster/rpc_backend.h"
-#include "cluster/thread_backend.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -84,8 +84,6 @@ struct BackendNameEntry {
 };
 
 constexpr BackendNameEntry kBackendNames[] = {
-    {BackendKind::kThread, "thread", "threads"},
-    {BackendKind::kProcess, "process", "processes"},
     {BackendKind::kAsyncBatch, "async", "async-batch"},
     {BackendKind::kRpc, "rpc", "remote"},
 };
@@ -131,17 +129,16 @@ std::string BackendKindList() {
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options) {
   switch (kind) {
-    case BackendKind::kThread:
+    case BackendKind::kAsyncBatch: {
+      int threads = options.max_threads;
+      if (threads <= 0) {
+        // The submitter drains its own round, so the pool leaves it a core.
+        threads = static_cast<int>(std::thread::hardware_concurrency()) - 1;
+        if (threads < 0) threads = 0;
+      }
       return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<ThreadBackend>(options.network,
-                                          options.max_threads));
-    case BackendKind::kProcess:
-      return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<ProcessBackend>(options.network));
-    case BackendKind::kAsyncBatch:
-      return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<AsyncBatchBackend>(options.network,
-                                              options.max_threads));
+          std::make_shared<AsyncBatchBackend>(options.network, threads));
+    }
     case BackendKind::kRpc: {
       const std::vector<std::string> endpoints =
           SplitEndpoints(options.workers_addr);
@@ -175,7 +172,7 @@ std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
   options.max_threads = max_threads;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(kind, options);
-  // Only the in-process kinds may take this path (see header); their
+  // Only the in-process kind may take this path (see header); its
   // construction cannot fail.
   MPQOPT_CHECK(backend.ok());
   return std::move(backend).value();

@@ -5,21 +5,18 @@
 // Worker tasks are self-contained functions from request bytes to response
 // bytes — exactly the contract a remote executor would have. Tasks never
 // touch shared optimizer state; the only inter-node channel is the
-// serialized messages. A backend decides how those tasks are hosted on
-// this machine:
+// serialized messages. A backend decides how those tasks are hosted:
 //
-//  * ThreadBackend     — a thread pool spawned per round (default; cheap,
-//                        easy to debug).
-//  * ProcessBackend    — one forked OS process per task; the strictest
-//                        single-machine approximation of a shared-nothing
-//                        cluster (worker memory is genuinely private).
-//  * AsyncBatchBackend — a persistent worker pool that stays alive across
-//                        rounds and interleaves tasks from concurrently
-//                        submitted rounds; the serving-shaped runtime that
-//                        OptimizerService multiplexes many queries onto.
+//  * AsyncBatchBackend — a persistent in-process worker pool that stays
+//                        alive across rounds and interleaves tasks from
+//                        concurrently submitted rounds; what every
+//                        optimizer without an explicit backend gets, and
+//                        what OptimizerService multiplexes many queries
+//                        onto.
 //  * RpcBackend        — tasks run in separate mpqopt_worker processes
 //                        reached over TCP (see cluster/rpc_backend.h); the
-//                        same byte contract, now on a real wire.
+//                        same byte contract, on a real wire, with worker
+//                        memory genuinely private to each process.
 //
 // All backends produce identical responses and identical byte counts for
 // the same tasks (asserted by tests/backend_test.cc); the modeled cluster
@@ -126,11 +123,12 @@ struct WorkerHealthSnapshot {
   std::string last_error;
 };
 
-/// Supervision counters of a backend. In-process backends have no remote
-/// workers and report the default (all-empty) value; RpcBackend reports
-/// its supervisor's live state.
+/// Supervision counters of a backend. The in-process backend has no
+/// remote workers and reports the default (all-empty) value; RpcBackend
+/// reports its supervisor's live state.
 struct BackendHealth {
-  /// One entry per remote worker endpoint; empty for in-process kinds.
+  /// One entry per remote worker endpoint; empty for the in-process
+  /// backend.
   std::vector<WorkerHealthSnapshot> workers;
   /// Redials attempted / succeeded across all workers.
   uint64_t reconnect_attempts = 0;
@@ -174,15 +172,14 @@ class ExecutionBackend {
   /// built by the registered kind's open function (see
   /// cluster/session/stateful_task.h). The default implementation hosts
   /// the replicas in this process and runs scatter steps through
-  /// RunRound (cluster/session/local_session.h) — correct for every
+  /// RunRound (cluster/session/local_session.h) — correct for the
   /// in-process backend; RpcBackend overrides it with the wire protocol.
   /// The handle must not outlive this backend.
   virtual StatusOr<std::unique_ptr<SessionHandle>> OpenSession(
       StatefulTaskKind kind,
       const std::vector<std::vector<uint8_t>>& open_requests);
 
-  /// Short human-readable backend name ("thread", "process", "async",
-  /// "rpc").
+  /// Short human-readable backend name ("async", "rpc").
   virtual const char* name() const = 0;
 
   /// Internal (atomic) session counters, shared by pointer with the
@@ -197,15 +194,15 @@ class ExecutionBackend {
   };
 
   /// Supervision snapshot: per-worker health and reconnect/re-scatter
-  /// counters, plus session activity. In-process backends have nothing
-  /// to supervise and report only the session counters.
+  /// counters, plus session activity. The in-process backend has nothing
+  /// to supervise and reports only the session counters.
   virtual BackendHealth health() const;
 
   /// Fleet stats poll for the telemetry plane: one MetricsRegistry
   /// sample per currently-HEALTHY remote worker, fetched through the
-  /// kStatsPollTask envelope (RpcBackend). In-process backends share the
-  /// master's registry — their stats are already in the master sample —
-  /// and report the default empty list.
+  /// kStatsPollTask envelope (RpcBackend). The in-process backend shares
+  /// the master's registry — its stats are already in the master sample —
+  /// and reports the default empty list.
   virtual std::vector<obs::WorkerStatsSample> PollWorkerStats();
 
   const NetworkModel& network() const { return model_; }
@@ -227,22 +224,20 @@ class ExecutionBackend {
 
 /// Selects a backend implementation by name.
 enum class BackendKind : uint8_t {
-  kThread = 0,     ///< per-round thread pool (default; cheap)
-  kProcess = 1,    ///< forked processes — strict shared-nothing isolation
-  kAsyncBatch = 2, ///< persistent pool, pipelined multi-round dispatch
-  kRpc = 3,        ///< remote mpqopt_worker processes over TCP
+  kAsyncBatch = 0, ///< persistent in-process pool (default)
+  kRpc = 1,        ///< remote mpqopt_worker processes over TCP
 };
 
-/// Name of a backend kind ("thread" / "process" / "async" / "rpc").
+/// Name of a backend kind ("async" / "rpc").
 const char* BackendKindName(BackendKind kind);
 
 /// Parses a backend name as accepted by the CLI's --backend= flag.
 /// The error message enumerates every accepted kind.
 StatusOr<BackendKind> ParseBackendKind(const std::string& name);
 
-/// "thread|process|async|rpc" — the canonical names of every backend
-/// kind, for --help text and error messages. Generated from the same
-/// table as BackendKindName/ParseBackendKind, so it can never go stale.
+/// "async|rpc" — the canonical names of every backend kind, for --help
+/// text and error messages. Generated from the same table as
+/// BackendKindName/ParseBackendKind, so it can never go stale.
 std::string BackendKindList();
 
 /// Everything MakeBackend can need; kinds ignore the fields that do not
@@ -250,11 +245,12 @@ std::string BackendKindList();
 struct BackendOptions {
   /// Simulated-cluster parameters (all kinds).
   NetworkModel network;
-  /// Host-side concurrency cap for the thread and async backends
-  /// (0 = hardware concurrency).
+  /// Pool threads of the async backend. 0 = hardware concurrency minus
+  /// one: the submitting thread drains its own round too, so pool plus
+  /// caller fill the cores.
   int max_threads = 0;
   /// Comma-separated "host:port" worker endpoints (numeric IPv4 or
-  /// "localhost") — required by kRpc, ignored by the in-process kinds.
+  /// "localhost") — required by kRpc, ignored by kAsyncBatch.
   std::string workers_addr;
   /// TCP connect timeout per rpc worker endpoint.
   int connect_timeout_ms = 5000;
@@ -282,16 +278,14 @@ struct BackendOptions {
 
 /// Creates a backend of `kind`. Fails with a descriptive Status when the
 /// options are unusable for the kind (e.g. kRpc without workers_addr) or
-/// a remote worker cannot be reached; the in-process kinds always
-/// succeed.
+/// a remote worker cannot be reached; kAsyncBatch always succeeds.
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options);
 
-/// Convenience factory for the in-process kinds (thread/process/async),
-/// whose construction cannot fail. `max_threads` caps host-side
-/// concurrency for the thread and async backends (0 = hardware
-/// concurrency). CHECK-fails on kRpc — remote backends need endpoints and
-/// a real error path; use the BackendOptions overload.
+/// Convenience factory for the in-process kind (async), whose
+/// construction cannot fail. `max_threads` is BackendOptions::max_threads.
+/// CHECK-fails on kRpc — remote backends need endpoints and a real error
+/// path; use the BackendOptions overload.
 std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
                                               NetworkModel model,
                                               int max_threads = 0);

@@ -2,13 +2,13 @@
 //
 // RpcBackend — ExecutionBackend over real TCP sockets.
 //
-// The other backends host worker tasks on this machine; RpcBackend is the
-// first genuinely distributed runtime: each round's requests are
-// scattered over a pool of persistent connections to mpqopt_worker server
-// processes, and the request/response byte contract on the wire is
-// exactly the payload contract the in-process backends execute — the
-// conformance suite in tests/backend_test.cc asserts byte-identical
-// responses and identical TrafficStats across all four backends.
+// AsyncBatchBackend hosts worker tasks on this machine; RpcBackend is the
+// genuinely distributed runtime: each round's requests are scattered over
+// a pool of persistent connections to mpqopt_worker server processes, and
+// the request/response byte contract on the wire is exactly the payload
+// contract the in-process backend executes — the conformance suite in
+// tests/backend_test.cc asserts byte-identical responses and identical
+// TrafficStats across both backends.
 //
 // Protocol, on top of the framed transport (src/net/frame_transport.h):
 //

@@ -66,7 +66,7 @@ StatusOr<RoundResult> LocalSessionHandle::Step(
   if (!failed_.ok()) return failed_;
   counters_->rounds.fetch_add(1, std::memory_order_relaxed);
   // Scatter steps are pure reads of the replicas, so they can ride the
-  // backend's own round machinery — including fork-per-task isolation.
+  // backend's own round machinery.
   std::vector<WorkerTask> tasks;
   tasks.reserve(states_.size());
   for (std::unique_ptr<SessionState>& state : states_) {
@@ -87,9 +87,9 @@ StatusOr<RoundResult> LocalSessionHandle::Broadcast(
   MPQOPT_CHECK(!closed_);
   if (!failed_.ok()) return failed_;
   counters_->rounds.fetch_add(1, std::memory_order_relaxed);
-  // Broadcasts mutate the replicas, so they run on the master-side state
-  // directly — never through a backend that might host the step in a
-  // forked child whose memory dies with it.
+  // Every node gets the same payload (for SMA, a whole level's memo
+  // entries), so the broadcast applies it to each replica in place rather
+  // than copying it once per node into a round's request vector.
   const size_t m = states_.size();
   RoundResult result;
   result.responses.resize(m);

@@ -25,8 +25,8 @@
 //   Close         ends the session on every node (idempotent; also run
 //                 by the destructor).
 //
-// Hosting follows the backend: in-process backends keep the replicas in
-// the master process and run steps through their own RunRound
+// Hosting follows the backend: the in-process backend keeps the replicas
+// in the master process and runs steps through its own RunRound
 // (local_session.h) — state cannot be lost, so no replay is ever needed.
 // RpcBackend keeps the replicas in remote mpqopt_worker processes
 // (rpc_session.h) and recovers them by reconnect + replay.

@@ -3,7 +3,7 @@
 // Task-kind registry — names the worker entry points that can cross a
 // real network.
 //
-// In-process backends execute arbitrary WorkerTask std::functions, but a
+// The in-process backend executes arbitrary WorkerTask std::functions, but a
 // remote worker cannot receive a closure: RpcBackend ships each request
 // tagged with a registered TASK KIND, and the worker server maps the tag
 // back to the matching entry point. Only self-contained functions from

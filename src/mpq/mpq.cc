@@ -40,8 +40,7 @@ Status DeserializeReport(ByteReader* reader, WorkerReport* r) {
 
 MpqOptimizer::MpqOptimizer(MpqOptions options) : options_(std::move(options)) {
   if (options_.backend == nullptr) {
-    options_.backend = MakeBackend(BackendKind::kThread, options_.network,
-                                   options_.max_threads);
+    options_.backend = MakeBackend(BackendKind::kAsyncBatch, options_.network);
   }
 }
 

@@ -42,14 +42,13 @@ struct MpqOptions {
   uint64_t num_workers = 1;
   /// Simulated-cluster parameters.
   NetworkModel network;
-  /// Host-side thread cap for running worker tasks (0 = all cores); only
-  /// consulted when `backend` is null and a private backend is created.
-  int max_threads = 0;
   /// Worker-execution runtime. Null (default) gives the optimizer a
-  /// private ThreadBackend built from `network` and `max_threads`. Pass a
-  /// shared backend (see MakeBackend / OptimizerService) to multiplex
-  /// many optimizer runs onto one long-lived worker pool; a non-null
-  /// backend's own NetworkModel governs the simulated cluster time.
+  /// private persistent pool (MakeBackend's kAsyncBatch, sized to the
+  /// cores) built from `network`; private because the NetworkModel lives
+  /// on the backend. Pass a shared backend (see MakeBackend /
+  /// OptimizerService) to multiplex many optimizer runs onto one
+  /// long-lived worker pool; a non-null backend's own NetworkModel
+  /// governs the simulated cluster time.
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   int64_t max_memo_entries = int64_t{1} << 28;

@@ -246,7 +246,7 @@ std::string TelemetryServer::RenderHealthJson(int* http_status) {
   const size_t healthy = health.CountWorkers(WorkerHealth::kHealthy);
 
   // READY: init ok and every remote worker serving (trivially true for
-  // in-process backends and standalone workers). DEGRADED: serving, but
+  // the in-process backend and standalone workers). DEGRADED: serving, but
   // at least one worker is not HEALTHY. UNREADY: init failed, or remote
   // workers exist and none is HEALTHY — /readyz turns 503 only here.
   const char* state = "READY";

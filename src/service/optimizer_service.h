@@ -48,7 +48,8 @@ struct ServiceOptions {
   std::shared_ptr<ExecutionBackend> backend;
   BackendKind backend_kind = BackendKind::kAsyncBatch;
   NetworkModel network;
-  /// Host threads of the shared backend (0 = hardware concurrency).
+  /// Pool threads of the shared in-process backend (0 = hardware
+  /// concurrency minus one; see BackendOptions::max_threads).
   int backend_threads = 0;
   /// Worker endpoints when backend_kind == kRpc and `backend` is null.
   std::string workers_addr;
@@ -116,7 +117,7 @@ struct ServiceStats {
   uint64_t cache_evictions_ttl = 0;
   uint64_t cache_evictions_invalidated = 0;
 
-  /// Remote-worker supervision (zero/empty on in-process backends; see
+  /// Remote-worker supervision (zero/empty on the in-process backend; see
   /// cluster/supervisor/worker_supervisor.h). Redials attempted and
   /// succeeded across all workers:
   uint64_t worker_reconnect_attempts = 0;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "cluster/async_batch_backend.h"
 #include "cluster/session/session.h"
 #include "cluster/session/stateful_task.h"
 #include "common/serialize.h"
@@ -51,8 +52,8 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
   }
   std::shared_ptr<ExecutionBackend> backend = options.backend;
   if (backend == nullptr) {
-    backend = MakeBackend(BackendKind::kThread, options.network,
-                          /*max_threads=*/1);
+    backend = std::make_shared<AsyncBatchBackend>(options.network,
+                                                  /*pool_threads=*/0);
   }
   const NetworkModel& net = backend->network();
 
@@ -79,7 +80,7 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
                               net.TransferTime(open_request.size());
 
   // The worker replicas live wherever the backend hosts sessions: in
-  // this process for the in-process backends (the replica state stays in
+  // this process for the in-process backend (the replica state stays in
   // the task closures, as before), in remote mpqopt_worker processes for
   // the rpc backend (cluster/session/). The master additionally keeps
   // its own replica — it applies every broadcast locally and the final

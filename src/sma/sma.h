@@ -25,10 +25,11 @@
 // rounds: the backend opens one StatefulTaskKind::kSmaNode replica per
 // worker, each level is one scatter Step (compute chunks, pure reads)
 // followed by one Broadcast (apply the level's entries — the mutating,
-// replayable state transition). In-process backends keep the replicas in
-// this process; the rpc backend hosts them in remote mpqopt_worker
-// processes with reconnect + replay recovery. Plan cost, rounds, and
-// network bytes are identical on every backend (tests/sma_test.cc).
+// replayable state transition). The in-process backend keeps the
+// replicas in this process; the rpc backend hosts them in remote
+// mpqopt_worker processes with reconnect + replay recovery. Plan cost,
+// rounds, and network bytes are identical on every backend
+// (tests/sma_test.cc).
 
 #ifndef MPQOPT_SMA_SMA_H_
 #define MPQOPT_SMA_SMA_H_
@@ -57,9 +58,9 @@ struct SmaOptions {
   NetworkModel network;
   /// Worker-execution runtime hosting the per-node replicas (any
   /// session-capable backend, including rpc). Null (default) uses a
-  /// private single-threaded ThreadBackend so per-chunk compute timing
-  /// stays unpolluted; a non-null backend's NetworkModel governs the
-  /// simulated transfer times.
+  /// private pool of zero threads, so every chunk runs inline on the
+  /// caller and per-chunk compute timing stays unpolluted; a non-null
+  /// backend's NetworkModel governs the simulated transfer times.
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   /// SMA materializes the full memo on every worker; refuse queries whose

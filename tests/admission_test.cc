@@ -399,9 +399,7 @@ TEST_P(CoalesceIdentityTest, CoalescedPlansAreByteIdenticalToUncoalesced) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CoalesceIdentityTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));

@@ -2,16 +2,20 @@
 //
 // Backend-parameterized wire-contract tests: every ExecutionBackend must
 // produce byte-identical worker responses and consistent TrafficStats for
-// the same tasks — the property that makes the hosting choice (threads,
-// processes, persistent async pool, remote RPC workers) invisible to the
+// the same tasks — the property that makes the hosting choice (the
+// persistent in-process pool or remote RPC workers) invisible to the
 // optimizers. The kRpc parameter self-hosts: the fixture spawns real
 // mpqopt_worker subprocesses on loopback, so the same assertions run over
-// actual sockets.
+// actual sockets. The round accounting and the pool's own scheduling
+// contracts are tested directly below the parameterized suite.
 
 #include "cluster/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "catalog/generator.h"
@@ -246,28 +250,37 @@ TEST_P(BackendTest, SmaRunsOnEveryBackend) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
                          });
 
 TEST(BackendFactoryTest, ParseBackendKind) {
-  EXPECT_TRUE(ParseBackendKind("thread").ok());
-  EXPECT_TRUE(ParseBackendKind("process").ok());
-  EXPECT_TRUE(ParseBackendKind("async").ok());
-  EXPECT_TRUE(ParseBackendKind("rpc").ok());
   EXPECT_EQ(ParseBackendKind("async").value(), BackendKind::kAsyncBatch);
   EXPECT_EQ(ParseBackendKind("rpc").value(), BackendKind::kRpc);
-  const StatusOr<BackendKind> unknown = ParseBackendKind("spark");
-  ASSERT_FALSE(unknown.ok());
-  // The error enumerates every valid name.
-  for (const char* name : {"thread", "process", "async", "rpc"}) {
-    EXPECT_NE(unknown.status().message().find(name), std::string::npos)
-        << name;
+  EXPECT_EQ(BackendKindList(), "async|rpc");
+  for (const char* gone : {"thread", "process", "processes", "spark"}) {
+    const StatusOr<BackendKind> unknown = ParseBackendKind(gone);
+    ASSERT_FALSE(unknown.ok()) << gone;
+    // The error enumerates every valid name.
+    for (const char* name : {"async", "rpc"}) {
+      EXPECT_NE(unknown.status().message().find(name), std::string::npos)
+          << name;
+    }
   }
+}
+
+TEST(BackendFactoryTest, PoolSizeZeroLeavesTheSubmitterACore) {
+  const auto pool_size = [](int max_threads) {
+    std::shared_ptr<ExecutionBackend> backend =
+        MakeBackend(BackendKind::kAsyncBatch, NetworkModel{}, max_threads);
+    const auto* pool = dynamic_cast<const AsyncBatchBackend*>(backend.get());
+    return pool != nullptr ? pool->pool_size() : -1;
+  };
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(pool_size(0), std::max(cores - 1, 0));
+  EXPECT_EQ(pool_size(3), 3);  // an explicit size is taken as given
 }
 
 TEST(BackendFactoryTest, RpcWithoutEndpointsIsACleanError) {
@@ -275,6 +288,87 @@ TEST(BackendFactoryTest, RpcWithoutEndpointsIsACleanError) {
       MakeBackend(BackendKind::kRpc, BackendOptions{});
   ASSERT_FALSE(backend.ok());
   EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AccountRoundTest, SimulatedTimeIsTheSlowestWorkerNotTheSum) {
+  NetworkModel model;
+  model.task_setup_s = 0.001;
+  model.latency_s = 0.01;
+  model.bandwidth_bytes_per_s = 1000;
+  RoundResult result;
+  result.responses = {{1, 2}, {3}, {}};
+  result.compute_seconds = {0.5, 2.0, 1.0};
+  AccountRound(model, {4, 0, 10}, &result);
+  // Task 1 is the slowest worker: modeled time is the dispatch of all
+  // three tasks plus that worker's transfers and compute, not the sum.
+  const double slowest =
+      model.TransferTime(0) + 2.0 + model.TransferTime(1);
+  EXPECT_DOUBLE_EQ(result.simulated_seconds, 3 * 0.001 + slowest);
+  EXPECT_LT(result.simulated_seconds, 0.5 + 2.0 + 1.0);
+  EXPECT_EQ(result.traffic.bytes_sent, 4u + 2 + 0 + 1 + 10 + 0);
+  EXPECT_EQ(result.traffic.messages, 6u);
+}
+
+TEST(NetworkModelTest, TransferTimeFormula) {
+  NetworkModel model;
+  model.latency_s = 0.001;
+  model.bandwidth_bytes_per_s = 1000;
+  EXPECT_DOUBLE_EQ(model.TransferTime(500), 0.001 + 0.5);
+  EXPECT_DOUBLE_EQ(model.TransferTime(0), 0.001);
+}
+
+TEST(TrafficStatsTest, RecordAndMerge) {
+  TrafficStats a;
+  a.Record(100);
+  a.Record(50);
+  TrafficStats b;
+  b.Record(10);
+  a.Merge(b);
+  EXPECT_EQ(a.bytes_sent, 160u);
+  EXPECT_EQ(a.messages, 3u);
+}
+
+TEST(AsyncBatchBackendTest, ComputeSecondsMeasuredPerTask) {
+  AsyncBatchBackend backend(NetworkModel{}, 1);
+  const WorkerTask sleeper =
+      [](const std::vector<uint8_t>& r) -> StatusOr<std::vector<uint8_t>> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return r;
+  };
+  StatusOr<RoundResult> round =
+      backend.RunRound({Echo(), sleeper}, {{1}, {1}});
+  ASSERT_TRUE(round.ok());
+  EXPECT_LT(round.value().compute_seconds[0], 0.01);
+  EXPECT_GE(round.value().compute_seconds[1], 0.019);
+}
+
+TEST(AsyncBatchBackendTest, ZeroThreadPoolRunsEveryTaskOnTheSubmitter) {
+  // SMA's default backend relies on this: with no pool threads the
+  // submitting thread runs the round's tasks itself, in task order.
+  AsyncBatchBackend backend(NetworkModel{}, 0);
+  EXPECT_EQ(backend.pool_size(), 0);
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::mutex mutex;
+  std::vector<uint8_t> order;
+  bool elsewhere = false;
+  const WorkerTask record =
+      [&](const std::vector<uint8_t>& r) -> StatusOr<std::vector<uint8_t>> {
+    std::lock_guard<std::mutex> lock(mutex);
+    order.push_back(r[0]);
+    if (std::this_thread::get_id() != submitter) elsewhere = true;
+    return r;
+  };
+  std::vector<std::vector<uint8_t>> requests;
+  for (uint8_t t = 0; t < 8; ++t) requests.push_back({t});
+  for (int round = 0; round < 3; ++round) {
+    order.clear();
+    StatusOr<RoundResult> r =
+        backend.RunRound(std::vector<WorkerTask>(8, record), requests);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().responses, requests);
+    EXPECT_EQ(order, (std::vector<uint8_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  }
+  EXPECT_FALSE(elsewhere);
 }
 
 TEST(AsyncBatchBackendTest, PersistentPoolSurvivesManyRounds) {

@@ -447,9 +447,7 @@ TEST_P(TracingBackendTest, PlanChoiceIsByteIdenticalTracingOnOrOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TracingBackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const ::testing::TestParamInfo<BackendKind>& info) {
                            return std::string(BackendKindName(info.param));

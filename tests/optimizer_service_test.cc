@@ -2,7 +2,8 @@
 //
 // OptimizerService correctness: many concurrent queries multiplexed onto
 // one shared backend must return exactly the same plans, costs, and byte
-// counts as the same queries run one-by-one through MpqOptimizer.
+// counts as the same queries run one-by-one through MpqOptimizer. The
+// rpc parameter self-hosts loopback mpqopt_worker subprocesses.
 
 #include "service/optimizer_service.h"
 
@@ -13,6 +14,7 @@
 
 #include "catalog/generator.h"
 #include "cluster/async_batch_backend.h"
+#include "tests/rpc_test_util.h"
 
 namespace mpqopt {
 namespace {
@@ -46,7 +48,14 @@ std::vector<Reference> SequentialReference(const std::vector<Query>& queries,
   return refs;
 }
 
-class OptimizerServiceTest : public ::testing::TestWithParam<BackendKind> {};
+class OptimizerServiceTest : public ::testing::TestWithParam<BackendKind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == BackendKind::kRpc) farm_.Start(2);
+  }
+
+  RpcWorkerFarm farm_;
+};
 
 TEST_P(OptimizerServiceTest, ConcurrentBatchMatchesSequentialRuns) {
   const int kQueries = 8;
@@ -59,6 +68,7 @@ TEST_P(OptimizerServiceTest, ConcurrentBatchMatchesSequentialRuns) {
   ServiceOptions service_opts;
   service_opts.backend_kind = GetParam();
   service_opts.backend_threads = 2;
+  service_opts.workers_addr = farm_.workers_addr();
   service_opts.dispatcher_threads = 4;
   OptimizerService service(service_opts);
   const BatchReport report = service.OptimizeBatch(queries, opts);
@@ -84,8 +94,8 @@ TEST_P(OptimizerServiceTest, ConcurrentBatchMatchesSequentialRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, OptimizerServiceTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kAsyncBatch),
+                         ::testing::Values(BackendKind::kAsyncBatch,
+                                           BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
                          });

@@ -84,7 +84,7 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   // Execution-only knobs must NOT perturb it: the same plan serves any
   // backend or thread count.
   changed = opts;
-  changed.max_threads = 7;
+  changed.backend = MakeBackend(BackendKind::kAsyncBatch, NetworkModel{}, 1);
   changed.network.latency_s = 123.0;
   EXPECT_EQ(FingerprintQuery(query, changed), a);
 

@@ -120,9 +120,7 @@ TEST_P(SmaBackendTest, BushySpaceMatchesSerialOptimum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SmaBackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
