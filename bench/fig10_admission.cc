@@ -21,11 +21,10 @@
 // tenant also carries a token-bucket quota, so over-rate background
 // arrivals are rejected before they ever queue.
 //
-// Phase 2, determinism: admission and scatter coalescing must never
-// change WHAT the optimizer produces, only when work is allowed to run.
-// A fixed query set is optimized under {admission off/on} x {coalesce
-// off/on} on every backend, and the run FAILS (exit 1) unless every
-// combination picks byte-identical plans.
+// Phase 2, determinism: admission must never change WHAT the optimizer
+// produces, only when work is allowed to run. A fixed query set is
+// optimized with admission off and on, on every backend, and the run
+// FAILS (exit 1) unless every combination picks byte-identical plans.
 //
 // Flags:
 //   --json=<path>    machine-readable records (BenchJsonWriter schema)
@@ -165,8 +164,8 @@ OverloadResult RunOverload(const std::vector<ArrivalPlan>& arrivals,
   return result;
 }
 
-/// One phase-2 cell: the fixed query set through a service configured
-/// with (admission, coalesce) on the given shared backend; returns the
+/// One phase-2 cell: the fixed query set through a service with
+/// admission on or off over the given shared backend; returns the
 /// concatenated plan signatures or an error.
 StatusOr<std::string> RunIdentityCell(
     const std::shared_ptr<ExecutionBackend>& backend,
@@ -175,9 +174,6 @@ StatusOr<std::string> RunIdentityCell(
   ServiceOptions service_opts;
   service_opts.backend = backend;
   service_opts.enable_admission = admission;
-  // The coalescing knob was applied when `backend` was constructed;
-  // ServiceOptions::coalesce_scatter only matters when the service
-  // builds its own backend.
   OptimizerService service(service_opts);
   RequestContext ctx;
   ctx.tenant = "identity";
@@ -340,8 +336,8 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\n");
 
-  // ---- Phase 2: plan byte-identity across the admission/coalescing
-  // matrix on every backend. -------------------------------------------
+  // ---- Phase 2: plan byte-identity with admission off and on, on
+  // every backend. ------------------------------------------------------
   const std::vector<Query> identity_queries =
       MakeQueries(7, 3, JoinGraphShape::kStar, config.seed + 2);
   MpqOptions identity_opts;
@@ -353,7 +349,7 @@ int main(int argc, char** argv) {
   std::string reference;
   std::string reference_label;
   RpcWorkerFarm farm;  // outlives the rpc backends that dial it
-  TablePrinter identity({"backend", "admission", "coalesce", "plans"});
+  TablePrinter identity({"backend", "admission", "plans"});
   for (size_t start = 0; start < backends_csv.size();) {
     size_t comma = backends_csv.find(',', start);
     if (comma == std::string::npos) comma = backends_csv.size();
@@ -375,44 +371,35 @@ int main(int argc, char** argv) {
       continue;
     }
     if (is_rpc && farm.size() == 0) farm.Start(rpc_workers);
+    BackendOptions opts;
+    opts.network = identity_opts.network;
+    opts.max_threads = pool_threads;
+    opts.workers_addr = farm.workers_addr();
+    StatusOr<std::shared_ptr<ExecutionBackend>> backend =
+        MakeBackend(kind.value(), opts);
+    MPQOPT_CHECK(backend.ok());
     for (const bool admission : {false, true}) {
-      for (const bool coalesce : {false, true}) {
-        // The coalescing knob lives on backend construction, so each
-        // cell builds its own backend (rpc cells redial the same farm).
-        BackendOptions opts;
-        opts.network = identity_opts.network;
-        opts.max_threads = pool_threads;
-        opts.workers_addr = farm.workers_addr();
-        opts.coalesce_scatter = coalesce;
-        StatusOr<std::shared_ptr<ExecutionBackend>> backend =
-            MakeBackend(kind.value(), opts);
-        MPQOPT_CHECK(backend.ok());
-        StatusOr<std::string> sigs = RunIdentityCell(
-            backend.value(), identity_queries, identity_opts, admission);
-        if (!sigs.ok()) {
-          std::fprintf(stderr, "identity cell %s failed: %s\n",
-                       name.c_str(), sigs.status().ToString().c_str());
-          return 1;
-        }
-        std::string verdict = "reference";
-        if (reference.empty()) {
-          reference = sigs.value();
-          reference_label = name;
-        } else if (sigs.value() == reference) {
-          verdict = "= " + reference_label;
-        } else {
-          verdict = "MISMATCH";
-          plans_identical = false;
-        }
-        identity.AddRow({name, admission ? "on" : "off",
-                         coalesce ? "on" : "off", verdict});
-        json.Add("fig10_admission",
-                 "backend=" + name + ",admission=" +
-                     (admission ? "on" : "off") + ",coalesce=" +
-                     (coalesce ? "on" : "off"),
-                 "plans_identical", sigs.value() == reference ? 1 : 0,
-                 "bool");
+      StatusOr<std::string> sigs = RunIdentityCell(
+          backend.value(), identity_queries, identity_opts, admission);
+      if (!sigs.ok()) {
+        std::fprintf(stderr, "identity cell %s failed: %s\n", name.c_str(),
+                     sigs.status().ToString().c_str());
+        return 1;
       }
+      std::string verdict = "reference";
+      if (reference.empty()) {
+        reference = sigs.value();
+        reference_label = name;
+      } else if (sigs.value() == reference) {
+        verdict = "= " + reference_label;
+      } else {
+        verdict = "MISMATCH";
+        plans_identical = false;
+      }
+      identity.AddRow({name, admission ? "on" : "off", verdict});
+      json.Add("fig10_admission",
+               "backend=" + name + ",admission=" + (admission ? "on" : "off"),
+               "plans_identical", sigs.value() == reference ? 1 : 0, "bool");
     }
   }
   identity.Print();
@@ -421,13 +408,12 @@ int main(int argc, char** argv) {
 
   if (!plans_identical) {
     std::fprintf(stderr,
-                 "\nFAIL: admission or coalescing changed a plan choice — "
+                 "\nFAIL: admission changed a plan choice — "
                  "the byte-identity contract is broken\n");
     return 1;
   }
   std::printf(
-      "\nAll admission/coalescing combinations picked identical plans on "
-      "every backend.\n"
+      "\nAdmission off and on picked identical plans on every backend.\n"
       "Expected phase-1 shape: admission on bounds the interactive p99 "
       "(shed work\nfails fast instead of dragging the tail); with it off "
       "the p99 varies widely\nfrom run to run (under 1 ms to about 200 ms "

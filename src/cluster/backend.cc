@@ -154,8 +154,7 @@ StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
       supervision.backoff_initial_ms = options.worker_backoff_ms;
       supervision.backoff_max_ms = options.worker_backoff_max_ms;
       StatusOr<std::shared_ptr<RpcBackend>> backend =
-          RpcBackend::Connect(options.network, endpoints, supervision,
-                              options.coalesce_scatter);
+          RpcBackend::Connect(options.network, endpoints, supervision);
       if (!backend.ok()) return backend.status();
       return std::shared_ptr<ExecutionBackend>(std::move(backend).value());
     }

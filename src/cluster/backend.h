@@ -138,9 +138,10 @@ struct BackendHealth {
   uint64_t tasks_rescattered = 0;
   /// Rounds that needed at least one re-scatter pass to complete.
   uint64_t rounds_recovered = 0;
-  /// Scatter coalescing (rpc, BackendOptions::coalesce_scatter): batch
-  /// envelopes sent (each one frame carrying >= 2 task requests), and
-  /// task requests that rode in them.
+  /// Rpc scatter frames: kBatchTask envelopes sent (each one frame
+  /// carrying a worker's share of >= 2 task requests), and the task
+  /// requests that rode in them. A lone task ships plain and counts in
+  /// neither.
   uint64_t scatter_batches = 0;
   uint64_t tasks_coalesced = 0;
   /// Stateful-session activity (cluster/session/); all-zero on a backend
@@ -267,13 +268,6 @@ struct BackendOptions {
   int worker_backoff_ms = 50;
   /// Cap on the exponential redial backoff (rpc).
   int worker_backoff_max_ms = 2000;
-  /// Scatter coalescing (rpc): merge one round's per-partition requests
-  /// into a single batch frame per physical worker, and let requests of
-  /// concurrently submitted rounds share that frame (group commit).
-  /// Plan choice and modeled accounting are byte-identical either way —
-  /// this trades per-frame overhead for admission throughput. CLI:
-  /// --coalesce.
-  bool coalesce_scatter = false;
 };
 
 /// Creates a backend of `kind`. Fails with a descriptive Status when the

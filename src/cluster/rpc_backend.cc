@@ -25,35 +25,21 @@ namespace mpqopt {
 
 namespace {
 
-/// Bytes a traced envelope adds in front of the inner request
-/// (u64 trace id + u8 inner kind).
-constexpr size_t kTracedEnvelopeBytes = sizeof(uint64_t) + sizeof(uint8_t);
+/// Bytes of a kBatchTask subtask-slot header (u8 kind + u32 length).
+constexpr size_t kBatchSlotHeaderBytes = sizeof(uint8_t) + sizeof(uint32_t);
 
-/// Grafts worker-side span timings into `trace` under `parent`. The
-/// worker reports RELATIVE nanoseconds from envelope entry; re-base so
-/// the envelope ENDS now (the reply was just parsed — network transfer
-/// shows up as the gap between rpc.exchange start and worker.serve
-/// start). spans[0] covers the whole envelope and parents the rest.
-void GraftWorkerSpans(obs::QueryTrace* trace, uint32_t parent,
-                      const std::vector<ImportedSpan>& spans) {
-  if (trace == nullptr || spans.empty()) return;
-  const uint64_t now = obs::MonotonicNanos();
-  const uint64_t total = spans[0].start_rel_ns + spans[0].dur_ns;
-  const uint64_t base = now >= total ? now - total : 0;
-  uint32_t worker_root = parent;
-  for (size_t k = 0; k < spans.size(); ++k) {
-    const uint64_t start = base + spans[k].start_rel_ns;
-    const uint32_t id = trace->AddCompleteSpan(
-        spans[k].name, k == 0 ? parent : worker_root, start,
-        start + spans[k].dur_ns);
-    if (k == 0) worker_root = id;
-  }
-}
+constexpr uint8_t kTracedKind = static_cast<uint8_t>(RpcTaskKind::kTracedTask);
 
-/// Splits a traced-task reply in place: grafts the worker spans into the
-/// calling thread's active trace and leaves exactly the inner response
-/// bytes in `response` — downstream parsing sees the untraced protocol.
-Status StripTraceBlock(std::vector<uint8_t>* response) {
+/// Splits a traced-task reply in place: grafts the worker spans into
+/// `trace` under the frame's `exchange` span and leaves exactly the inner
+/// response bytes in `response` — downstream parsing sees the untraced
+/// protocol. The worker reports RELATIVE nanoseconds from envelope entry;
+/// they are re-based so the envelope ENDS at `end_ns`, when its reply
+/// landed (network transfer shows up as the gap between rpc.exchange
+/// start and worker.serve start). spans[0] covers the whole envelope and
+/// parents the rest.
+Status StripTraceBlock(obs::QueryTrace* trace, uint32_t exchange,
+                       uint64_t end_ns, std::vector<uint8_t>* response) {
   uint64_t trace_id = 0;
   std::vector<ImportedSpan> spans;
   std::vector<uint8_t> inner;
@@ -62,37 +48,51 @@ Status StripTraceBlock(std::vector<uint8_t>* response) {
     return Status::Corruption("traced rpc reply is malformed: " +
                               s.ToString());
   }
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  if (ctx.trace != nullptr && ctx.trace->trace_id() == trace_id) {
-    GraftWorkerSpans(ctx.trace, ctx.span, spans);
+  if (trace->trace_id() == trace_id && !spans.empty()) {
+    const uint64_t total = spans[0].start_rel_ns + spans[0].dur_ns;
+    const uint64_t base = end_ns >= total ? end_ns - total : 0;
+    uint32_t parent = exchange;
+    for (size_t k = 0; k < spans.size(); ++k) {
+      const uint64_t start = base + spans[k].start_rel_ns;
+      const uint32_t id = trace->AddCompleteSpan(spans[k].name, parent, start,
+                                                 start + spans[k].dur_ns);
+      if (k == 0) parent = id;
+    }
   }
   *response = std::move(inner);
   return Status::OK();
 }
 
+/// One worker's share of a scatter pass, and where its frames stand.
+struct WorkerShare {
+  size_t worker = 0;
+  /// Round task indices, in pending order.
+  std::vector<size_t> tasks;
+  /// tasks[0, next) have been answered (or abandoned); the outstanding
+  /// frame carries tasks[next, next + in_flight).
+  size_t next = 0;
+  size_t in_flight = 0;
+  /// When the outstanding frame was sent (traced rounds only).
+  uint64_t sent_ns = 0;
+  /// The worker's connection, held from the first send to the last reply.
+  std::unique_lock<std::mutex> connection;
+};
+
 }  // namespace
 
 StatusOr<std::shared_ptr<RpcBackend>> RpcBackend::Connect(
     NetworkModel model, const std::vector<std::string>& endpoints,
-    SupervisorOptions supervision, bool coalesce_scatter) {
+    SupervisorOptions supervision) {
   StatusOr<std::unique_ptr<WorkerSupervisor>> supervisor =
       WorkerSupervisor::Connect(endpoints, supervision);
   if (!supervisor.ok()) return supervisor.status();
-  return std::shared_ptr<RpcBackend>(new RpcBackend(
-      model, std::move(supervisor).value(), coalesce_scatter));
+  return std::shared_ptr<RpcBackend>(
+      new RpcBackend(model, std::move(supervisor).value()));
 }
 
 RpcBackend::RpcBackend(NetworkModel model,
-                       std::unique_ptr<WorkerSupervisor> supervisor,
-                       bool coalesce_scatter)
-    : ExecutionBackend(model),
-      supervisor_(std::move(supervisor)),
-      coalesce_scatter_(coalesce_scatter) {
-  batchers_.reserve(supervisor_->num_workers());
-  for (size_t w = 0; w < supervisor_->num_workers(); ++w) {
-    batchers_.push_back(std::make_unique<WorkerBatcher>());
-  }
-}
+                       std::unique_ptr<WorkerSupervisor> supervisor)
+    : ExecutionBackend(model), supervisor_(std::move(supervisor)) {}
 
 BackendHealth RpcBackend::health() const {
   BackendHealth health = supervisor_->Snapshot();
@@ -103,121 +103,6 @@ BackendHealth RpcBackend::health() const {
   health.tasks_coalesced = tasks_coalesced_.load(std::memory_order_relaxed);
   FillSessionCounters(&health);
   return health;
-}
-
-void RpcBackend::DriveBatch(size_t w, const std::vector<BatchItem*>& batch) {
-  if (batch.size() == 1) {
-    // A lone item gains nothing from the envelope (and a near-limit
-    // request might not fit inside one) — exchange it plainly.
-    BatchItem* item = batch[0];
-    item->status = supervisor_->Exchange(
-        w, item->kind, *item->request, item->response,
-        item->compute_seconds, &item->worker_failed);
-    return;
-  }
-
-  std::vector<uint8_t> payload;
-  ByteWriter writer(&payload);
-  writer.WriteU32(static_cast<uint32_t>(batch.size()));
-  for (const BatchItem* item : batch) {
-    writer.WriteU8(item->kind);
-    writer.WriteU32(static_cast<uint32_t>(item->request->size()));
-    writer.WriteBytes(item->request->data(), item->request->size());
-  }
-  scatter_batches_.fetch_add(1, std::memory_order_relaxed);
-  tasks_coalesced_.fetch_add(batch.size(), std::memory_order_relaxed);
-
-  std::vector<uint8_t> response;
-  double envelope_seconds = 0;
-  bool worker_failed = false;
-  Status s = supervisor_->Exchange(
-      w, static_cast<uint8_t>(RpcTaskKind::kBatchTask), payload, &response,
-      &envelope_seconds, &worker_failed);
-  if (!s.ok()) {
-    // The whole frame failed — every rider shares the outcome, exactly
-    // as if each had met the broken connection itself; the owners'
-    // recovery loops re-scatter them.
-    for (BatchItem* item : batch) {
-      item->status = s;
-      item->worker_failed = worker_failed;
-    }
-    return;
-  }
-
-  ByteReader reader(response);
-  for (BatchItem* item : batch) {
-    uint8_t ok = 0;
-    double seconds = 0;
-    uint32_t len = 0;
-    Status parse = reader.ReadU8(&ok);
-    if (parse.ok()) parse = reader.ReadDouble(&seconds);
-    if (parse.ok()) parse = reader.ReadU32(&len);
-    if (parse.ok() && len > reader.remaining()) {
-      parse = Status::Corruption("batch reply slot exceeds the payload");
-    }
-    if (!parse.ok()) {
-      // A malformed envelope reply poisons every remaining slot — fail
-      // them deterministically rather than guessing at boundaries.
-      item->status = Status::Corruption(
-          "rpc batch reply is malformed: " + parse.ToString());
-      continue;
-    }
-    if (ok == 1) {
-      item->response->assign(reader.cursor(), reader.cursor() + len);
-      *item->compute_seconds = seconds;
-      item->status = Status::OK();
-    } else {
-      item->status = Status::Internal(
-          "rpc batch subtask failed: " +
-          std::string(reader.cursor(), reader.cursor() + len));
-    }
-    reader.Advance(len);
-  }
-}
-
-void RpcBackend::ExchangeCoalesced(size_t w,
-                                   const std::vector<BatchItem*>& items) {
-  WorkerBatcher& batcher = *batchers_[w];
-  std::unique_lock<std::mutex> lock(batcher.mutex);
-  for (BatchItem* item : items) batcher.queue.push_back(item);
-
-  const auto all_finished = [&items] {
-    for (const BatchItem* item : items) {
-      if (!item->finished) return false;
-    }
-    return true;
-  };
-  while (!all_finished()) {
-    if (batcher.draining || batcher.queue.empty()) {
-      // Another submitter is flushing; our items either ride its batch
-      // or a later one.
-      batcher.cv.wait(lock);
-      continue;
-    }
-    // Become the drainer: flush EVERYTHING queued right now — our items
-    // plus whatever concurrent rounds queued while the previous drain
-    // was on the wire (group commit) — in as few envelopes as fit.
-    batcher.draining = true;
-    std::vector<BatchItem*> batch;
-    size_t payload_bytes = sizeof(uint32_t);
-    while (!batcher.queue.empty()) {
-      BatchItem* item = batcher.queue.front();
-      const size_t need =
-          sizeof(uint8_t) + sizeof(uint32_t) + item->request->size();
-      if (!batch.empty() && payload_bytes + need > kMaxFramePayloadBytes) {
-        break;
-      }
-      batch.push_back(item);
-      batcher.queue.pop_front();
-      payload_bytes += need;
-    }
-    lock.unlock();
-    DriveBatch(w, batch);
-    lock.lock();
-    for (BatchItem* item : batch) item->finished = true;
-    batcher.draining = false;
-    batcher.cv.notify_all();
-  }
 }
 
 StatusOr<RoundResult> RpcBackend::RunRound(
@@ -259,34 +144,35 @@ StatusOr<RoundResult> RpcBackend::RunRound(
   // round's consumers see is identical to the untraced protocol. A
   // request too close to the frame limit for the 9-byte envelope ships
   // plain (it merely loses its worker-side spans).
-  const obs::TraceContext round_ctx = obs::CurrentTraceContext();
-  const uint64_t trace_id =
-      round_ctx.trace != nullptr ? round_ctx.trace->trace_id() : 0;
-  const uint8_t traced_kind = static_cast<uint8_t>(RpcTaskKind::kTracedTask);
+  obs::QueryTrace* const trace = obs::CurrentTraceContext().trace;
   const auto wrap_task = [&](size_t i) {
-    return round_ctx.trace != nullptr &&
-           requests[i].size() + kTracedEnvelopeBytes <= kMaxFramePayloadBytes;
+    return trace != nullptr &&
+           requests[i].size() + kTracedTaskPrefixBytes <= kMaxFramePayloadBytes;
   };
 
   // Round-level recovery loop: scatter the pending tasks over the usable
   // workers; connection-level failures leave their tasks pending and the
   // next pass re-scatters them over whoever is usable then (the
   // supervisor redials SUSPECT workers under its backoff). A clean
-  // task-error reply is deterministic and fails the round immediately. A
-  // pathological worker that keeps accepting and dying cannot livelock
-  // the round: the number of scatter passes is bounded by the pool's
-  // total redial budget plus slack.
+  // task-error reply is deterministic and fails the round once the pass
+  // has drained its replies. A pathological worker that keeps accepting
+  // and dying cannot livelock the round: the number of scatter passes is
+  // bounded by the pool's total redial budget plus slack.
   const size_t num_workers = supervisor_->num_workers();
   const size_t max_passes =
       RecoveryPassBudget(supervisor_->options().max_redials, num_workers);
   std::vector<char> done(num_tasks, 0);
   std::vector<size_t> pending(num_tasks);
   std::iota(pending.begin(), pending.end(), size_t{0});
-  std::mutex error_mutex;
   Status task_error = Status::OK();
   Status last_worker_error = Status::OK();
   size_t passes = 0;
   bool recovered = false;
+  // Frame buffers, reused by every frame of the round.
+  std::vector<uint8_t> heads;
+  std::vector<ConstSpan> parts;
+  std::vector<uint8_t> reply;
+  std::vector<BatchSlot> slots;
 
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kRoundStart,
                                        "rpc round: %zu tasks over %zu workers",
@@ -327,107 +213,184 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       tasks_rescattered_.fetch_add(pending.size(), std::memory_order_relaxed);
     }
 
-    // Lane j walks pending tasks j, j+lanes, ... in order on one worker,
-    // so a connection never sees interleaved frames from the same round.
-    // The per-round rotating base spreads concurrent small rounds across
-    // the whole pool instead of serializing them all behind worker 0.
+    // Share k holds pending tasks k, k+lanes, ... in order and goes to
+    // one worker. The per-round rotating base spreads concurrent small
+    // rounds across the whole pool instead of serializing them all behind
+    // worker 0. Shares are then ordered by worker index, the order their
+    // connections must be taken in (see worker_supervisor.h).
     obs::Span pass_span("rpc.scatter_pass");
-    const obs::TraceContext lane_ctx = obs::CurrentTraceContext();
     const size_t lanes = std::min(usable.size(), pending.size());
     const size_t base =
         round_offset_.fetch_add(1, std::memory_order_relaxed) %
         usable.size();
-    const auto run_lane = [&](size_t lane) {
-      // Lane threads adopt the submitting thread's trace context (the
-      // scatter-pass span) so their exchange spans land in the tree.
-      obs::TraceContextScope lane_scope(lane_ctx);
-      obs::Span lane_span("rpc.lane");
-      const size_t w = usable[(base + lane) % usable.size()];
-      if (coalesce_scatter_) {
-        // Coalesced scatter: this lane's whole share goes to worker `w`
-        // as one batch envelope (group-committed with concurrent
-        // rounds), and each item comes back with its own per-task
-        // outcome — identical bytes, one frame.
-        std::vector<BatchItem> items(
-            (pending.size() - lane + lanes - 1) / lanes);
-        std::vector<BatchItem*> item_ptrs(items.size());
-        std::vector<std::vector<uint8_t>> wrapped;
-        if (round_ctx.trace != nullptr) wrapped.resize(items.size());
-        for (size_t n = 0, p = lane; p < pending.size(); ++n, p += lanes) {
-          const size_t i = pending[p];
-          if (wrap_task(i)) {
-            wrapped[n] = BuildTracedTaskRequest(
-                trace_id, static_cast<RpcTaskKind>(kinds[i]), requests[i]);
-            items[n].kind = traced_kind;
-            items[n].request = &wrapped[n];
-          } else {
-            items[n].kind = kinds[i];
-            items[n].request = &requests[i];
-          }
-          items[n].response = &result.responses[i];
-          items[n].compute_seconds = &result.compute_seconds[i];
-          item_ptrs[n] = &items[n];
+    std::vector<WorkerShare> shares(lanes);
+    for (size_t k = 0; k < lanes; ++k) {
+      shares[k].worker = usable[(base + k) % usable.size()];
+    }
+    for (size_t p = 0; p < pending.size(); ++p) {
+      shares[p % lanes].tasks.push_back(pending[p]);
+    }
+    std::sort(shares.begin(), shares.end(),
+              [](const WorkerShare& a, const WorkerShare& b) {
+                return a.worker < b.worker;
+              });
+
+    // Sends the share's next frame: as many unsent tasks as one frame
+    // holds (normally all of them) in a kBatchTask envelope gathered
+    // straight from the request buffers. A lone task ships plain — the
+    // envelope gains it nothing, and a near-limit request might not fit
+    // inside one. On a send failure the connection is released and the
+    // share's unsent tasks stay pending.
+    const auto send_frame = [&](WorkerShare& share) {
+      size_t count = 0;
+      size_t bytes = sizeof(uint32_t);
+      for (size_t t = share.next; t < share.tasks.size(); ++t) {
+        const size_t i = share.tasks[t];
+        const size_t need = kBatchSlotHeaderBytes +
+                            (wrap_task(i) ? kTracedTaskPrefixBytes : 0) +
+                            requests[i].size();
+        if (count > 0 && (bytes + need > kMaxFramePayloadBytes ||
+                          2 * (count + 1) > kMaxSendSpans)) {
+          break;
         }
-        ExchangeCoalesced(w, item_ptrs);
-        for (size_t n = 0, p = lane; p < pending.size(); ++n, p += lanes) {
-          const size_t i = pending[p];
-          if (items[n].status.ok() && items[n].kind == traced_kind) {
-            items[n].status = StripTraceBlock(&result.responses[i]);
-          }
-          if (items[n].status.ok()) {
-            done[i] = 1;
-            continue;
-          }
-          std::lock_guard<std::mutex> error_lock(error_mutex);
-          if (items[n].worker_failed) {
-            last_worker_error = items[n].status;
-          } else if (task_error.ok()) {
-            task_error = items[n].status;
-          }
+        bytes += need;
+        ++count;
+      }
+      // Envelope and slot headers (and traced prefixes) go into `heads`,
+      // reserved up front so the spans into it stay valid.
+      const bool batch = count > 1;
+      heads.clear();
+      heads.reserve(sizeof(uint32_t) +
+                    count * (kBatchSlotHeaderBytes + kTracedTaskPrefixBytes));
+      parts.clear();
+      ByteWriter writer(&heads);
+      if (batch) writer.WriteU32(static_cast<uint32_t>(count));
+      for (size_t t = share.next, mark = 0; t < share.next + count; ++t) {
+        const size_t i = share.tasks[t];
+        const bool wrap = wrap_task(i);
+        if (batch) {
+          writer.WriteU8(wrap ? kTracedKind : kinds[i]);
+          writer.WriteU32(static_cast<uint32_t>(
+              (wrap ? kTracedTaskPrefixBytes : 0) + requests[i].size()));
         }
+        if (wrap) {
+          WriteTracedTaskPrefix(trace->trace_id(),
+                                static_cast<RpcTaskKind>(kinds[i]), &writer);
+        }
+        parts.push_back({heads.data() + mark, heads.size() - mark});
+        parts.push_back({requests[i].data(), requests[i].size()});
+        mark = heads.size();
+      }
+      const size_t lone = share.tasks[share.next];
+      const uint8_t kind =
+          batch ? static_cast<uint8_t>(RpcTaskKind::kBatchTask)
+                : (wrap_task(lone) ? kTracedKind : kinds[lone]);
+      if (trace != nullptr) share.sent_ns = obs::MonotonicNanos();
+      bool worker_failed = false;
+      const Status s = supervisor_->SendLocked(
+          share.worker, kind, parts.data(), parts.size(), &worker_failed);
+      if (!s.ok()) {
+        last_worker_error = s;
+        share.connection.unlock();
         return;
       }
-      for (size_t p = lane; p < pending.size(); p += lanes) {
-        const size_t i = pending[p];
-        bool worker_failed = false;
-        Status s;
-        if (wrap_task(i)) {
-          const std::vector<uint8_t> wrapped_request = BuildTracedTaskRequest(
-              trace_id, static_cast<RpcTaskKind>(kinds[i]), requests[i]);
-          s = supervisor_->Exchange(w, traced_kind, wrapped_request,
-                                    &result.responses[i],
-                                    &result.compute_seconds[i],
-                                    &worker_failed);
-          if (s.ok()) s = StripTraceBlock(&result.responses[i]);
-        } else {
-          s = supervisor_->Exchange(w, kinds[i], requests[i],
-                                    &result.responses[i],
-                                    &result.compute_seconds[i],
-                                    &worker_failed);
-        }
-        if (s.ok()) {
-          done[i] = 1;
-          continue;
-        }
-        std::lock_guard<std::mutex> error_lock(error_mutex);
-        if (worker_failed) {
-          last_worker_error = s;
-        } else if (task_error.ok()) {
-          task_error = s;
-        }
-        return;  // this lane's worker failed, or the round is doomed
+      share.in_flight = count;
+      if (batch) {
+        scatter_batches_.fetch_add(1, std::memory_order_relaxed);
+        tasks_coalesced_.fetch_add(count, std::memory_order_relaxed);
       }
     };
 
-    if (lanes <= 1) {
-      run_lane(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(lanes);
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        pool.emplace_back(run_lane, lane);
+    // Receives the reply to the share's outstanding frame and files each
+    // task's response and compute seconds. Returns false when the
+    // connection failed: the frame's tasks stay pending for the next pass.
+    const auto receive_frame = [&](WorkerShare& share) {
+      const size_t first = share.next;
+      const size_t count = share.in_flight;
+      share.next += count;
+      share.in_flight = 0;
+      std::vector<uint8_t>* body =
+          count == 1 ? &result.responses[share.tasks[first]] : &reply;
+      double seconds = 0;
+      bool worker_failed = false;
+      Status s = supervisor_->ReceiveLocked(share.worker, body, &seconds,
+                                            &worker_failed);
+      if (!s.ok()) {
+        if (worker_failed) {
+          last_worker_error = s;
+          return false;
+        }
+        if (task_error.ok()) task_error = s;
+        return true;
       }
-      for (std::thread& t : pool) t.join();
+      // One rpc.exchange span per frame, from its send to its reply; the
+      // grafted worker spans go under it.
+      uint32_t exchange = obs::kNoSpan;
+      const uint64_t end_ns = trace != nullptr ? obs::MonotonicNanos() : 0;
+      if (trace != nullptr) {
+        exchange = trace->AddCompleteSpan("rpc.exchange", pass_span.id(),
+                                          share.sent_ns, end_ns);
+      }
+      // A lone task's reply is its response; a batch reply is split into
+      // per-task slots.
+      if (count == 1) {
+        slots.assign(1, BatchSlot{true, seconds, {body->data(), body->size()}});
+      } else if (Status parse = ParseBatchTaskResponse(reply, count, &slots);
+                 !parse.ok()) {
+        if (task_error.ok()) {
+          task_error = Status::Corruption("rpc batch reply is malformed: " +
+                                          parse.ToString());
+        }
+        return true;
+      }
+      for (size_t k = 0; k < count; ++k) {
+        const size_t i = share.tasks[first + k];
+        const ConstSpan slot = slots[k].body;
+        Status status = Status::OK();
+        if (!slots[k].ok) {
+          status = Status::Internal("rpc batch subtask failed: " +
+                                    std::string(slot.data,
+                                                slot.data + slot.size));
+        } else {
+          if (count > 1) {
+            result.responses[i].assign(slot.data, slot.data + slot.size);
+          }
+          result.compute_seconds[i] = slots[k].compute_seconds;
+          if (wrap_task(i)) {
+            status = StripTraceBlock(trace, exchange, end_ns,
+                                     &result.responses[i]);
+          }
+        }
+        if (status.ok()) {
+          done[i] = 1;
+        } else if (task_error.ok()) {
+          task_error = std::move(status);
+        }
+      }
+      return true;
+    };
+
+    // Send every share's first frame, taking the connections in
+    // ascending worker index; then read the replies in send order. A
+    // share with tasks left sends its next frame as soon as the previous
+    // reply lands (one outstanding frame per connection), and each
+    // connection is released after its share's last reply.
+    for (WorkerShare& share : shares) {
+      share.connection = supervisor_->LockConnection(share.worker);
+      send_frame(share);
+    }
+    for (bool outstanding = true; outstanding;) {
+      outstanding = false;
+      for (WorkerShare& share : shares) {
+        if (share.in_flight == 0) continue;
+        if (receive_frame(share) && task_error.ok() &&
+            share.next < share.tasks.size()) {
+          send_frame(share);
+        } else {
+          share.connection.unlock();
+        }
+        outstanding = outstanding || share.in_flight > 0;
+      }
     }
     if (!task_error.ok()) return task_error;
 
@@ -535,8 +498,8 @@ void ServeRpcConnection(Socket socket, RpcServeOptions serve) {
             1, std::memory_order_relaxed) <= 0) {
       // Chaos axis: crash WITHOUT replying, so the master sees exactly
       // what a mid-round node death looks like. Pings are exempt — the
-      // budget counts task work (session frames included), and reconnect
-      // probes must not skew it.
+      // budget counts request frames (a batch envelope once, session
+      // frames included), and reconnect probes must not skew it.
       obs::WorkerLogf(
           "--chaos-kill-after budget exhausted, crashing without reply");
       std::_Exit(42);

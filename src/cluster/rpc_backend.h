@@ -17,6 +17,14 @@
 //                   then response bytes or status text
 //                   (see cluster/rpc_protocol.h)
 //
+// A round sends each worker its whole share in ONE frame, the paper's
+// one scatter and one gather per query: a kBatchTask envelope holding the
+// share's requests (cluster/task_registry.h), or the plain request when
+// the share is a single task. The calling thread sends every used
+// worker's frame, then reads the replies in send order; no thread is
+// started per round. A share too large for one frame goes out as several,
+// with at most one outstanding per connection.
+//
 // Frame kinds at or above kSessionFrameKindBase are session-control
 // frames of the stateful-worker protocol (cluster/session/): the serve
 // loop routes them into a per-connection SessionStore, and OpenSession
@@ -39,18 +47,18 @@
 // from BackendOptions: worker_retries, worker_backoff_ms,
 // worker_backoff_max_ms, io_timeout_ms.
 //
-// Thread safety: RunRound may be called concurrently; the supervisor's
-// per-worker mutex serializes whole request/response exchanges, so
-// interleaved rounds cannot mix frames on one stream.
+// Thread safety: RunRound may be called concurrently. A scatter pass
+// holds each used worker's connection from its send to its last reply,
+// so interleaved rounds cannot mix frames on one stream, and takes those
+// connections in ascending worker index, so two rounds (or a round and a
+// session step or stats poll, which hold one connection at a time) can
+// never wait on each other in a cycle.
 
 #ifndef MPQOPT_CLUSTER_RPC_BACKEND_H_
 #define MPQOPT_CLUSTER_RPC_BACKEND_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -68,14 +76,9 @@ class RpcBackend : public ExecutionBackend {
   /// Connects to (and ping-verifies) every "host:port" endpoint; fails
   /// naming the endpoint if any worker is unreachable. Supervision knobs
   /// (redial budget, backoff, reply deadline) ride in `supervision`.
-  /// With `coalesce_scatter`, RunRound merges each worker's share of a
-  /// round into one kBatchTask envelope frame, group-committed with
-  /// whatever other rounds are scattering to that worker at the same
-  /// moment (BackendOptions::coalesce_scatter; responses, plan bytes,
-  /// and modeled accounting are identical either way).
   static StatusOr<std::shared_ptr<RpcBackend>> Connect(
       NetworkModel model, const std::vector<std::string>& endpoints,
-      SupervisorOptions supervision = {}, bool coalesce_scatter = false);
+      SupervisorOptions supervision = {});
 
   StatusOr<RoundResult> RunRound(
       const std::vector<WorkerTask>& tasks,
@@ -99,50 +102,11 @@ class RpcBackend : public ExecutionBackend {
   /// and the worker is skipped, never the whole poll.
   std::vector<obs::WorkerStatsSample> PollWorkerStats() override;
 
-  /// Number of supervised worker endpoints (the maximal scatter width).
-  size_t num_connections() const { return supervisor_->num_workers(); }
-
-  const WorkerSupervisor& supervisor() const { return *supervisor_; }
-
  private:
-  RpcBackend(NetworkModel model, std::unique_ptr<WorkerSupervisor> supervisor,
-             bool coalesce_scatter);
-
-  /// One task request riding a coalesced exchange, with its per-task
-  /// outputs — the batcher fills exactly what a plain Exchange would.
-  struct BatchItem {
-    uint8_t kind = 0;
-    const std::vector<uint8_t>* request = nullptr;
-    std::vector<uint8_t>* response = nullptr;
-    double* compute_seconds = nullptr;
-    Status status;
-    bool worker_failed = false;
-    bool finished = false;
-  };
-
-  /// Per-worker group-commit queue: concurrent lanes enqueue their
-  /// items; one submitter at a time becomes the drainer and flushes
-  /// everything queued — its own items plus whatever other rounds have
-  /// queued meanwhile — as a single kBatchTask envelope.
-  struct WorkerBatcher {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<BatchItem*> queue;
-    bool draining = false;
-  };
-
-  /// Runs `items` on worker `w` through the batcher; returns when every
-  /// item is finished (each with its own status, like N plain
-  /// Exchanges).
-  void ExchangeCoalesced(size_t w, const std::vector<BatchItem*>& items);
-  /// Sends one drained batch (envelope, or a plain exchange for a lone
-  /// item) and fills the items' outputs. Marked finished by the caller
-  /// under the batcher lock.
-  void DriveBatch(size_t w, const std::vector<BatchItem*>& batch);
+  RpcBackend(NetworkModel model,
+             std::unique_ptr<WorkerSupervisor> supervisor);
 
   std::unique_ptr<WorkerSupervisor> supervisor_;
-  const bool coalesce_scatter_;
-  std::vector<std::unique_ptr<WorkerBatcher>> batchers_;
   std::atomic<uint64_t> tasks_rescattered_{0};
   std::atomic<uint64_t> rounds_recovered_{0};
   std::atomic<uint64_t> scatter_batches_{0};
@@ -163,9 +127,11 @@ struct RpcServeOptions {
   /// in-flight task is drained — executed and answered — first.
   const std::atomic<bool>* stop = nullptr;
   /// Chaos test axis (mpqopt_worker --chaos-kill-after=N): when non-null,
-  /// decremented once per received task request; when it drops below
-  /// zero the process exits abruptly WITHOUT replying — a deterministic
-  /// mid-round crash for the failover tests.
+  /// decremented once per received request frame other than a ping — a
+  /// kBatchTask frame carrying a worker's whole share of a round counts
+  /// once, as does each session frame; when it drops below zero the
+  /// process exits abruptly WITHOUT replying — a deterministic mid-round
+  /// crash for the failover tests.
   std::atomic<int64_t>* chaos_tasks_remaining = nullptr;
   /// Session-store knobs of this worker (TTL GC, per-session byte cap);
   /// every connection gets its own store built from these.

@@ -43,11 +43,10 @@ enum class RpcReplyKind : uint8_t {
 /// Bytes of the compute-seconds header that precedes every reply body.
 constexpr size_t kRpcReplyHeaderBytes = sizeof(double);
 
-/// Builds one reply payload: the compute-seconds header followed by
-/// `size` body bytes. The f64 crosses the wire as its IEEE-754 bit
-/// pattern in little-endian byte order, like the frame length prefix —
-/// independent of either peer's host endianness.
 /// Encodes the compute-seconds header into a caller-owned 8-byte slot.
+/// The f64 crosses the wire as its IEEE-754 bit pattern in little-endian
+/// byte order, like the frame length prefix — independent of either
+/// peer's host endianness.
 inline void EncodeRpcReplySeconds(double compute_seconds,
                                   uint8_t out[kRpcReplyHeaderBytes]) {
   uint64_t bits = 0;
@@ -57,6 +56,8 @@ inline void EncodeRpcReplySeconds(double compute_seconds,
   }
 }
 
+/// Builds one reply payload: the compute-seconds header followed by
+/// `size` body bytes.
 inline std::vector<uint8_t> BuildRpcReplyPayload(double compute_seconds,
                                                  const uint8_t* body,
                                                  size_t size) {
@@ -98,18 +99,6 @@ inline Status RecvRpcReply(int fd, uint8_t* kind, double* compute_seconds,
   }
   std::memcpy(compute_seconds, &bits, sizeof(*compute_seconds));
   return Status::OK();
-}
-
-/// Decodes the compute-seconds header of a reply payload; the caller has
-/// already checked payload.size() >= kRpcReplyHeaderBytes.
-inline double DecodeRpcReplySeconds(const std::vector<uint8_t>& payload) {
-  uint64_t bits = 0;
-  for (size_t i = 0; i < sizeof(bits); ++i) {
-    bits |= static_cast<uint64_t>(payload[i]) << (8 * i);
-  }
-  double seconds = 0;
-  std::memcpy(&seconds, &bits, sizeof(seconds));
-  return seconds;
 }
 
 }  // namespace mpqopt

@@ -173,12 +173,24 @@ Status WorkerSupervisor::ExchangeV(size_t w, uint8_t task_kind,
                                    std::vector<uint8_t>* response,
                                    double* compute_seconds,
                                    bool* worker_failed) {
-  MPQOPT_CHECK_LT(w, workers_.size());
   // Covers the whole exchange: the io_mutex wait (connection contention
   // is visible in the trace) plus the send and the blocking receive.
   obs::Span exchange_span("rpc.exchange");
-  Worker* worker = workers_[w].get();
-  std::lock_guard<std::mutex> io(worker->io_mutex);
+  const std::unique_lock<std::mutex> io = LockConnection(w);
+  const Status s = SendLocked(w, task_kind, parts, num_parts, worker_failed);
+  if (!s.ok()) return s;
+  return ReceiveLocked(w, response, compute_seconds, worker_failed);
+}
+
+std::unique_lock<std::mutex> WorkerSupervisor::LockConnection(size_t w) {
+  MPQOPT_CHECK_LT(w, workers_.size());
+  return std::unique_lock<std::mutex>(workers_[w]->io_mutex);
+}
+
+Status WorkerSupervisor::SendLocked(size_t w, uint8_t task_kind,
+                                    const ConstSpan* parts, size_t num_parts,
+                                    bool* worker_failed) {
+  Worker* worker = workers_[w].get();  // checked by LockConnection
   const WorkerHealth health = HealthOf(*worker);
   if (health != WorkerHealth::kHealthy) {
     // A concurrent round failed this worker after the scatter chose it.
@@ -194,12 +206,20 @@ Status WorkerSupervisor::ExchangeV(size_t w, uint8_t task_kind,
     *worker_failed = true;
     return s;
   }
+  return Status::OK();
+}
+
+Status WorkerSupervisor::ReceiveLocked(size_t w,
+                                       std::vector<uint8_t>* response,
+                                       double* compute_seconds,
+                                       bool* worker_failed) {
+  Worker* worker = workers_[w].get();
   // The reply body lands straight in the caller's buffer (header split
   // off by the transport); on error replies it holds the status text.
   uint8_t reply_kind = 0;
   double seconds = 0;
-  s = RecvRpcReply(worker->socket.fd(), &reply_kind, &seconds, response,
-                   options_.io_timeout_ms);
+  Status s = RecvRpcReply(worker->socket.fd(), &reply_kind, &seconds,
+                          response, options_.io_timeout_ms);
   if (!s.ok()) {
     s = Status::Internal("rpc worker " + worker->endpoint +
                          " disconnected or timed out mid-round: " +

@@ -31,7 +31,10 @@
 // UsableWorkers) take only the state lock, so a stats probe never stalls
 // behind an in-flight exchange — worker compute time is unbounded, and a
 // monitoring call must not wait on it. Lock order is io_mutex before
-// state_mutex, never the reverse.
+// state_mutex, never the reverse. Whoever holds several workers'
+// io_mutexes at once (RpcBackend's scatter pass, via LockConnection)
+// takes them in ascending worker index; every other path holds at most
+// one, so no two callers can wait on each other in a cycle.
 
 #ifndef MPQOPT_CLUSTER_SUPERVISOR_WORKER_SUPERVISOR_H_
 #define MPQOPT_CLUSTER_SUPERVISOR_WORKER_SUPERVISOR_H_
@@ -112,10 +115,24 @@ class WorkerSupervisor {
   /// `parts` (one frame, byte-identical to the concatenation) and the
   /// reply body lands directly in `*response` with the compute-seconds
   /// header split off in place — no master-side payload copies in either
-  /// direction. Exchange is a one-part wrapper around this.
+  /// direction. LockConnection + SendLocked + ReceiveLocked.
   Status ExchangeV(size_t w, uint8_t task_kind, const ConstSpan* parts,
                    size_t num_parts, std::vector<uint8_t>* response,
                    double* compute_seconds, bool* worker_failed);
+
+  /// Takes worker `w`'s connection (its io_mutex) until the returned
+  /// lock is released. Hold several only if taken in ascending worker
+  /// index (see the header comment).
+  std::unique_lock<std::mutex> LockConnection(size_t w);
+
+  /// ExchangeV's halves, on a connection the caller holds: SendLocked
+  /// fails with `*worker_failed` = true when the worker is not HEALTHY or
+  /// the send breaks; ReceiveLocked reads the reply to the frame last
+  /// sent, with Exchange's outcomes.
+  Status SendLocked(size_t w, uint8_t task_kind, const ConstSpan* parts,
+                    size_t num_parts, bool* worker_failed);
+  Status ReceiveLocked(size_t w, std::vector<uint8_t>* response,
+                       double* compute_seconds, bool* worker_failed);
 
   /// Indices of workers a scatter pass may use right now: every HEALTHY
   /// worker, plus every SUSPECT worker whose backoff has expired and
@@ -147,7 +164,8 @@ class WorkerSupervisor {
   struct Worker {
     std::string endpoint;
     /// Serializes socket use: whole exchanges and redials. Held long
-    /// (a task exchange spans the worker's compute time).
+    /// (a task exchange spans the worker's compute time). Several are
+    /// held at once only in ascending worker index.
     mutable std::mutex io_mutex;
     /// Guards everything below. Held only for O(1) reads/writes, so
     /// health snapshots never wait on network I/O. Acquired after

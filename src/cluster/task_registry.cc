@@ -144,6 +144,31 @@ StatusOr<std::vector<uint8_t>> BatchTaskMain(
   return writer.Release();
 }
 
+Status ParseBatchTaskResponse(const std::vector<uint8_t>& response,
+                              size_t count, std::vector<BatchSlot>* slots) {
+  slots->assign(count, BatchSlot());
+  ByteReader reader(response);
+  for (BatchSlot& slot : *slots) {
+    uint8_t ok = 0;
+    uint32_t len = 0;
+    Status s = reader.ReadU8(&ok);
+    if (s.ok()) s = reader.ReadDouble(&slot.compute_seconds);
+    if (s.ok()) s = reader.ReadU32(&len);
+    if (!s.ok()) return Status::Corruption("batch reply is truncated");
+    if (ok > 1) return Status::Corruption("batch reply slot has a bad ok byte");
+    if (len > reader.remaining()) {
+      return Status::Corruption("batch reply slot exceeds the payload");
+    }
+    slot.ok = ok == 1;
+    slot.body = ConstSpan{reader.cursor(), len};
+    reader.Advance(len);
+  }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("batch reply has trailing bytes");
+  }
+  return Status::OK();
+}
+
 StatusOr<std::vector<uint8_t>> TracedTaskMain(
     const std::vector<uint8_t>& request) {
   const auto entry = std::chrono::steady_clock::now();
@@ -211,14 +236,10 @@ StatusOr<std::vector<uint8_t>> TracedTaskMain(
   return writer.Release();
 }
 
-std::vector<uint8_t> BuildTracedTaskRequest(
-    uint64_t trace_id, RpcTaskKind inner_kind,
-    const std::vector<uint8_t>& inner_request) {
-  ByteWriter writer;
-  writer.WriteU64(trace_id);
-  writer.WriteU8(static_cast<uint8_t>(inner_kind));
-  writer.WriteBytes(inner_request.data(), inner_request.size());
-  return writer.Release();
+void WriteTracedTaskPrefix(uint64_t trace_id, RpcTaskKind inner_kind,
+                           ByteWriter* writer) {
+  writer->WriteU64(trace_id);
+  writer->WriteU8(static_cast<uint8_t>(inner_kind));
 }
 
 Status ParseTracedTaskResponse(const std::vector<uint8_t>& response,

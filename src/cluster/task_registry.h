@@ -30,8 +30,11 @@
 
 #include "cluster/backend.h"
 #include "common/status.h"
+#include "net/frame_transport.h"
 
 namespace mpqopt {
+
+class ByteWriter;
 
 /// Wire tag of one registered worker entry point. Values are part of the
 /// RPC protocol — append new kinds, never renumber.
@@ -43,7 +46,7 @@ enum class RpcTaskKind : uint8_t {
   kFailTask = 4,       ///< diagnostic: fails with the request as message
   kSleepEchoTask = 5,  ///< diagnostic: u32 ms sleep, then echo the rest
   kPingTask = 6,       ///< health probe: echoes the nonce payload
-  kBatchTask = 7,      ///< envelope: N coalesced subtask requests
+  kBatchTask = 7,      ///< envelope: a worker's N subtask requests
   kTracedTask = 8,     ///< envelope: trace id + one subtask request
   kStatsPollTask = 9,  ///< telemetry: worker's MetricsRegistry sample
 };
@@ -71,8 +74,10 @@ StatusOr<std::vector<uint8_t>> SleepEchoTaskMain(
 StatusOr<std::vector<uint8_t>> PingTaskMain(
     const std::vector<uint8_t>& request);
 
-/// Scatter-coalescing envelope: one frame carrying N independent subtask
-/// requests, executed in order, each timed individually.
+/// Scatter envelope: one frame carrying a worker's whole share of a
+/// round — N independent subtask requests, executed in order, each timed
+/// individually. RpcBackend sends every multi-task share this way (a
+/// lone task ships plain).
 ///
 ///   request   u32 count, then per subtask: u8 kind, u32 len, len bytes
 ///   response  per subtask: u8 ok, f64 measured compute seconds,
@@ -83,10 +88,28 @@ StatusOr<std::vector<uint8_t>> PingTaskMain(
 /// and the other subtasks still run, so the master can split one frame's
 /// outcomes exactly like N separate exchanges. Nested batches and
 /// unknown subtask kinds are per-slot errors. A pure function of its
-/// request bytes like every other registered entry point, so a coalesced
-/// scatter stays byte-identical to an uncoalesced one.
+/// request bytes like every other registered entry point, so each
+/// subtask's response is byte-identical to running it alone.
 StatusOr<std::vector<uint8_t>> BatchTaskMain(
     const std::vector<uint8_t>& request);
+
+/// One subtask's outcome in a kBatchTask reply: the worker-measured
+/// compute seconds and a view of the slot's bytes inside the reply (the
+/// response when `ok`, the status text when not).
+struct BatchSlot {
+  bool ok = false;
+  double compute_seconds = 0;
+  ConstSpan body;
+};
+
+/// The master's decoder of a BatchTaskMain reply to a `count`-subtask
+/// request: fills `slots` with `count` views into `response`. A reply
+/// that is truncated, has a slot longer than the bytes left, an ok byte
+/// other than 0 or 1, or bytes after the last slot is kCorruption, and
+/// no slot of it may be trusted. A slot with ok=0 is a subtask failure,
+/// not a decode error.
+Status ParseBatchTaskResponse(const std::vector<uint8_t>& response,
+                              size_t count, std::vector<BatchSlot>* slots);
 
 /// Tracing envelope: wraps one subtask request together with the query's
 /// u64 trace id, and returns the worker-side span timings ahead of the
@@ -125,11 +148,13 @@ struct ImportedSpan {
   uint64_t dur_ns = 0;
 };
 
-/// Builds a kTracedTask request wrapping `inner_request` (see
-/// TracedTaskMain for the layout).
-std::vector<uint8_t> BuildTracedTaskRequest(
-    uint64_t trace_id, RpcTaskKind inner_kind,
-    const std::vector<uint8_t>& inner_request);
+/// Bytes a kTracedTask request carries in front of the inner request.
+constexpr size_t kTracedTaskPrefixBytes = sizeof(uint64_t) + sizeof(uint8_t);
+
+/// Appends a kTracedTask request's prefix (see TracedTaskMain for the
+/// layout) to `writer`; the inner request's bytes follow it on the wire.
+void WriteTracedTaskPrefix(uint64_t trace_id, RpcTaskKind inner_kind,
+                           ByteWriter* writer);
 
 /// Splits a kTracedTask response into the worker-side spans and the
 /// inner response body. `inner_body` gets exactly the bytes the wrapped

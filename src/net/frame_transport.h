@@ -87,8 +87,10 @@ struct ConstSpan {
 
 /// Maximum number of payload pieces one SendFrameV call accepts. The
 /// header rides in the same gather list, so the whole frame fits a
-/// stack-allocated iovec array and (buffers permitting) one syscall.
-constexpr size_t kMaxSendSpans = 8;
+/// stack-allocated iovec array and (buffers permitting) one syscall:
+/// Linux's sendmsg takes at most 1024 iovecs. A batch frame gathers two
+/// pieces per subtask (slot header, request bytes).
+constexpr size_t kMaxSendSpans = 1023;
 
 /// Sends one frame whose payload is the concatenation of `parts` —
 /// byte-identical on the wire to SendFrame over the concatenated bytes,

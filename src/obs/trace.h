@@ -8,9 +8,11 @@
 // process-wide monotonic clock. The ACTIVE trace and the innermost open
 // span travel in a thread-local TraceContext: `Span s("cache.lookup")`
 // reads the context, opens a child of the current span, and restores the
-// context on scope exit. Worker threads that pick up a traced query's
-// work (backend lanes, pool threads) adopt the submitting thread's
-// context for the scope of that work via TraceContextScope.
+// context on scope exit. Threads that pick up a traced query's work
+// (the async pool's threads, session lanes) adopt the submitting
+// thread's context for the scope of that work via TraceContextScope.
+// Spans measured elsewhere — an rpc frame from send to reply, timings a
+// worker process reports — are recorded with AddCompleteSpan.
 //
 // Disabled cost. When no trace is installed (the default everywhere),
 // constructing a Span is one thread-local load and one branch — no
@@ -20,7 +22,8 @@
 // Wire propagation. RpcBackend wraps each task request in a
 // kTracedTask envelope carrying the u64 trace id (cluster/
 // task_registry.h); the worker returns its serve-loop timings in a reply
-// prefix which the master re-bases and grafts under the exchange span —
+// prefix which the master re-bases and grafts under the rpc.exchange
+// span of the frame that carried the task —
 // so one trace id joins master-side and worker-side spans. With tracing
 // off, nothing is wrapped and the wire bytes are exactly the untraced
 // protocol.
@@ -61,8 +64,8 @@ struct SpanRecord {
   uint64_t end_ns = 0;
 };
 
-/// The span tree of one traced query. Thread-safe: backend lanes and
-/// pool threads record concurrently with the master thread.
+/// The span tree of one traced query. Thread-safe: pool threads and
+/// session lanes record concurrently with the master thread.
 class QueryTrace {
  public:
   QueryTrace(uint64_t trace_id, std::string label);
@@ -104,7 +107,8 @@ TraceContext CurrentTraceContext();
 /// Installs `ctx` as this thread's context for the scope's lifetime and
 /// restores the previous context on exit. Used at the two context
 /// boundaries: OptimizerService installing a fresh trace on the serving
-/// thread, and worker/lane threads adopting the submitter's context.
+/// thread, and pool or session-lane threads adopting the submitter's
+/// context.
 class TraceContextScope {
  public:
   explicit TraceContextScope(TraceContext ctx);

@@ -23,7 +23,6 @@ OptimizerService::OptimizerService(ServiceOptions options)
     backend_opts.workers_addr = options_.workers_addr;
     backend_opts.worker_retries = options_.worker_retries;
     backend_opts.worker_backoff_ms = options_.worker_backoff_ms;
-    backend_opts.coalesce_scatter = options_.coalesce_scatter;
     StatusOr<std::shared_ptr<ExecutionBackend>> made =
         MakeBackend(options_.backend_kind, backend_opts);
     if (made.ok()) {

@@ -80,9 +80,6 @@ struct ServiceOptions {
   /// Quota / queue knobs when admission is enabled (CLI: --tenant-rate,
   /// --tenant-burst, --queue-depth).
   AdmissionOptions admission;
-  /// Scatter coalescing on the rpc backend (BackendOptions::
-  /// coalesce_scatter; no effect on in-process kinds). CLI: --coalesce.
-  bool coalesce_scatter = false;
   /// Query-lifecycle tracing (CLI: --trace-out, --slow-query-ms). Null
   /// (default) disables tracing entirely: every Span in the serving
   /// stack stays inert and no per-query state is allocated. Non-null,
@@ -144,9 +141,9 @@ struct ServiceStats {
   uint64_t admission_timed_out = 0;
   size_t admission_queued_now = 0;
   size_t admission_running_now = 0;
-  /// Scatter coalescing on the rpc backend: batch envelopes sent and
-  /// task requests that rode in them (zero when coalescing is off or the
-  /// backend is in-process).
+  /// Rpc scatter frames: kBatchTask envelopes sent and the task requests
+  /// that rode in them (zero on the in-process backend; see
+  /// BackendHealth).
   uint64_t scatter_batches = 0;
   uint64_t tasks_coalesced = 0;
   /// Per-worker endpoint, health state, and failure counters.

@@ -3,16 +3,20 @@
 // The admission subsystem (src/service/admission/): token-bucket
 // arithmetic under an injected clock, the pure weighted-fair pick,
 // queue-cap shedding and deadline expiry, the controller's
-// quota-before-queue order and RAII ticket, and — end to end — the
-// coalesced-scatter byte-identity contract: with scatter coalescing on,
-// every backend must pick plans byte-identical to the uncoalesced run.
-// The concurrent stress cases are TSan targets (this test is in the
-// sanitizer matrix's test_regex lists).
+// quota-before-queue order and RAII ticket, and — end to end — the rpc
+// scatter's byte-identity contract: plans served through a
+// multi-dispatcher service over rpc workers must equal the in-process
+// backend's, also while rounds, stats polls and SMA session steps share
+// the workers' connections. The concurrent stress cases are TSan targets
+// (this test is in the sanitizer matrix's test_regex lists).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "service/admission/admission_queue.h"
 #include "service/admission/quota_tracker.h"
 #include "service/optimizer_service.h"
+#include "sma/sma.h"
 #include "tests/rpc_test_util.h"
 
 namespace mpqopt {
@@ -328,7 +333,7 @@ TEST(AdmissionControllerTest, ConcurrentAdmitStressBalancesTheBooks) {
   EXPECT_EQ(stats.queued_now, 0u);
 }
 
-// ------------------------------------- coalesced-scatter byte identity
+// ---------------------------------------- rpc scatter byte identity
 
 std::vector<Query> MakeQueries(int count, int tables, uint64_t seed) {
   GeneratorOptions gen_opts;
@@ -340,99 +345,140 @@ std::vector<Query> MakeQueries(int count, int tables, uint64_t seed) {
   return queries;
 }
 
-/// Serialized plan-set bytes of every query through a service on
-/// `kind`, with scatter coalescing on or off.
+std::vector<uint8_t> PlanBytes(const PlanArena& arena,
+                               const std::vector<PlanId>& best) {
+  ByteWriter writer;
+  SerializePlanSet(arena, best, &writer);
+  return writer.Release();
+}
+
+/// Serialized plan-set bytes of every query of `report`.
+std::vector<std::vector<uint8_t>> PlansOf(const BatchReport& report) {
+  std::vector<std::vector<uint8_t>> plans;
+  for (const StatusOr<MpqResult>& r : report.results) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return plans;
+    plans.push_back(PlanBytes(r.value().arena, r.value().best));
+  }
+  return plans;
+}
+
+/// Plans of every query through a 4-dispatcher service on `kind`.
 std::vector<std::vector<uint8_t>> PlansOn(BackendKind kind,
                                           const std::string& workers_addr,
-                                          bool coalesce,
                                           const std::vector<Query>& queries,
                                           const MpqOptions& opts) {
   ServiceOptions service_opts;
   service_opts.backend_kind = kind;
   service_opts.backend_threads = 2;
   service_opts.workers_addr = workers_addr;
-  service_opts.coalesce_scatter = coalesce;
   service_opts.dispatcher_threads = 4;
   OptimizerService service(service_opts);
-  std::vector<std::vector<uint8_t>> plans;
-  const BatchReport report = service.OptimizeBatch(queries, opts);
-  for (const StatusOr<MpqResult>& r : report.results) {
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) return plans;
-    ByteWriter writer;
-    SerializePlanSet(r.value().arena, r.value().best, &writer);
-    plans.push_back(writer.buffer());
-  }
-  if (kind == BackendKind::kRpc && coalesce) {
-    // The coalesced path actually ran: batch envelopes were sent and
-    // carried more than one request each on average.
-    const ServiceStats stats = service.stats();
-    EXPECT_GT(stats.scatter_batches, 0u);
-    EXPECT_GT(stats.tasks_coalesced, stats.scatter_batches);
-  }
-  return plans;
+  return PlansOf(service.OptimizeBatch(queries, opts));
 }
 
-class CoalesceIdentityTest : public ::testing::TestWithParam<BackendKind> {};
-
-TEST_P(CoalesceIdentityTest, CoalescedPlansAreByteIdenticalToUncoalesced) {
+TEST(RpcScatterIdentityTest, RpcPlansAreByteIdenticalToAsync) {
   const std::vector<Query> queries = MakeQueries(6, 9, 20260808);
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 8;  // several subtasks per physical worker per round
 
   RpcWorkerFarm farm;
-  std::string workers_addr;
-  if (GetParam() == BackendKind::kRpc) {
-    farm.Start(2);
-    workers_addr = farm.workers_addr();
-  }
-  const std::vector<std::vector<uint8_t>> off =
-      PlansOn(GetParam(), workers_addr, /*coalesce=*/false, queries, opts);
-  const std::vector<std::vector<uint8_t>> on =
-      PlansOn(GetParam(), workers_addr, /*coalesce=*/true, queries, opts);
-  ASSERT_EQ(off.size(), queries.size());
-  ASSERT_EQ(on.size(), queries.size());
+  farm.Start(2);
+  const std::vector<std::vector<uint8_t>> async =
+      PlansOn(BackendKind::kAsyncBatch, "", queries, opts);
+  const std::vector<std::vector<uint8_t>> rpc =
+      PlansOn(BackendKind::kRpc, farm.workers_addr(), queries, opts);
+  ASSERT_EQ(async.size(), queries.size());
+  ASSERT_EQ(rpc.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(off[i], on[i]) << "plan bytes diverged for query " << i;
+    EXPECT_EQ(async[i], rpc[i]) << "plan bytes diverged for query " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, CoalesceIdentityTest,
-                         ::testing::Values(BackendKind::kAsyncBatch,
-                                           BackendKind::kRpc),
-                         [](const auto& info) {
-                           return std::string(BackendKindName(info.param));
-                         });
-
-/// TSan target for the per-worker batcher: many dispatchers coalescing
-/// into shared per-worker queues concurrently, with admission on top.
-TEST(CoalesceIdentityTest, ConcurrentCoalescedRpcUnderAdmission) {
-  const std::vector<Query> queries = MakeQueries(8, 8, 42);
+/// TSan and lock-order target for the caller-driven scatter: four
+/// dispatchers' rounds each hold both workers' connections from send to
+/// reply, while a stats poller and an SMA session, which take one
+/// connection at a time, run on the same backend. A lock-order cycle
+/// would hang here, so the whole run has a deadline; the served plans
+/// must still equal the in-process backend's.
+TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
+  const std::vector<Query> queries = MakeQueries(32, 8, 42);
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 8;
+  const std::vector<std::vector<uint8_t>> reference =
+      PlansOn(BackendKind::kAsyncBatch, "", queries, opts);
+  ASSERT_EQ(reference.size(), queries.size());
+
+  const Query sma_query = MakeQueries(1, 7, 77).front();
+  SmaOptions sma_opts;
+  sma_opts.num_workers = 3;
+  StatusOr<SmaResult> sma_reference = SmaOptimize(sma_query, sma_opts);
+  ASSERT_TRUE(sma_reference.ok()) << sma_reference.status().ToString();
 
   RpcWorkerFarm farm;
   farm.Start(2);
   ServiceOptions service_opts;
   service_opts.backend_kind = BackendKind::kRpc;
   service_opts.workers_addr = farm.workers_addr();
-  service_opts.coalesce_scatter = true;
   service_opts.dispatcher_threads = 4;
   service_opts.enable_admission = true;
   service_opts.admission.max_concurrent = 3;
   service_opts.admission.queue_depth = 16;
   OptimizerService service(service_opts);
+  ASSERT_TRUE(service.init_status().ok()) << service.init_status().ToString();
+  const std::shared_ptr<ExecutionBackend> backend = service.shared_backend();
+  sma_opts.backend = backend;
 
-  const BatchReport report = service.OptimizeBatch(queries, opts);
-  for (const StatusOr<MpqResult>& r : report.results) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::atomic<bool> rounds_done{false};
+  std::atomic<int> polls{0};
+  std::atomic<int> sma_runs{0};
+  std::atomic<int> sma_failures{0};
+  BatchReport report;
+  std::future<void> run = std::async(std::launch::async, [&]() {
+    std::thread poller([&]() {
+      while (!rounds_done.load() || polls.load() == 0) {
+        backend->PollWorkerStats();
+        polls.fetch_add(1);
+      }
+    });
+    std::thread sma([&]() {
+      while (!rounds_done.load() || sma_runs.load() == 0) {
+        StatusOr<SmaResult> r = SmaOptimize(sma_query, sma_opts);
+        if (!r.ok() ||
+            PlanBytes(r.value().arena, r.value().best) !=
+                PlanBytes(sma_reference.value().arena,
+                          sma_reference.value().best)) {
+          sma_failures.fetch_add(1);
+        }
+        sma_runs.fetch_add(1);
+      }
+    });
+    report = service.OptimizeBatch(queries, opts);
+    rounds_done.store(true);
+    poller.join();
+    sma.join();
+  });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // A deadlocked thread cannot be joined; fail loudly instead of
+    // waiting for the ctest timeout.
+    std::fprintf(stderr,
+                 "rpc rounds, stats polls and SMA session steps did not "
+                 "finish within 60 s: lock-order deadlock?\n");
+    std::abort();
   }
+  run.get();
+
+  EXPECT_EQ(PlansOf(report), reference);
+  EXPECT_GT(polls.load(), 0);
+  EXPECT_GT(sma_runs.load(), 0);
+  EXPECT_EQ(sma_failures.load(), 0);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries_completed, queries.size());
   EXPECT_EQ(stats.admitted, queries.size());
-  EXPECT_GT(stats.scatter_batches, 0u);
+  EXPECT_EQ(stats.scatter_batches, 2 * queries.size());
+  EXPECT_EQ(stats.tasks_coalesced, opts.num_workers * queries.size());
   EXPECT_EQ(stats.admission_running_now, 0u);
 }
 

@@ -249,6 +249,17 @@ TEST(TraceTest, BreakdownAndChromeExport) {
 
 // ------------------------------------------------------------ wire format
 
+/// A kTracedTask request wrapping `inner_request`, laid out as the master
+/// sends it: the registry's prefix, then the inner bytes.
+std::vector<uint8_t> BuildTracedTaskRequest(
+    uint64_t trace_id, RpcTaskKind inner_kind,
+    const std::vector<uint8_t>& inner_request) {
+  ByteWriter writer;
+  WriteTracedTaskPrefix(trace_id, inner_kind, &writer);
+  writer.WriteBytes(inner_request.data(), inner_request.size());
+  return writer.Release();
+}
+
 TEST(TracedTaskTest, EnvelopeRoundTripInProcess) {
   const std::vector<uint8_t> inner_request = {1, 2, 3, 4};
   const std::vector<uint8_t> payload =
@@ -358,25 +369,33 @@ TEST(TracedRpcTest, TraceIdJoinsWorkerSpansOverRealSockets) {
   }
   EXPECT_EQ(serve, opts.num_workers);
   EXPECT_EQ(compute, opts.num_workers);
-  // Master-side rpc spans recorded around them.
-  size_t lanes = 0;
-  for (const obs::SpanRecord& span : spans) {
-    lanes += span.name == "rpc.lane";
+  // Master-side: one rpc.exchange span per worker frame (4 tasks over 2
+  // workers ship as 2 batch frames) under the scatter pass, and every
+  // worker.serve grafted under the exchange that carried it.
+  size_t exchanges = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "rpc.exchange") {
+      ++exchanges;
+      ASSERT_NE(spans[i].parent, obs::kNoSpan);
+      EXPECT_EQ(spans[spans[i].parent].name, "rpc.scatter_pass");
+    } else if (spans[i].name == "worker.serve") {
+      ASSERT_NE(spans[i].parent, obs::kNoSpan);
+      EXPECT_EQ(spans[spans[i].parent].name, "rpc.exchange");
+    }
   }
-  EXPECT_GT(lanes, 0u);
+  EXPECT_EQ(exchanges, 2u);
 }
 
-TEST(TracedRpcTest, CoalescedBatchCarriesTracedSubtasks) {
+TEST(TracedRpcTest, BatchFrameCarriesTracedSubtasks) {
   RpcWorkerFarm farm;
   farm.Start(1);
   BackendOptions options;
   options.workers_addr = farm.workers_addr();
-  options.coalesce_scatter = true;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(BackendKind::kRpc, options);
   ASSERT_TRUE(backend.ok());
 
-  obs::QueryTrace trace(77, "coalesced");
+  obs::QueryTrace trace(77, "batched");
   std::vector<WorkerTask> tasks(3, WorkerTask(&EchoTaskMain));
   std::vector<std::vector<uint8_t>> requests = {{1}, {2, 2}, {3, 3, 3}};
   StatusOr<RoundResult> round = Status::Internal("not run");
@@ -389,11 +408,15 @@ TEST(TracedRpcTest, CoalescedBatchCarriesTracedSubtasks) {
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(round.value().responses[i], requests[i]);
   }
-  size_t serve = 0;
+  // The three subtasks rode one frame and each brought its worker spans.
+  size_t serve = 0, exchanges = 0;
   for (const obs::SpanRecord& span : trace.Snapshot()) {
     serve += span.name == "worker.serve";
+    exchanges += span.name == "rpc.exchange";
   }
   EXPECT_EQ(serve, requests.size());
+  EXPECT_EQ(exchanges, 1u);
+  EXPECT_EQ(backend.value()->health().scatter_batches, 1u);
 }
 
 class TracingBackendTest : public ::testing::TestWithParam<BackendKind> {

@@ -3,14 +3,17 @@
 // RPC-specific loopback tests: real mpqopt_worker subprocesses serve the
 // rounds, covering what the backend-parameterized conformance suite in
 // backend_test.cc cannot — worker crashes, unregistered tasks, scatter
-// behaviour, the heterogeneous wire contract, and the OptimizerService
-// running unchanged over remote workers.
+// behaviour (one frame per worker), the heterogeneous wire contract, and
+// the OptimizerService running unchanged over remote workers — plus
+// socket-free cases for the master's batch-reply decoder.
 
 #include "cluster/rpc_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <string>
 #include <thread>
 
 #include "catalog/generator.h"
@@ -101,6 +104,57 @@ TEST(RpcBackendTest, ConnectionsPersistAcrossManyRounds) {
   }
 }
 
+TEST(RpcBackendTest, EachWorkerGetsItsShareInOneFrame) {
+  RpcWorkerFarm farm;
+  farm.Start(2);
+  auto backend = ConnectFarm(farm);
+  // 16 tasks over 2 workers: one kBatchTask frame of 8 per worker.
+  std::vector<WorkerTask> tasks(16, WorkerTask(&EchoTaskMain));
+  std::vector<std::vector<uint8_t>> requests;
+  for (uint8_t i = 0; i < 16; ++i) {
+    requests.push_back(std::vector<uint8_t>(i + 1u, i));
+  }
+  const BackendHealth before = backend->health();
+  StatusOr<RoundResult> round = backend->RunRound(tasks, requests);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round.value().responses, requests);
+  const BackendHealth after = backend->health();
+  EXPECT_EQ(after.scatter_batches - before.scatter_batches, 2u);
+  EXPECT_EQ(after.tasks_coalesced - before.tasks_coalesced, 16u);
+
+  // A lone task ships plain: neither counter moves.
+  StatusOr<RoundResult> lone =
+      backend->RunRound({WorkerTask(&EchoTaskMain)}, {{4, 2}});
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+  EXPECT_EQ(lone.value().responses[0], (std::vector<uint8_t>{4, 2}));
+  const BackendHealth last = backend->health();
+  EXPECT_EQ(last.scatter_batches, after.scatter_batches);
+  EXPECT_EQ(last.tasks_coalesced, after.tasks_coalesced);
+}
+
+TEST(RpcBackendTest, ShareLargerThanOneFrameSplitsIntoSeveral) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  auto backend = ConnectFarm(farm);
+  // A batch frame gathers two spans per subtask, so at most
+  // kMaxSendSpans / 2 = 511 ride one frame: 1023 tasks on one worker go
+  // out as 511 + 511 in two envelopes, one at a time on the connection,
+  // and the last task alone, shipped plain.
+  const size_t per_frame = kMaxSendSpans / 2;
+  const size_t num_tasks = 2 * per_frame + 1;
+  std::vector<WorkerTask> tasks(num_tasks, WorkerTask(&EchoTaskMain));
+  std::vector<std::vector<uint8_t>> requests;
+  for (size_t i = 0; i < num_tasks; ++i) {
+    requests.push_back({static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)});
+  }
+  StatusOr<RoundResult> round = backend->RunRound(tasks, requests);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round.value().responses, requests);
+  const BackendHealth health = backend->health();
+  EXPECT_EQ(health.scatter_batches, 2u);
+  EXPECT_EQ(health.tasks_coalesced, 2 * per_frame);
+}
+
 TEST(RpcBackendTest, MasterSideScatterGatherMakesZeroPayloadCopies) {
   // The copy probe counts every master-side payload assembly copy (the
   // legacy Build*Payload builders). The production send path gathers
@@ -178,6 +232,95 @@ TEST(RpcReplyWireTest, GatherReplyMatchesLegacyBuilderBytes) {
   EXPECT_EQ(kind, static_cast<uint8_t>(RpcReplyKind::kTaskError));
   EXPECT_EQ(decoded_seconds, seconds);
   EXPECT_EQ(decoded_body, body);
+}
+
+/// A real BatchTaskMain reply, made without sockets, to three subtasks:
+/// echo "ab", fail "no", echo of nothing.
+std::vector<uint8_t> SampleBatchReply() {
+  ByteWriter request;
+  request.WriteU32(3);
+  const auto slot = [&request](RpcTaskKind kind, const std::string& body) {
+    request.WriteU8(static_cast<uint8_t>(kind));
+    request.WriteU32(static_cast<uint32_t>(body.size()));
+    request.WriteBytes(reinterpret_cast<const uint8_t*>(body.data()),
+                       body.size());
+  };
+  slot(RpcTaskKind::kEchoTask, "ab");
+  slot(RpcTaskKind::kFailTask, "no");
+  slot(RpcTaskKind::kEchoTask, "");
+  StatusOr<std::vector<uint8_t>> reply = BatchTaskMain(request.Release());
+  MPQOPT_CHECK(reply.ok());
+  return std::move(reply).value();
+}
+
+std::string BodyText(const BatchSlot& slot) {
+  return std::string(slot.body.data, slot.body.data + slot.body.size);
+}
+
+TEST(BatchReplyDecoderTest, SplitsEverySlotOfAWellFormedReply) {
+  const std::vector<uint8_t> reply = SampleBatchReply();
+  std::vector<BatchSlot> slots;
+  ASSERT_TRUE(ParseBatchTaskResponse(reply, 3, &slots).ok());
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_TRUE(slots[0].ok);
+  EXPECT_EQ(BodyText(slots[0]), "ab");
+  EXPECT_GE(slots[0].compute_seconds, 0.0);
+  EXPECT_TRUE(slots[2].ok);
+  EXPECT_EQ(slots[2].body.size, 0u);
+}
+
+TEST(BatchReplyDecoderTest, OkZeroSlotIsASubtaskFailureNotADecodeError) {
+  const std::vector<uint8_t> reply = SampleBatchReply();
+  std::vector<BatchSlot> slots;
+  ASSERT_TRUE(ParseBatchTaskResponse(reply, 3, &slots).ok());
+  EXPECT_FALSE(slots[1].ok);
+  EXPECT_NE(BodyText(slots[1]).find("no"), std::string::npos);
+}
+
+TEST(BatchReplyDecoderTest, RejectsEveryTruncation) {
+  const std::vector<uint8_t> reply = SampleBatchReply();
+  std::vector<BatchSlot> slots;
+  for (size_t cut = 0; cut < reply.size(); ++cut) {
+    const std::vector<uint8_t> prefix(reply.begin(), reply.begin() + cut);
+    const Status s = ParseBatchTaskResponse(prefix, 3, &slots);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "cut at " << cut;
+  }
+  // A reply with fewer slots than the request had subtasks is truncated.
+  EXPECT_EQ(ParseBatchTaskResponse(reply, 4, &slots).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(BatchReplyDecoderTest, RejectsASlotLongerThanTheReply) {
+  std::vector<uint8_t> reply = SampleBatchReply();
+  // Slot 0's u32 length follows its u8 ok and f64 seconds.
+  const size_t len_offset = sizeof(uint8_t) + sizeof(double);
+  const uint32_t oversized = static_cast<uint32_t>(reply.size());
+  std::memcpy(reply.data() + len_offset, &oversized, sizeof(oversized));
+  std::vector<BatchSlot> slots;
+  const Status s = ParseBatchTaskResponse(reply, 3, &slots);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("exceeds"), std::string::npos) << s.ToString();
+}
+
+TEST(BatchReplyDecoderTest, RejectsTrailingBytes) {
+  std::vector<uint8_t> reply = SampleBatchReply();
+  std::vector<BatchSlot> slots;
+  // More slots on the wire than the request had subtasks...
+  EXPECT_EQ(ParseBatchTaskResponse(reply, 2, &slots).code(),
+            StatusCode::kCorruption);
+  // ...or any byte after the last slot.
+  reply.push_back(0);
+  const Status s = ParseBatchTaskResponse(reply, 3, &slots);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("trailing"), std::string::npos) << s.ToString();
+}
+
+TEST(BatchReplyDecoderTest, RejectsAnOkByteOtherThanZeroOrOne) {
+  std::vector<uint8_t> reply = SampleBatchReply();
+  reply[0] = 2;
+  std::vector<BatchSlot> slots;
+  EXPECT_EQ(ParseBatchTaskResponse(reply, 3, &slots).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(RpcBackendTest, UnregisteredTaskIsRejectedUpFront) {

@@ -119,8 +119,11 @@ TEST(RpcFailoverTest, KilledWorkerMidRoundIsRescatteredToSurvivors) {
 TEST(RpcFailoverTest, ServicePlansAreByteIdenticalUnderWorkerCrash) {
   RpcWorkerFarm farm;
   farm.Start(3);
-  // The fourth worker serves 3 task requests, then crashes WITHOUT
-  // replying — in the middle of whichever round its third task lands in.
+  // Every round scatters 8 tasks over all 4 workers, so each worker gets
+  // its 2 tasks in one frame per query. The fourth worker serves 3
+  // frames, then crashes WITHOUT replying on the 4th — in the middle of
+  // the 4th query's round, while the other workers' frames of that round
+  // are in flight.
   farm.StartChaos(3);
 
   ServiceOptions service_opts;

@@ -14,8 +14,9 @@
 //  * Restart(i)    — respawn a killed worker on its ORIGINAL port, so a
 //                    supervisor redial to the old endpoint succeeds.
 //  * StartChaos(n) — a worker armed with --chaos-kill-after=n: it serves
-//                    n task requests, then crashes without replying — a
-//                    deterministic mid-round node death.
+//                    n request frames (a round's whole share for this
+//                    worker is one frame), then crashes without replying
+//                    — a deterministic mid-round node death.
 //
 // When $MPQOPT_WORKER_LOG_DIR names a directory, every spawned worker's
 // stderr is redirected to <dir>/worker-<pid>.log; CI points this at a
@@ -60,7 +61,7 @@ class RpcWorkerFarm {
     for (int i = 0; i < n; ++i) SpawnOne(/*port=*/0, extra_args);
   }
 
-  /// Spawns one worker that serves `tasks_before_crash` task requests and
+  /// Spawns one worker that serves `tasks_before_crash` request frames and
   /// then crashes without replying (pings are exempt from the budget).
   void StartChaos(int64_t tasks_before_crash) {
     SpawnOne(/*port=*/0,

@@ -67,7 +67,6 @@ struct CliOptions {
   double tenant_burst = 1;
   Priority priority = Priority::kInteractive;
   int queue_depth = 64;
-  bool coalesce = false;
   std::string trace_out;
   double slow_query_ms = 0;
   int telemetry_port = -1;  // -1 = no telemetry server
@@ -133,9 +132,6 @@ const FlagDoc kFlagDocs[] = {
     {"--queue-depth", "N",
      "admission: per-class queue depth; arrivals past it are shed "
      "(default 64)"},
-    {"--coalesce", nullptr,
-     "rpc: coalesce per-partition scatter requests into one batch frame "
-     "per worker"},
     {"--trace-out", "PATH",
      "serving mode: write per-query span traces as Chrome trace-event "
      "JSON (load in chrome://tracing or Perfetto)"},
@@ -317,8 +313,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
         std::fprintf(stderr, "--queue-depth must be >= 0\n");
         return false;
       }
-    } else if (ParseFlag(argv[i], "--coalesce", &v)) {
-      opts->coalesce = true;
     } else if (ParseFlag(argv[i], "--trace-out", &v)) {
       opts->trace_out = v;
       opts->serving_flags_used = true;
@@ -402,7 +396,6 @@ StatusOr<std::shared_ptr<ExecutionBackend>> BuildBackend(
   backend_opts.workers_addr = cli.workers_addr;
   backend_opts.worker_retries = cli.worker_retries;
   backend_opts.worker_backoff_ms = cli.worker_backoff_ms;
-  backend_opts.coalesce_scatter = cli.coalesce;
   return MakeBackend(cli.backend, backend_opts);
 }
 
@@ -535,7 +528,7 @@ int RunService(QueryGenerator* generator, const CliOptions& cli) {
                 static_cast<unsigned long long>(stats.admission_timed_out));
   }
   if (stats.scatter_batches > 0) {
-    std::printf("scatter coalescing %llu task requests rode %llu batch "
+    std::printf("rpc scatter        %llu task requests rode %llu batch "
                 "frames\n",
                 static_cast<unsigned long long>(stats.tasks_coalesced),
                 static_cast<unsigned long long>(stats.scatter_batches));

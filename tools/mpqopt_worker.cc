@@ -91,8 +91,9 @@ const FlagDoc kFlagDocs[] = {
      "bind address (default 0.0.0.0:0; port 0 picks an ephemeral port, "
      "printed as \"LISTENING <port>\")"},
     {"--chaos-kill-after", "N",
-     "chaos test axis: serve N task requests, then crash without "
-     "replying (pings exempt)"},
+     "chaos test axis: serve N request frames (a round's whole share for "
+     "this worker is one frame), then crash without replying (pings "
+     "exempt)"},
     {"--session-ttl-ms", "MS",
      "reclaim a session replica untouched for MS milliseconds "
      "(default 900000; 0 disables TTL GC)"},
