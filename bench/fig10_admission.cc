@@ -98,10 +98,10 @@ struct OverloadResult {
 OverloadResult RunOverload(const std::vector<ArrivalPlan>& arrivals,
                            double interarrival_ms, bool admission,
                            int pool_threads) {
+  BackendOptions pool;
+  pool.max_threads = pool_threads;
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.network = NetworkFromEnv();
-  service_opts.backend_threads = pool_threads;
+  service_opts.backend = MakeBackend(BackendKind::kAsyncBatch, pool).value();
   service_opts.enable_admission = admission;
   if (admission) {
     // Concurrency bounded to the pool (running more masters than pool
@@ -266,10 +266,11 @@ int main(int argc, char** argv) {
   // the offered load is `load_multiple` times the measured rate.
   double interarrival_ms = 1.0;
   {
+    BackendOptions pool;
+    pool.max_threads = pool_threads;
     ServiceOptions service_opts;
-    service_opts.backend_kind = BackendKind::kAsyncBatch;
-    service_opts.network = light_opts.network;
-    service_opts.backend_threads = pool_threads;
+    service_opts.backend =
+        MakeBackend(BackendKind::kAsyncBatch, pool).value();
     OptimizerService service(service_opts);
     const int probe = std::min<int>(12, total_arrivals);
     for (int pass = 0; pass < 2; ++pass) {
@@ -372,7 +373,6 @@ int main(int argc, char** argv) {
     }
     if (is_rpc && farm.size() == 0) farm.Start(rpc_workers);
     BackendOptions opts;
-    opts.network = identity_opts.network;
     opts.max_threads = pool_threads;
     opts.workers_addr = farm.workers_addr();
     StatusOr<std::shared_ptr<ExecutionBackend>> backend =

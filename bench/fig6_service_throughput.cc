@@ -30,10 +30,10 @@ struct PointResult {
 PointResult RunPoint(const std::vector<Query>& queries,
                      const MpqOptions& opts, int concurrency,
                      int pool_threads, int repetitions) {
+  BackendOptions pool;
+  pool.max_threads = pool_threads;
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.network = opts.network;
-  service_opts.backend_threads = pool_threads;
+  service_opts.backend = MakeBackend(BackendKind::kAsyncBatch, pool).value();
   service_opts.dispatcher_threads = concurrency;
   OptimizerService service(service_opts);
 

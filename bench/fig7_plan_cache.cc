@@ -161,9 +161,9 @@ int main() {
   opts.num_workers = UsableWorkers(tables, PlanSpace::kLinear, workers);
   opts.network = NetworkFromEnv();
 
-  SweepBackend("async",
-               MakeBackend(BackendKind::kAsyncBatch, opts.network,
-                           pool_threads),
+  BackendOptions pool;
+  pool.max_threads = pool_threads;
+  SweepBackend("async", MakeBackend(BackendKind::kAsyncBatch, pool).value(),
                opts, tables, total_queries, concurrency, repetitions,
                config.seed);
 
@@ -171,7 +171,6 @@ int main() {
     RpcWorkerFarm farm;
     farm.Start(rpc_workers);
     BackendOptions backend_opts;
-    backend_opts.network = opts.network;
     backend_opts.workers_addr = farm.workers_addr();
     StatusOr<std::shared_ptr<ExecutionBackend>> rpc =
         MakeBackend(BackendKind::kRpc, backend_opts);

@@ -42,7 +42,6 @@ ChurnResult RunBatch(RpcWorkerFarm* farm, const std::vector<Query>& queries,
                      bool inject_churn, int kill_after_ms,
                      int restart_after_ms) {
   BackendOptions backend_opts;
-  backend_opts.network = opts.network;
   backend_opts.workers_addr = farm->workers_addr();
   backend_opts.worker_backoff_ms = 20;
   // A budget generous enough to still be redialing when the restarted

@@ -44,11 +44,11 @@ int Main() {
   RpcWorkerFarm farm;
   farm.Start(rpc_workers);
   BackendOptions backend_opts;
-  backend_opts.network = NetworkFromEnv();
   backend_opts.workers_addr = farm.workers_addr();
   StatusOr<std::shared_ptr<ExecutionBackend>> rpc =
       MakeBackend(BackendKind::kRpc, backend_opts);
   MPQOPT_CHECK(rpc.ok());
+  const NetworkModel network = NetworkFromEnv();
 
   PrintHeader("fig9: SMA broadcast traffic, modeled vs real loopback TCP");
   std::printf("# %llu SMA nodes over %d mpqopt_worker processes; one "
@@ -63,7 +63,7 @@ int Main() {
     SmaOptions base;
     base.space = PlanSpace::kLinear;
     base.num_workers = sma_workers;
-    base.network = backend_opts.network;
+    base.network = network;
 
     SeriesPoint modeled;
     {

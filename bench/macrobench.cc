@@ -40,8 +40,7 @@
 //                        file with tools/check_trace.py)
 //
 // Knobs: MPQOPT_RPC_WORKERS (default 2 worker processes; 0 disables the
-// rpc sweep), MPQOPT_POOL_THREADS (4), and the shared network knobs of
-// bench_common.h.
+// rpc sweep) and MPQOPT_POOL_THREADS (4).
 //
 // Replay modes. Serial workloads (no @offsets) are submitted one at a
 // time, in schedule order, so hit rates and latency distributions are
@@ -320,7 +319,6 @@ int main(int argc, char** argv) {
       smoke ? 2 : static_cast<int>(EnvInt("MPQOPT_MACRO_REPEAT_CAP", 0));
   const int pool_threads = static_cast<int>(EnvInt("MPQOPT_POOL_THREADS", 4));
   const int rpc_workers = static_cast<int>(EnvInt("MPQOPT_RPC_WORKERS", 2));
-  const NetworkModel network = NetworkFromEnv();
 
   PrintHeader(smoke ? "macrobench — deterministic macro workloads (smoke)"
                     : "macrobench — deterministic macro workloads");
@@ -376,15 +374,16 @@ int main(int argc, char** argv) {
       }
       farm.Start(rpc_workers);
       BackendOptions opts;
-      opts.network = network;
       opts.workers_addr = farm.workers_addr();
       StatusOr<std::shared_ptr<ExecutionBackend>> rpc =
           MakeBackend(BackendKind::kRpc, opts);
       MPQOPT_CHECK(rpc.ok());
       roster.push_back({BackendKind::kRpc, rpc.value()});
     } else {
+      BackendOptions opts;
+      opts.max_threads = pool_threads;
       roster.push_back(
-          {kind.value(), MakeBackend(kind.value(), network, pool_threads)});
+          {kind.value(), MakeBackend(kind.value(), opts).value()});
     }
   }
   if (roster.empty()) {

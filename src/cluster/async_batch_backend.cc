@@ -45,8 +45,7 @@ struct AsyncBatchBackend::ActiveRound {
   bool done = false;
 };
 
-AsyncBatchBackend::AsyncBatchBackend(NetworkModel model, int pool_threads)
-    : ExecutionBackend(model) {
+AsyncBatchBackend::AsyncBatchBackend(int pool_threads) {
   MPQOPT_CHECK(pool_threads >= 0);
   pool_.reserve(static_cast<size_t>(pool_threads));
   for (int i = 0; i < pool_threads; ++i) {

@@ -1,9 +1,10 @@
 // Copyright 2026 mpqopt authors.
 //
-// Persistent-pool execution: the in-process runtime of every optimizer
-// that is not handed a backend, and of OptimizerService. A fixed pool of
-// host threads stays alive for the backend's lifetime — no thread spawn
-// or join per round — and pipelines rounds through it:
+// Persistent-pool execution: the in-process runtime, and through
+// DefaultBackend() what every optimizer and OptimizerService that is not
+// handed a backend runs on. A fixed pool of host threads stays alive for
+// the backend's lifetime — no thread spawn or join per round — and
+// pipelines rounds through it:
 //
 //  * Rounds submitted concurrently from any number of threads share the
 //    pool; their tasks are interleaved fairly (each pool thread claims at
@@ -17,9 +18,9 @@
 //    the pool is busy with other rounds — and a pool of zero threads
 //    runs every task on the submitting thread, one after another.
 //
-// Responses, per-task compute measurement, traffic accounting, and the
-// modeled cluster time are identical to the rpc backend (shared
-// FinalizeRound); only the hosting differs.
+// Responses, per-task compute measurement and traffic accounting are
+// identical to the rpc backend (shared FinalizeRound); only the hosting
+// differs.
 
 #ifndef MPQOPT_CLUSTER_ASYNC_BATCH_BACKEND_H_
 #define MPQOPT_CLUSTER_ASYNC_BATCH_BACKEND_H_
@@ -38,7 +39,7 @@ class AsyncBatchBackend : public ExecutionBackend {
  public:
   /// `pool_threads` is the exact pool size; 0 runs every task on the
   /// submitting thread. MakeBackend picks a size from the core count.
-  explicit AsyncBatchBackend(NetworkModel model, int pool_threads);
+  explicit AsyncBatchBackend(int pool_threads);
   ~AsyncBatchBackend() override;
 
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(AsyncBatchBackend);

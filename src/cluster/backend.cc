@@ -11,23 +11,14 @@
 
 namespace mpqopt {
 
-void AccountRound(const NetworkModel& model,
-                  const std::vector<size_t>& request_sizes,
+void AccountRound(const std::vector<size_t>& request_sizes,
                   RoundResult* result) {
   const size_t num_tasks = request_sizes.size();
   MPQOPT_CHECK_EQ(result->responses.size(), num_tasks);
-  MPQOPT_CHECK_EQ(result->compute_seconds.size(), num_tasks);
-  double slowest = 0;
   for (size_t i = 0; i < num_tasks; ++i) {
     result->traffic.Record(request_sizes[i]);
     result->traffic.Record(result->responses[i].size());
-    const double worker_total = model.TransferTime(request_sizes[i]) +
-                                result->compute_seconds[i] +
-                                model.TransferTime(result->responses[i].size());
-    if (worker_total > slowest) slowest = worker_total;
   }
-  result->simulated_seconds =
-      static_cast<double>(num_tasks) * model.task_setup_s + slowest;
   // Every backend (and session round) finishes through here with the
   // measured wall time already set, so this one histogram covers them all.
   static obs::Histogram* const round_ms =
@@ -39,6 +30,23 @@ void AccountRound(const NetworkModel& model,
       num_tasks, result->wall_seconds * 1e3);
 }
 
+double ModeledRoundSeconds(const NetworkModel& model,
+                           const std::vector<std::vector<uint8_t>>& requests,
+                           const std::vector<std::vector<uint8_t>>& responses,
+                           const std::vector<double>& compute_seconds) {
+  const size_t num_tasks = requests.size();
+  MPQOPT_CHECK_EQ(responses.size(), num_tasks);
+  MPQOPT_CHECK_EQ(compute_seconds.size(), num_tasks);
+  double slowest = 0;
+  for (size_t i = 0; i < num_tasks; ++i) {
+    const double worker_total = model.TransferTime(requests[i].size()) +
+                                compute_seconds[i] +
+                                model.TransferTime(responses[i].size());
+    if (worker_total > slowest) slowest = worker_total;
+  }
+  return static_cast<double>(num_tasks) * model.task_setup_s + slowest;
+}
+
 void ExecutionBackend::FinalizeRound(
     const std::vector<std::vector<uint8_t>>& requests,
     RoundResult* result) const {
@@ -47,7 +55,7 @@ void ExecutionBackend::FinalizeRound(
   for (const std::vector<uint8_t>& request : requests) {
     sizes.push_back(request.size());
   }
-  AccountRound(model_, sizes, result);
+  AccountRound(sizes, result);
 }
 
 BackendHealth ExecutionBackend::health() const {
@@ -126,19 +134,26 @@ std::string BackendKindList() {
   return joined;
 }
 
+namespace {
+
+/// Pool size of an async backend asked for `max_threads`: <= 0 means
+/// hardware concurrency minus one, since the submitter drains its own
+/// round and so the pool leaves it a core.
+int PoolThreads(int max_threads) {
+  if (max_threads > 0) return max_threads;
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  return cores > 1 ? cores - 1 : 0;
+}
+
+}  // namespace
+
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options) {
   switch (kind) {
-    case BackendKind::kAsyncBatch: {
-      int threads = options.max_threads;
-      if (threads <= 0) {
-        // The submitter drains its own round, so the pool leaves it a core.
-        threads = static_cast<int>(std::thread::hardware_concurrency()) - 1;
-        if (threads < 0) threads = 0;
-      }
+    case BackendKind::kAsyncBatch:
       return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<AsyncBatchBackend>(options.network, threads));
-    }
+          std::make_shared<AsyncBatchBackend>(
+              PoolThreads(options.max_threads)));
     case BackendKind::kRpc: {
       const std::vector<std::string> endpoints =
           SplitEndpoints(options.workers_addr);
@@ -154,7 +169,7 @@ StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
       supervision.backoff_initial_ms = options.worker_backoff_ms;
       supervision.backoff_max_ms = options.worker_backoff_max_ms;
       StatusOr<std::shared_ptr<RpcBackend>> backend =
-          RpcBackend::Connect(options.network, endpoints, supervision);
+          RpcBackend::Connect(endpoints, supervision);
       if (!backend.ok()) return backend.status();
       return std::shared_ptr<ExecutionBackend>(std::move(backend).value());
     }
@@ -163,18 +178,13 @@ StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
                                  std::to_string(static_cast<int>(kind)));
 }
 
-std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
-                                              NetworkModel model,
-                                              int max_threads) {
-  BackendOptions options;
-  options.network = model;
-  options.max_threads = max_threads;
-  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
-      MakeBackend(kind, options);
-  // Only the in-process kind may take this path (see header); its
-  // construction cannot fail.
-  MPQOPT_CHECK(backend.ok());
-  return std::move(backend).value();
+std::shared_ptr<ExecutionBackend> DefaultBackend() {
+  // Deliberately never destroyed: optimizers held by other static objects
+  // and threads still running at exit may use the pool after main returns.
+  static const std::shared_ptr<ExecutionBackend>* const pool =
+      new std::shared_ptr<ExecutionBackend>(
+          std::make_shared<AsyncBatchBackend>(PoolThreads(0)));
+  return *pool;
 }
 
 }  // namespace mpqopt

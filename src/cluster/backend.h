@@ -9,28 +9,30 @@
 //
 //  * AsyncBatchBackend — a persistent in-process worker pool that stays
 //                        alive across rounds and interleaves tasks from
-//                        concurrently submitted rounds; what every
-//                        optimizer without an explicit backend gets, and
-//                        what OptimizerService multiplexes many queries
-//                        onto.
+//                        concurrently submitted rounds. DefaultBackend()
+//                        is one such pool per process: what every
+//                        optimizer and OptimizerService without an
+//                        explicit backend runs on.
 //  * RpcBackend        — tasks run in separate mpqopt_worker processes
 //                        reached over TCP (see cluster/rpc_backend.h); the
 //                        same byte contract, on a real wire, with worker
 //                        memory genuinely private to each process.
 //
 // All backends produce identical responses and identical byte counts for
-// the same tasks (asserted by tests/backend_test.cc); the modeled cluster
-// time and traffic accounting is shared (FinalizeRound), so the numbers
-// reported by the benchmarks do not depend on the hosting choice. Every
-// backend's RunRound is safe to call from multiple threads concurrently.
+// the same tasks (asserted by tests/backend_test.cc). Every backend's
+// RunRound is safe to call from multiple threads concurrently.
 //
-// Each task's compute time is measured individually, so the runtime can
-// report both measured wall-clock time of the whole round and modeled
-// cluster time: what the round would take with one physical node per
-// task, i.e. dispatch overheads + max over workers of (request transfer +
-// compute + response transfer). The modeled time is what the paper's
-// "Time (ms)" axes correspond to; measured per-worker compute ("W-Time")
-// is reported alongside, as in Figure 2.
+// A backend only hosts tasks: it records each task's compute time, the
+// round's traffic and its measured wall-clock time. The modeled cluster
+// time — what the round would take with one physical node per task, i.e.
+// dispatch overheads + max over workers of (request transfer + compute +
+// response transfer) — is the optimizer's, computed by
+// ModeledRoundSeconds from the NetworkModel in its own options. So the
+// numbers the benchmarks report do not depend on the hosting choice, and
+// one backend can serve optimizers that model different clusters. The
+// modeled time is what the paper's "Time (ms)" axes correspond to;
+// measured per-worker compute ("W-Time") is reported alongside, as in
+// Figure 2.
 
 #ifndef MPQOPT_CLUSTER_BACKEND_H_
 #define MPQOPT_CLUSTER_BACKEND_H_
@@ -61,8 +63,6 @@ struct RoundResult {
   std::vector<std::vector<uint8_t>> responses;
   /// Measured compute seconds per task (excludes transfers).
   std::vector<double> compute_seconds;
-  /// Modeled cluster completion time of the round (see header comment).
-  double simulated_seconds = 0;
   /// Measured wall-clock seconds for the whole round on this host.
   double wall_seconds = 0;
   /// Bytes and messages that crossed the simulated network this round.
@@ -70,16 +70,23 @@ struct RoundResult {
 };
 
 /// Shared round accounting, usable by both stateless rounds and session
-/// rounds: records request/response traffic and computes the modeled
-/// cluster time — the master dispatches all tasks (setup cost per task,
-/// serially on the master), every worker runs in parallel on its own
-/// node, and the round completes when the slowest worker's response has
-/// arrived back at the master. Requires result->responses and
-/// result->compute_seconds to be filled in; request_sizes[i] is the
-/// payload size task/node i received.
-void AccountRound(const NetworkModel& model,
-                  const std::vector<size_t>& request_sizes,
+/// rounds: records request/response traffic (request_sizes[i] is the
+/// payload size task/node i received) and files the measured wall time
+/// in the round-time histogram. Requires result->responses to be filled
+/// in and wall_seconds set.
+void AccountRound(const std::vector<size_t>& request_sizes,
                   RoundResult* result);
+
+/// Modeled cluster completion time of one round: the master dispatches
+/// all tasks (setup cost per task, serially on the master), every worker
+/// runs in parallel on its own node, and the round completes when the
+/// slowest worker's response has arrived back at the master. Task i
+/// received requests[i], computed for compute_seconds[i] and replied
+/// responses[i].
+double ModeledRoundSeconds(const NetworkModel& model,
+                           const std::vector<std::vector<uint8_t>>& requests,
+                           const std::vector<std::vector<uint8_t>>& responses,
+                           const std::vector<double>& compute_seconds);
 
 /// Session activity of a backend, aggregated across every SessionHandle
 /// it opened (cluster/session/). Plain-value mirror of the internal
@@ -206,20 +213,14 @@ class ExecutionBackend {
   /// and reports the default empty list.
   virtual std::vector<obs::WorkerStatsSample> PollWorkerStats();
 
-  const NetworkModel& network() const { return model_; }
-
  protected:
-  explicit ExecutionBackend(NetworkModel model) : model_(model) {}
-
-  /// Shared post-round accounting; delegates to AccountRound (see the
-  /// free function above for the model).
+  /// Shared post-round accounting; delegates to AccountRound.
   void FinalizeRound(const std::vector<std::vector<uint8_t>>& requests,
                      RoundResult* result) const;
 
   /// Copies the session counters into `health->sessions`.
   void FillSessionCounters(BackendHealth* health) const;
 
-  NetworkModel model_;
   SessionCounters session_counters_;
 };
 
@@ -244,8 +245,6 @@ std::string BackendKindList();
 /// Everything MakeBackend can need; kinds ignore the fields that do not
 /// apply to them.
 struct BackendOptions {
-  /// Simulated-cluster parameters (all kinds).
-  NetworkModel network;
   /// Pool threads of the async backend. 0 = hardware concurrency minus
   /// one: the submitting thread drains its own round too, so pool plus
   /// caller fill the cores.
@@ -276,13 +275,11 @@ struct BackendOptions {
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options);
 
-/// Convenience factory for the in-process kind (async), whose
-/// construction cannot fail. `max_threads` is BackendOptions::max_threads.
-/// CHECK-fails on kRpc — remote backends need endpoints and a real error
-/// path; use the BackendOptions overload.
-std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
-                                              NetworkModel model,
-                                              int max_threads = 0);
+/// The process-wide in-process pool: one AsyncBatchBackend of hardware
+/// concurrency minus one threads, built on first use and shared by every
+/// caller. It is what a null backend means for MpqOptimizer,
+/// HeteroMpqOptimizer and OptimizerService.
+std::shared_ptr<ExecutionBackend> DefaultBackend();
 
 }  // namespace mpqopt
 

@@ -81,18 +81,16 @@ struct WorkerShare {
 }  // namespace
 
 StatusOr<std::shared_ptr<RpcBackend>> RpcBackend::Connect(
-    NetworkModel model, const std::vector<std::string>& endpoints,
-    SupervisorOptions supervision) {
+    const std::vector<std::string>& endpoints, SupervisorOptions supervision) {
   StatusOr<std::unique_ptr<WorkerSupervisor>> supervisor =
       WorkerSupervisor::Connect(endpoints, supervision);
   if (!supervisor.ok()) return supervisor.status();
   return std::shared_ptr<RpcBackend>(
-      new RpcBackend(model, std::move(supervisor).value()));
+      new RpcBackend(std::move(supervisor).value()));
 }
 
-RpcBackend::RpcBackend(NetworkModel model,
-                       std::unique_ptr<WorkerSupervisor> supervisor)
-    : ExecutionBackend(model), supervisor_(std::move(supervisor)) {}
+RpcBackend::RpcBackend(std::unique_ptr<WorkerSupervisor> supervisor)
+    : supervisor_(std::move(supervisor)) {}
 
 BackendHealth RpcBackend::health() const {
   BackendHealth health = supervisor_->Snapshot();
@@ -438,7 +436,7 @@ StatusOr<std::unique_ptr<SessionHandle>> RpcBackend::OpenSession(
     StatefulTaskKind kind,
     const std::vector<std::vector<uint8_t>>& open_requests) {
   return RpcSessionHandle::Open(
-      supervisor_.get(), &session_counters_, model_, kind, open_requests,
+      supervisor_.get(), &session_counters_, kind, open_requests,
       round_offset_.fetch_add(1, std::memory_order_relaxed));
 }
 

@@ -39,12 +39,12 @@
 // re-scattered across the currently usable workers (tasks are pure
 // functions of their request bytes, so a retry elsewhere returns the same
 // bytes, and each task's compute seconds come from its one successful
-// attempt — modeled cluster time stays consistent with the in-process
-// backends). A round fails only when a task itself errors (deterministic,
-// never retried), when every worker is DEAD, or when the bounded number
-// of re-scatter passes is exhausted (a pathological worker that keeps
-// accepting and dying cannot livelock a round). Retry/backoff knobs come
-// from BackendOptions: worker_retries, worker_backoff_ms,
+// attempt — the optimizer's modeled cluster time stays consistent with
+// the in-process backend). A round fails only when a task itself errors
+// (deterministic, never retried), when every worker is DEAD, or when the
+// bounded number of re-scatter passes is exhausted (a pathological worker
+// that keeps accepting and dying cannot livelock a round). Retry/backoff
+// knobs come from BackendOptions: worker_retries, worker_backoff_ms,
 // worker_backoff_max_ms, io_timeout_ms.
 //
 // Thread safety: RunRound may be called concurrently. A scatter pass
@@ -77,7 +77,7 @@ class RpcBackend : public ExecutionBackend {
   /// naming the endpoint if any worker is unreachable. Supervision knobs
   /// (redial budget, backoff, reply deadline) ride in `supervision`.
   static StatusOr<std::shared_ptr<RpcBackend>> Connect(
-      NetworkModel model, const std::vector<std::string>& endpoints,
+      const std::vector<std::string>& endpoints,
       SupervisorOptions supervision = {});
 
   StatusOr<RoundResult> RunRound(
@@ -103,8 +103,7 @@ class RpcBackend : public ExecutionBackend {
   std::vector<obs::WorkerStatsSample> PollWorkerStats() override;
 
  private:
-  RpcBackend(NetworkModel model,
-             std::unique_ptr<WorkerSupervisor> supervisor);
+  explicit RpcBackend(std::unique_ptr<WorkerSupervisor> supervisor);
 
   std::unique_ptr<WorkerSupervisor> supervisor_;
   std::atomic<uint64_t> tasks_rescattered_{0};

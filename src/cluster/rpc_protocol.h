@@ -11,8 +11,8 @@
 //   payload  f64 compute-seconds (IEEE-754 bit pattern, little-endian),
 //            then response bytes (ok) or status text (task error)
 //
-// The compute seconds are measured INSIDE the worker process, so
-// FinalizeRound's modeled cluster time stays comparable with every other
+// The compute seconds are measured INSIDE the worker process, so the
+// optimizer's modeled cluster time stays comparable with every other
 // backend regardless of which worker (or which retry) produced the
 // response.
 

@@ -109,8 +109,7 @@ StatusOr<RoundResult> LocalSessionHandle::Broadcast(
   const auto round_end = std::chrono::steady_clock::now();
   result.wall_seconds =
       std::chrono::duration<double>(round_end - round_start).count();
-  AccountRound(backend_->network(),
-               std::vector<size_t>(m, payload.size()), &result);
+  AccountRound(std::vector<size_t>(m, payload.size()), &result);
   return result;
 }
 

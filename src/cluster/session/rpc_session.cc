@@ -31,7 +31,7 @@ bool IsDeterministicFailure(const Status& status, bool worker_failed) {
 
 StatusOr<std::unique_ptr<SessionHandle>> RpcSessionHandle::Open(
     WorkerSupervisor* supervisor, ExecutionBackend::SessionCounters* counters,
-    NetworkModel model, StatefulTaskKind kind,
+    StatefulTaskKind kind,
     const std::vector<std::vector<uint8_t>>& open_requests,
     size_t rotate_base) {
   // Fail fast on a kind this binary does not know; the worker would
@@ -46,7 +46,7 @@ StatusOr<std::unique_ptr<SessionHandle>> RpcSessionHandle::Open(
     return Status::InvalidArgument("a session needs at least one node");
   }
   std::unique_ptr<RpcSessionHandle> handle(
-      new RpcSessionHandle(supervisor, counters, model, kind));
+      new RpcSessionHandle(supervisor, counters, kind));
   handle->nodes_.resize(open_requests.size());
   for (size_t i = 0; i < open_requests.size(); ++i) {
     Node& node = handle->nodes_[i];
@@ -164,7 +164,7 @@ StatusOr<RoundResult> RpcSessionHandle::RunSessionRound(
   for (const std::vector<uint8_t>* request : requests) {
     sizes.push_back(request->size());
   }
-  AccountRound(model_, sizes, &result);
+  AccountRound(sizes, &result);
   if (record != nullptr) replay_log_.push_back(*record);
   return result;
 }

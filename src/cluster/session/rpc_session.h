@@ -23,8 +23,8 @@
 // deterministic task error (including the worker-side byte cap) or an
 // all-workers-DEAD pool fails the session immediately and permanently.
 // Recovery replays are real traffic but are NOT added to the round's
-// TrafficStats: the modeled numbers describe the failure-free algorithm,
-// exactly as RunRound's re-scatter accounting does.
+// TrafficStats: the reported numbers describe the failure-free
+// algorithm, exactly as RunRound's re-scatter accounting does.
 
 #ifndef MPQOPT_CLUSTER_SESSION_RPC_SESSION_H_
 #define MPQOPT_CLUSTER_SESSION_RPC_SESSION_H_
@@ -47,8 +47,7 @@ class RpcSessionHandle : public SessionHandle {
   /// RpcBackend and outlive the handle.
   static StatusOr<std::unique_ptr<SessionHandle>> Open(
       WorkerSupervisor* supervisor,
-      ExecutionBackend::SessionCounters* counters, NetworkModel model,
-      StatefulTaskKind kind,
+      ExecutionBackend::SessionCounters* counters, StatefulTaskKind kind,
       const std::vector<std::vector<uint8_t>>& open_requests,
       size_t rotate_base);
 
@@ -70,11 +69,8 @@ class RpcSessionHandle : public SessionHandle {
 
   RpcSessionHandle(WorkerSupervisor* supervisor,
                    ExecutionBackend::SessionCounters* counters,
-                   NetworkModel model, StatefulTaskKind kind)
-      : supervisor_(supervisor),
-        counters_(counters),
-        model_(model),
-        kind_(kind) {}
+                   StatefulTaskKind kind)
+      : supervisor_(supervisor), counters_(counters), kind_(kind) {}
 
   /// Shared Step/Broadcast machinery: requests[i] goes to node i; when
   /// `record` is non-null the payload is appended to the replay log
@@ -104,7 +100,6 @@ class RpcSessionHandle : public SessionHandle {
 
   WorkerSupervisor* supervisor_;
   ExecutionBackend::SessionCounters* counters_;
-  const NetworkModel model_;
   const StatefulTaskKind kind_;
   std::vector<Node> nodes_;
   /// Broadcast payloads in application order; replica state is always

@@ -33,9 +33,10 @@
 //
 // Accounting is shared with the stateless rounds (AccountRound): a
 // Step/Broadcast round reports request+response payload bytes, two
-// messages per node, and modeled time = per-node dispatch + the slowest
-// transfer/compute/transfer path — so SMA's reported bytes and rounds
-// are identical on every backend (asserted by tests/sma_test.cc).
+// messages per node, per-node compute seconds and the measured wall
+// time — so SMA's reported bytes and rounds are identical on every
+// backend (asserted by tests/sma_test.cc). Like a backend, a handle does
+// not model time: SMA prices each round from its own NetworkModel.
 //
 // Thread safety: one handle is driven by one master thread; concurrent
 // calls on the SAME handle are not supported. Different handles on one

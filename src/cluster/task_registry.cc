@@ -253,28 +253,37 @@ Status ParseTracedTaskResponse(const std::vector<uint8_t>& response,
   if (block_len > reader.remaining()) {
     return Status::Corruption("traced response block exceeds the reply");
   }
-  const size_t body_offset = response.size() - reader.remaining() + block_len;
-  s = reader.ReadU64(trace_id);
+  // The spans are parsed from the block alone, never from the body.
+  const size_t body_offset = sizeof(uint32_t) + block_len;
+  ByteReader block(reader.cursor(), block_len);
+  s = block.ReadU64(trace_id);
   uint32_t count = 0;
-  if (s.ok()) s = reader.ReadU32(&count);
+  if (s.ok()) s = block.ReadU32(&count);
   if (!s.ok()) return s;
+  // A span is at least a u8 name length and two u64 timestamps.
+  constexpr size_t kMinSpanBytes = sizeof(uint8_t) + 2 * sizeof(uint64_t);
+  if (count > block.remaining() / kMinSpanBytes) {
+    return Status::Corruption("traced span count exceeds the block");
+  }
   spans->clear();
   spans->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint8_t name_len = 0;
-    s = reader.ReadU8(&name_len);
+    s = block.ReadU8(&name_len);
     if (!s.ok()) return s;
-    if (name_len > reader.remaining()) {
+    if (name_len > block.remaining()) {
       return Status::Corruption("traced span name exceeds the block");
     }
     ImportedSpan span;
-    span.name.assign(reinterpret_cast<const char*>(reader.cursor()),
-                     name_len);
-    reader.Advance(name_len);
-    s = reader.ReadU64(&span.start_rel_ns);
-    if (s.ok()) s = reader.ReadU64(&span.dur_ns);
+    span.name.assign(reinterpret_cast<const char*>(block.cursor()), name_len);
+    block.Advance(name_len);
+    s = block.ReadU64(&span.start_rel_ns);
+    if (s.ok()) s = block.ReadU64(&span.dur_ns);
     if (!s.ok()) return s;
     spans->push_back(std::move(span));
+  }
+  if (!block.AtEnd()) {
+    return Status::Corruption("traced spans do not end at the block end");
   }
   inner_body->assign(response.begin() + static_cast<ptrdiff_t>(body_offset),
                      response.end());

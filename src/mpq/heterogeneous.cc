@@ -50,9 +50,7 @@ std::vector<PartitionShare> AssignPartitions(const std::vector<double>& speeds,
 HeteroMpqOptimizer::HeteroMpqOptimizer(MpqOptions options,
                                        std::vector<double> speeds)
     : options_(std::move(options)), speeds_(std::move(speeds)) {
-  if (options_.backend == nullptr) {
-    options_.backend = MakeBackend(BackendKind::kAsyncBatch, options_.network);
-  }
+  if (options_.backend == nullptr) options_.backend = DefaultBackend();
 }
 
 std::vector<uint8_t> HeteroMpqOptimizer::BuildRequest(
@@ -173,16 +171,10 @@ StatusOr<MpqResult> HeteroMpqOptimizer::Optimize(const Query& query) {
   // Simulated heterogeneity: host-measured compute scaled by each
   // worker's speed factor, so the maximum is taken again.
   result.max_worker_seconds = 0;
-  double slowest_simulated_worker = 0;
   for (size_t i = 0; i < shares.size(); ++i) {
-    const double scaled_seconds = result.worker_seconds[i] / speeds_[i];
-    result.worker_seconds[i] = scaled_seconds;
+    result.worker_seconds[i] /= speeds_[i];
     result.max_worker_seconds =
-        std::max(result.max_worker_seconds, scaled_seconds);
-    const double path =
-        options_.network.TransferTime(requests[i].size()) + scaled_seconds +
-        options_.network.TransferTime(round.responses[i].size());
-    slowest_simulated_worker = std::max(slowest_simulated_worker, path);
+        std::max(result.max_worker_seconds, result.worker_seconds[i]);
   }
   const auto merge_end = std::chrono::steady_clock::now();
 
@@ -190,8 +182,9 @@ StatusOr<MpqResult> HeteroMpqOptimizer::Optimize(const Query& query) {
       std::chrono::duration<double>(serialize_end - serialize_start).count() +
       std::chrono::duration<double>(merge_end - merge_start).count();
   result.simulated_seconds =
-      static_cast<double>(shares.size()) * options_.network.task_setup_s +
-      slowest_simulated_worker + result.master_seconds;
+      ModeledRoundSeconds(options_.network, requests, round.responses,
+                          result.worker_seconds) +
+      result.master_seconds;
   result.wall_seconds = round.wall_seconds + result.master_seconds;
   result.network_bytes = round.traffic.bytes_sent;
   result.network_messages = round.traffic.messages;

@@ -39,9 +39,7 @@ Status DeserializeReport(ByteReader* reader, WorkerReport* r) {
 }  // namespace
 
 MpqOptimizer::MpqOptimizer(MpqOptions options) : options_(std::move(options)) {
-  if (options_.backend == nullptr) {
-    options_.backend = MakeBackend(BackendKind::kAsyncBatch, options_.network);
-  }
+  if (options_.backend == nullptr) options_.backend = DefaultBackend();
 }
 
 namespace {
@@ -254,7 +252,10 @@ StatusOr<MpqResult> MpqOptimizer::Optimize(const Query& query) {
   result.master_seconds =
       std::chrono::duration<double>(serialize_end - serialize_start).count() +
       std::chrono::duration<double>(merge_end - merge_start).count();
-  result.simulated_seconds = round.simulated_seconds + result.master_seconds;
+  result.simulated_seconds =
+      ModeledRoundSeconds(options_.network, requests, round.responses,
+                          round.compute_seconds) +
+      result.master_seconds;
   result.wall_seconds = round.wall_seconds + result.master_seconds;
   result.network_bytes = round.traffic.bytes_sent;
   result.network_messages = round.traffic.messages;

@@ -40,15 +40,13 @@ struct MpqOptions {
   /// Number of plan-space partitions / worker tasks. Must be a power of
   /// two not exceeding MaxWorkers(n, space); see UsableWorkers().
   uint64_t num_workers = 1;
-  /// Simulated-cluster parameters.
+  /// Simulated-cluster parameters: the modeled cluster time of every
+  /// round comes from these, whichever backend hosts the tasks.
   NetworkModel network;
-  /// Worker-execution runtime. Null (default) gives the optimizer a
-  /// private persistent pool (MakeBackend's kAsyncBatch, sized to the
-  /// cores) built from `network`; private because the NetworkModel lives
-  /// on the backend. Pass a shared backend (see MakeBackend /
-  /// OptimizerService) to multiplex many optimizer runs onto one
-  /// long-lived worker pool; a non-null backend's own NetworkModel
-  /// governs the simulated cluster time.
+  /// Worker-execution runtime. Null (default) runs on DefaultBackend(),
+  /// the process-wide in-process pool. Pass another backend (see
+  /// MakeBackend / OptimizerService), e.g. rpc, to host the tasks
+  /// elsewhere.
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   int64_t max_memo_entries = int64_t{1} << 28;

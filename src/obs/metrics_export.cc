@@ -175,8 +175,25 @@ Status ParseRegistrySample(const std::vector<uint8_t>& bytes,
                            RegistrySample* out) {
   *out = RegistrySample();
   ByteReader reader(bytes);
+  // Reads an entry count and bounds it by the bytes left, so a peer's
+  // count can never reserve more entries than the frame could hold.
+  const auto read_count = [&reader](size_t min_entry_bytes,
+                                    uint32_t* count) -> Status {
+    Status s = reader.ReadU32(count);
+    if (!s.ok()) return s;
+    if (*count > reader.remaining() / min_entry_bytes) {
+      return Status::Corruption("registry sample count exceeds the frame");
+    }
+    return Status::OK();
+  };
+  // Smallest encodings: a counter or gauge is an empty name and one
+  // 8-byte value; a histogram is an empty name, two u32 lengths, its one
+  // bucket, and the u64 count and f64 sum.
+  constexpr size_t kMinValueBytes = sizeof(uint32_t) + sizeof(uint64_t);
+  constexpr size_t kMinHistogramBytes =
+      3 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
   uint32_t n = 0;
-  Status s = reader.ReadU32(&n);
+  Status s = read_count(kMinValueBytes, &n);
   if (!s.ok()) return s;
   out->counters.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -187,7 +204,7 @@ Status ParseRegistrySample(const std::vector<uint8_t>& bytes,
     if (!s.ok()) return s;
     out->counters.emplace_back(std::move(name), value);
   }
-  s = reader.ReadU32(&n);
+  s = read_count(kMinValueBytes, &n);
   if (!s.ok()) return s;
   out->gauges.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -198,7 +215,7 @@ Status ParseRegistrySample(const std::vector<uint8_t>& bytes,
     if (!s.ok()) return s;
     out->gauges.emplace_back(std::move(name), value);
   }
-  s = reader.ReadU32(&n);
+  s = read_count(kMinHistogramBytes, &n);
   if (!s.ok()) return s;
   out->histograms.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

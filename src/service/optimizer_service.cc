@@ -15,30 +15,14 @@
 namespace mpqopt {
 
 OptimizerService::OptimizerService(ServiceOptions options)
-    : options_(std::move(options)), backend_(options_.backend) {
-  if (backend_ == nullptr) {
-    BackendOptions backend_opts;
-    backend_opts.network = options_.network;
-    backend_opts.max_threads = options_.backend_threads;
-    backend_opts.workers_addr = options_.workers_addr;
-    backend_opts.worker_retries = options_.worker_retries;
-    backend_opts.worker_backoff_ms = options_.worker_backoff_ms;
-    StatusOr<std::shared_ptr<ExecutionBackend>> made =
-        MakeBackend(options_.backend_kind, backend_opts);
-    if (made.ok()) {
-      backend_ = std::move(made).value();
-    } else {
-      // Surface the misconfiguration (e.g. kRpc without reachable
-      // workers) from Optimize() instead of aborting a serving process.
-      init_error_ = made.status();
-    }
-  }
+    : options_(std::move(options)),
+      backend_(options_.backend != nullptr ? options_.backend
+                                           : DefaultBackend()) {
   if (options_.dispatcher_threads < 1) options_.dispatcher_threads = 1;
   if (options_.enable_plan_cache) {
     PlanCacheOptions cache_opts;
     cache_opts.capacity_bytes = options_.plan_cache_bytes;
     cache_opts.ttl_seconds = options_.plan_cache_ttl_seconds;
-    cache_opts.num_shards = options_.plan_cache_shards;
     cache_ = std::make_unique<PlanCache>(cache_opts);
   }
   if (options_.enable_admission) {
@@ -173,11 +157,6 @@ StatusOr<MpqResult> OptimizerService::OptimizeTraced(
                                          query.num_tables());
     ticket = std::move(admitted).value();
   }
-  if (backend_ == nullptr) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries_failed;
-    return init_error_;
-  }
   const auto start = std::chrono::steady_clock::now();
   bool cache_hit = false;
   StatusOr<MpqResult> result =
@@ -289,20 +268,18 @@ ServiceStats OptimizerService::stats() const {
     snapshot.admission_queued_now = admission_stats.queued_now;
     snapshot.admission_running_now = admission_stats.running_now;
   }
-  if (backend_ != nullptr) {
-    BackendHealth health = backend_->health();
-    snapshot.worker_reconnect_attempts = health.reconnect_attempts;
-    snapshot.worker_reconnects = health.reconnects;
-    snapshot.tasks_rescattered = health.tasks_rescattered;
-    snapshot.rounds_recovered = health.rounds_recovered;
-    snapshot.scatter_batches = health.scatter_batches;
-    snapshot.tasks_coalesced = health.tasks_coalesced;
-    snapshot.sessions_opened = health.sessions.sessions_opened;
-    snapshot.session_rounds = health.sessions.session_rounds;
-    snapshot.sessions_recovered = health.sessions.sessions_recovered;
-    snapshot.sessions_failed = health.sessions.sessions_failed;
-    snapshot.workers = std::move(health.workers);
-  }
+  BackendHealth health = backend_->health();
+  snapshot.worker_reconnect_attempts = health.reconnect_attempts;
+  snapshot.worker_reconnects = health.reconnects;
+  snapshot.tasks_rescattered = health.tasks_rescattered;
+  snapshot.rounds_recovered = health.rounds_recovered;
+  snapshot.scatter_batches = health.scatter_batches;
+  snapshot.tasks_coalesced = health.tasks_coalesced;
+  snapshot.sessions_opened = health.sessions.sessions_opened;
+  snapshot.session_rounds = health.sessions.session_rounds;
+  snapshot.sessions_recovered = health.sessions.sessions_recovered;
+  snapshot.sessions_failed = health.sessions.sessions_failed;
+  snapshot.workers = std::move(health.workers);
   return snapshot;
 }
 

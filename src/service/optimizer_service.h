@@ -5,10 +5,11 @@
 // The benchmark harness runs one MpqOptimizer at a time; a production
 // optimizer endpoint faces many concurrent Optimize(query) calls. This
 // service multiplexes the worker tasks of all in-flight queries onto ONE
-// shared ExecutionBackend (by default an AsyncBatchBackend, whose
-// persistent pool interleaves concurrently submitted rounds fairly —
-// a large query cannot starve small ones), and keeps per-query and
-// aggregate throughput statistics.
+// shared ExecutionBackend (by default DefaultBackend(), the process-wide
+// pool, which interleaves concurrently submitted rounds fairly — a large
+// query cannot starve small ones), and keeps per-query and aggregate
+// throughput statistics. The backend only hosts the tasks: each query's
+// modeled cluster time comes from the NetworkModel in its MpqOptions.
 //
 // With the plan cache enabled (ServiceOptions::enable_plan_cache), the
 // service fingerprints every query (plancache/fingerprint.h) and consults
@@ -27,7 +28,6 @@
 
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "cluster/backend.h"
@@ -40,24 +40,10 @@ namespace mpqopt {
 
 /// Configuration of the service runtime.
 struct ServiceOptions {
-  /// Shared worker-execution runtime. Null (default) builds one from
-  /// `backend_kind`, `network`, `backend_threads`, and (for kRpc)
-  /// `workers_addr`. If that construction fails — e.g. kRpc with no
-  /// reachable workers — the service reports the error from every
-  /// Optimize() call instead of aborting.
+  /// Shared worker-execution runtime. Null (default) runs on
+  /// DefaultBackend(), the process-wide in-process pool; build any other
+  /// (e.g. rpc) with MakeBackend.
   std::shared_ptr<ExecutionBackend> backend;
-  BackendKind backend_kind = BackendKind::kAsyncBatch;
-  NetworkModel network;
-  /// Pool threads of the shared in-process backend (0 = hardware
-  /// concurrency minus one; see BackendOptions::max_threads).
-  int backend_threads = 0;
-  /// Worker endpoints when backend_kind == kRpc and `backend` is null.
-  std::string workers_addr;
-  /// Supervision knobs forwarded to the rpc backend (see BackendOptions):
-  /// redial budget per worker failure episode, and the initial redial
-  /// backoff (doubling, capped).
-  int worker_retries = 2;
-  int worker_backoff_ms = 50;
   /// Maximum number of query masters driven concurrently by
   /// OptimizeBatch (the per-query master work: serialize, submit round,
   /// final prune). Optimize() callers bring their own threads and are
@@ -70,8 +56,6 @@ struct ServiceOptions {
   size_t plan_cache_bytes = size_t{64} << 20;
   /// Cached-plan lifetime; <= 0 caches forever (CLI: --plan-cache-ttl).
   double plan_cache_ttl_seconds = 0;
-  /// Lock shards of the plan cache (rounded up to a power of two).
-  int plan_cache_shards = 16;
   /// Admission control in front of the backend (CLI: --admission): an
   /// over-quota tenant or a full priority queue is rejected with a
   /// deterministic error before any worker round runs. Off by default —
@@ -192,11 +176,10 @@ class OptimizerService {
   /// Aggregate counters since construction (thread-safe snapshot).
   ServiceStats stats() const;
 
-  /// OK iff the service has a usable backend; otherwise the construction
-  /// error every Optimize() call will report.
-  const Status& init_status() const { return init_error_; }
+  /// Always OK: the service always has a backend. Kept because existing
+  /// callers (perfbench/setup.cc) check it.
+  Status init_status() const { return Status::OK(); }
 
-  /// Requires init_status().ok().
   const ExecutionBackend& backend() const { return *backend_; }
   std::shared_ptr<ExecutionBackend> shared_backend() const {
     return backend_;
@@ -229,7 +212,6 @@ class OptimizerService {
 
   ServiceOptions options_;
   std::shared_ptr<ExecutionBackend> backend_;
-  Status init_error_;
   std::unique_ptr<PlanCache> cache_;
   std::unique_ptr<AdmissionController> admission_;
   SingleFlight flights_;

@@ -52,10 +52,9 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
   }
   std::shared_ptr<ExecutionBackend> backend = options.backend;
   if (backend == nullptr) {
-    backend = std::make_shared<AsyncBatchBackend>(options.network,
-                                                  /*pool_threads=*/0);
+    backend = std::make_shared<AsyncBatchBackend>(/*pool_threads=*/0);
   }
-  const NetworkModel& net = backend->network();
+  const NetworkModel& net = options.network;
 
   SmaResult result;
   result.max_worker_memo_sets = int64_t{1} << n;
@@ -121,7 +120,7 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
       // Workers compute their chunks against their replicas (one session
       // round per level — SMA's defining many-rounds-per-query
       // behaviour); per-node compute is measured individually, transfers
-      // are modeled from the true byte counts by the shared accounting.
+      // are modeled below from the true byte counts.
       StatusOr<RoundResult> round_or = session->Step(step_requests);
       if (!round_or.ok()) return round_or.status();
       RoundResult& round = round_or.value();
@@ -151,12 +150,13 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
                                                broadcast.size() - 1);
       if (!s.ok()) return s;
 
-      // Level completion: per-task dispatch + slowest compute path (both
-      // in round.simulated_seconds) + the master pushing m broadcast
+      // Level completion: per-task dispatch + slowest compute path (the
+      // step round's modeled time) + the master pushing m broadcast
       // copies through its ONE uplink — serialized, the baseline's
       // bottleneck — + the slowest apply.
       result.simulated_seconds +=
-          round.simulated_seconds +
+          ModeledRoundSeconds(net, step_requests, round.responses,
+                              round.compute_seconds) +
           static_cast<double>(m) * net.TransferTime(broadcast.size()) +
           MaxOf(bcast.compute_seconds);
     }

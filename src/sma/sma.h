@@ -55,12 +55,13 @@ struct SmaOptions {
   /// Number of workers (any value >= 1; SMA is not restricted to powers
   /// of two, tasks are dealt round-robin).
   uint64_t num_workers = 1;
+  /// Simulated-cluster parameters: every round's modeled time comes from
+  /// these, whichever backend hosts the replicas.
   NetworkModel network;
   /// Worker-execution runtime hosting the per-node replicas (any
   /// session-capable backend, including rpc). Null (default) uses a
-  /// private pool of zero threads, so every chunk runs inline on the
-  /// caller and per-chunk compute timing stays unpolluted; a non-null
-  /// backend's NetworkModel governs the simulated transfer times.
+  /// per-call pool of zero threads, so every chunk runs inline on the
+  /// caller and per-chunk compute timing stays unpolluted.
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   /// SMA materializes the full memo on every worker; refuse queries whose

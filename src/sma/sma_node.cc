@@ -180,6 +180,16 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
         uint32_t num_plans = 0;
         if (!(s = reader.ReadDouble(&e.card)).ok()) return s;
         if (!(s = reader.ReadU32(&num_plans)).ok()) return s;
+        // Bound the peer's count by the bytes left before sizing the
+        // frontier: a plan is at least a one-metric cost vector, its left
+        // set, two child indices and the algorithm tag.
+        constexpr size_t kMinPlanBytes = sizeof(uint8_t) + sizeof(double) +
+                                         sizeof(uint64_t) +
+                                         2 * sizeof(uint32_t) +
+                                         sizeof(uint8_t);
+        if (num_plans > reader.remaining() / kMinPlanBytes) {
+          return Status::Corruption("broadcast plan count exceeds the payload");
+        }
         e.plans.resize(num_plans);
         for (MoPlan& p : e.plans) {
           StatusOr<CostVector> cost = CostVector::Deserialize(&reader);

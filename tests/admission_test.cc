@@ -363,15 +363,25 @@ std::vector<std::vector<uint8_t>> PlansOf(const BatchReport& report) {
   return plans;
 }
 
+/// A backend of `kind`: two pool threads, or the given rpc workers.
+std::shared_ptr<ExecutionBackend> BackendOf(BackendKind kind,
+                                            const std::string& workers_addr) {
+  BackendOptions options;
+  options.max_threads = 2;
+  options.workers_addr = workers_addr;
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
+      MakeBackend(kind, options);
+  MPQOPT_CHECK(backend.ok());
+  return std::move(backend).value();
+}
+
 /// Plans of every query through a 4-dispatcher service on `kind`.
 std::vector<std::vector<uint8_t>> PlansOn(BackendKind kind,
                                           const std::string& workers_addr,
                                           const std::vector<Query>& queries,
                                           const MpqOptions& opts) {
   ServiceOptions service_opts;
-  service_opts.backend_kind = kind;
-  service_opts.backend_threads = 2;
-  service_opts.workers_addr = workers_addr;
+  service_opts.backend = BackendOf(kind, workers_addr);
   service_opts.dispatcher_threads = 4;
   OptimizerService service(service_opts);
   return PlansOf(service.OptimizeBatch(queries, opts));
@@ -420,14 +430,12 @@ TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
   RpcWorkerFarm farm;
   farm.Start(2);
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kRpc;
-  service_opts.workers_addr = farm.workers_addr();
+  service_opts.backend = BackendOf(BackendKind::kRpc, farm.workers_addr());
   service_opts.dispatcher_threads = 4;
   service_opts.enable_admission = true;
   service_opts.admission.max_concurrent = 3;
   service_opts.admission.queue_depth = 16;
   OptimizerService service(service_opts);
-  ASSERT_TRUE(service.init_status().ok()) << service.init_status().ToString();
   const std::shared_ptr<ExecutionBackend> backend = service.shared_backend();
   sma_opts.backend = backend;
 

@@ -6,8 +6,9 @@
 // persistent in-process pool or remote RPC workers) invisible to the
 // optimizers. The kRpc parameter self-hosts: the fixture spawns real
 // mpqopt_worker subprocesses on loopback, so the same assertions run over
-// actual sockets. The round accounting and the pool's own scheduling
-// contracts are tested directly below the parameterized suite.
+// actual sockets. The round accounting, the modeled-time formula and the
+// pool's own scheduling contracts are tested directly below the
+// parameterized suite.
 
 #include "cluster/backend.h"
 
@@ -46,10 +47,8 @@ class BackendTest : public ::testing::TestWithParam<BackendKind> {
     if (GetParam() == BackendKind::kRpc) farm_.Start(2);
   }
 
-  std::shared_ptr<ExecutionBackend> MakeTestBackend(
-      NetworkModel model = NetworkModel{}) {
+  std::shared_ptr<ExecutionBackend> MakeTestBackend() {
     BackendOptions options;
-    options.network = model;
     options.max_threads = 2;
     options.workers_addr = farm_.workers_addr();
     StatusOr<std::shared_ptr<ExecutionBackend>> backend =
@@ -150,20 +149,27 @@ TEST_P(BackendTest, SimulatedTimeIncludesPerTaskSetup) {
   model.task_setup_s = 0.25;
   model.latency_s = 0;
   model.bandwidth_bytes_per_s = 1e18;
-  auto backend = MakeTestBackend(model);
+  auto backend = MakeTestBackend();
   std::vector<WorkerTask> tasks(4, Echo());
   std::vector<std::vector<uint8_t>> requests(4, std::vector<uint8_t>{1});
   StatusOr<RoundResult> round = backend->RunRound(tasks, requests);
   ASSERT_TRUE(round.ok());
-  EXPECT_GE(round.value().simulated_seconds, 4 * 0.25);
-  EXPECT_LT(round.value().simulated_seconds, 4 * 0.25 + 1.0);
+  const double modeled =
+      ModeledRoundSeconds(model, requests, round.value().responses,
+                          round.value().compute_seconds);
+  EXPECT_GE(modeled, 4 * 0.25);
+  EXPECT_LT(modeled, 4 * 0.25 + 1.0);
 }
+
 
 TEST_P(BackendTest, MpqOptimizeMatchesDefaultBackend) {
   const Query q = MakeQuery(9, 418);
   MpqOptions base;
   base.space = PlanSpace::kLinear;
   base.num_workers = 8;
+  // The backend only hosts the tasks: the modeled cluster time comes from
+  // the optimizer's own NetworkModel (1 s of dispatch per task here).
+  base.network.task_setup_s = 1.0;
   MpqOptimizer reference(base);
   StatusOr<MpqResult> a = reference.Optimize(q);
 
@@ -178,6 +184,8 @@ TEST_P(BackendTest, MpqOptimizeMatchesDefaultBackend) {
   EXPECT_EQ(a.value().network_bytes, b.value().network_bytes);
   EXPECT_EQ(a.value().network_messages, b.value().network_messages);
   EXPECT_EQ(a.value().max_worker_memo_sets, b.value().max_worker_memo_sets);
+  EXPECT_GE(b.value().simulated_seconds, 8 * 1.0);
+  EXPECT_NEAR(b.value().simulated_seconds, a.value().simulated_seconds, 0.5);
 }
 
 TEST_P(BackendTest, OptimizeMatchesDirectFinalizeOnEveryBackend) {
@@ -271,16 +279,28 @@ TEST(BackendFactoryTest, ParseBackendKind) {
   }
 }
 
+/// Pool threads of an async backend, or -1 for any other kind.
+int PoolSize(const ExecutionBackend& backend) {
+  const auto* pool = dynamic_cast<const AsyncBatchBackend*>(&backend);
+  return pool != nullptr ? pool->pool_size() : -1;
+}
+
 TEST(BackendFactoryTest, PoolSizeZeroLeavesTheSubmitterACore) {
   const auto pool_size = [](int max_threads) {
-    std::shared_ptr<ExecutionBackend> backend =
-        MakeBackend(BackendKind::kAsyncBatch, NetworkModel{}, max_threads);
-    const auto* pool = dynamic_cast<const AsyncBatchBackend*>(backend.get());
-    return pool != nullptr ? pool->pool_size() : -1;
+    BackendOptions options;
+    options.max_threads = max_threads;
+    return PoolSize(*MakeBackend(BackendKind::kAsyncBatch, options).value());
   };
   const int cores = static_cast<int>(std::thread::hardware_concurrency());
   EXPECT_EQ(pool_size(0), std::max(cores - 1, 0));
   EXPECT_EQ(pool_size(3), 3);  // an explicit size is taken as given
+}
+
+TEST(BackendFactoryTest, DefaultBackendIsOneProcessWidePool) {
+  const std::shared_ptr<ExecutionBackend> pool = DefaultBackend();
+  EXPECT_EQ(DefaultBackend().get(), pool.get());
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(PoolSize(*pool), std::max(cores - 1, 0));
 }
 
 TEST(BackendFactoryTest, RpcWithoutEndpointsIsACleanError) {
@@ -295,16 +315,20 @@ TEST(AccountRoundTest, SimulatedTimeIsTheSlowestWorkerNotTheSum) {
   model.task_setup_s = 0.001;
   model.latency_s = 0.01;
   model.bandwidth_bytes_per_s = 1000;
+  const std::vector<std::vector<uint8_t>> requests = {
+      std::vector<uint8_t>(4), {}, std::vector<uint8_t>(10)};
   RoundResult result;
   result.responses = {{1, 2}, {3}, {}};
   result.compute_seconds = {0.5, 2.0, 1.0};
-  AccountRound(model, {4, 0, 10}, &result);
+  AccountRound({4, 0, 10}, &result);
   // Task 1 is the slowest worker: modeled time is the dispatch of all
   // three tasks plus that worker's transfers and compute, not the sum.
+  const double modeled = ModeledRoundSeconds(
+      model, requests, result.responses, result.compute_seconds);
   const double slowest =
       model.TransferTime(0) + 2.0 + model.TransferTime(1);
-  EXPECT_DOUBLE_EQ(result.simulated_seconds, 3 * 0.001 + slowest);
-  EXPECT_LT(result.simulated_seconds, 0.5 + 2.0 + 1.0);
+  EXPECT_DOUBLE_EQ(modeled, 3 * 0.001 + slowest);
+  EXPECT_LT(modeled, 0.5 + 2.0 + 1.0);
   EXPECT_EQ(result.traffic.bytes_sent, 4u + 2 + 0 + 1 + 10 + 0);
   EXPECT_EQ(result.traffic.messages, 6u);
 }
@@ -329,7 +353,7 @@ TEST(TrafficStatsTest, RecordAndMerge) {
 }
 
 TEST(AsyncBatchBackendTest, ComputeSecondsMeasuredPerTask) {
-  AsyncBatchBackend backend(NetworkModel{}, 1);
+  AsyncBatchBackend backend(1);
   const WorkerTask sleeper =
       [](const std::vector<uint8_t>& r) -> StatusOr<std::vector<uint8_t>> {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -345,7 +369,7 @@ TEST(AsyncBatchBackendTest, ComputeSecondsMeasuredPerTask) {
 TEST(AsyncBatchBackendTest, ZeroThreadPoolRunsEveryTaskOnTheSubmitter) {
   // SMA's default backend relies on this: with no pool threads the
   // submitting thread runs the round's tasks itself, in task order.
-  AsyncBatchBackend backend(NetworkModel{}, 0);
+  AsyncBatchBackend backend(0);
   EXPECT_EQ(backend.pool_size(), 0);
   const std::thread::id submitter = std::this_thread::get_id();
   std::mutex mutex;
@@ -372,7 +396,7 @@ TEST(AsyncBatchBackendTest, ZeroThreadPoolRunsEveryTaskOnTheSubmitter) {
 }
 
 TEST(AsyncBatchBackendTest, PersistentPoolSurvivesManyRounds) {
-  AsyncBatchBackend backend(NetworkModel{}, 2);
+  AsyncBatchBackend backend(2);
   EXPECT_EQ(backend.pool_size(), 2);
   std::vector<WorkerTask> tasks(4, Echo());
   std::vector<std::vector<uint8_t>> requests(4, std::vector<uint8_t>{5});
@@ -387,7 +411,7 @@ TEST(AsyncBatchBackendTest, PersistentPoolSurvivesManyRounds) {
 TEST(AsyncBatchBackendTest, ConcurrentRoundsFromManySubmitters) {
   // Many threads push rounds into the same pool simultaneously; each
   // round's responses must match its own requests (no cross-talk).
-  AsyncBatchBackend backend(NetworkModel{}, 3);
+  AsyncBatchBackend backend(3);
   constexpr int kSubmitters = 8;
   constexpr int kRoundsEach = 20;
   std::vector<std::thread> submitters;
@@ -415,7 +439,7 @@ TEST(AsyncBatchBackendTest, ConcurrentRoundsFromManySubmitters) {
 }
 
 TEST(AsyncBatchBackendTest, ErrorInOneRoundDoesNotPoisonOthers) {
-  AsyncBatchBackend backend(NetworkModel{}, 2);
+  AsyncBatchBackend backend(2);
   const WorkerTask failing =
       [](const std::vector<uint8_t>&) -> StatusOr<std::vector<uint8_t>> {
     return Status::Internal("boom");

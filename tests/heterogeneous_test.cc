@@ -119,6 +119,31 @@ TEST(HeteroMpqTest, OneTaskPerPhysicalWorker) {
   EXPECT_EQ(result.value().worker_seconds.size(), 3u);
 }
 
+TEST(HeteroMpqTest, ModeledTimeFollowsTheOptimizersNetworkModel) {
+  // The modeled cluster time comes from the optimizer's own NetworkModel
+  // (1 s of dispatch per task here), on a backend given to it as on the
+  // default pool: four physical workers, four tasks.
+  GeneratorOptions gen;
+  gen.shape = JoinGraphShape::kChain;
+  const Query q = QueryGenerator(gen, 108).Generate(8);
+  MpqOptions opts;
+  opts.space = PlanSpace::kLinear;
+  opts.num_workers = 4;
+  opts.network.task_setup_s = 1.0;
+  BackendOptions pool;
+  pool.max_threads = 2;
+  for (std::shared_ptr<ExecutionBackend> backend :
+       {std::shared_ptr<ExecutionBackend>(),
+        MakeBackend(BackendKind::kAsyncBatch, pool).value()}) {
+    opts.backend = backend;
+    HeteroMpqOptimizer mpq(opts, {1.0, 1.0, 1.0, 1.0});
+    StatusOr<MpqResult> result = mpq.Optimize(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GE(result.value().simulated_seconds, 4 * 1.0);
+    EXPECT_LT(result.value().simulated_seconds, 4 * 1.0 + 1.0);
+  }
+}
+
 /// Each worker's DP work (splits tried, from its own WorkerMain
 /// response) divided by its speed: the simulated time of its share in
 /// units a scheduler stall on a loaded host cannot move.

@@ -54,6 +54,16 @@ class OptimizerServiceTest : public ::testing::TestWithParam<BackendKind> {
     if (GetParam() == BackendKind::kRpc) farm_.Start(2);
   }
 
+  std::shared_ptr<ExecutionBackend> MakeTestBackend() {
+    BackendOptions options;
+    options.max_threads = 2;
+    options.workers_addr = farm_.workers_addr();
+    StatusOr<std::shared_ptr<ExecutionBackend>> backend =
+        MakeBackend(GetParam(), options);
+    MPQOPT_CHECK(backend.ok());
+    return std::move(backend).value();
+  }
+
   RpcWorkerFarm farm_;
 };
 
@@ -63,12 +73,13 @@ TEST_P(OptimizerServiceTest, ConcurrentBatchMatchesSequentialRuns) {
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 16;
+  // The shared backend only hosts the tasks: each query's modeled time
+  // comes from the NetworkModel in its own options.
+  opts.network.task_setup_s = 1.0;
   const std::vector<Reference> refs = SequentialReference(queries, opts);
 
   ServiceOptions service_opts;
-  service_opts.backend_kind = GetParam();
-  service_opts.backend_threads = 2;
-  service_opts.workers_addr = farm_.workers_addr();
+  service_opts.backend = MakeTestBackend();
   service_opts.dispatcher_threads = 4;
   OptimizerService service(service_opts);
   const BatchReport report = service.OptimizeBatch(queries, opts);
@@ -82,6 +93,7 @@ TEST_P(OptimizerServiceTest, ConcurrentBatchMatchesSequentialRuns) {
         << "query " << i;
     EXPECT_EQ(r.network_bytes, refs[i].network_bytes) << "query " << i;
     EXPECT_EQ(r.network_messages, refs[i].network_messages) << "query " << i;
+    EXPECT_GE(r.simulated_seconds, 16 * 1.0) << "query " << i;
     EXPECT_GE(report.latency_seconds[i], 0.0);
   }
   EXPECT_GT(report.wall_seconds, 0.0);
@@ -100,6 +112,21 @@ INSTANTIATE_TEST_SUITE_P(Backends, OptimizerServiceTest,
                            return std::string(BackendKindName(info.param));
                          });
 
+TEST(OptimizerServiceTest2, NullBackendIsTheDefaultPool) {
+  OptimizerService service{ServiceOptions()};
+  EXPECT_TRUE(service.init_status().ok());
+  EXPECT_EQ(service.shared_backend(), DefaultBackend());
+  // The modeled time is the query's own: 1 s of dispatch per task.
+  MpqOptions opts;
+  opts.num_workers = 4;
+  opts.network.task_setup_s = 1.0;
+  StatusOr<MpqResult> result =
+      service.Optimize(MakeQueries(1, 8, 7007)[0], opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GE(result.value().simulated_seconds, 4 * 1.0);
+  EXPECT_LT(result.value().simulated_seconds, 4 * 1.0 + 1.0);
+}
+
 TEST(OptimizerServiceTest2, ManyThreadsCallOptimizeDirectly) {
   // Optimize() is the serving entry point: callers bring their own
   // threads and share the backend pool.
@@ -110,7 +137,7 @@ TEST(OptimizerServiceTest2, ManyThreadsCallOptimizeDirectly) {
   const std::vector<Reference> refs = SequentialReference(queries, opts);
 
   ServiceOptions service_opts;
-  service_opts.backend = std::make_shared<AsyncBatchBackend>(NetworkModel{}, 2);
+  service_opts.backend = std::make_shared<AsyncBatchBackend>(2);
   OptimizerService service(service_opts);
   std::vector<std::thread> callers;
   std::vector<double> costs(queries.size(), 0.0);
@@ -134,9 +161,7 @@ TEST(OptimizerServiceTest2, InvalidWorkerCountIsRejectedNotCrashed) {
   MpqOptions opts;
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 3;  // not a power of two
-  ServiceOptions service_opts;
-  service_opts.backend_threads = 1;
-  OptimizerService service(service_opts);
+  OptimizerService service{ServiceOptions()};
   StatusOr<MpqResult> r = service.Optimize(queries[0], opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -166,8 +191,6 @@ TEST(OptimizerServiceTest2, StatsSnapshotIsConsistentUnderConcurrency) {
   opts.num_workers = 8;
 
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.backend_threads = 2;
   service_opts.enable_plan_cache = true;
   OptimizerService service(service_opts);
 
@@ -213,9 +236,7 @@ TEST(OptimizerServiceTest2, EvictionCountersAreSplitByCause) {
   opts.space = PlanSpace::kLinear;
   opts.num_workers = 4;
   ServiceOptions service_opts;
-  service_opts.backend_threads = 1;
   service_opts.enable_plan_cache = true;
-  service_opts.plan_cache_shards = 1;
   OptimizerService service(service_opts);
   ASSERT_TRUE(service.Optimize(queries[0], opts).ok());
   ASSERT_TRUE(service.Optimize(queries[1], opts).ok());
@@ -238,9 +259,7 @@ TEST(OptimizerServiceTest2, CacheCountersStayZeroWhenDisabled) {
   const std::vector<Query> queries = MakeQueries(1, 8, 7005);
   MpqOptions opts;
   opts.num_workers = 4;
-  ServiceOptions service_opts;
-  service_opts.backend_threads = 1;
-  OptimizerService service(service_opts);
+  OptimizerService service{ServiceOptions()};
   EXPECT_EQ(service.plan_cache(), nullptr);
   ASSERT_TRUE(service.Optimize(queries[0], opts).ok());
   ASSERT_TRUE(service.Optimize(queries[0], opts).ok());
@@ -252,9 +271,7 @@ TEST(OptimizerServiceTest2, CacheCountersStayZeroWhenDisabled) {
 }
 
 TEST(OptimizerServiceTest2, EmptyBatch) {
-  ServiceOptions service_opts;
-  service_opts.backend_threads = 1;
-  OptimizerService service(service_opts);
+  OptimizerService service{ServiceOptions()};
   const BatchReport report = service.OptimizeBatch({}, MpqOptions{});
   EXPECT_TRUE(report.results.empty());
   EXPECT_EQ(report.queries_per_second, 0.0);

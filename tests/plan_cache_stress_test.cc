@@ -111,8 +111,6 @@ TEST(PlanCacheStressTest, ServiceMixedWorkloadWithRacingSnapshots) {
   MpqOptions opts;
   opts.num_workers = 8;
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.backend_threads = 2;
   service_opts.enable_plan_cache = true;
   OptimizerService service(service_opts);
 

@@ -84,7 +84,7 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   // Execution-only knobs must NOT perturb it: the same plan serves any
   // backend or thread count.
   changed = opts;
-  changed.backend = MakeBackend(BackendKind::kAsyncBatch, NetworkModel{}, 1);
+  changed.backend = std::make_shared<AsyncBatchBackend>(1);
   changed.network.latency_s = 123.0;
   EXPECT_EQ(FingerprintQuery(query, changed), a);
 
@@ -108,8 +108,6 @@ TEST(PlanCacheServiceTest, HitReturnsPlanEqualToFreshOptimization) {
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.backend_threads = 2;
   service_opts.enable_plan_cache = true;
   OptimizerService service(service_opts);
   ASSERT_NE(service.plan_cache(), nullptr);
@@ -145,8 +143,6 @@ TEST(PlanCacheServiceTest, MultiObjectiveFrontierRoundTripsThroughCache) {
   opts.alpha = 2.0;
 
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.backend_threads = 2;
   service_opts.enable_plan_cache = true;
   OptimizerService service(service_opts);
 
@@ -332,8 +328,6 @@ TEST(PlanCacheServiceTest, EpochBumpForcesReoptimization) {
   opts.num_workers = 8;
 
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kAsyncBatch;
-  service_opts.backend_threads = 2;
   service_opts.enable_plan_cache = true;
   OptimizerService service(service_opts);
 
@@ -356,7 +350,7 @@ TEST(PlanCacheServiceTest, EpochBumpForcesReoptimization) {
 class CountingBackend : public ExecutionBackend {
  public:
   explicit CountingBackend(std::shared_ptr<ExecutionBackend> inner)
-      : ExecutionBackend(inner->network()), inner_(std::move(inner)) {}
+      : inner_(std::move(inner)) {}
 
   StatusOr<RoundResult> RunRound(
       const std::vector<WorkerTask>& tasks,
@@ -378,7 +372,7 @@ TEST(PlanCacheServiceTest, ConcurrentSameFingerprintMissesOptimizeOnce) {
   opts.num_workers = 16;
 
   auto counting = std::make_shared<CountingBackend>(
-      std::make_shared<AsyncBatchBackend>(NetworkModel{}, 2));
+      std::make_shared<AsyncBatchBackend>(2));
   ServiceOptions service_opts;
   service_opts.backend = counting;
   service_opts.enable_plan_cache = true;

@@ -36,10 +36,8 @@ Query MakeQuery(int n, uint64_t seed) {
   return gen.Generate(n);
 }
 
-std::shared_ptr<ExecutionBackend> ConnectFarm(const RpcWorkerFarm& farm,
-                                              NetworkModel model = {}) {
+std::shared_ptr<ExecutionBackend> ConnectFarm(const RpcWorkerFarm& farm) {
   BackendOptions options;
-  options.network = model;
   options.workers_addr = farm.workers_addr();
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(BackendKind::kRpc, options);
@@ -323,6 +321,60 @@ TEST(BatchReplyDecoderTest, RejectsAnOkByteOtherThanZeroOrOne) {
             StatusCode::kCorruption);
 }
 
+/// A kTracedTask reply: the u32 span-block length, the block (trace id,
+/// span count, then `spans` as written), and the inner body.
+std::vector<uint8_t> TracedReply(uint32_t block_len, uint32_t count,
+                                 const std::vector<uint8_t>& spans,
+                                 const std::vector<uint8_t>& body) {
+  ByteWriter writer;
+  writer.WriteU32(block_len);
+  writer.WriteU64(7);  // trace id
+  writer.WriteU32(count);
+  writer.WriteBytes(spans.data(), spans.size());
+  writer.WriteBytes(body.data(), body.size());
+  return writer.Release();
+}
+
+TEST(BatchReplyDecoderTest, TracedReplyCountBeyondTheBlockIsCorruption) {
+  // 16 bytes claiming 2^32 - 1 spans: rejected before any reservation.
+  const std::vector<uint8_t> reply = TracedReply(12, 0xFFFFFFFF, {}, {});
+  ASSERT_EQ(reply.size(), 16u);
+  uint64_t trace_id = 0;
+  std::vector<ImportedSpan> spans;
+  std::vector<uint8_t> body;
+  EXPECT_EQ(ParseTracedTaskResponse(reply, &trace_id, &spans, &body).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(BatchReplyDecoderTest, TracedReplySpansMustEndAtTheBlock) {
+  // One span with a 4-byte name is 21 bytes, but the block leaves it 17:
+  // its last timestamp would be read from the body.
+  ByteWriter span;
+  span.WriteU8(4);
+  span.WriteBytes(reinterpret_cast<const uint8_t*>("span"), 4);
+  span.WriteU64(1);
+  span.WriteU64(2);
+  const std::vector<uint8_t> span_bytes = span.Release();
+  const std::vector<uint8_t> body = {9, 9, 9, 9, 9, 9, 9, 9};
+  uint64_t trace_id = 0;
+  std::vector<ImportedSpan> spans;
+  std::vector<uint8_t> decoded;
+  const auto parse = [&](uint32_t block_len) {
+    return ParseTracedTaskResponse(TracedReply(block_len, 1, span_bytes, body),
+                                   &trace_id, &spans, &decoded);
+  };
+  EXPECT_EQ(parse(12 + 17).code(), StatusCode::kCorruption);
+  // A block longer than its spans is rejected too...
+  EXPECT_EQ(parse(12 + 21 + 1).code(), StatusCode::kCorruption);
+  // ...and the exact block parses, with the body intact.
+  ASSERT_TRUE(parse(12 + 21).ok());
+  EXPECT_EQ(trace_id, 7u);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "span");
+  EXPECT_EQ(spans[0].dur_ns, 2u);
+  EXPECT_EQ(decoded, body);
+}
+
 TEST(RpcBackendTest, UnregisteredTaskIsRejectedUpFront) {
   RpcWorkerFarm farm;
   farm.Start(1);
@@ -438,28 +490,12 @@ TEST(RpcBackendTest, IoTimeoutBoundsAStuckReplyWait) {
   EXPECT_LT(elapsed, 8.0);
 }
 
-TEST(RpcServiceTest, MisconfiguredRpcServiceReportsErrorInsteadOfAborting) {
-  ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kRpc;  // no workers_addr
-  OptimizerService service(service_opts);
-  ASSERT_FALSE(service.init_status().ok());
-  MpqOptions opts;
-  opts.num_workers = 2;
-  StatusOr<MpqResult> result = service.Optimize(MakeQuery(6, 1), opts);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.stats().queries_failed, 1u);
-}
-
-TEST(RpcServiceTest, ServiceBuildsRpcBackendFromWorkersAddr) {
+TEST(RpcServiceTest, ServiceServesOverAGivenRpcBackend) {
   RpcWorkerFarm farm;
   farm.Start(2);
   ServiceOptions service_opts;
-  service_opts.backend_kind = BackendKind::kRpc;
-  service_opts.workers_addr = farm.workers_addr();
+  service_opts.backend = ConnectFarm(farm);
   OptimizerService service(service_opts);
-  ASSERT_TRUE(service.init_status().ok())
-      << service.init_status().ToString();
   EXPECT_STREQ(service.backend().name(), "rpc");
   MpqOptions opts;
   opts.num_workers = 4;

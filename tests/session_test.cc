@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "catalog/generator.h"
+#include "cluster/async_batch_backend.h"
 #include "cluster/rpc_backend.h"
 #include "cluster/session/session_store.h"
 #include "cluster/session/session_wire.h"
@@ -287,7 +288,7 @@ TEST_P(SessionBackendTest, TrafficAccountingMatchesAcrossBackends) {
     traffic.Merge(round.value().traffic);
     return traffic;
   };
-  auto reference = MakeBackend(BackendKind::kAsyncBatch, NetworkModel{}, 1);
+  auto reference = std::make_shared<AsyncBatchBackend>(1);
   const TrafficStats expect = run(reference.get());
   auto backend = MakeTestBackend();
   const TrafficStats actual = run(backend.get());

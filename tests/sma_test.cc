@@ -10,6 +10,7 @@
 #include "optimizer/pruning.h"
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
+#include "sma/sma_node.h"
 #include "tests/rpc_test_util.h"
 
 namespace mpqopt {
@@ -64,6 +65,10 @@ class SmaBackendTest : public ::testing::TestWithParam<BackendKind> {
 TEST_P(SmaBackendTest, MatchesDefaultBackendByteForByte) {
   const Query q = RandomQuery(9, 301);
   SmaOptions base = Options(PlanSpace::kLinear, 3);
+  // The backend hosts the replicas but does not model time: with 1 s of
+  // dispatch per task, every round (the open plus eight levels) of three
+  // nodes costs at least 3 s, with a given backend as without one.
+  base.network.task_setup_s = 1.0;
   StatusOr<SmaResult> reference = SmaOptimize(q, base);
   ASSERT_TRUE(reference.ok());
 
@@ -82,6 +87,9 @@ TEST_P(SmaBackendTest, MatchesDefaultBackendByteForByte) {
             reference.value().network_messages);
   EXPECT_EQ(result.value().max_worker_memo_sets,
             reference.value().max_worker_memo_sets);
+  EXPECT_GE(result.value().simulated_seconds, 9 * 3 * 1.0);
+  EXPECT_NEAR(result.value().simulated_seconds,
+              reference.value().simulated_seconds, 0.5);
 }
 
 TEST_P(SmaBackendTest, MultiObjectiveFrontierMatchesByteForByte) {
@@ -256,6 +264,22 @@ TEST(SmaTest, SingleTableQuery) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().arena.node(r.value().best[0]).IsScan());
   EXPECT_EQ(r.value().rounds, 0);
+}
+
+TEST(SmaTest, BroadcastPlanCountBeyondThePayloadIsCorruption) {
+  // A 24-byte broadcast naming 2^32 - 1 frontier plans for one set must
+  // be rejected before the frontier is sized, not throw bad_alloc.
+  SmaNodeOptions options;
+  options.objective = Objective::kTimeAndBuffer;
+  SmaNode node(RandomQuery(4, 84), options);
+  ByteWriter writer;
+  writer.WriteU32(1);           // one entry
+  writer.WriteU64(0b11);        // set {0, 1}
+  writer.WriteDouble(10.0);     // cardinality
+  writer.WriteU32(0xFFFFFFFF);  // frontier plans
+  const std::vector<uint8_t> payload = writer.Release();
+  ASSERT_EQ(payload.size(), 24u);
+  EXPECT_EQ(node.ApplyBroadcast(payload).code(), StatusCode::kCorruption);
 }
 
 TEST(SmaTest, MultiObjectiveFrontierCoversSerial) {

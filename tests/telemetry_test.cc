@@ -129,6 +129,25 @@ TEST(MetricsExportTest, SerializeParseRoundTrip) {
   EXPECT_FALSE(obs::ParseRegistrySample(trailing, &scratch).ok());
 }
 
+TEST(MetricsExportTest, CountBeyondTheFrameIsCorruption) {
+  // A 4-byte stats-poll reply claiming 2^32 - 1 counters must fail the
+  // parse before anything is reserved for them, not throw bad_alloc.
+  ByteWriter writer;
+  writer.WriteU32(0xFFFFFFFF);
+  obs::RegistrySample parsed;
+  EXPECT_EQ(obs::ParseRegistrySample(writer.Release(), &parsed).code(),
+            StatusCode::kCorruption);
+  // The gauge and histogram counts are bounded the same way.
+  for (int empty_sections : {1, 2}) {
+    ByteWriter later;
+    for (int i = 0; i < empty_sections; ++i) later.WriteU32(0);
+    later.WriteU32(0xFFFFFFFF);
+    EXPECT_EQ(obs::ParseRegistrySample(later.Release(), &parsed).code(),
+              StatusCode::kCorruption)
+        << empty_sections;
+  }
+}
+
 TEST(MetricsExportTest, StatsPollTaskServesTheGlobalRegistry) {
   obs::MetricsRegistry::Global().GetCounter("test.poll_marker")->Add(17);
   StatusOr<std::vector<uint8_t>> response = StatsPollTaskMain({});

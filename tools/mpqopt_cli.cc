@@ -390,9 +390,8 @@ MpqOptions BuildMpqOptions(const CliOptions& cli) {
 /// Builds the selected execution backend; for --backend=rpc this connects
 /// to the --workers-addr endpoints and can fail.
 StatusOr<std::shared_ptr<ExecutionBackend>> BuildBackend(
-    const CliOptions& cli, const MpqOptions& opts) {
+    const CliOptions& cli) {
   BackendOptions backend_opts;
-  backend_opts.network = opts.network;
   backend_opts.workers_addr = cli.workers_addr;
   backend_opts.worker_retries = cli.worker_retries;
   backend_opts.worker_backoff_ms = cli.worker_backoff_ms;
@@ -433,8 +432,7 @@ int RunService(QueryGenerator* generator, const CliOptions& cli) {
     queries.push_back(distinct[static_cast<size_t>(i) % distinct.size()]);
   }
   const MpqOptions opts = BuildMpqOptions(cli);
-  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
-      BuildBackend(cli, opts);
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend = BuildBackend(cli);
   if (!backend.ok()) {
     std::fprintf(stderr, "error: %s\n", backend.status().ToString().c_str());
     return 1;
@@ -586,9 +584,7 @@ int RunService(QueryGenerator* generator, const CliOptions& cli) {
 /// session protocol, so every backend — including rpc — hosts the
 /// per-node memo replicas.
 int RunSma(const Query& query, const CliOptions& cli) {
-  const MpqOptions backend_opts_source = BuildMpqOptions(cli);
-  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
-      BuildBackend(cli, backend_opts_source);
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend = BuildBackend(cli);
   if (!backend.ok()) {
     std::fprintf(stderr, "error: %s\n", backend.status().ToString().c_str());
     return 1;
@@ -635,8 +631,7 @@ int RunSma(const Query& query, const CliOptions& cli) {
 
 int RunMpq(const Query& query, const CliOptions& cli) {
   MpqOptions opts = BuildMpqOptions(cli);
-  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
-      BuildBackend(cli, opts);
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend = BuildBackend(cli);
   if (!backend.ok()) {
     std::fprintf(stderr, "error: %s\n", backend.status().ToString().c_str());
     return 1;
