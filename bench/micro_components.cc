@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -115,14 +116,41 @@ void BM_BushySplitGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_BushySplitGeneration)->Arg(0)->Arg(2)->Arg(4);
 
+void BM_LinearSplitGeneration(benchmark::State& state) {
+  const int n = 16;
+  const PartitionIndex idx(
+      n, TestConstraints(n, PlanSpace::kLinear,
+                         static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    int64_t rank_sum = 0;
+    for (int k = 2; k <= n; ++k) {
+      idx.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
+        idx.ForEachLinearSplit(
+            u, rank, [&](int, int64_t left_rank) { rank_sum += left_rank; });
+      });
+    }
+    benchmark::DoNotOptimize(rank_sum);
+  }
+}
+BENCHMARK(BM_LinearSplitGeneration)->Arg(0)->Arg(2)->Arg(4);
+
+/// One estimate per probe over 16,384 distinct random subsets of a
+/// 20-table query. Like the DP's stream of sets, they are too many, in too
+/// random an order, for the branch predictor to learn which tables each
+/// probe holds. range(0) is the JoinGraphShape (0 chain, 1 star, 3 clique).
 void BM_CardinalityEstimation(benchmark::State& state) {
-  const Query q = TestQuery(20);
+  const int n = 20;
+  GeneratorOptions opts;
+  opts.shape = static_cast<JoinGraphShape>(state.range(0));
+  QueryGenerator gen(opts, 7);
+  const Query q = gen.Generate(n);
   const CardinalityEstimator est(q);
   Rng rng(9);
+  std::unordered_set<uint64_t> seen;
   std::vector<TableSet> probes;
-  for (int i = 0; i < 256; ++i) {
-    const uint64_t bits = rng.NextUint64() & ((uint64_t{1} << 20) - 1);
-    probes.push_back(TableSet(bits == 0 ? 1 : bits));
+  while (probes.size() < 16384) {
+    const uint64_t bits = rng.NextUint64() & ((uint64_t{1} << n) - 1);
+    if (bits != 0 && seen.insert(bits).second) probes.push_back(TableSet(bits));
   }
   for (auto _ : state) {
     double acc = 0;
@@ -130,8 +158,9 @@ void BM_CardinalityEstimation(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() * probes.size());
+  state.SetLabel(JoinGraphShapeName(opts.shape));
 }
-BENCHMARK(BM_CardinalityEstimation);
+BENCHMARK(BM_CardinalityEstimation)->Arg(0)->Arg(1)->Arg(3);
 
 void BM_ParetoInsert(benchmark::State& state) {
   Rng rng(11);
@@ -375,6 +404,7 @@ void BM_WorkerFullOptimization(benchmark::State& state) {
 BENCHMARK(BM_WorkerFullOptimization)
     ->Args({10, 0})
     ->Args({14, 0})
+    ->Args({16, 0})
     ->Args({17, 0})
     ->Args({12, 1});
 

@@ -10,65 +10,37 @@ CardinalityEstimator::CardinalityEstimator(const Query& query) {
   const int n = query.num_tables();
   table_cards_.resize(n);
   for (int i = 0; i < n; ++i) table_cards_[i] = query.table(i).cardinality;
-  // Counting sort of the edge endpoints by table; each table's edges keep
-  // predicate order, which fixes the order Cardinality() multiplies in.
+  // Counting sort of the predicates by lower endpoint; each table's
+  // predicates keep predicate order, which fixes the order Cardinality()
+  // multiplies in.
   edge_begin_.assign(n + 1, 0);
   for (const JoinPredicate& p : query.predicates()) {
-    ++edge_begin_[p.left_table + 1];
-    ++edge_begin_[p.right_table + 1];
+    ++edge_begin_[std::min(p.left_table, p.right_table) + 1];
   }
   for (int t = 0; t < n; ++t) edge_begin_[t + 1] += edge_begin_[t];
   edges_.resize(edge_begin_[n]);
-  higher_neighbors_.assign(n, 0);
   std::vector<uint32_t> next(edge_begin_.begin(), edge_begin_.end() - 1);
   for (const JoinPredicate& p : query.predicates()) {
-    edges_[next[p.left_table]++] = {p.right_table, p.selectivity};
-    edges_[next[p.right_table]++] = {p.left_table, p.selectivity};
-    higher_neighbors_[std::min(p.left_table, p.right_table)] |=
-        TableSet::Single(std::max(p.left_table, p.right_table)).bits();
+    const int lower = std::min(p.left_table, p.right_table);
+    edges_[next[lower]++] = {{1.0, p.selectivity},
+                             std::max(p.left_table, p.right_table)};
   }
 }
 
 double CardinalityEstimator::Cardinality(TableSet s) const {
   MPQOPT_DCHECK(!s.IsEmpty());
+  const uint64_t bits = s.bits();
   double card = 1.0;
   for (int t : s) {
     card *= table_cards_[t];
-    if ((higher_neighbors_[t] & s.bits()) == 0) continue;
-    for (const Edge& e : EdgesOf(t)) {
-      // Apply each intra-set predicate exactly once, at its lower endpoint.
-      if (e.other_table > t && s.Contains(e.other_table)) {
-        card *= e.selectivity;
-      }
+    for (uint32_t i = edge_begin_[t]; i < edge_begin_[t + 1]; ++i) {
+      // An indexed load, not a ternary: GCC compiles `in ? sel : 1.0` to
+      // the very branch this layout exists to avoid.
+      const Edge& e = edges_[i];
+      card *= e.factor[(bits >> e.higher_table) & 1];
     }
   }
   return card < 1.0 ? 1.0 : card;
-}
-
-double CardinalityEstimator::ConnectingSelectivity(TableSet left,
-                                                   TableSet right) const {
-  MPQOPT_DCHECK(!left.Intersects(right));
-  double sel = 1.0;
-  // Iterate over the smaller side's adjacency lists.
-  const TableSet probe = left.Count() <= right.Count() ? left : right;
-  const TableSet other = left.Count() <= right.Count() ? right : left;
-  for (int t : probe) {
-    for (const Edge& e : EdgesOf(t)) {
-      if (other.Contains(e.other_table)) sel *= e.selectivity;
-    }
-  }
-  return sel;
-}
-
-bool CardinalityEstimator::Connected(TableSet left, TableSet right) const {
-  const TableSet probe = left.Count() <= right.Count() ? left : right;
-  const TableSet other = left.Count() <= right.Count() ? right : left;
-  for (int t : probe) {
-    for (const Edge& e : EdgesOf(t)) {
-      if (other.Contains(e.other_table)) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mpqopt

@@ -3,15 +3,20 @@
 // Cardinality estimation under the classical independence assumption:
 // |join(S)| = prod_{t in S} |t| * prod_{p inside S} sel(p).
 //
-// The estimator precomputes a flat per-table adjacency of predicates so
-// that estimating one table set costs O(|S| + #predicates inside S); the
-// DP calls it once per admissible join result.
+// The DP calls Cardinality() once per admissible join result, so it runs
+// on every set of every partition. Each predicate is stored once, at its
+// lower endpoint, in predicate order: one flat array with per-table
+// offsets. Estimating a set costs O(|S| + #predicates whose lower
+// endpoint is in S) multiplications and no branch on which tables are in
+// S: a stored predicate multiplies by a factor read from {1.0, sel},
+// indexed by the membership bit of its higher endpoint. In IEEE 754,
+// x * 1.0 == x exactly, so the product has the bits of the one that
+// multiplies only the predicates inside S.
 
 #ifndef MPQOPT_COST_CARDINALITY_H_
 #define MPQOPT_COST_CARDINALITY_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "catalog/query.h"
@@ -28,37 +33,21 @@ class CardinalityEstimator {
   /// Requires s to be non-empty.
   double Cardinality(TableSet s) const;
 
-  /// Combined selectivity of all predicates connecting `left` and `right`
-  /// (1.0 if none connect them — i.e. a Cartesian product).
-  double ConnectingSelectivity(TableSet left, TableSet right) const;
-
-  /// True if at least one predicate connects `left` and `right`. With
-  /// cross products allowed this does not restrict enumeration; it is used
-  /// by examples/diagnostics.
-  bool Connected(TableSet left, TableSet right) const;
-
   int num_tables() const { return static_cast<int>(table_cards_.size()); }
 
  private:
+  /// A predicate, stored at its lower endpoint.
   struct Edge {
-    int other_table;
-    double selectivity;
+    /// {1.0, selectivity}, indexed by whether higher_table is in the set.
+    double factor[2];
+    int higher_table;
   };
 
-  /// Edges incident to table t, in predicate order.
-  std::span<const Edge> EdgesOf(int t) const {
-    return {edges_.data() + edge_begin_[t], edges_.data() + edge_begin_[t + 1]};
-  }
-
   std::vector<double> table_cards_;
-  // Table t's incident predicates are edges_[edge_begin_[t] ..
-  // edge_begin_[t + 1]). To avoid double counting inside a set,
-  // Cardinality() applies an edge only at its lower endpoint;
-  // higher_neighbors_[t] masks the tables above t that share a predicate
-  // with it, so a table with none of them in the set skips its edges.
+  // The predicates whose lower endpoint is table t are
+  // edges_[edge_begin_[t] .. edge_begin_[t + 1]), in predicate order.
   std::vector<uint32_t> edge_begin_;
   std::vector<Edge> edges_;
-  std::vector<uint64_t> higher_neighbors_;
 };
 
 }  // namespace mpqopt

@@ -80,15 +80,13 @@ class ScalarDp {
         const double out_time = model_.OutputTime(out_card);
         ScalarEntry best;
         if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
+          index_.ForEachLinearSplit(u, rank, [&](int t, int64_t lrank) {
             const ScalarEntry& le = memo_[static_cast<size_t>(lrank)];
             MPQOPT_DCHECK(le.cost < kInf);
             ++splits;
             TryJoins(le.cost + scan_cost_[t], le.op, scan_[t], out_time,
                      u.Without(t), &best);
-          }
+          });
         } else {
           index_.ForEachSplit(u, [&](TableSet left, int64_t lrank,
                                      int64_t rrank) {
@@ -221,9 +219,7 @@ class ParetoDp {
           }
         };
         if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
+          index_.ForEachLinearSplit(u, rank, [&](int t, int64_t lrank) {
             const ParetoPlanRef scan_plan = {scan_cost_[t], 0, 0, 0,
                                              JoinAlgorithm::kScan};
             ParetoEntry scan;
@@ -231,7 +227,7 @@ class ParetoDp {
             scan.plans = &scan_plan;
             scan.num_plans = 1;
             try_split(u.Without(t), memo_[static_cast<size_t>(lrank)], scan);
-          }
+          });
         } else {
           index_.ForEachSplit(
               u, [&](TableSet left, int64_t lrank, int64_t rrank) {

@@ -102,13 +102,11 @@ class InterestingOrderDp {
         IoEntry entry;
         entry.card = estimator_.Cardinality(u);
         if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
+          index_.ForEachLinearSplit(u, rank, [&](int t, int64_t lrank) {
             TrySplit(u.Without(t), TableSet::Single(t),
                      memo_[static_cast<size_t>(lrank)], scan_entries_[t],
                      &entry, stats);
-          }
+          });
         } else {
           index_.ForEachSplit(
               u, [&](TableSet left, int64_t lrank, int64_t rrank) {

@@ -107,12 +107,10 @@ class ParametricDp {
         PqoEntry entry;
         entry.card = SetCard(u);
         if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
+          index_.ForEachLinearSplit(u, rank, [&](int t, int64_t lrank) {
             TrySplit(memo_[static_cast<size_t>(lrank)], scan_entries_[t],
                      u.Without(t), &entry, result);
-          }
+          });
         } else {
           index_.ForEachSplit(
               u, [&](TableSet left, int64_t lrank, int64_t rrank) {

@@ -35,10 +35,9 @@ PartitionIndex::PartitionIndex(int num_tables,
   const int num_full_groups = num_tables / width;
   MPQOPT_CHECK_LE(constraints.num_constraints(), num_full_groups);
 
-  for (int t = 0; t < kMaxTables; ++t) must_precede_[t] = -1;
   if (space_ == PlanSpace::kLinear) {
     for (const LinearConstraint& c : constraints.linear()) {
-      must_precede_[c.before] = c.after;
+      linear_[num_linear_++] = c;
     }
   }
 
@@ -83,10 +82,20 @@ PartitionIndex::PartitionIndex(int num_tables,
   }
   size_ = stride;
 
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    const Group& g = groups_[gi];
-    for (int t = g.offset; t < g.offset + g.width; ++t) {
-      group_of_table_[t].group_index = static_cast<int>(gi);
+  // Removing table t from a set changes only the digit of t's group.
+  for (const Group& g : groups_) {
+    const int num_patterns = 1 << g.width;
+    for (int bit = 0; bit < g.width; ++bit) {
+      const int t = g.offset + bit;
+      group_offset_[t] = static_cast<uint8_t>(g.offset);
+      group_mask_[t] = static_cast<uint8_t>(num_patterns - 1);
+      for (int p = 0; p < num_patterns; ++p) {
+        const int8_t full = g.digit_of_pattern[p];
+        const int8_t reduced = g.digit_of_pattern[p & ~(1 << bit)];
+        if (((p >> bit) & 1) != 0 && full >= 0 && reduced >= 0) {
+          rank_delta_[t][p] = static_cast<int64_t>(full - reduced) * g.stride;
+        }
+      }
     }
   }
 

@@ -23,7 +23,9 @@
 //    outer loop, Algorithm 2),
 //  * the constrained split enumeration for bushy plans that only generates
 //    admissible operand pairs (Algorithm 5, the 21/27 factor),
-//  * the inner-operand admissibility test for linear plans.
+//  * the linear twin, ForEachLinearSplit: every admissible inner table of
+//    a set with its left operand's rank, from a precomputed per-table
+//    rank-delta table instead of a Rank() call or a per-table test.
 
 #ifndef MPQOPT_PARTITION_PARTITION_INDEX_H_
 #define MPQOPT_PARTITION_PARTITION_INDEX_H_
@@ -87,14 +89,6 @@ class PartitionIndex {
     }
   }
 
-  /// Linear DP: true if `table` may serve as the inner (last-joined)
-  /// operand of join result `u`, i.e. no constraint (table ≺ v) with
-  /// v ∈ u exists (Algorithm 5, linear variant).
-  bool InnerAllowed(int table, TableSet u) const {
-    const int successor = must_precede_[table];
-    return successor < 0 || !u.Contains(successor);
-  }
-
   /// Bushy DP: invokes fn(TableSet left, int64_t left_rank,
   /// int64_t right_rank) for every admissible ordered split of `u` into
   /// (left, u \ left) — both operands admissible, excluding the trivial
@@ -106,20 +100,29 @@ class PartitionIndex {
     SplitRec(0, u, TableSet::Empty(), 0, 0, fn);
   }
 
-  /// O(1) rank update for the linear DP: rank of (u without table t),
-  /// given rank(u). Requires u to be admissible, t ∈ u, and u \ {t}
-  /// admissible (guaranteed when t passes InnerAllowed, see
-  /// Theorem 2's argument).
-  int64_t RankWithout(TableSet u, int64_t rank_u, int table) const {
-    const GroupOfTable& gt = group_of_table_[table];
-    const Group& g = groups_[gt.group_index];
-    const uint8_t pattern = LocalPattern(u, g);
-    const uint8_t reduced =
-        pattern & static_cast<uint8_t>(~(1u << (table - g.offset)));
-    const int8_t d_full = g.digit_of_pattern[pattern];
-    const int8_t d_red = g.digit_of_pattern[reduced];
-    MPQOPT_DCHECK(d_full >= 0 && d_red >= 0);
-    return rank_u - static_cast<int64_t>(d_full - d_red) * g.stride;
+  /// Linear DP: invokes fn(int inner, int64_t left_rank) for every table
+  /// t of the admissible set `u` (whose rank is `rank`) that may serve as
+  /// its inner (last-joined) operand, in ascending order of t. These are
+  /// the t with no constraint (t ≺ v) for a v in u (Algorithm 5, linear
+  /// variant); u \ {t} is then admissible too (Theorem 2's argument), and
+  /// left_rank is its rank. The constraints block tables through one mask
+  /// and each left rank is one table lookup, so no per-table test
+  /// branches on which tables u holds.
+  template <typename Fn>
+  void ForEachLinearSplit(TableSet u, int64_t rank, Fn&& fn) const {
+    MPQOPT_DCHECK(space_ == PlanSpace::kLinear);
+    const uint64_t bits = u.bits();
+    uint64_t blocked = 0;
+    for (int i = 0; i < num_linear_; ++i) {
+      const LinearConstraint& c = linear_[i];
+      blocked |= ((bits >> c.after) & 1) << c.before;
+    }
+    for (int t : TableSet(bits & ~blocked)) {
+      const int64_t delta =
+          rank_delta_[t][(bits >> group_offset_[t]) & group_mask_[t]];
+      MPQOPT_DCHECK(delta > 0);
+      fn(t, rank - delta);
+    }
   }
 
   /// Total number of admissible ordered splits summed over all admissible
@@ -196,18 +199,20 @@ class PartitionIndex {
     }
   }
 
-  struct GroupOfTable {
-    int group_index = 0;
-  };
-
   int num_tables_;
   PlanSpace space_;
   std::vector<Group> groups_;
   int64_t size_;
-  /// must_precede_[t] = v if a linear constraint (t ≺ v) exists, else -1.
-  int must_precede_[kMaxTables];
-  /// Which group each table belongs to (for RankWithout).
-  GroupOfTable group_of_table_[kMaxTables];
+  /// The linear constraints (before ≺ after), at most one per pair.
+  LinearConstraint linear_[kMaxTables / 2] = {};
+  int num_linear_ = 0;
+  /// rank_delta_[t][p] = Rank(s) - Rank(s \ {t}) for every admissible s
+  /// whose local pattern in t's group is p, when p holds t and p \ {t} is
+  /// admissible; 0, which no valid delta is, otherwise.
+  int64_t rank_delta_[kMaxTables][8] = {};
+  /// Offset and local-pattern mask of each table's group.
+  uint8_t group_offset_[kMaxTables] = {};
+  uint8_t group_mask_[kMaxTables] = {};
   /// suffix_max_popcount_[g] = sum of max_popcount over groups g..end.
   std::vector<int> suffix_max_popcount_;
   /// count_by_card_[k] = number of admissible sets with k tables.

@@ -122,46 +122,63 @@ TEST(PartitionIndexTest, ForEachSetVisitsEverySetOnce) {
   EXPECT_EQ(static_cast<int64_t>(seen.size()), idx.size());
 }
 
-TEST(PartitionIndexTest, RankWithoutMatchesRank) {
-  const int n = 8;
-  const PartitionIndex idx(n, Constraints(n, PlanSpace::kLinear, 9, 16));
-  idx.ForEachSet([&](TableSet u, int64_t rank) {
-    if (u.Count() < 2) return;
-    for (int t : u) {
-      if (!idx.InnerAllowed(t, u)) continue;
-      EXPECT_EQ(idx.RankWithout(u, rank, t), idx.Rank(u.Without(t)))
-          << u.ToString() << " minus " << t;
+/// The tables ForEachLinearSplit must yield for `u`, in ascending order:
+/// those t with no constraint (t ≺ v) for a v in u.
+std::vector<int> AdmissibleInners(const ConstraintSet& constraints,
+                                  TableSet u) {
+  std::vector<int> inners;
+  for (int t : u) {
+    bool blocked = false;
+    for (const LinearConstraint& c : constraints.linear()) {
+      if (c.before == t && u.Contains(c.after)) blocked = true;
     }
-  });
+    if (!blocked) inners.push_back(t);
+  }
+  return inners;
 }
 
-TEST(PartitionIndexTest, InnerAllowedSemantics) {
-  // Constraint set for partition 0 of 2: Q0 before Q1.
-  const PartitionIndex idx(4, Constraints(4, PlanSpace::kLinear, 0, 2));
-  const TableSet both = TableSet::Single(0).With(1).With(2);
-  EXPECT_FALSE(idx.InnerAllowed(0, both));  // 1 present, 0 must precede
-  EXPECT_TRUE(idx.InnerAllowed(1, both));
-  EXPECT_TRUE(idx.InnerAllowed(2, both));
-  const TableSet no_successor = TableSet::Single(0).With(2);
-  EXPECT_TRUE(idx.InnerAllowed(0, no_successor));
+TEST(PartitionIndexTest, LinearSplitsOfAConstrainedPair) {
+  // Partition 0 of 2: Q0 must precede Q1.
+  const ConstraintSet constraints = Constraints(4, PlanSpace::kLinear, 0, 2);
+  const PartitionIndex idx(4, constraints);
+  const auto inners = [&](TableSet u) {
+    std::vector<int> out;
+    idx.ForEachLinearSplit(u, idx.Rank(u),
+                           [&](int t, int64_t) { out.push_back(t); });
+    return out;
+  };
+  // 1 is present, so 0 may not be the last table joined.
+  EXPECT_EQ(inners(TableSet::Single(0).With(1).With(2)),
+            (std::vector<int>{1, 2}));
+  EXPECT_EQ(inners(TableSet::Single(0).With(2)), (std::vector<int>{0, 2}));
+  EXPECT_EQ(inners(TableSet::Single(0).With(1)), (std::vector<int>{1}));
 }
 
-TEST(PartitionIndexTest, EveryAdmissibleSetHasAdmissibleInner) {
-  const int n = 8;
-  for (uint64_t part = 0; part < 16; ++part) {
-    const PartitionIndex idx(n, Constraints(n, PlanSpace::kLinear, part, 16));
-    idx.ForEachSet([&](TableSet u, int64_t) {
-      if (u.Count() < 2) return;
-      bool any = false;
-      for (int t : u) {
-        if (idx.InnerAllowed(t, u)) {
-          // The left remainder must be admissible too.
-          EXPECT_GE(idx.Rank(u.Without(t)), 0);
-          any = true;
-        }
+TEST(PartitionIndexTest, LinearSplitsAreExactlyTheAdmissibleInners) {
+  // Odd n leaves a single-table group after the pairs.
+  for (int n : {7, 8, 9}) {
+    const uint64_t max_m = MaxWorkers(n, PlanSpace::kLinear);
+    for (uint64_t m = 1; m <= max_m; m *= 2) {
+      for (uint64_t part = 0; part < m; ++part) {
+        const ConstraintSet constraints =
+            Constraints(n, PlanSpace::kLinear, part, m);
+        const PartitionIndex idx(n, constraints);
+        idx.ForEachSet([&](TableSet u, int64_t rank) {
+          if (u.IsEmpty()) return;
+          std::vector<int> yielded;
+          idx.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
+            EXPECT_GE(left_rank, 0);
+            EXPECT_EQ(left_rank, idx.Rank(u.Without(t)))
+                << u.ToString() << " minus " << t;
+            yielded.push_back(t);
+          });
+          EXPECT_FALSE(yielded.empty()) << u.ToString();
+          EXPECT_EQ(yielded, AdmissibleInners(constraints, u))
+              << "n=" << n << " m=" << m << " part=" << part << " "
+              << u.ToString();
+        });
       }
-      EXPECT_TRUE(any) << u.ToString();
-    });
+    }
   }
 }
 

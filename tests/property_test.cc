@@ -114,6 +114,19 @@ TEST_P(SeededProperty, RankBijectiveOnRandomPartitions) {
   EXPECT_EQ(admissible, idx.size());
 }
 
+/// Combined selectivity of the predicates with one endpoint in `left`
+/// and the other in `right`.
+double CutSelectivity(const Query& q, TableSet left, TableSet right) {
+  double sel = 1.0;
+  for (const JoinPredicate& p : q.predicates()) {
+    if ((left.Contains(p.left_table) && right.Contains(p.right_table)) ||
+        (left.Contains(p.right_table) && right.Contains(p.left_table))) {
+      sel *= p.selectivity;
+    }
+  }
+  return sel;
+}
+
 TEST_P(SeededProperty, CardinalityCutIdentity) {
   const uint64_t seed = GetParam();
   Rng rng(seed ^ 0x9999);
@@ -130,7 +143,7 @@ TEST_P(SeededProperty, CardinalityCutIdentity) {
     if (left.IsEmpty() || right.IsEmpty()) continue;
     const double lhs = est.Cardinality(all);
     const double rhs = est.Cardinality(left) * est.Cardinality(right) *
-                       est.ConnectingSelectivity(left, right);
+                       CutSelectivity(q, left, right);
     if (rhs > 10) {
       EXPECT_NEAR(lhs / rhs, 1.0, 1e-9);
     }
