@@ -5,16 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <numeric>
-#include <type_traits>
 #include <vector>
 
 #include "catalog/generator.h"
 #include "cost/cardinality.h"
 #include "optimizer/pruning.h"
 #include "plan/plan_validator.h"
+#include "tests/plan_digest.h"
 
 namespace mpqopt {
 namespace {
@@ -463,40 +462,6 @@ TEST(MultiObjectiveDpTest, TimeMetricMatchesSingleObjectiveOptimum) {
 // ---------------------------------------------------------------------
 // Plan identity pin.
 // ---------------------------------------------------------------------
-
-/// 64-bit FNV-1a over the raw bytes of the values added.
-class Fnv64 {
- public:
-  template <typename T>
-  void Add(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    for (unsigned char b : bytes) {
-      hash_ ^= b;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-/// Adds a plan tree, pre-order: table set, algorithm, and the raw bits of
-/// the cardinality and of every cost metric.
-void DigestPlan(const PlanArena& arena, PlanId id, Fnv64* h) {
-  const PlanNode& node = arena.node(id);
-  h->Add(node.tables.bits());
-  h->Add(static_cast<uint8_t>(node.algorithm));
-  h->Add(node.cardinality);
-  h->Add(node.cost.num_metrics());
-  for (int i = 0; i < node.cost.num_metrics(); ++i) h->Add(node.cost[i]);
-  if (!node.IsScan()) {
-    DigestPlan(arena, node.left, h);
-    DigestPlan(arena, node.right, h);
-  }
-}
 
 struct PlanPin {
   JoinGraphShape shape;

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "catalog/generator.h"
 #include "mpq/mpq.h"
 #include "plan/plan_validator.h"
+#include "tests/plan_digest.h"
 
 namespace mpqopt {
 namespace {
@@ -191,6 +194,51 @@ TEST(IoDpTest, MemoSizeFollowsPartitioningTheorems) {
       EXPECT_EQ(result.value().stats.admissible_sets, prev * 9 / 16);
     }
     prev = result.value().stats.admissible_sets;
+  }
+}
+
+TEST(IoDpTest, PartitionPlansMatchPinnedDigests) {
+  // Every partition's plan and work counters, digested bit by bit (see
+  // tests/plan_digest.h). Ten tables allow 16 linear and 8 bushy
+  // partitions.
+  struct Pin {
+    JoinGraphShape shape;
+    PlanSpace space;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 201, 0xd12c789f0072b6d2},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 202, 0xa831a874a6a8e5cb},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 203, 0x6689d46839e5a6e9},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 204, 0x0a47359aac787ced},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 205, 0x192afe551733e6ba},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 206, 0x79ba20a973e643d1},
+  };
+  for (const Pin& pin : pins) {
+    const Query q = RandomQuery(10, pin.shape, pin.seed);
+    DpConfig config;
+    config.space = pin.space;
+    config.interesting_orders = true;
+    const uint64_t m = std::min<uint64_t>(16, MaxWorkers(10, pin.space));
+    Fnv64 h;
+    for (uint64_t part = 0; part < m; ++part) {
+      StatusOr<ConstraintSet> c =
+          ConstraintSet::FromPartitionId(10, pin.space, part, m);
+      ASSERT_TRUE(c.ok());
+      StatusOr<DpResult> result = RunPartitionDp(q, c.value(), config);
+      ASSERT_TRUE(result.ok());
+      const DpResult& r = result.value();
+      h.Add(part);
+      h.Add(r.stats.admissible_sets);
+      h.Add(r.stats.splits_tried);
+      h.Add(r.stats.plans_costed);
+      h.Add(static_cast<uint64_t>(r.best.size()));
+      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
+    }
+    EXPECT_EQ(h.value(), pin.digest)
+        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
+        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
   }
 }
 

@@ -35,6 +35,22 @@ TEST(PartitionIndexTest, UnconstrainedBushySizeIsPowerSet) {
   }
 }
 
+TEST(PartitionIndexTest, UnconstrainedRankIsTheBitPattern) {
+  // With no constraint every digit is its group's local pattern and every
+  // stride is 2^offset, so a set's rank is its bit pattern: a memo over
+  // the unconstrained index may be addressed by bits.
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    for (int n = 1; n <= 12; ++n) {
+      const PartitionIndex idx(n, ConstraintSet::None(space));
+      ASSERT_EQ(idx.size(), int64_t{1} << n) << n;
+      for (uint64_t bits = 0; bits < (uint64_t{1} << n); ++bits) {
+        ASSERT_EQ(idx.Rank(TableSet(bits)), static_cast<int64_t>(bits))
+            << PlanSpaceName(space) << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(PartitionIndexTest, LinearConstraintReducesByThreeQuarters) {
   // Theorem 2: each constraint cuts admissible sets to 3/4.
   for (int l = 0; l <= 4; ++l) {

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "catalog/generator.h"
+#include "tests/plan_digest.h"
 
 namespace mpqopt {
 namespace {
@@ -218,6 +220,65 @@ TEST(PqoTest, SingleTableQuery) {
   ASSERT_EQ(result.value().plans.size(), 1u);
   EXPECT_DOUBLE_EQ(result.value().plans[0].theta_begin, 0);
   EXPECT_DOUBLE_EQ(result.value().plans[0].theta_end, 1);
+}
+
+TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
+  // Every partition's parametric optimal set (plans, affine costs, theta
+  // intervals) and work counters, then the merged parallel result,
+  // digested bit by bit (see tests/plan_digest.h). Ten tables allow 16
+  // linear and 8 bushy partitions.
+  struct Pin {
+    JoinGraphShape shape;
+    PlanSpace space;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0xf4c71839ad2c2707},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x566c7a9bc11a7656},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0xd42abe4f277e9349},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0xdd3334ddfea2982e},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x1a9a39f15a758b77},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x8ecd3bb9b1669230},
+  };
+  const auto digest_result = [](const PqoResult& r, Fnv64* h) {
+    h->Add(r.admissible_sets);
+    h->Add(r.splits_tried);
+    h->Add(static_cast<uint64_t>(r.plans.size()));
+    for (const PqoPlan& p : r.plans) {
+      DigestPlan(r.arena, p.plan, h);
+      h->Add(p.cost.constant);
+      h->Add(p.cost.slope);
+      h->Add(p.theta_begin);
+      h->Add(p.theta_end);
+    }
+  };
+  for (const Pin& pin : pins) {
+    GeneratorOptions opts;
+    opts.shape = pin.shape;
+    const Query q = QueryGenerator(opts, pin.seed).Generate(10);
+    PqoConfig config;
+    config.space = pin.space;
+    config.parametric_table = 3;
+    config.variability = 99.0;
+    const uint64_t m = std::min<uint64_t>(16, MaxWorkers(10, pin.space));
+    Fnv64 h;
+    for (uint64_t part = 0; part < m; ++part) {
+      StatusOr<ConstraintSet> c =
+          ConstraintSet::FromPartitionId(10, pin.space, part, m);
+      ASSERT_TRUE(c.ok());
+      StatusOr<PqoResult> result = RunParametricDp(q, c.value(), config);
+      ASSERT_TRUE(result.ok());
+      h.Add(part);
+      digest_result(result.value(), &h);
+    }
+    StatusOr<PqoResult> parallel = ParallelParametricOptimize(q, m, config);
+    ASSERT_TRUE(parallel.ok());
+    digest_result(parallel.value(), &h);
+    EXPECT_EQ(h.value(), pin.digest)
+        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
+        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
 #include "sma/sma_node.h"
+#include "tests/plan_digest.h"
 #include "tests/rpc_test_util.h"
 
 namespace mpqopt {
@@ -306,6 +307,45 @@ TEST(SmaTest, MultiObjectiveFrontierCoversSerial) {
   }
   EXPECT_TRUE(AlphaCovers(sma_frontier, serial_frontier, 1.0 + 1e-12));
   EXPECT_TRUE(AlphaCovers(serial_frontier, sma_frontier, 1.0 + 1e-12));
+}
+
+TEST(SmaTest, ResultsMatchPinnedDigests) {
+  // The plan bytes, network bytes, messages and rounds of both
+  // objectives in both spaces, digested bit by bit (see
+  // tests/plan_digest.h).
+  struct Pin {
+    PlanSpace space;
+    Objective objective;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {PlanSpace::kLinear, Objective::kTime, 311, 0x82687aeaed809604},
+      {PlanSpace::kBushy, Objective::kTime, 312, 0xc9124dde374a5cf6},
+      {PlanSpace::kLinear, Objective::kTimeAndBuffer, 313, 0x67640e597037d698},
+      {PlanSpace::kBushy, Objective::kTimeAndBuffer, 314, 0xfd1227988f1dfe79},
+  };
+  for (const Pin& pin : pins) {
+    const Query q = RandomQuery(9, pin.seed);
+    Fnv64 h;
+    for (uint64_t m : {1u, 3u, 8u}) {
+      SmaOptions opts = Options(pin.space, m);
+      opts.objective = pin.objective;
+      opts.alpha = 1.5;
+      StatusOr<SmaResult> result = SmaOptimize(q, opts);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const SmaResult& r = result.value();
+      for (uint8_t byte : PlanBytes(r)) h.Add(byte);
+      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
+      h.Add(r.network_bytes);
+      h.Add(r.network_messages);
+      h.Add(r.rounds);
+    }
+    EXPECT_EQ(h.value(), pin.digest)
+        << PlanSpaceName(pin.space)
+        << " objective=" << static_cast<int>(pin.objective)
+        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
+  }
 }
 
 }  // namespace
