@@ -7,11 +7,13 @@
 // Vance/Maier-style for bushy spaces with Cartesian products), which is
 // exactly the paper's m = 1 baseline.
 //
-// Two objective modes share the enumeration skeleton and differ only in
-// the pruning function and memo entry layout:
+// Every mode runs the one walk and plan builder of partition_dp.h and
+// differs only in the pruning function and memo entry layout:
 //  * kTime: one best plan per admissible table set (48-byte memo entry:
 //    cost, back-pointer, and the set's prepared join-time operand terms).
 //  * kTimeAndBuffer: an alpha-approximate Pareto set per table set.
+//  * interesting_orders: the best plan per (table set, order class)
+//    (io_dp.h).
 
 #ifndef MPQOPT_OPTIMIZER_DP_H_
 #define MPQOPT_OPTIMIZER_DP_H_
@@ -36,7 +38,9 @@ struct DpConfig {
   double alpha = 10.0;
   /// Track interesting orders: keep the best plan per (table set, order
   /// class), let sort-merge joins consume/produce orders (paper §5.4
-  /// extension). Single-objective only.
+  /// extension). Single-objective only. The plans carry their true
+  /// charged costs, which the order-blind CostModel does not reproduce:
+  /// validate them with PlanValidationOptions::check_costs = false.
   bool interesting_orders = false;
   /// Cost model tuning constants.
   CostModelOptions cost_options;

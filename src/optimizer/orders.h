@@ -7,10 +7,11 @@
 // also sorted on T_b.y — orders are interesting per EQUIVALENCE CLASS of
 // join attributes, not per attribute. OrderClasses computes those classes
 // with a union-find over the query's equality predicates and assigns each
-// class a dense id. The order-aware DP (dp.cc, interesting_orders mode)
-// then keeps one best plan per (table set, order class) instead of one
-// per table set, lets sort-merge joins consume and produce orders, and
-// charges explicit sorts only when an input lacks the required order.
+// class a dense id. The order-aware DP (io_dp.cc, RunPartitionDp's
+// interesting_orders mode) then keeps one best plan per (table set, order
+// class) instead of one per table set, lets sort-merge joins consume and
+// produce orders, and charges explicit sorts only when an input lacks the
+// required order.
 
 #ifndef MPQOPT_OPTIMIZER_ORDERS_H_
 #define MPQOPT_OPTIMIZER_ORDERS_H_

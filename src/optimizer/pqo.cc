@@ -8,7 +8,7 @@
 #include <limits>
 
 #include "cost/cardinality.h"
-#include "partition/partition_index.h"
+#include "optimizer/partition_dp.h"
 
 namespace mpqopt {
 namespace {
@@ -82,78 +82,76 @@ void EnvelopePrune(std::vector<PqoRef>* plans) {
 
 class ParametricDp {
  public:
+  /// The set under construction: its affine cardinality and the plans
+  /// kept so far.
+  using State = PqoEntry;
+
   ParametricDp(const Query& query, const PartitionIndex& index,
                const PqoConfig& config)
       : query_(query),
-        index_(index),
         config_(config),
-        model_(Objective::kTime, config.cost_options),
-        estimator_(query) {}
-
-  void Run(PqoResult* result) {
-    const int n = query_.num_tables();
-    memo_.assign(static_cast<size_t>(index_.size()), PqoEntry());
-    scan_entries_.resize(n);
-    for (int t = 0; t < n; ++t) {
+        estimator_(query),
+        memo_(static_cast<size_t>(index.size())),
+        scan_entries_(query.num_tables()) {
+    for (int t = 0; t < query.num_tables(); ++t) {
       PqoEntry& e = scan_entries_[t];
       e.card = TableCard(t);
       e.plans.push_back({e.card, 0, 0, 0, JoinAlgorithm::kScan});
-      const int64_t rank = index_.Rank(TableSet::Single(t));
+      const int64_t rank = index.Rank(TableSet::Single(t));
       if (rank >= 0) memo_[static_cast<size_t>(rank)] = e;
     }
-    const bool linear = index_.space() == PlanSpace::kLinear;
-    for (int k = 2; k <= n; ++k) {
-      index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        PqoEntry entry;
-        entry.card = SetCard(u);
-        if (linear) {
-          index_.ForEachLinearSplit(u, rank, [&](int t, int64_t lrank) {
-            TrySplit(memo_[static_cast<size_t>(lrank)], scan_entries_[t],
-                     u.Without(t), &entry, result);
-          });
-        } else {
-          index_.ForEachSplit(
-              u, [&](TableSet left, int64_t lrank, int64_t rrank) {
-                TrySplit(memo_[static_cast<size_t>(lrank)],
-                         memo_[static_cast<size_t>(rrank)], left, &entry,
-                         result);
-              });
-        }
-        EnvelopePrune(&entry.plans);
-        MPQOPT_CHECK(!entry.plans.empty());
-        memo_[static_cast<size_t>(rank)] = std::move(entry);
-      });
+  }
+
+  State Begin(TableSet u) const { return {SetCard(u), {}}; }
+
+  void Join(State* entry, TableSet left, const PqoEntry& le,
+            const PqoEntry& re) const {
+    const CostModelOptions& opts = config_.cost_options;
+    for (uint32_t li = 0; li < le.plans.size(); ++li) {
+      for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
+        const AffineCost base = le.plans[li].cost.Plus(re.plans[ri].cost);
+        const AffineCost out = entry->card.Scaled(opts.output_cost_factor);
+        const auto offer = [&](const AffineCost& cost, JoinAlgorithm alg) {
+          entry->plans.push_back({cost, left.bits(), li, ri, alg});
+        };
+        // Block nested loop (smooth block model: |L| + |L||R|/B + out).
+        offer(base.Plus(le.card)
+                  .Plus(AffineMul(le.card.Scaled(1.0 / opts.block_size),
+                                  re.card))
+                  .Plus(out),
+              JoinAlgorithm::kBlockNestedLoop);
+        // Hash join: c_h * (|L| + |R|) + out.
+        offer(base.Plus(le.card.Plus(re.card).Scaled(opts.hash_constant))
+                  .Plus(out),
+              JoinAlgorithm::kHashJoin);
+        if (entry->plans.size() > 64) EnvelopePrune(&entry->plans);
+      }
     }
   }
 
-  const std::vector<PqoRef>& PlansOf(TableSet s) const {
-    return EntryOf(s).plans;
+  void End(State* entry, int64_t rank) {
+    EnvelopePrune(&entry->plans);
+    MPQOPT_CHECK(!entry->plans.empty());
+    memo_[static_cast<size_t>(rank)] = std::move(*entry);
   }
 
-  PlanId Build(TableSet s, uint32_t idx, PlanArena* arena) const {
-    const PqoEntry& e = EntryOf(s);
+  const PqoEntry& Entry(int64_t rank) const {
+    return memo_[static_cast<size_t>(rank)];
+  }
+  const PqoEntry& Scan(int t) const { return scan_entries_[t]; }
+  /// PlanNode cost convention in PQO results: metric 0 = the affine
+  /// constant, metric 1 = the slope; cardinality is taken at theta = 0.5.
+  DpNode Node(const PqoEntry& e, uint32_t idx) const {
     const PqoRef& p = e.plans[idx];
-    // PlanNode cost convention in PQO results: metric 0 = the affine
-    // constant, metric 1 = the slope; cardinality is taken at theta = 0.5.
-    const CostVector cost = CostVector::TimeBuffer(p.cost.constant,
-                                                   p.cost.slope);
-    if (s.Count() == 1) {
-      return arena->MakeScan(s.Lowest(), e.card.At(0.5), cost);
-    }
-    const TableSet left(p.left_bits);
-    const PlanId lid = Build(left, p.left_idx, arena);
-    const PlanId rid = Build(s.Minus(left), p.right_idx, arena);
-    return arena->MakeJoin(p.alg, lid, rid, e.card.At(0.5), cost);
+    return {e.card.At(0.5),
+            CostVector::TimeBuffer(p.cost.constant, p.cost.slope),
+            p.alg,
+            TableSet(p.left_bits),
+            p.left_idx,
+            p.right_idx};
   }
 
  private:
-  const PqoEntry& EntryOf(TableSet s) const {
-    if (s.Count() == 1) return scan_entries_[s.Lowest()];
-    const int64_t rank = index_.Rank(s);
-    MPQOPT_CHECK_GE(rank, 0);
-    return memo_[static_cast<size_t>(rank)];
-  }
-
   AffineCost TableCard(int t) const {
     const double base = query_.table(t).cardinality;
     if (t == config_.parametric_table) {
@@ -180,48 +178,8 @@ class ParametricDp {
     return card;
   }
 
-  void TrySplit(const PqoEntry& le, const PqoEntry& re, TableSet left,
-                PqoEntry* entry, PqoResult* result) {
-    ++result->splits_tried;
-    const CostModelOptions& opts = config_.cost_options;
-    for (uint32_t li = 0; li < le.plans.size(); ++li) {
-      for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
-        const AffineCost base = le.plans[li].cost.Plus(re.plans[ri].cost);
-        const AffineCost out = entry->card.Scaled(opts.output_cost_factor);
-        // Block nested loop (smooth block model: |L| + |L||R|/B + out).
-        {
-          PqoRef cand;
-          cand.cost = base.Plus(le.card)
-                          .Plus(AffineMul(le.card.Scaled(1.0 / opts.block_size),
-                                          re.card))
-                          .Plus(out);
-          cand.left_bits = left.bits();
-          cand.left_idx = li;
-          cand.right_idx = ri;
-          cand.alg = JoinAlgorithm::kBlockNestedLoop;
-          entry->plans.push_back(cand);
-        }
-        // Hash join: c_h * (|L| + |R|) + out.
-        {
-          PqoRef cand;
-          cand.cost =
-              base.Plus(le.card.Plus(re.card).Scaled(opts.hash_constant))
-                  .Plus(out);
-          cand.left_bits = left.bits();
-          cand.left_idx = li;
-          cand.right_idx = ri;
-          cand.alg = JoinAlgorithm::kHashJoin;
-          entry->plans.push_back(cand);
-        }
-        if (entry->plans.size() > 64) EnvelopePrune(&entry->plans);
-      }
-    }
-  }
-
   const Query& query_;
-  const PartitionIndex& index_;
   const PqoConfig& config_;
-  CostModel model_;
   CardinalityEstimator estimator_;
   std::vector<PqoEntry> memo_;
   std::vector<PqoEntry> scan_entries_;
@@ -288,11 +246,6 @@ std::vector<size_t> LowerEnvelope(const std::vector<AffineCost>& lines) {
 StatusOr<PqoResult> RunParametricDp(const Query& query,
                                     const ConstraintSet& constraints,
                                     const PqoConfig& config) {
-  Status valid = query.Validate();
-  if (!valid.ok()) return valid;
-  if (constraints.space() != config.space) {
-    return Status::InvalidArgument("constraint set is for the other space");
-  }
   if (config.parametric_table < 0 ||
       config.parametric_table >= query.num_tables()) {
     return Status::InvalidArgument("parametric table out of range");
@@ -300,10 +253,10 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
   if (config.variability < 0) {
     return Status::InvalidArgument("variability must be non-negative");
   }
-  const PartitionIndex index(query.num_tables(), constraints);
-  if (index.size() > config.max_memo_entries) {
-    return Status::OutOfRange("plan space partition too large");
-  }
+  StatusOr<PartitionIndex> opened = OpenPartition(
+      query, constraints, config.space, config.max_memo_entries);
+  if (!opened.ok()) return opened.status();
+  const PartitionIndex& index = opened.value();
 
   PqoResult result;
   result.admissible_sets = index.size();
@@ -321,13 +274,14 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
     plan.theta_end = 1;
     result.plans.push_back(plan);
   } else {
-    dp.Run(&result);
+    result.splits_tried = WalkPartition(index, &dp);
     const TableSet all = query.all_tables();
+    const std::vector<PqoRef>& envelope = dp.Entry(index.Rank(all)).plans;
     std::vector<PlanId> plans;
     std::vector<AffineCost> lines;
-    for (uint32_t i = 0; i < dp.PlansOf(all).size(); ++i) {
-      plans.push_back(dp.Build(all, i, &result.arena));
-      lines.push_back(dp.PlansOf(all)[i].cost);
+    for (uint32_t i = 0; i < envelope.size(); ++i) {
+      plans.push_back(BuildPlan(index, dp, all, i, &result.arena));
+      lines.push_back(envelope[i].cost);
     }
     result.plans = IntervalsFromEnvelope(plans, lines);
   }

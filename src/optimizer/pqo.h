@@ -87,9 +87,10 @@ struct PqoResult {
 };
 
 /// Finds the parametric optimal plan set within one plan-space partition
-/// (use ConstraintSet::None for the serial optimizer). The partitioning
-/// machinery is shared with the other optimizer variants — the paper's
-/// genericity claim, instantiated a third time.
+/// (use ConstraintSet::None for the serial optimizer). The entry checks,
+/// the walk over the partition and the plan builder are partition_dp.h's,
+/// shared with every other DP variant — the paper's genericity claim,
+/// instantiated a third time; only the envelope pruning is PQO's own.
 StatusOr<PqoResult> RunParametricDp(const Query& query,
                                     const ConstraintSet& constraints,
                                     const PqoConfig& config);

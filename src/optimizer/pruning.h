@@ -3,8 +3,10 @@
 // Pruning functions. The paper's key observation (Section 4) is that the
 // whole family of DP-based optimizers — classical single-objective,
 // multi-objective, parametric — differ only in the pruning function, so
-// MPQ parallelizes all of them at once. We provide the two the evaluation
-// uses:
+// MPQ parallelizes all of them at once. partition_dp.h writes the DP
+// itself once; each variant supplies only its per-set Join. We provide
+// the two pruning functions the evaluation uses (interesting orders and
+// PQO prune in io_dp.cc and pqo.cc):
 //
 //  * Scalar pruning: keep the single cheapest plan per table set.
 //  * Approximate Pareto pruning with factor alpha (Trummer & Koch,

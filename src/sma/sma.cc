@@ -165,15 +165,8 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
 
   // Extract the final plan(s) from the master's replica.
   const auto extract_start = Clock::now();
-  const TableSet all = query.all_tables();
-  if (options.objective == Objective::kTime) {
-    result.best.push_back(master_replica.Build(all, &result.arena));
-  } else {
-    const size_t frontier = master_replica.FrontierSize(all);
-    for (uint32_t i = 0; i < frontier; ++i) {
-      result.best.push_back(master_replica.BuildMo(all, i, &result.arena));
-    }
-  }
+  Status built = master_replica.BuildBest(&result.arena, &result.best);
+  if (!built.ok()) return built;
   const auto total_end = Clock::now();
   result.master_seconds = Seconds(extract_start, total_end);
   result.simulated_seconds += result.master_seconds;

@@ -18,7 +18,10 @@
 //  * per-level task-assignment overhead on the master that grows with m.
 //
 // All inter-node transfers go through real byte serialization, so the
-// reported network bytes are actual payload sizes, as for MPQ.
+// reported network bytes are actual payload sizes, as for MPQ. Each node
+// costs and prunes plans with the MPQ workers' DP kernels
+// (optimizer/partition_dp.h, see sma_node.h), so SMA and MPQ differ in how
+// they parallelize the DP, not in the DP.
 //
 // The per-node memo replicas are STATEFUL, so SMA runs through the
 // session protocol (cluster/session/) rather than plain stateless

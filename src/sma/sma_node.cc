@@ -5,12 +5,59 @@
 #include <utility>
 
 #include "common/serialize.h"
-#include "optimizer/pruning.h"
 
 namespace mpqopt {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Joins the splits of `u` with `dp`'s kernels in SMA's own order:
+/// ascending inner table for linear plans, SubsetEnumerator's order for
+/// bushy ones. The memo is addressed by bit pattern.
+template <typename Dp>
+typename Dp::State JoinSplits(Dp* dp, PlanSpace space, TableSet u) {
+  typename Dp::State state = dp->Begin(u);
+  if (space == PlanSpace::kLinear) {
+    for (int t : u) {
+      const TableSet left = u.Without(t);
+      dp->Join(&state, left, dp->Entry(left.bits()), dp->Scan(t));
+    }
+  } else {
+    SubsetEnumerator subsets(u);
+    while (subsets.Next()) {
+      const TableSet left = subsets.current();
+      dp->Join(&state, left, dp->Entry(left.bits()),
+               dp->Entry(u.Minus(left).bits()));
+    }
+  }
+  return state;
+}
+
+Status NotInReplica() {
+  return Status::Corruption(
+      "assignment references a set whose sub-plans are not in the "
+      "replica yet (level stepped out of order?)");
+}
+
+/// The rules every broadcast plan obeys, so that plan extraction
+/// terminates: a join whose left operand is a non-empty proper subset of
+/// the set (for linear plans, all but one table) and whose operands are
+/// `installed`.
+template <typename Installed>
+Status CheckJoin(uint64_t set, uint64_t left, JoinAlgorithm alg,
+                 PlanSpace space, const Installed& installed) {
+  const TableSet right(set & ~left);
+  if (alg < JoinAlgorithm::kBlockNestedLoop ||
+      alg > JoinAlgorithm::kSortMergeJoin) {
+    return Status::Corruption("broadcast entry is not a join");
+  }
+  if (left == 0 || (left & ~set) != 0 || right.IsEmpty() ||
+      (space == PlanSpace::kLinear && right.Count() != 1)) {
+    return Status::Corruption("broadcast entry does not split its set");
+  }
+  if (!installed(left, right.bits())) {
+    return Status::Corruption("broadcast operand not installed");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -18,26 +65,11 @@ SmaNode::SmaNode(Query query, const SmaNodeOptions& options)
     : query_(std::move(query)),
       options_(options),
       model_(options.objective, options.cost_options),
-      estimator_(query_),
-      n_(query_.num_tables()) {
-  const size_t slots = size_t{1} << n_;
+      index_(query_.num_tables(), ConstraintSet::None(options.space)) {
   if (Scalar()) {
-    memo_.assign(slots, Entry());
+    scalar_.emplace(query_, index_, model_);
   } else {
-    mo_memo_.assign(slots, MoEntry());
-  }
-  for (int t = 0; t < n_; ++t) {
-    const double card = query_.table(t).cardinality;
-    const uint64_t bits = uint64_t{1} << t;
-    if (Scalar()) {
-      memo_[bits] = {model_.ScanCost(card).time(), card, 0,
-                     JoinAlgorithm::kScan};
-    } else {
-      MoEntry& e = mo_memo_[bits];
-      e.card = card;
-      e.plans.push_back(
-          {model_.ScanCost(card), 0, 0, 0, JoinAlgorithm::kScan});
-    }
+    pareto_.emplace(query_, index_, model_, options_.alpha);
   }
 }
 
@@ -123,26 +155,30 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
     // Range-check before indexing the memo: this request may arrive over
     // a real socket, and a corrupt set must fail the step, not the node
     // (singleton sets are base cases, never assignments).
-    if (bits >= (uint64_t{1} << n_) || TableSet(bits).Count() < 2) {
+    if (bits >= static_cast<uint64_t>(index_.size()) ||
+        TableSet(bits).Count() < 2) {
       return Status::Corruption("assignment set out of range");
     }
+    // A sub-plan missing from the replica costs kInfiniteCost or has no
+    // plans, so it never yields a candidate.
     if (Scalar()) {
-      StatusOr<Entry> entry = ComputeScalar(TableSet(bits));
-      if (!entry.ok()) return entry.status();
-      const Entry& e = entry.value();
+      const ScalarDp::State state =
+          JoinSplits(&*scalar_, options_.space, TableSet(bits));
+      if (!(state.best.cost < kInfiniteCost)) return NotInReplica();
       writer.WriteU64(bits);
-      writer.WriteU8(static_cast<uint8_t>(e.alg));
-      writer.WriteU64(e.left_bits);
-      writer.WriteDouble(e.card);
-      writer.WriteDouble(e.cost);
+      writer.WriteU8(static_cast<uint8_t>(state.best.alg));
+      writer.WriteU64(state.best.left_bits);
+      writer.WriteDouble(state.out_card);
+      writer.WriteDouble(state.best.cost);
     } else {
-      StatusOr<MoEntry> entry = ComputeMo(TableSet(bits));
-      if (!entry.ok()) return entry.status();
-      const MoEntry& e = entry.value();
+      const ParetoDp::State state =
+          JoinSplits(&*pareto_, options_.space, TableSet(bits));
+      const std::vector<ParetoPlanRef>& frontier = pareto_->frontier();
+      if (frontier.empty()) return NotInReplica();
       writer.WriteU64(bits);
-      writer.WriteDouble(e.card);
-      writer.WriteU32(static_cast<uint32_t>(e.plans.size()));
-      for (const MoPlan& p : e.plans) {
+      writer.WriteDouble(state.out_card);
+      writer.WriteU32(static_cast<uint32_t>(frontier.size()));
+      for (const ParetoPlanRef& p : frontier) {
         p.cost.Serialize(&writer);
         writer.WriteU64(p.left_bits);
         writer.WriteU32(p.left_idx);
@@ -163,165 +199,96 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
     for (uint32_t i = 0; i < count; ++i) {
       uint64_t bits = 0;
       if (!(s = reader.ReadU64(&bits)).ok()) return s;
-      if (bits >= (uint64_t{1} << n_)) {
+      if (bits >= static_cast<uint64_t>(index_.size())) {
         return Status::Corruption("broadcast set out of range");
       }
+      double card = 0;
       if (Scalar()) {
-        Entry e;
+        ScalarEntry e;
         uint8_t alg = 0;
         if (!(s = reader.ReadU8(&alg)).ok()) return s;
         if (!(s = reader.ReadU64(&e.left_bits)).ok()) return s;
-        if (!(s = reader.ReadDouble(&e.card)).ok()) return s;
+        if (!(s = reader.ReadDouble(&card)).ok()) return s;
         if (!(s = reader.ReadDouble(&e.cost)).ok()) return s;
         e.alg = static_cast<JoinAlgorithm>(alg);
-        memo_[bits] = e;
-      } else {
-        MoEntry e;
-        uint32_t num_plans = 0;
-        if (!(s = reader.ReadDouble(&e.card)).ok()) return s;
-        if (!(s = reader.ReadU32(&num_plans)).ok()) return s;
-        // Bound the peer's count by the bytes left before sizing the
-        // frontier: a plan is at least a one-metric cost vector, its left
-        // set, two child indices and the algorithm tag.
-        constexpr size_t kMinPlanBytes = sizeof(uint8_t) + sizeof(double) +
-                                         sizeof(uint64_t) +
-                                         2 * sizeof(uint32_t) +
-                                         sizeof(uint8_t);
-        if (num_plans > reader.remaining() / kMinPlanBytes) {
-          return Status::Corruption("broadcast plan count exceeds the payload");
+        const auto installed = [&](uint64_t set) {
+          return scalar_->Entry(set).cost < kInfiniteCost;
+        };
+        if (installed(bits)) {
+          return Status::Corruption("broadcast set already installed");
         }
-        e.plans.resize(num_plans);
-        for (MoPlan& p : e.plans) {
-          StatusOr<CostVector> cost = CostVector::Deserialize(&reader);
-          if (!cost.ok()) return cost.status();
-          p.cost = cost.value();
-          uint8_t alg = 0;
-          if (!(s = reader.ReadU64(&p.left_bits)).ok()) return s;
-          if (!(s = reader.ReadU32(&p.left_idx)).ok()) return s;
-          if (!(s = reader.ReadU32(&p.right_idx)).ok()) return s;
-          if (!(s = reader.ReadU8(&alg)).ok()) return s;
-          p.alg = static_cast<JoinAlgorithm>(alg);
-        }
-        mo_memo_[bits] = std::move(e);
+        s = CheckJoin(bits, e.left_bits, e.alg, options_.space,
+                      [&](uint64_t l, uint64_t r) {
+                        return installed(l) && installed(r);
+                      });
+        if (!s.ok()) return s;
+        scalar_->Store(bits, card, e);
+        continue;
       }
+      uint32_t num_plans = 0;
+      if (!(s = reader.ReadDouble(&card)).ok()) return s;
+      if (!(s = reader.ReadU32(&num_plans)).ok()) return s;
+      // Bound the peer's count by the bytes left before sizing the
+      // frontier: a plan is at least a one-metric cost vector, its left
+      // set, two child indices and the algorithm tag.
+      constexpr size_t kMinPlanBytes = sizeof(uint8_t) + sizeof(double) +
+                                       sizeof(uint64_t) +
+                                       2 * sizeof(uint32_t) + sizeof(uint8_t);
+      if (num_plans > reader.remaining() / kMinPlanBytes) {
+        return Status::Corruption("broadcast plan count exceeds the payload");
+      }
+      if (num_plans == 0) {
+        return Status::Corruption("broadcast frontier is empty");
+      }
+      if (pareto_->Entry(bits).num_plans > 0) {
+        return Status::Corruption("broadcast set already installed");
+      }
+      decoded_.resize(num_plans);
+      for (ParetoPlanRef& p : decoded_) {
+        StatusOr<CostVector> cost = CostVector::Deserialize(&reader);
+        if (!cost.ok()) return cost.status();
+        p.cost = cost.value();
+        uint8_t alg = 0;
+        if (!(s = reader.ReadU64(&p.left_bits)).ok()) return s;
+        if (!(s = reader.ReadU32(&p.left_idx)).ok()) return s;
+        if (!(s = reader.ReadU32(&p.right_idx)).ok()) return s;
+        if (!(s = reader.ReadU8(&alg)).ok()) return s;
+        p.alg = static_cast<JoinAlgorithm>(alg);
+        s = CheckJoin(bits, p.left_bits, p.alg, options_.space,
+                      [&](uint64_t l, uint64_t r) {
+                        return p.left_idx < pareto_->Entry(l).num_plans &&
+                               p.right_idx < pareto_->Entry(r).num_plans;
+                      });
+        if (!s.ok()) return s;
+      }
+      pareto_->Store(bits, card, decoded_.data(), decoded_.size());
     }
   }
   return Status::OK();
 }
 
 size_t SmaNode::ApproxBytes() const {
-  size_t bytes = sizeof(SmaNode);
-  bytes += memo_.capacity() * sizeof(Entry);
-  bytes += mo_memo_.capacity() * sizeof(MoEntry);
-  for (const MoEntry& e : mo_memo_) {
-    bytes += e.plans.capacity() * sizeof(MoPlan);
-  }
-  return bytes;
+  return sizeof(SmaNode) + decoded_.capacity() * sizeof(ParetoPlanRef) +
+         (Scalar() ? scalar_->ApproxBytes() : pareto_->ApproxBytes());
 }
 
-PlanId SmaNode::Build(TableSet s, PlanArena* arena) const {
-  const Entry& e = memo_[s.bits()];
-  if (s.Count() == 1) {
-    return arena->MakeScan(s.Lowest(), e.card, CostVector::Scalar(e.cost));
-  }
-  const TableSet left(e.left_bits);
-  const PlanId lid = Build(left, arena);
-  const PlanId rid = Build(s.Minus(left), arena);
-  return arena->MakeJoin(e.alg, lid, rid, e.card, CostVector::Scalar(e.cost));
-}
-
-size_t SmaNode::FrontierSize(TableSet s) const {
-  return mo_memo_[s.bits()].plans.size();
-}
-
-PlanId SmaNode::BuildMo(TableSet s, uint32_t idx, PlanArena* arena) const {
-  const MoEntry& e = mo_memo_[s.bits()];
-  const MoPlan& p = e.plans[idx];
-  if (s.Count() == 1) {
-    return arena->MakeScan(s.Lowest(), e.card, p.cost);
-  }
-  const TableSet left(p.left_bits);
-  const PlanId lid = BuildMo(left, p.left_idx, arena);
-  const PlanId rid = BuildMo(s.Minus(left), p.right_idx, arena);
-  return arena->MakeJoin(p.alg, lid, rid, e.card, p.cost);
-}
-
-StatusOr<SmaNode::Entry> SmaNode::ComputeScalar(TableSet u) const {
-  Entry best;
-  best.card = estimator_.Cardinality(u);
-  const auto consider = [&](TableSet left, TableSet right) {
-    const Entry& le = memo_[left.bits()];
-    const Entry& re = memo_[right.bits()];
-    // Missing sub-plans are kInf; the inf propagates and never wins, so
-    // an out-of-order chunk surfaces as "no candidate" below.
-    const double base = le.cost + re.cost;
-    for (JoinAlgorithm alg : kJoinAlgorithms) {
-      const double cost =
-          base + model_.LocalJoinTime(alg, le.card, re.card, best.card);
-      if (cost < best.cost) {
-        best.cost = cost;
-        best.left_bits = left.bits();
-        best.alg = alg;
-      }
+Status SmaNode::BuildBest(PlanArena* arena, std::vector<PlanId>* best) const {
+  const TableSet all = query_.all_tables();
+  if (Scalar()) {
+    if (!(scalar_->Entry(all.bits()).cost < kInfiniteCost)) {
+      return Status::Corruption("the full query has no plan installed");
     }
-  };
-  if (options_.space == PlanSpace::kLinear) {
-    for (int t : u) consider(u.Without(t), TableSet::Single(t));
-  } else {
-    SubsetEnumerator subsets(u);
-    while (subsets.Next()) {
-      consider(subsets.current(), u.Minus(subsets.current()));
-    }
+    best->push_back(BuildPlan(index_, *scalar_, all, 0, arena));
+    return Status::OK();
   }
-  if (!(best.cost < kInf)) {
-    return Status::Corruption(
-        "assignment references a set whose sub-plans are not in the "
-        "replica yet (level stepped out of order?)");
+  const uint32_t frontier = pareto_->Entry(all.bits()).num_plans;
+  if (frontier == 0) {
+    return Status::Corruption("the full query has no plan installed");
   }
-  return best;
-}
-
-StatusOr<SmaNode::MoEntry> SmaNode::ComputeMo(TableSet u) const {
-  MoEntry entry;
-  entry.card = estimator_.Cardinality(u);
-  const auto cost_of = [](const MoPlan& p) -> const CostVector& {
-    return p.cost;
-  };
-  const auto consider = [&](TableSet left, TableSet right) {
-    const MoEntry& le = mo_memo_[left.bits()];
-    const MoEntry& re = mo_memo_[right.bits()];
-    for (uint32_t li = 0; li < le.plans.size(); ++li) {
-      for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
-        for (JoinAlgorithm alg : kJoinAlgorithms) {
-          MoPlan cand;
-          cand.cost =
-              model_.JoinCost(alg, le.plans[li].cost, re.plans[ri].cost,
-                              le.card, re.card, entry.card);
-          cand.left_bits = left.bits();
-          cand.left_idx = li;
-          cand.right_idx = ri;
-          cand.alg = alg;
-          ParetoInsert(&entry.plans, cand, cost_of, options_.alpha);
-        }
-      }
-    }
-  };
-  if (options_.space == PlanSpace::kLinear) {
-    for (int t : u) consider(u.Without(t), TableSet::Single(t));
-  } else {
-    SubsetEnumerator subsets(u);
-    while (subsets.Next()) {
-      consider(subsets.current(), u.Minus(subsets.current()));
-    }
+  for (uint32_t i = 0; i < frontier; ++i) {
+    best->push_back(BuildPlan(index_, *pareto_, all, i, arena));
   }
-  if (entry.plans.empty()) {
-    // An empty frontier means the sub-frontiers were empty: the lower
-    // levels have not been broadcast into this replica.
-    return Status::Corruption(
-        "assignment references a set whose sub-plans are not in the "
-        "replica yet (level stepped out of order?)");
-  }
-  return entry;
+  return Status::OK();
 }
 
 }  // namespace mpqopt

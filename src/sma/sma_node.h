@@ -3,7 +3,12 @@
 // SmaNode — one SMA worker replica: the FULL memotable of one simulated
 // shared-nothing node (the crux of the baseline: the shared-memory
 // algorithm's common data structure must be replicated per node), plus
-// the per-level worker computation over it.
+// the per-level worker computation over it. The replica is a ScalarDp or
+// ParetoDp (optimizer/partition_dp.h) over the unconstrained index, so
+// SMA costs and prunes plans with the MPQ workers' kernels and extracts
+// them with the shared BuildPlan; only its split order (ascending inner
+// table, SubsetEnumerator for bushy plans) and its set-at-a-time chunks
+// are its own.
 //
 // Extracted from sma.cc so the replica can live as remote session state:
 // the stateful-task registry (cluster/session/stateful_task.h) registers
@@ -29,17 +34,17 @@
 #define MPQOPT_SMA_SMA_NODE_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/query.h"
 #include "common/macros.h"
 #include "common/status.h"
-#include "cost/cardinality.h"
 #include "cost/cost_model.h"
-#include "cost/cost_vector.h"
 #include "optimizer/dp.h"
+#include "optimizer/partition_dp.h"
+#include "partition/partition_index.h"
 #include "plan/plan.h"
 
 namespace mpqopt {
@@ -58,7 +63,9 @@ struct SmaNodeOptions {
 constexpr uint8_t kSmaComputeChunkOp = 0;
 constexpr uint8_t kSmaApplyBroadcastOp = 1;
 
-/// One simulated shared-nothing node running SMA worker code.
+/// One simulated shared-nothing node running SMA worker code: a ScalarDp
+/// or ParetoDp replica over the unconstrained index, whose memo is
+/// addressed by bit pattern (with no constraint a set's rank is its bits).
 class SmaNode {
  public:
   /// Constructs the replica directly (master replica / in-process use).
@@ -79,13 +86,21 @@ class SmaNode {
       const std::vector<uint8_t>& request);
 
   /// Computes the optimal plan(s) for every set in `assignment`
-  /// (count-prefixed u64 bit patterns) and returns the serialized
-  /// entries. Pure: only reads the memo replica.
+  /// (count-prefixed u64 bit patterns) with the replica's DP kernels and
+  /// returns the serialized entries. Pure: only reads the memo replica.
+  /// Fails with Corruption (instead of aborting) when a set's sub-plans
+  /// are not in the replica yet — a remote master stepping levels out of
+  /// order must fail its own step, never the worker process.
   StatusOr<std::vector<uint8_t>> ComputeChunk(const uint8_t* data,
                                               size_t size);
 
   /// Installs a level's broadcast entries into the local memo replica —
-  /// the one mutating, deterministic state transition.
+  /// the one mutating, deterministic state transition. Fails with
+  /// Corruption unless every entry is a join (BNL, HJ or SMJ) of a set
+  /// not installed yet, whose left operand is a non-empty proper subset
+  /// (and, for linear plans, whose right operand is one table), both
+  /// operands installed, with at least one plan whose child indices lie
+  /// within the operands' frontiers. Plan extraction then terminates.
   Status ApplyBroadcast(const uint8_t* data, size_t size);
   Status ApplyBroadcast(const std::vector<uint8_t>& payload) {
     return ApplyBroadcast(payload.data(), payload.size());
@@ -97,52 +112,21 @@ class SmaNode {
   /// plans); the worker-side per-session byte cap compares against this.
   size_t ApproxBytes() const;
 
-  /// Materializes the best plan for `s` (scalar mode).
-  PlanId Build(TableSet s, PlanArena* arena) const;
-
-  size_t FrontierSize(TableSet s) const;
-
-  /// Materializes frontier plan `idx` for `s` (multi-objective mode).
-  PlanId BuildMo(TableSet s, uint32_t idx, PlanArena* arena) const;
+  /// Appends the best plan (scalar) or the frontier (multi-objective) of
+  /// the full query, materialized into `arena`, to `best`. Corruption
+  /// when the full query has no entry installed.
+  Status BuildBest(PlanArena* arena, std::vector<PlanId>* best) const;
 
  private:
-  /// Single-objective memo entry.
-  struct Entry {
-    double cost = std::numeric_limits<double>::infinity();
-    double card = 0;
-    uint64_t left_bits = 0;
-    JoinAlgorithm alg = JoinAlgorithm::kScan;
-  };
-
-  /// One plan of a multi-objective frontier.
-  struct MoPlan {
-    CostVector cost;
-    uint64_t left_bits = 0;
-    uint32_t left_idx = 0;
-    uint32_t right_idx = 0;
-    JoinAlgorithm alg = JoinAlgorithm::kScan;
-  };
-
-  /// Multi-objective memo entry.
-  struct MoEntry {
-    double card = 0;
-    std::vector<MoPlan> plans;
-  };
-
-  /// Optimal entry for `u` from the replica's lower levels. Fails with
-  /// Corruption (instead of aborting) when required sub-plans are not in
-  /// the replica yet — a remote master stepping levels out of order must
-  /// fail its own step, never the worker process.
-  StatusOr<Entry> ComputeScalar(TableSet u) const;
-  StatusOr<MoEntry> ComputeMo(TableSet u) const;
-
   const Query query_;  ///< owned: the replica outlives the master's call
   const SmaNodeOptions options_;
-  CostModel model_;
-  CardinalityEstimator estimator_;  ///< references query_ (member order!)
-  int n_;
-  std::vector<Entry> memo_;
-  std::vector<MoEntry> mo_memo_;
+  const CostModel model_;
+  const PartitionIndex index_;
+  /// Exactly one is set, by objective; both reference the members above.
+  std::optional<ScalarDp> scalar_;
+  std::optional<ParetoDp> pareto_;
+  /// Decoded broadcast frontier, reused across entries.
+  std::vector<ParetoPlanRef> decoded_;
 };
 
 }  // namespace mpqopt

@@ -283,6 +283,128 @@ TEST(SmaTest, BroadcastPlanCountBeyondThePayloadIsCorruption) {
   EXPECT_EQ(node.ApplyBroadcast(payload).code(), StatusCode::kCorruption);
 }
 
+/// A one-entry scalar broadcast: `set` joined from (left, set \ left).
+std::vector<uint8_t> ScalarBroadcast(uint64_t set, JoinAlgorithm alg,
+                                     uint64_t left) {
+  ByteWriter writer;
+  writer.WriteU32(1);
+  writer.WriteU64(set);
+  writer.WriteU8(static_cast<uint8_t>(alg));
+  writer.WriteU64(left);
+  writer.WriteDouble(100.0);  // cardinality
+  writer.WriteDouble(500.0);  // cost
+  return writer.Release();
+}
+
+/// A one-entry multi-objective broadcast of `num_plans` hash joins of
+/// (left, set \ left), each with the given child indices.
+std::vector<uint8_t> ParetoBroadcast(uint64_t set, uint32_t num_plans,
+                                     uint64_t left, uint32_t left_idx,
+                                     uint32_t right_idx) {
+  ByteWriter writer;
+  writer.WriteU32(1);
+  writer.WriteU64(set);
+  writer.WriteDouble(100.0);  // cardinality
+  writer.WriteU32(num_plans);
+  for (uint32_t i = 0; i < num_plans; ++i) {
+    CostVector::TimeBuffer(500.0, 100.0).Serialize(&writer);
+    writer.WriteU64(left);
+    writer.WriteU32(left_idx);
+    writer.WriteU32(right_idx);
+    writer.WriteU8(static_cast<uint8_t>(JoinAlgorithm::kHashJoin));
+  }
+  return writer.Release();
+}
+
+/// Applies `payloads` in order to a fresh four-table replica; returns the
+/// first failure's code.
+StatusCode ApplyToFreshNode(PlanSpace space, Objective objective,
+                            const std::vector<std::vector<uint8_t>>& payloads) {
+  SmaNodeOptions options;
+  options.space = space;
+  options.objective = objective;
+  SmaNode node(RandomQuery(4, 85), options);
+  for (const std::vector<uint8_t>& payload : payloads) {
+    const Status s = node.ApplyBroadcast(payload);
+    if (!s.ok()) return s.code();
+  }
+  return StatusCode::kOk;
+}
+
+TEST(SmaTest, BroadcastInstallsOnlyJoinsOfInstalledSets) {
+  // The master applies broadcasts built from the workers' chunk replies,
+  // so a bad reply must fail the apply, not the plan extraction after it.
+  // Each case breaks one rule; the well-formed entries beside them apply.
+  constexpr PlanSpace kLinear = PlanSpace::kLinear;
+  constexpr PlanSpace kBushy = PlanSpace::kBushy;
+  constexpr Objective kTime = Objective::kTime;
+  constexpr Objective kMo = Objective::kTimeAndBuffer;
+  constexpr JoinAlgorithm kHj = JoinAlgorithm::kHashJoin;
+  const std::vector<uint8_t> t01 = ScalarBroadcast(0b0011, kHj, 0b0001);
+  const std::vector<uint8_t> t23 = ScalarBroadcast(0b1100, kHj, 0b0100);
+  // The left operand is a non-empty proper subset of the set: {T0, T1}
+  // joined from {T0, T1} would send extraction into endless recursion.
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime,
+                             {ScalarBroadcast(0b0011, kHj, 0b0011)}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kBushy, kTime, {ScalarBroadcast(0b0011, kHj, 0)}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kBushy, kTime,
+                             {ScalarBroadcast(0b0011, kHj, 0b0101)}),
+            StatusCode::kCorruption);
+  // The algorithm is a join.
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime,
+                             {ScalarBroadcast(0b0011, JoinAlgorithm::kScan,
+                                              0b0001)}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime,
+                             {ScalarBroadcast(0b0011,
+                                              static_cast<JoinAlgorithm>(9),
+                                              0b0001)}),
+            StatusCode::kCorruption);
+  // In linear space the right operand is one table.
+  const std::vector<uint8_t> t0123 = ScalarBroadcast(0b1111, kHj, 0b0011);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime, {t01, t23, t0123}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kBushy, kTime, {t01, t23, t0123}),
+            StatusCode::kOk);
+  // Both operands are installed: a finite cost for scalar entries...
+  const std::vector<uint8_t> t012 = ScalarBroadcast(0b0111, kHj, 0b0011);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime, {t012}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime, {t01, t012}), StatusCode::kOk);
+  // ... and child indices within the operands' frontiers for Pareto ones
+  // (a scan's frontier has one plan).
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kMo, {ParetoBroadcast(0b11, 1, 1, 1, 0)}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kMo, {ParetoBroadcast(0b11, 1, 1, 0, 1)}),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kMo, {ParetoBroadcast(0b11, 2, 1, 0, 0)}),
+            StatusCode::kOk);
+  // A frontier has at least one plan.
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kMo, {ParetoBroadcast(0b11, 0, 1, 0, 0)}),
+            StatusCode::kCorruption);
+  // A set is installed once, so no later entry shrinks a frontier that an
+  // installed plan indexes.
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kTime, {t01, t01}),
+            StatusCode::kCorruption);
+  const std::vector<uint8_t> mo01 = ParetoBroadcast(0b11, 1, 1, 0, 0);
+  EXPECT_EQ(ApplyToFreshNode(kLinear, kMo, {mo01, mo01}),
+            StatusCode::kCorruption);
+}
+
+TEST(SmaTest, ExtractionWithoutTheFullQueryIsCorruption) {
+  for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
+    SmaNodeOptions options;
+    options.objective = objective;
+    SmaNode node(RandomQuery(4, 86), options);
+    PlanArena arena;
+    std::vector<PlanId> best;
+    EXPECT_EQ(node.BuildBest(&arena, &best).code(), StatusCode::kCorruption);
+    EXPECT_TRUE(best.empty());
+  }
+}
+
 TEST(SmaTest, MultiObjectiveFrontierCoversSerial) {
   const Query q = RandomQuery(7, 83);
   DpConfig config;
