@@ -20,10 +20,11 @@ StatusOr<DpResult> RunPartitionDp(const Query& query,
         "interesting orders are supported for single-objective "
         "optimization only");
   }
-  StatusOr<PartitionIndex> opened = OpenPartition(
-      query, constraints, config.space, config.max_memo_entries);
-  if (!opened.ok()) return opened.status();
-  const PartitionIndex& index = opened.value();
+  std::optional<PartitionIndex> opened;
+  Status s = OpenPartition(query, constraints, config.space,
+                           config.max_memo_entries, &opened);
+  if (!s.ok()) return s;
+  const PartitionIndex& index = *opened;
 
   const CostModel model(config.objective, config.cost_options);
   DpResult result;

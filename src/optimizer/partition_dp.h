@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -44,23 +45,23 @@
 namespace mpqopt {
 
 /// The entry checks every partition DP shares: a valid query, constraints
-/// for `space`, and a partition of at most `max_memo_entries` sets.
-/// Returns the partition's index.
-inline StatusOr<PartitionIndex> OpenPartition(const Query& query,
-                                              const ConstraintSet& constraints,
-                                              PlanSpace space,
-                                              int64_t max_memo_entries) {
+/// for `space`, and a partition of at most `max_memo_entries` sets. Builds
+/// the partition's index in `index` (in place: it is a few KiB).
+inline Status OpenPartition(const Query& query,
+                            const ConstraintSet& constraints, PlanSpace space,
+                            int64_t max_memo_entries,
+                            std::optional<PartitionIndex>* index) {
   Status valid = query.Validate();
   if (!valid.ok()) return valid;
   if (constraints.space() != space) {
     return Status::InvalidArgument("constraint set is for the other space");
   }
-  PartitionIndex index(query.num_tables(), constraints);
-  if (index.size() > max_memo_entries) {
+  if (index->emplace(query.num_tables(), constraints).size() >
+      max_memo_entries) {
     return Status::OutOfRange(
         "plan space partition too large; increase the number of workers");
   }
-  return index;
+  return Status::OK();
 }
 
 /// Paper Algorithm 2 over one partition: visits every admissible set of
@@ -192,9 +193,10 @@ class ScalarDp {
   }
 
   /// Stores `entry` at `rank` with the operand terms of `card` rows.
-  void Store(int64_t rank, double card, ScalarEntry entry) {
-    entry.op = model_.Operand(card);
-    memo_[static_cast<size_t>(rank)] = entry;
+  void Store(int64_t rank, double card, const ScalarEntry& entry) {
+    ScalarEntry& slot = memo_[static_cast<size_t>(rank)];
+    slot = entry;
+    slot.op = model_.Operand(card);
   }
 
   const ScalarEntry& Entry(int64_t rank) const {
@@ -206,9 +208,7 @@ class ScalarDp {
             TableSet(e.left_bits)};
   }
 
-  size_t ApproxBytes() const {
-    return memo_.capacity() * sizeof(ScalarEntry);
-  }
+  size_t ApproxBytes() const { return memo_.capacity() * sizeof(ScalarEntry); }
 
  private:
   const CostModel& model_;
@@ -336,8 +336,8 @@ class ParetoDp {
   const ParetoEntry& Scan(int t) const { return scan_[t]; }
   DpNode Node(const ParetoEntry& e, uint32_t idx) const {
     const ParetoPlanRef& p = e.plans[idx];
-    return {e.op.card, p.cost,     p.alg,
-            TableSet(p.left_bits), p.left_idx, p.right_idx};
+    return {e.op.card, p.cost, p.alg, TableSet(p.left_bits), p.left_idx,
+            p.right_idx};
   }
 
   size_t ApproxBytes() const {

@@ -253,10 +253,11 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
   if (config.variability < 0) {
     return Status::InvalidArgument("variability must be non-negative");
   }
-  StatusOr<PartitionIndex> opened = OpenPartition(
-      query, constraints, config.space, config.max_memo_entries);
-  if (!opened.ok()) return opened.status();
-  const PartitionIndex& index = opened.value();
+  std::optional<PartitionIndex> opened;
+  Status s = OpenPartition(query, constraints, config.space,
+                           config.max_memo_entries, &opened);
+  if (!s.ok()) return s;
+  const PartitionIndex& index = *opened;
 
   PqoResult result;
   result.admissible_sets = index.size();

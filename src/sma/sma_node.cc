@@ -192,6 +192,7 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
 
 Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
   ByteReader reader(data, size);
+  std::vector<ParetoPlanRef> frontier;  // reused across entries
   while (!reader.AtEnd()) {
     uint32_t count = 0;
     Status s = reader.ReadU32(&count);
@@ -243,8 +244,8 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
       if (pareto_->Entry(bits).num_plans > 0) {
         return Status::Corruption("broadcast set already installed");
       }
-      decoded_.resize(num_plans);
-      for (ParetoPlanRef& p : decoded_) {
+      frontier.resize(num_plans);
+      for (ParetoPlanRef& p : frontier) {
         StatusOr<CostVector> cost = CostVector::Deserialize(&reader);
         if (!cost.ok()) return cost.status();
         p.cost = cost.value();
@@ -261,14 +262,14 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
                       });
         if (!s.ok()) return s;
       }
-      pareto_->Store(bits, card, decoded_.data(), decoded_.size());
+      pareto_->Store(bits, card, frontier.data(), frontier.size());
     }
   }
   return Status::OK();
 }
 
 size_t SmaNode::ApproxBytes() const {
-  return sizeof(SmaNode) + decoded_.capacity() * sizeof(ParetoPlanRef) +
+  return sizeof(SmaNode) +
          (Scalar() ? scalar_->ApproxBytes() : pareto_->ApproxBytes());
 }
 

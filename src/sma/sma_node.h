@@ -125,8 +125,6 @@ class SmaNode {
   /// Exactly one is set, by objective; both reference the members above.
   std::optional<ScalarDp> scalar_;
   std::optional<ParetoDp> pareto_;
-  /// Decoded broadcast frontier, reused across entries.
-  std::vector<ParetoPlanRef> decoded_;
 };
 
 }  // namespace mpqopt
