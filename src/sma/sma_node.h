@@ -63,9 +63,8 @@ struct SmaNodeOptions {
 constexpr uint8_t kSmaComputeChunkOp = 0;
 constexpr uint8_t kSmaApplyBroadcastOp = 1;
 
-/// One simulated shared-nothing node running SMA worker code: a ScalarDp
-/// or ParetoDp replica over the unconstrained index, whose memo is
-/// addressed by bit pattern (with no constraint a set's rank is its bits).
+/// One simulated shared-nothing node running SMA worker code. Its memo is
+/// addressed by bit pattern: with no constraint a set's rank is its bits.
 class SmaNode {
  public:
   /// Constructs the replica directly (master replica / in-process use).
