@@ -1,9 +1,9 @@
 // Copyright 2026 mpqopt authors.
 //
 // Microbenchmarks (google-benchmark) of the hot optimizer components:
-// table-set operations, partition-index rank lookups, admissible-set and
-// split enumeration, cardinality estimation, Pareto insertion, and
-// message serialization.
+// table-set operations, partition-index rank lookups, the DP walk's set
+// and split enumeration, cardinality estimation, Pareto insertion,
+// message serialization, and whole worker tasks and rounds.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "cost/cardinality.h"
 #include "mpq/mpq.h"
 #include "optimizer/dp.h"
+#include "optimizer/partition_dp.h"
 #include "optimizer/pruning.h"
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
@@ -84,6 +85,8 @@ void BM_PartitionIndexRank(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionIndexRank)->Arg(0)->Arg(5)->Arg(10);
 
+/// The walk's outer loop alone: every admissible set of two or more
+/// tables, in the order WalkPartition visits them.
 void BM_EnumerateAdmissibleSets(benchmark::State& state) {
   const int n = 18;
   const PartitionIndex idx(
@@ -91,46 +94,63 @@ void BM_EnumerateAdmissibleSets(benchmark::State& state) {
                          static_cast<int>(state.range(0))));
   for (auto _ : state) {
     int64_t count = 0;
-    for (int k = 2; k <= n; ++k) {
-      idx.ForEachSetOfCard(k, [&](TableSet, int64_t) { ++count; });
-    }
+    idx.ForEachSet([&](TableSet u, int64_t) {
+      const uint64_t bits = u.bits();
+      if ((bits & (bits - 1)) != 0) ++count;
+    });
     benchmark::DoNotOptimize(count);
   }
 }
 BENCHMARK(BM_EnumerateAdmissibleSets)->Arg(0)->Arg(4)->Arg(8);
 
+/// A DP that keeps nothing: it sums the operand ranks the walk hands it
+/// (a linear split's right operand is its inner table), so a bench over
+/// WalkPartition times the DP's set and split enumeration alone.
+class RankSumDp {
+ public:
+  struct State {};
+  State Begin(TableSet) const { return {}; }
+  void Join(State*, TableSet, int64_t left, int64_t right) {
+    sum_ += left + right;
+  }
+  void End(State*, int64_t) {}
+  int64_t Entry(int64_t rank) const { return rank; }
+  int64_t Scan(int t) const { return t; }
+  int64_t sum() const { return sum_; }
+
+ private:
+  int64_t sum_ = 0;
+};
+
+/// WalkPartition over one bushy partition; "splits" is its split count.
 void BM_BushySplitGeneration(benchmark::State& state) {
   const int n = 12;
   const PartitionIndex idx(
       n, TestConstraints(n, PlanSpace::kBushy,
                          static_cast<int>(state.range(0))));
+  int64_t splits = 0;
   for (auto _ : state) {
-    int64_t count = 0;
-    for (int k = 2; k <= n; ++k) {
-      idx.ForEachSetOfCard(k, [&](TableSet u, int64_t) {
-        idx.ForEachSplit(u, [&](TableSet, int64_t, int64_t) { ++count; });
-      });
-    }
-    benchmark::DoNotOptimize(count);
+    RankSumDp dp;
+    splits = WalkPartition(idx, &dp);
+    benchmark::DoNotOptimize(dp.sum());
   }
+  state.counters["splits"] = static_cast<double>(splits);
 }
 BENCHMARK(BM_BushySplitGeneration)->Arg(0)->Arg(2)->Arg(4);
 
+/// WalkPartition over one linear partition; "splits" is its split count.
 void BM_LinearSplitGeneration(benchmark::State& state) {
   const int n = 16;
   const PartitionIndex idx(
       n, TestConstraints(n, PlanSpace::kLinear,
                          static_cast<int>(state.range(0))));
+  int64_t splits = 0;
   for (auto _ : state) {
-    int64_t rank_sum = 0;
-    for (int k = 2; k <= n; ++k) {
-      idx.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        idx.ForEachLinearSplit(
-            u, rank, [&](int, int64_t left_rank) { rank_sum += left_rank; });
-      });
-    }
-    benchmark::DoNotOptimize(rank_sum);
+    RankSumDp dp;
+    splits = WalkPartition(idx, &dp);
+    benchmark::DoNotOptimize(dp.sum());
   }
+  state.counters["splits"] = static_cast<double>(splits);
 }
 BENCHMARK(BM_LinearSplitGeneration)->Arg(0)->Arg(2)->Arg(4);
 
@@ -194,6 +214,9 @@ void BM_QuerySerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_QuerySerialization)->Arg(8)->Arg(24);
 
+/// One partition's request built by the master, then decoded the way a
+/// worker decodes a query it has not seen: Query::Deserialize, which
+/// validates, and the partition's constraints.
 void BM_RequestBuildAndWorkerDecode(benchmark::State& state) {
   const Query q = TestQuery(10);
   MpqOptions opts;
@@ -202,10 +225,66 @@ void BM_RequestBuildAndWorkerDecode(benchmark::State& state) {
   for (auto _ : state) {
     const std::vector<uint8_t> request =
         MpqOptimizer::BuildRequest(q, 1, opts);
-    benchmark::DoNotOptimize(request.size());
+    ByteReader reader(request);
+    StatusOr<Query> decoded = Query::Deserialize(&reader);
+    MPQOPT_CHECK(decoded.ok());
+    uint64_t partition = 0;
+    uint64_t partitions = 0;
+    MPQOPT_CHECK(reader.ReadU64(&partition).ok());
+    MPQOPT_CHECK(reader.ReadU64(&partitions).ok());
+    StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
+        decoded.value().num_tables(), opts.space, partition, partitions);
+    MPQOPT_CHECK(constraints.ok());
+    benchmark::DoNotOptimize(constraints.value().num_constraints());
   }
 }
 BENCHMARK(BM_RequestBuildAndWorkerDecode);
+
+/// The worker side of one small serving round on one thread: every
+/// WorkerMain call of an 8-table star at m = 16, a query this thread has
+/// not decoded lately in each iteration (the requests of 64 queries are
+/// built up front and cycled). The per-task fixed cost, decode, index and
+/// response, is most of such a task; "splits" is the round's DP splits.
+void BM_WorkerSmallRound(benchmark::State& state) {
+  constexpr int kTables = 8;
+  constexpr int kQueries = 64;
+  MpqOptions opts;
+  opts.space = PlanSpace::kLinear;
+  opts.num_workers = 16;
+  GeneratorOptions generator;
+  generator.shape = JoinGraphShape::kStar;
+  std::vector<std::vector<std::vector<uint8_t>>> rounds;
+  for (int i = 0; i < kQueries; ++i) {
+    const Query q = QueryGenerator(generator, 1000 + i).Generate(kTables);
+    rounds.push_back(MpqOptimizer::BuildRequests(q, opts));
+  }
+  int64_t splits = 0;
+  for (const std::vector<uint8_t>& request : rounds[0]) {
+    StatusOr<std::vector<uint8_t>> response = MpqOptimizer::WorkerMain(request);
+    MPQOPT_CHECK(response.ok());
+    ByteReader reader(response.value());
+    uint64_t counter = 0;
+    MPQOPT_CHECK(reader.ReadU64(&counter).ok());  // admissible sets
+    MPQOPT_CHECK(reader.ReadU64(&counter).ok());  // splits
+    splits += static_cast<int64_t>(counter);
+  }
+  size_t next = 1;
+  for (auto _ : state) {
+    size_t bytes = 0;
+    for (const std::vector<uint8_t>& request : rounds[next]) {
+      StatusOr<std::vector<uint8_t>> response =
+          MpqOptimizer::WorkerMain(request);
+      MPQOPT_CHECK(response.ok());
+      bytes += response.value().size();
+    }
+    benchmark::DoNotOptimize(bytes);
+    next = (next + 1) % rounds.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(opts.num_workers));
+  state.counters["splits"] = static_cast<double>(splits);
+}
+BENCHMARK(BM_WorkerSmallRound);
 
 /// Master Phase-1 scatter, the seed's way: one full BuildRequest per
 /// partition, re-serializing the query m times.
@@ -374,10 +453,13 @@ BENCHMARK(BM_MasterSerializeFinalize)
     ->Args({17, 1, 1});
 
 /// End-to-end worker task: decode + constrained DP + encode, for
-/// partition 3 of m = 16. range(0) is the table count, range(1) selects
-/// the plan space (0 = linear, 1 = bushy). The "splits" counter is the
-/// DP's splits per task (DpStats::splits_tried), so the JSON records
-/// carry ns per split next to ns per task.
+/// partition 3 of m = 16. The request repeats, so from the second
+/// iteration on the query and the partition index come from this
+/// thread's caches (BM_WorkerSmallRound times the misses). range(0) is
+/// the table count, range(1) selects the plan space (0 = linear, 1 =
+/// bushy). The "splits" counter is the DP's splits per task
+/// (DpStats::splits_tried), so the JSON records carry ns per split next
+/// to ns per task.
 void BM_WorkerFullOptimization(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Query q = TestQuery(n);

@@ -5,6 +5,19 @@
 #include <cstdio>
 
 namespace mpqopt {
+namespace {
+
+/// Wire size of one predicate: four u32 indices and the selectivity.
+constexpr size_t kPredicateBytes = 4 * sizeof(uint32_t) + sizeof(double);
+
+std::string CountError(const char* what, uint32_t count,
+                       const ByteReader& reader) {
+  return std::string(what) + " count " + std::to_string(count) +
+         " exceeds the " + std::to_string(reader.remaining()) +
+         " bytes left";
+}
+
+}  // namespace
 
 const char* JoinGraphShapeName(JoinGraphShape shape) {
   switch (shape) {
@@ -90,7 +103,10 @@ StatusOr<Query> Query::Deserialize(ByteReader* reader) {
     if (!(s = reader->ReadDouble(&t.cardinality)).ok()) return s;
     uint32_t num_attrs = 0;
     if (!(s = reader->ReadU32(&num_attrs)).ok()) return s;
-    if (num_attrs > 1u << 20) return Status::Corruption("attr count");
+    // Bound every count by the bytes left before allocating for it.
+    if (num_attrs > reader->remaining() / sizeof(double)) {
+      return Status::Corruption(CountError("attribute", num_attrs, *reader));
+    }
     t.attribute_domains.resize(num_attrs);
     for (double& d : t.attribute_domains) {
       if (!(s = reader->ReadDouble(&d)).ok()) return s;
@@ -99,7 +115,9 @@ StatusOr<Query> Query::Deserialize(ByteReader* reader) {
   }
   uint32_t num_preds = 0;
   if (!(s = reader->ReadU32(&num_preds)).ok()) return s;
-  if (num_preds > 1u << 20) return Status::Corruption("predicate count");
+  if (num_preds > reader->remaining() / kPredicateBytes) {
+    return Status::Corruption(CountError("predicate", num_preds, *reader));
+  }
   std::vector<JoinPredicate> preds(num_preds);
   for (JoinPredicate& p : preds) {
     uint32_t lt = 0, la = 0, rt = 0, ra = 0;

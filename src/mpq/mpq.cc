@@ -2,7 +2,10 @@
 
 #include "mpq/mpq.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/serialize.h"
@@ -43,6 +46,61 @@ MpqOptimizer::MpqOptimizer(MpqOptions options) : options_(std::move(options)) {
 }
 
 namespace {
+
+/// The queries each thread decoded last, with the bytes each was decoded
+/// from. A pool thread alternates between concurrent clients' rounds, so
+/// it needs one entry per client it serves in turn.
+constexpr size_t kQueryCacheEntries = 4;
+/// Encodings longer than this are decoded on every task instead. A
+/// decoded query takes about its encoding's size plus 96 B per table, so
+/// an entry is at most about 38 KiB (an 8-table query's under 2 KiB) and a
+/// thread's cache at most about 150 KiB.
+constexpr size_t kMaxCachedQueryBytes = size_t{16} << 10;
+
+struct DecodedQuery {
+  DecodedQuery(const uint8_t* begin, const uint8_t* end, Query q)
+      : bytes(begin, end), query(std::move(q)) {}
+
+  std::vector<uint8_t> bytes;  ///< exactly what Query::Deserialize read
+  Query query;
+};
+
+/// Decodes the query at the head of `reader` through this thread's cache
+/// and points `*query` at it, or at `*uncached` when its encoding is too
+/// long to keep; it stays valid until this thread's next call.
+/// Query::Deserialize reads a self-delimiting encoding front to back, so
+/// a request that starts with an entry's bytes decodes to that entry's
+/// query, which passed every check when it was decoded, and no two
+/// entries can match one request.
+Status DecodeQuery(ByteReader* reader, Query* uncached, const Query** query) {
+  thread_local std::vector<std::unique_ptr<DecodedQuery>> cache;
+  const uint8_t* head = reader->cursor();
+  const size_t available = reader->remaining();
+  auto it = std::find_if(cache.begin(), cache.end(),
+                         [&](const std::unique_ptr<DecodedQuery>& e) {
+                           return e->bytes.size() <= available &&
+                                  std::memcmp(e->bytes.data(), head,
+                                              e->bytes.size()) == 0;
+                         });
+  if (it != cache.end()) {
+    reader->Advance((*it)->bytes.size());
+    std::rotate(cache.begin(), it, it + 1);
+  } else {
+    StatusOr<Query> decoded = Query::Deserialize(reader);
+    if (!decoded.ok()) return decoded.status();
+    if (static_cast<size_t>(reader->cursor() - head) > kMaxCachedQueryBytes) {
+      *uncached = std::move(decoded).value();
+      *query = uncached;
+      return Status::OK();
+    }
+    if (cache.size() == kQueryCacheEntries) cache.pop_back();
+    cache.insert(cache.begin(),
+                 std::make_unique<DecodedQuery>(head, reader->cursor(),
+                                                std::move(decoded).value()));
+  }
+  *query = &cache.front()->query;
+  return Status::OK();
+}
 
 /// The request fields after the partition id — identical for every
 /// partition of one run, so BuildRequests serializes them once.
@@ -99,8 +157,10 @@ std::vector<std::vector<uint8_t>> MpqOptimizer::BuildRequests(
 StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
     const std::vector<uint8_t>& request) {
   ByteReader reader(request);
-  StatusOr<Query> query = Query::Deserialize(&reader);
-  if (!query.ok()) return query.status();
+  Query uncached;
+  const Query* query = nullptr;
+  Status s = DecodeQuery(&reader, &uncached, &query);
+  if (!s.ok()) return s;
 
   uint64_t partition_id = 0;
   uint64_t num_partitions = 0;
@@ -108,7 +168,6 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
   uint8_t objective_raw = 0;
   uint8_t interesting_orders = 0;
   DpConfig config;
-  Status s;
   if (!(s = reader.ReadU64(&partition_id)).ok()) return s;
   if (!(s = reader.ReadU64(&num_partitions)).ok()) return s;
   if (!(s = reader.ReadU8(&space_raw)).ok()) return s;
@@ -134,10 +193,9 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
   // Decode the partition id into this worker's join-order constraints
   // (paper Algorithm 3) and run the constrained DP (Algorithm 2).
   StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
-      query.value().num_tables(), config.space, partition_id, num_partitions);
+      query->num_tables(), config.space, partition_id, num_partitions);
   if (!constraints.ok()) return constraints.status();
-  StatusOr<DpResult> dp =
-      RunPartitionDp(query.value(), constraints.value(), config);
+  StatusOr<DpResult> dp = RunPartitionDp(*query, constraints.value(), config);
   if (!dp.ok()) return dp.status();
   const DpResult& result = dp.value();
 

@@ -20,7 +20,7 @@ StatusOr<DpResult> RunPartitionDp(const Query& query,
         "interesting orders are supported for single-objective "
         "optimization only");
   }
-  std::optional<PartitionIndex> opened;
+  const PartitionIndex* opened = nullptr;
   Status s = OpenPartition(query, constraints, config.space,
                            config.max_memo_entries, &opened);
   if (!s.ok()) return s;

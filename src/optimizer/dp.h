@@ -8,7 +8,12 @@
 // exactly the paper's m = 1 baseline.
 //
 // Every mode runs the one walk and plan builder of partition_dp.h and
-// differs only in the pruning function and memo entry layout:
+// differs only in the pruning function and memo entry layout. The walk
+// visits a partition's admissible sets in ascending rank, which puts
+// every proper subset of a set before it (each group numbers its digits
+// in ascending local-pattern order, see partition_index.h), so both
+// operands of a split are final when the set is joined. The partition's
+// index comes from a per-thread cache behind OpenPartition. The modes:
 //  * kTime: one best plan per admissible table set (48-byte memo entry:
 //    cost, back-pointer, and the set's prepared join-time operand terms).
 //  * kTimeAndBuffer: an alpha-approximate Pareto set per table set.

@@ -12,9 +12,18 @@
 //   Node(entry, idx)           what BuildPlan reads of kept plan `idx`
 //
 // and one walk and one plan builder drive every variant: WalkPartition
-// visits the admissible sets of a partition in ascending cardinality and
-// hands each one's admissible splits to the DP (Algorithm 5), and
-// BuildPlan materializes a kept plan by recursion over left operand sets.
+// visits the admissible sets of a partition in ascending rank and hands
+// each one's admissible splits to the DP (Algorithm 5), and BuildPlan
+// materializes a kept plan by recursion over left operand sets. Ascending
+// rank is a valid DP order because a proper subset always has a smaller
+// rank (partition_index.h), so both operands of every split are stored
+// before the set that joins them; a set's splits come in the same order
+// as in any other valid order, so the plans, costs and counters do not
+// depend on it.
+//
+// OpenPartition is every DP's one entry path. It keeps the indexes this
+// thread built last, so a worker that serves the same partitions again
+// (an 8-table query at m = 16 has 16) builds each only once.
 //
 // The scalar and Pareto DPs live in this header because two callers run
 // them: the MPQ worker (RunPartitionDp, dp.cc) over its partition, and
@@ -29,7 +38,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -45,52 +53,43 @@
 namespace mpqopt {
 
 /// The entry checks every partition DP shares: a valid query, constraints
-/// for `space`, and a partition of at most `max_memo_entries` sets. Builds
-/// the partition's index in `index` (in place: it is a few KiB).
-inline Status OpenPartition(const Query& query,
-                            const ConstraintSet& constraints, PlanSpace space,
-                            int64_t max_memo_entries,
-                            std::optional<PartitionIndex>* index) {
-  Status valid = query.Validate();
-  if (!valid.ok()) return valid;
-  if (constraints.space() != space) {
-    return Status::InvalidArgument("constraint set is for the other space");
-  }
-  if (index->emplace(query.num_tables(), constraints).size() >
-      max_memo_entries) {
-    return Status::OutOfRange(
-        "plan space partition too large; increase the number of workers");
-  }
-  return Status::OK();
-}
+/// for `space`, and a partition of at most `max_memo_entries` sets. Sets
+/// `*index` to the partition's index, taken from this thread's cache of
+/// the 32 indexes it opened last (keyed on the table count and the
+/// constraint set) or built into it. The index stays valid until this
+/// thread's next OpenPartition call. Every check runs on every call, hit
+/// or miss.
+Status OpenPartition(const Query& query, const ConstraintSet& constraints,
+                     PlanSpace space, int64_t max_memo_entries,
+                     const PartitionIndex** index);
 
 /// Paper Algorithm 2 over one partition: visits every admissible set of
-/// two or more tables in ascending cardinality, hands each admissible
-/// split to `dp` (a linear split's right operand is its inner table's
-/// Scan) and stores the set. Returns the number of splits.
+/// two or more tables in ascending rank, hands each admissible split to
+/// `dp` (a linear split's right operand is its inner table's Scan) and
+/// stores the set. Returns the number of splits.
 template <typename Dp>
 int64_t WalkPartition(const PartitionIndex& index, Dp* dp) {
   int64_t splits = 0;
   const bool linear = index.space() == PlanSpace::kLinear;
-  for (int k = 2; k <= index.num_tables(); ++k) {
-    index.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-      typename Dp::State state = dp->Begin(u);
-      if (linear) {
-        index.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
-          ++splits;
-          dp->Join(&state, u.Without(t), dp->Entry(left_rank), dp->Scan(t));
-        });
-      } else {
-        index.ForEachSplit(
-            u, [&](TableSet left, int64_t left_rank, int64_t right_rank) {
-              ++splits;
-              dp->Join(&state, left, dp->Entry(left_rank),
-                       dp->Entry(right_rank));
-            });
-      }
-      dp->End(&state, rank);
-    });
-  }
+  index.ForEachSet([&](TableSet u, int64_t rank) {
+    const uint64_t bits = u.bits();
+    if ((bits & (bits - 1)) == 0) return;  // the empty set or a scan
+    typename Dp::State state = dp->Begin(u);
+    if (linear) {
+      index.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
+        ++splits;
+        dp->Join(&state, u.Without(t), dp->Entry(left_rank), dp->Scan(t));
+      });
+    } else {
+      index.ForEachSplit(
+          u, [&](TableSet left, int64_t left_rank, int64_t right_rank) {
+            ++splits;
+            dp->Join(&state, left, dp->Entry(left_rank),
+                     dp->Entry(right_rank));
+          });
+    }
+    dp->End(&state, rank);
+  });
   return splits;
 }
 

@@ -253,7 +253,7 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
   if (config.variability < 0) {
     return Status::InvalidArgument("variability must be non-negative");
   }
-  std::optional<PartitionIndex> opened;
+  const PartitionIndex* opened = nullptr;
   Status s = OpenPartition(query, constraints, config.space,
                            config.max_memo_entries, &opened);
   if (!s.ok()) return s;

@@ -48,6 +48,8 @@ const char* PlanSpaceName(PlanSpace space);
 struct LinearConstraint {
   int before;
   int after;
+
+  bool operator==(const LinearConstraint&) const = default;
 };
 
 /// Precedence constraint for bushy spaces: x ⪯ y | z. When following table
@@ -57,6 +59,8 @@ struct BushyConstraint {
   int x;
   int y;
   int z;
+
+  bool operator==(const BushyConstraint&) const = default;
 };
 
 /// Width of the table groups constraints are defined on: 2 for linear
@@ -118,6 +122,9 @@ class ConstraintSet {
 
   /// Renders e.g. "Q0 < Q1, Q3 < Q2" for diagnostics.
   std::string ToString() const;
+
+  /// Same space and the same constraints in the same order.
+  bool operator==(const ConstraintSet&) const = default;
 
  private:
   explicit ConstraintSet(PlanSpace space) : space_(space) {}

@@ -99,13 +99,6 @@ PartitionIndex::PartitionIndex(int num_tables,
     }
   }
 
-  // Suffix maxima of per-group popcounts, for enumeration pruning.
-  suffix_max_popcount_.assign(groups_.size() + 1, 0);
-  for (int gi = static_cast<int>(groups_.size()) - 1; gi >= 0; --gi) {
-    suffix_max_popcount_[gi] =
-        suffix_max_popcount_[gi + 1] + groups_[gi].max_popcount;
-  }
-
   // Cardinality histogram via DP over groups.
   count_by_card_.assign(num_tables_ + 1, 0);
   std::vector<int64_t> counts(num_tables_ + 1, 0);
@@ -124,19 +117,18 @@ PartitionIndex::PartitionIndex(int num_tables,
 }
 
 void PartitionIndex::BuildGroupTables(Group* g, uint8_t excluded_pattern) {
+  MPQOPT_CHECK_LE(g->width, 3);  // the tables below hold 8 patterns
   const int num_patterns = 1 << g->width;
   std::memset(g->digit_of_pattern, -1, sizeof(g->digit_of_pattern));
   std::memset(g->split_count, 0, sizeof(g->split_count));
   g->num_digits = 0;
-  g->max_popcount = 0;
   for (int p = 0; p < num_patterns; ++p) {
     if (p == excluded_pattern) continue;
     const int d = g->num_digits++;
     g->digit_of_pattern[p] = static_cast<int8_t>(d);
     g->pattern_of_digit[d] = static_cast<uint8_t>(p);
-    const int pop = std::popcount(static_cast<unsigned>(p));
-    g->popcount_of_digit[d] = static_cast<uint8_t>(pop);
-    if (pop > g->max_popcount) g->max_popcount = pop;
+    g->popcount_of_digit[d] =
+        static_cast<uint8_t>(std::popcount(static_cast<unsigned>(p)));
   }
   // Split lists: for each admissible pattern p, the sub-patterns l with
   // both l and p\l admissible. This encodes Algorithm 5's two exclusion
@@ -166,15 +158,14 @@ int64_t PartitionIndex::CountSetsOfCard(int k) const {
 
 int64_t PartitionIndex::CountAdmissibleSplits() const {
   int64_t total = 0;
-  for (int k = 2; k <= num_tables_; ++k) {
-    ForEachSetOfCard(k, [&](TableSet u, int64_t) {
-      int64_t splits = 1;
-      for (const Group& g : groups_) {
-        splits *= g.split_count[LocalPattern(u, g)];
-      }
-      total += splits - 2;  // exclude left = {} and left = u
-    });
-  }
+  ForEachSet([&](TableSet u, int64_t) {
+    if (u.Count() < 2) return;
+    int64_t splits = 1;
+    for (const Group& g : groups_) {
+      splits *= g.split_count[LocalPattern(u, g)];
+    }
+    total += splits - 2;  // exclude left = {} and left = u
+  });
   return total;
 }
 

@@ -19,8 +19,14 @@
 // practice, and lookups O(1)-ish.
 //
 // The same structure drives:
-//  * enumeration of admissible sets in ascending cardinality (the DP's
-//    outer loop, Algorithm 2),
+//  * enumeration of admissible sets in ascending rank (the DP's outer
+//    loop, Algorithm 2): one odometer over the group digits, group 0
+//    least significant, so the rank is a counter. Every group numbers
+//    its digits in ascending local-pattern order, and a subset's local
+//    pattern in each group is a sub-pattern of the set's, so a proper
+//    subset has a smaller digit somewhere, no larger digit anywhere and
+//    thus a smaller rank: every operand of a set is visited before it,
+//    which is all the DP needs of its order,
 //  * the constrained split enumeration for bushy plans that only generates
 //    admissible operand pairs (Algorithm 5, the 21/27 factor),
 //  * the linear twin, ForEachLinearSplit: every admissible inner table of
@@ -73,19 +79,31 @@ class PartitionIndex {
 
   bool Contains(TableSet s) const { return Rank(s) >= 0; }
 
-  /// Invokes fn(TableSet set, int64_t rank) for every admissible set with
-  /// exactly `k` tables, in mixed-radix order.
-  template <typename Fn>
-  void ForEachSetOfCard(int k, Fn&& fn) const {
-    EnumerateRec(0, TableSet::Empty(), 0, k, fn);
-  }
-
   /// Invokes fn(TableSet set, int64_t rank) for every admissible set
-  /// (all cardinalities, including the empty set).
+  /// (all cardinalities, including the empty set) in ascending rank, so
+  /// rank runs 0, 1, ..., size() - 1 and every proper subset of a set
+  /// comes before it (see the file comment). Callers that want one
+  /// cardinality filter on u.Count().
   template <typename Fn>
   void ForEachSet(Fn&& fn) const {
-    for (int k = 0; k <= num_tables_; ++k) {
-      EnumerateRec(0, TableSet::Empty(), 0, k, fn);
+    uint8_t digit[kMaxTables] = {};  // per group; all 0 is the empty set
+    uint64_t bits = 0;
+    for (int64_t rank = 0;;) {
+      fn(TableSet(bits), rank);
+      if (++rank == size_) return;
+      // Add one to the odometer. Digit 0 of every group is its empty
+      // pattern, so a wrapped group clears its bits.
+      for (size_t gi = 0;; ++gi) {
+        const Group& g = groups_[gi];
+        bits ^= static_cast<uint64_t>(g.pattern_of_digit[digit[gi]])
+                << g.offset;
+        if (++digit[gi] < g.num_digits) {
+          bits |= static_cast<uint64_t>(g.pattern_of_digit[digit[gi]])
+                  << g.offset;
+          break;
+        }
+        digit[gi] = 0;
+      }
     }
   }
 
@@ -145,8 +163,6 @@ class PartitionIndex {
     /// admissible patterns; split_count[p] is its length.
     uint8_t split_list[8][8];
     uint8_t split_count[8];
-    /// Maximum popcount over admissible digits (for enumeration pruning).
-    int max_popcount = 0;
   };
 
   /// Fills digit/pattern/split tables of `g`; `excluded_pattern` is the
@@ -156,26 +172,6 @@ class PartitionIndex {
   static uint8_t LocalPattern(TableSet s, const Group& g) {
     return static_cast<uint8_t>((s.bits() >> g.offset) &
                                 ((uint64_t{1} << g.width) - 1));
-  }
-
-  template <typename Fn>
-  void EnumerateRec(size_t group_idx, TableSet prefix, int64_t rank,
-                    int remaining, Fn&& fn) const {
-    if (group_idx == groups_.size()) {
-      if (remaining == 0) fn(prefix, rank);
-      return;
-    }
-    // Prune: the remaining groups cannot supply `remaining` more tables.
-    if (remaining > suffix_max_popcount_[group_idx]) return;
-    const Group& g = groups_[group_idx];
-    for (int d = 0; d < g.num_digits; ++d) {
-      const int pop = g.popcount_of_digit[d];
-      if (pop > remaining) continue;
-      const TableSet bits(static_cast<uint64_t>(g.pattern_of_digit[d])
-                          << g.offset);
-      EnumerateRec(group_idx + 1, prefix.Union(bits), rank + d * g.stride,
-                   remaining - pop, fn);
-    }
   }
 
   template <typename Fn>
@@ -213,8 +209,6 @@ class PartitionIndex {
   /// Offset and local-pattern mask of each table's group.
   uint8_t group_offset_[kMaxTables] = {};
   uint8_t group_mask_[kMaxTables] = {};
-  /// suffix_max_popcount_[g] = sum of max_popcount over groups g..end.
-  std::vector<int> suffix_max_popcount_;
   /// count_by_card_[k] = number of admissible sets with k tables.
   std::vector<int64_t> count_by_card_;
 };

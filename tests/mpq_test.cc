@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -435,6 +436,121 @@ TEST(MpqTest, WorkerSecondsPopulatedPerPartition) {
     max_seen = std::max(max_seen, s);
   }
   EXPECT_DOUBLE_EQ(max_seen, result.value().max_worker_seconds);
+}
+
+/// A worker response with the report's measured seconds (its fourth
+/// field, after three u64 counters) zeroed: every other byte depends on
+/// the request alone.
+std::vector<uint8_t> WithoutSeconds(std::vector<uint8_t> response) {
+  constexpr size_t kSecondsOffset = 3 * sizeof(uint64_t);
+  if (response.size() >= kSecondsOffset + sizeof(double)) {
+    std::fill(response.begin() + kSecondsOffset,
+              response.begin() + kSecondsOffset + sizeof(double), 0);
+  }
+  return response;
+}
+
+/// WorkerMain on a thread of its own, whose caches start empty.
+StatusOr<std::vector<uint8_t>> WorkerMainOnFreshThread(
+    const std::vector<uint8_t>& request) {
+  StatusOr<std::vector<uint8_t>> response = Status::Internal("not run");
+  std::thread([&] { response = MpqOptimizer::WorkerMain(request); }).join();
+  return response;
+}
+
+TEST(MpqTest, WorkerCachesAnswerLikeAFreshThread) {
+  // Three 8-table queries whose encodings differ in eight bytes: the
+  // second doubles one table's cardinality, the third halves one
+  // selectivity. All 16 requests of each, interleaved, must get the
+  // bytes a fresh thread computes, on one thread (whose query cache
+  // then serves most tasks) and through the default pool.
+  const Query base = RandomQuery(8, 31);
+  std::vector<TableInfo> tables = base.tables();
+  tables[5].cardinality *= 2;
+  std::vector<JoinPredicate> predicates = base.predicates();
+  predicates[3].selectivity /= 2;
+  const Query queries[] = {base, Query(tables, base.predicates()),
+                           Query(base.tables(), predicates)};
+  const MpqOptions opts = Options(PlanSpace::kLinear, 16);
+  std::vector<std::vector<uint8_t>> requests;
+  for (uint64_t part = 0; part < opts.num_workers; ++part) {
+    for (const Query& q : queries) {
+      requests.push_back(MpqOptimizer::BuildRequest(q, part, opts));
+    }
+  }
+  std::vector<std::vector<uint8_t>> expected;
+  for (const std::vector<uint8_t>& request : requests) {
+    StatusOr<std::vector<uint8_t>> fresh = WorkerMainOnFreshThread(request);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    expected.push_back(WithoutSeconds(std::move(fresh).value()));
+  }
+  // The three queries must answer differently, or a wrong hit could pass.
+  for (size_t i = 0; i < expected.size(); i += 3) {
+    EXPECT_NE(expected[i], expected[i + 1]) << "partition " << i / 3;
+    EXPECT_NE(expected[i], expected[i + 2]) << "partition " << i / 3;
+    EXPECT_NE(expected[i + 1], expected[i + 2]) << "partition " << i / 3;
+  }
+
+  std::thread([&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < requests.size(); ++i) {
+        StatusOr<std::vector<uint8_t>> got =
+            MpqOptimizer::WorkerMain(requests[i]);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(WithoutSeconds(std::move(got).value()), expected[i])
+            << "pass " << pass << " request " << i;
+      }
+    }
+  }).join();
+
+  const std::vector<WorkerTask> tasks(requests.size(),
+                                      WorkerTask(&MpqOptimizer::WorkerMain));
+  StatusOr<RoundResult> round = DefaultBackend()->RunRound(tasks, requests);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  ASSERT_EQ(round.value().responses.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(WithoutSeconds(round.value().responses[i]), expected[i])
+        << "request " << i;
+  }
+}
+
+TEST(MpqTest, WorkerCacheHitsStillCheckTheRequestTail) {
+  // After a task has cached its query and partition index, requests that
+  // share the query's bytes still fail every check of their own tail.
+  const Query q = RandomQuery(8, 37);
+  const MpqOptions opts = Options(PlanSpace::kLinear, 16);
+  const std::vector<uint8_t> request = MpqOptimizer::BuildRequest(q, 5, opts);
+  ByteWriter prefix;
+  q.Serialize(&prefix);
+  std::thread([&] {
+    ASSERT_TRUE(MpqOptimizer::WorkerMain(request).ok());
+
+    for (size_t keep : {prefix.size(), prefix.size() + 3,
+                        request.size() - 1}) {
+      const std::vector<uint8_t> truncated(request.begin(),
+                                           request.begin() + keep);
+      StatusOr<std::vector<uint8_t>> got = MpqOptimizer::WorkerMain(truncated);
+      ASSERT_FALSE(got.ok()) << keep;
+      EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << keep;
+    }
+
+    std::vector<uint8_t> bad_space = request;
+    bad_space[prefix.size() + 2 * sizeof(uint64_t)] = 7;  // the space tag
+    StatusOr<std::vector<uint8_t>> got = MpqOptimizer::WorkerMain(bad_space);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+
+    // Partition 5 of 16 over 8 tables holds 2^8 (3/4)^4 = 81 sets.
+    MpqOptions tight = opts;
+    tight.max_memo_entries = 80;
+    got = MpqOptimizer::WorkerMain(MpqOptimizer::BuildRequest(q, 5, tight));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
+    tight.max_memo_entries = 81;
+    EXPECT_TRUE(
+        MpqOptimizer::WorkerMain(MpqOptimizer::BuildRequest(q, 5, tight))
+            .ok());
+  }).join();
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/math_util.h"
+#include "optimizer/partition_dp.h"
 
 namespace mpqopt {
 namespace {
@@ -111,20 +113,22 @@ TEST(PartitionIndexTest, EmptySetHasRankZero) {
 }
 
 TEST(PartitionIndexTest, CountSetsOfCardMatchesEnumeration) {
-  const int n = 10;
-  const PartitionIndex idx(n, Constraints(n, PlanSpace::kLinear, 3, 8));
-  int64_t total = 0;
-  for (int k = 0; k <= n; ++k) {
-    int64_t count = 0;
-    idx.ForEachSetOfCard(k, [&](TableSet s, int64_t rank) {
-      EXPECT_EQ(s.Count(), k);
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    const int n = 10;
+    const PartitionIndex idx(n, Constraints(n, space, 3, 8));
+    std::vector<int64_t> tally(n + 1, 0);
+    idx.ForEachSet([&](TableSet s, int64_t rank) {
       EXPECT_EQ(idx.Rank(s), rank);
-      ++count;
+      ++tally[s.Count()];
     });
-    EXPECT_EQ(count, idx.CountSetsOfCard(k)) << k;
-    total += count;
+    int64_t total = 0;
+    for (int k = 0; k <= n; ++k) {
+      EXPECT_EQ(tally[k], idx.CountSetsOfCard(k))
+          << PlanSpaceName(space) << " k=" << k;
+      total += tally[k];
+    }
+    EXPECT_EQ(total, idx.size());
   }
-  EXPECT_EQ(total, idx.size());
 }
 
 TEST(PartitionIndexTest, ForEachSetVisitsEverySetOnce) {
@@ -373,6 +377,109 @@ TEST(PartitionIndexTest, SingleTableQuery) {
   const PartitionIndex idx(1, ConstraintSet::None(PlanSpace::kLinear));
   EXPECT_EQ(idx.size(), 2);  // {} and {0}
   EXPECT_TRUE(idx.Contains(TableSet::Single(0)));
+}
+
+/// A DP that stores nothing and checks the order WalkPartition hands it
+/// sets and splits in: each admissible set of two or more tables once,
+/// in ascending rank, with End's rank equal to Rank(u), and every operand
+/// stored before a set that joins it, at a rank below the set's. An
+/// operand entry carries its rank; a linear split's Scan carries -1 - t.
+class WalkOrderProbe {
+ public:
+  struct State {
+    TableSet u;
+    int64_t rank;
+  };
+  struct Operand {
+    int64_t rank;
+  };
+
+  explicit WalkOrderProbe(const PartitionIndex& index)
+      : index_(index), stored_(static_cast<size_t>(index.size()), false) {
+    for (int t = 0; t < index.num_tables(); ++t) {
+      const int64_t rank = index.Rank(TableSet::Single(t));
+      if (rank >= 0) stored_[static_cast<size_t>(rank)] = true;
+    }
+  }
+
+  State Begin(TableSet u) const { return {u, index_.Rank(u)}; }
+
+  void Join(State* s, TableSet left, const Operand& l, const Operand& r) {
+    Check(l.rank == index_.Rank(left), "left rank is not Rank(left)", s->u);
+    CheckStoredBelow(l.rank, *s);
+    const TableSet right = s->u.Minus(left);
+    if (index_.space() == PlanSpace::kLinear) {
+      Check(r.rank < 0 && right == TableSet::Single(static_cast<int>(
+                                       -1 - r.rank)),
+            "linear right operand is not the inner table's scan", s->u);
+    } else {
+      Check(r.rank == index_.Rank(right), "right rank is not Rank(right)",
+            s->u);
+      CheckStoredBelow(r.rank, *s);
+    }
+  }
+
+  void End(State* s, int64_t rank) {
+    Check(s->u.Count() >= 2, "a set of fewer than two tables", s->u);
+    Check(rank == s->rank && rank >= 0, "rank is not Rank(u)", s->u);
+    Check(rank > last_rank_, "ranks do not ascend", s->u);
+    if (rank < 0) return;
+    Check(!stored_[static_cast<size_t>(rank)], "set visited twice", s->u);
+    stored_[static_cast<size_t>(rank)] = true;
+    last_rank_ = rank;
+    ++visited_;
+  }
+
+  Operand Entry(int64_t rank) const { return {rank}; }
+  Operand Scan(int t) const { return {-1 - t}; }
+
+  int64_t visited() const { return visited_; }
+  const std::string& first_error() const { return first_error_; }
+
+ private:
+  void CheckStoredBelow(int64_t operand_rank, const State& s) {
+    Check(operand_rank >= 0 && operand_rank < s.rank,
+          "operand rank is not below the set's", s.u);
+    Check(operand_rank >= 0 && stored_[static_cast<size_t>(operand_rank)],
+          "operand used before it was stored", s.u);
+  }
+
+  void Check(bool ok, const char* what, TableSet u) {
+    if (!ok && first_error_.empty()) first_error_ = what + (" at " + u.ToString());
+  }
+
+  const PartitionIndex& index_;
+  std::vector<bool> stored_;
+  int64_t last_rank_ = -1;
+  int64_t visited_ = 0;
+  std::string first_error_;
+};
+
+TEST(PartitionIndexTest, WalkVisitsSetsInRankOrderAfterTheirOperands) {
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    for (int n = 1; n <= 12; ++n) {
+      for (uint64_t m = 1; m <= MaxWorkers(n, space); m *= 2) {
+        for (uint64_t part = 0; part < m; ++part) {
+          const PartitionIndex idx(n, Constraints(n, space, part, m));
+          WalkOrderProbe probe(idx);
+          const int64_t splits = WalkPartition(idx, &probe);
+          SCOPED_TRACE(testing::Message()
+                       << PlanSpaceName(space) << " n=" << n << " m=" << m
+                       << " part=" << part);
+          ASSERT_EQ(probe.first_error(), "");
+          int64_t admissible = 0;
+          for (uint64_t bits = 0; bits < (uint64_t{1} << n); ++bits) {
+            const TableSet u(bits);
+            if (u.Count() >= 2 && idx.Contains(u)) ++admissible;
+          }
+          EXPECT_EQ(probe.visited(), admissible);
+          if (space == PlanSpace::kBushy) {
+            EXPECT_EQ(splits, idx.CountAdmissibleSplits());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -117,6 +117,42 @@ TEST(QueryTest, DeserializeGarbageIsCorruptionNotCrash) {
   EXPECT_FALSE(back.ok());
 }
 
+TEST(QueryTest, DeserializeRejectsCountsBeyondTheBytesLeft) {
+  // A few dozen bytes may declare 2^20 predicates or attributes; the
+  // decoder must refuse before it allocates for them, naming the count.
+  constexpr uint32_t kHuge = 1u << 20;
+  {
+    ByteWriter w;
+    w.WriteU32(1);  // one table, no attributes, named "R0"
+    w.WriteDouble(100);
+    w.WriteU32(0);
+    w.WriteString("R0");
+    w.WriteU32(kHuge);  // predicates
+    w.WriteU32(0);      // and the first four bytes of one
+    ByteReader r(w.buffer());
+    StatusOr<Query> back = Query::Deserialize(&r);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(back.status().message().find("predicate count 1048576"),
+              std::string::npos)
+        << back.status().ToString();
+  }
+  {
+    ByteWriter w;
+    w.WriteU32(1);
+    w.WriteDouble(100);
+    w.WriteU32(kHuge);  // attributes
+    w.WriteDouble(10);
+    ByteReader r(w.buffer());
+    StatusOr<Query> back = Query::Deserialize(&r);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(back.status().message().find("attribute count 1048576"),
+              std::string::npos)
+        << back.status().ToString();
+  }
+}
+
 TEST(QueryTest, AllTablesSet) {
   EXPECT_EQ(MakeValidQuery().all_tables(), TableSet::AllTables(3));
 }
