@@ -254,8 +254,10 @@ struct BackendOptions {
   std::string workers_addr;
   /// TCP connect timeout per rpc worker endpoint.
   int connect_timeout_ms = 5000;
-  /// Bound on each rpc reply wait; -1 waits indefinitely (worker compute
-  /// time is unbounded in general — see cluster/rpc_backend.h).
+  /// Bound on each rpc reply, read in its connection's queue order, and
+  /// on a stalled send; -1 waits indefinitely (worker compute time is
+  /// unbounded in general — see cluster/rpc_backend.h). On expiry every
+  /// frame queued on the connection fails and re-scatters.
   int io_timeout_ms = -1;
   /// Redial budget per worker failure episode (rpc): how many reconnect
   /// attempts a SUSPECT worker gets before it is marked DEAD. 0 marks a

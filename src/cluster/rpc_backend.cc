@@ -64,6 +64,7 @@ Status StripTraceBlock(obs::QueryTrace* trace, uint32_t exchange,
 }
 
 /// One worker's share of a scatter pass, and where its frames stand.
+/// Not movable (the worker connection's queue points at `pending`).
 struct WorkerShare {
   size_t worker = 0;
   /// Round task indices, in pending order.
@@ -74,8 +75,11 @@ struct WorkerShare {
   size_t in_flight = 0;
   /// When the outstanding frame was sent (traced rounds only).
   uint64_t sent_ns = 0;
-  /// The worker's connection, held from the first send to the last reply.
-  std::unique_lock<std::mutex> connection;
+  /// The outstanding frame's place on the worker's connection, and where
+  /// its reply lands when it carries a batch (a lone task's reply lands
+  /// in the task's response).
+  WorkerSupervisor::PendingReply pending;
+  std::vector<uint8_t> reply;
 };
 
 }  // namespace
@@ -166,10 +170,10 @@ StatusOr<RoundResult> RpcBackend::RunRound(
   Status last_worker_error = Status::OK();
   size_t passes = 0;
   bool recovered = false;
-  // Frame buffers, reused by every frame of the round.
+  // Frame buffers, reused by every frame of the round (a frame's bytes
+  // are on the wire once Send returns).
   std::vector<uint8_t> heads;
   std::vector<ConstSpan> parts;
-  std::vector<uint8_t> reply;
   std::vector<BatchSlot> slots;
 
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kRoundStart,
@@ -213,9 +217,8 @@ StatusOr<RoundResult> RpcBackend::RunRound(
 
     // Share k holds pending tasks k, k+lanes, ... in order and goes to
     // one worker. The per-round rotating base spreads concurrent small
-    // rounds across the whole pool instead of serializing them all behind
-    // worker 0. Shares are then ordered by worker index, the order their
-    // connections must be taken in (see worker_supervisor.h).
+    // rounds across the whole pool instead of piling them all onto
+    // worker 0 first.
     obs::Span pass_span("rpc.scatter_pass");
     const size_t lanes = std::min(usable.size(), pending.size());
     const size_t base =
@@ -228,17 +231,13 @@ StatusOr<RoundResult> RpcBackend::RunRound(
     for (size_t p = 0; p < pending.size(); ++p) {
       shares[p % lanes].tasks.push_back(pending[p]);
     }
-    std::sort(shares.begin(), shares.end(),
-              [](const WorkerShare& a, const WorkerShare& b) {
-                return a.worker < b.worker;
-              });
 
     // Sends the share's next frame: as many unsent tasks as one frame
     // holds (normally all of them) in a kBatchTask envelope gathered
     // straight from the request buffers. A lone task ships plain — the
     // envelope gains it nothing, and a near-limit request might not fit
-    // inside one. On a send failure the connection is released and the
-    // share's unsent tasks stay pending.
+    // inside one. On a send failure the share's unsent tasks stay
+    // pending.
     const auto send_frame = [&](WorkerShare& share) {
       size_t count = 0;
       size_t bytes = sizeof(uint32_t);
@@ -285,11 +284,12 @@ StatusOr<RoundResult> RpcBackend::RunRound(
                 : (wrap_task(lone) ? kTracedKind : kinds[lone]);
       if (trace != nullptr) share.sent_ns = obs::MonotonicNanos();
       bool worker_failed = false;
-      const Status s = supervisor_->SendLocked(
-          share.worker, kind, parts.data(), parts.size(), &worker_failed);
+      const Status s = supervisor_->Send(
+          share.worker, kind, parts.data(), parts.size(),
+          batch ? &share.reply : &result.responses[lone], &share.pending,
+          &worker_failed);
       if (!s.ok()) {
         last_worker_error = s;
-        share.connection.unlock();
         return;
       }
       share.in_flight = count;
@@ -307,12 +307,12 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       const size_t count = share.in_flight;
       share.next += count;
       share.in_flight = 0;
-      std::vector<uint8_t>* body =
-          count == 1 ? &result.responses[share.tasks[first]] : &reply;
+      const std::vector<uint8_t>& body =
+          count == 1 ? result.responses[share.tasks[first]] : share.reply;
       double seconds = 0;
       bool worker_failed = false;
-      Status s = supervisor_->ReceiveLocked(share.worker, body, &seconds,
-                                            &worker_failed);
+      Status s =
+          supervisor_->Receive(&share.pending, &seconds, &worker_failed);
       if (!s.ok()) {
         if (worker_failed) {
           last_worker_error = s;
@@ -321,8 +321,9 @@ StatusOr<RoundResult> RpcBackend::RunRound(
         if (task_error.ok()) task_error = s;
         return true;
       }
-      // One rpc.exchange span per frame, from its send to its reply; the
-      // grafted worker spans go under it.
+      // One rpc.exchange span per frame, from its send to its reply (time
+      // queued behind other rounds' frames included); the grafted worker
+      // spans go under it.
       uint32_t exchange = obs::kNoSpan;
       const uint64_t end_ns = trace != nullptr ? obs::MonotonicNanos() : 0;
       if (trace != nullptr) {
@@ -332,8 +333,8 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       // A lone task's reply is its response; a batch reply is split into
       // per-task slots.
       if (count == 1) {
-        slots.assign(1, BatchSlot{true, seconds, {body->data(), body->size()}});
-      } else if (Status parse = ParseBatchTaskResponse(reply, count, &slots);
+        slots.assign(1, BatchSlot{true, seconds, {body.data(), body.size()}});
+      } else if (Status parse = ParseBatchTaskResponse(body, count, &slots);
                  !parse.ok()) {
         if (task_error.ok()) {
           task_error = Status::Corruption("rpc batch reply is malformed: " +
@@ -368,15 +369,12 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       return true;
     };
 
-    // Send every share's first frame, taking the connections in
-    // ascending worker index; then read the replies in send order. A
+    // Send every share's first frame, then read the replies in send
+    // order. Each send holds the worker's connection only for its write:
+    // other rounds' frames queue on the same connection meanwhile. A
     // share with tasks left sends its next frame as soon as the previous
-    // reply lands (one outstanding frame per connection), and each
-    // connection is released after its share's last reply.
-    for (WorkerShare& share : shares) {
-      share.connection = supervisor_->LockConnection(share.worker);
-      send_frame(share);
-    }
+    // reply lands (one outstanding frame per share).
+    for (WorkerShare& share : shares) send_frame(share);
     for (bool outstanding = true; outstanding;) {
       outstanding = false;
       for (WorkerShare& share : shares) {
@@ -384,8 +382,6 @@ StatusOr<RoundResult> RpcBackend::RunRound(
         if (receive_frame(share) && task_error.ok() &&
             share.next < share.tasks.size()) {
           send_frame(share);
-        } else {
-          share.connection.unlock();
         }
         outstanding = outstanding || share.in_flight > 0;
       }

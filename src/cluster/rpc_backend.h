@@ -23,7 +23,7 @@
 // the share is a single task. The calling thread sends every used
 // worker's frame, then reads the replies in send order; no thread is
 // started per round. A share too large for one frame goes out as several,
-// with at most one outstanding per connection.
+// with at most one of them outstanding.
 //
 // Frame kinds at or above kSessionFrameKindBase are session-control
 // frames of the stateful-worker protocol (cluster/session/): the serve
@@ -47,12 +47,14 @@
 // knobs come from BackendOptions: worker_retries, worker_backoff_ms,
 // worker_backoff_max_ms, io_timeout_ms.
 //
-// Thread safety: RunRound may be called concurrently. A scatter pass
-// holds each used worker's connection from its send to its last reply,
-// so interleaved rounds cannot mix frames on one stream, and takes those
-// connections in ascending worker index, so two rounds (or a round and a
-// session step or stats poll, which hold one connection at a time) can
-// never wait on each other in a cycle.
+// Thread safety: RunRound may be called concurrently. Worker connections
+// are pipelined (cluster/supervisor/worker_supervisor.h): a round holds a
+// worker's connection only while it writes its frame, so concurrent
+// rounds, session steps and stats polls queue frames on one connection
+// and each worker computes them back to back. A round's thread reads
+// whatever reply is next on a connection it waits on and files it for
+// the frame that asked for it, so no round waits for another round's
+// thread, whatever order rounds send in and however large the frames.
 
 #ifndef MPQOPT_CLUSTER_RPC_BACKEND_H_
 #define MPQOPT_CLUSTER_RPC_BACKEND_H_

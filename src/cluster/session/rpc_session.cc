@@ -116,8 +116,8 @@ StatusOr<RoundResult> RpcSessionHandle::RunSessionRound(
 
   // One lane per hosting worker: a worker's nodes are stepped in order
   // on its one connection, distinct workers proceed in parallel. A node
-  // may migrate to another worker mid-lane during recovery; the
-  // supervisor's per-worker exchange lock keeps that safe.
+  // may migrate to another worker mid-lane during recovery; frames from
+  // several lanes then queue in order on that worker's connection.
   std::map<size_t, std::vector<size_t>> lanes;
   for (size_t i = 0; i < m; ++i) lanes[nodes_[i].worker].push_back(i);
   std::mutex error_mutex;

@@ -8,8 +8,9 @@
 // round-robin (a pool smaller than the node count hosts several replicas
 // per worker under distinct ids); every open/step/close crosses the wire
 // through WorkerSupervisor::Exchange, so session traffic shares the
-// supervision machinery of the stateless rounds — per-worker exchange
-// serialization, SUSPECT/DEAD health transitions, redial with backoff.
+// supervision machinery of the stateless rounds — frames queued in order
+// on each worker's one connection, SUSPECT/DEAD health transitions,
+// redial with backoff.
 //
 // Failure handling: replica state is deterministic —
 // fold(step, open(open_request), broadcast log) — so a lost replica is

@@ -2,7 +2,13 @@
 
 #include "cluster/supervisor/worker_supervisor.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <condition_variable>
+#include <cstring>
+#include <deque>
 
 #include "cluster/rpc_protocol.h"
 #include "cluster/task_registry.h"
@@ -22,6 +28,88 @@ int MillisUntil(Clock::time_point deadline) {
 }
 
 }  // namespace
+
+/// One stream to a worker, shared by every frame queued on it.
+struct WorkerSupervisor::Connection {
+  explicit Connection(Socket connected) : socket(std::move(connected)) {}
+
+  /// Shut down on failure; closed by the destructor, after the last user.
+  Socket socket;
+  /// Held for one frame's write and its place in `queue`.
+  std::mutex send_mutex;
+  /// Guards the rest, and the state of every queued PendingReply.
+  std::mutex mutex;
+  std::condition_variable cv;
+  /// Frames whose reply is not read yet, in send order (the worker's
+  /// answer order).
+  std::deque<PendingReply*> queue;
+  /// A thread is reading the next reply, or polling for it in a stalled
+  /// send. At most one at a time.
+  bool reading = false;
+  /// The first connection-level error; nothing is queued after it.
+  Status failure;
+};
+
+/// A stalled send's backpressure: while the worker is not taking the
+/// frame, read the connection's replies unless another thread already
+/// does, so the worker is never stuck writing a reply that nobody reads
+/// (see the header comment).
+class WorkerSupervisor::ReplyPump : public SendBackpressure {
+ public:
+  ReplyPump(WorkerSupervisor* supervisor, Worker* worker,
+            Connection* connection)
+      : supervisor_(supervisor), worker_(worker), connection_(connection) {}
+
+  Status AwaitSendSpace(int fd) override {
+    Connection* const c = connection_;
+    std::unique_lock<std::mutex> lock(c->mutex);
+    if (c->reading) {
+      // Another thread drains the replies; retry once it stops reading.
+      c->cv.wait(lock, [c] { return !c->reading || !c->failure.ok(); });
+      return c->failure;
+    }
+    if (!c->failure.ok()) return c->failure;
+    c->reading = true;
+    lock.unlock();
+    struct pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLIN | POLLOUT;
+    int ready = 0;
+    do {
+      ready = ::poll(&pfd, 1, supervisor_->options_.io_timeout_ms);
+    } while (ready < 0 && errno == EINTR);
+    const int poll_errno = errno;
+    lock.lock();
+    c->reading = false;
+    Status s = Status::OK();
+    if (ready < 0) {
+      s = Status::Internal(std::string("poll failed: ") +
+                           std::strerror(poll_errno));
+    } else if (ready == 0) {
+      s = Status::Internal("send timed out");
+    } else if ((pfd.revents & POLLIN) != 0) {
+      if (!c->queue.empty()) {
+        supervisor_->ReadNextReply(worker_, c, &lock);
+        return c->failure;
+      }
+      // Nothing answered is due: the worker closed the stream.
+      s = Status::Internal("peer closed the connection");
+    }
+    c->cv.notify_all();
+    return s.ok() ? c->failure : s;
+  }
+
+ private:
+  WorkerSupervisor* const supervisor_;
+  Worker* const worker_;
+  Connection* const connection_;
+};
+
+WorkerSupervisor::PendingReply::~PendingReply() {
+  // The connection's queue, and maybe a reader, still point at a frame
+  // that was sent and not received.
+  MPQOPT_CHECK(connection_ == nullptr);
+}
 
 int WorkerSupervisor::BackoffDelayMs(const SupervisorOptions& options,
                                      int failed_redials) {
@@ -50,7 +138,8 @@ StatusOr<std::unique_ptr<WorkerSupervisor>> WorkerSupervisor::Connect(
     }
     auto worker = std::make_unique<Worker>();
     worker->endpoint = endpoint;
-    worker->socket = std::move(socket).value();
+    worker->connection =
+        std::make_shared<Connection>(std::move(socket).value());
     supervisor->workers_.push_back(std::move(worker));
   }
   return supervisor;
@@ -91,12 +180,60 @@ WorkerHealth WorkerSupervisor::HealthOf(const Worker& worker) const {
   return worker.health;
 }
 
-void WorkerSupervisor::MarkFailed(Worker* worker, const Status& error) {
-  worker->socket.Close();  // io_mutex held by the caller
+void WorkerSupervisor::ReadNextReply(Worker* worker, Connection* c,
+                                     std::unique_lock<std::mutex>* lock) {
+  PendingReply* const owner = c->queue.front();
+  c->queue.pop_front();
+  owner->state_ = PendingReply::State::kReading;
+  c->reading = true;
+  lock->unlock();
+  // The reply body lands straight in the owner's buffer (header split
+  // off by the transport); on error replies it holds the status text.
+  uint8_t kind = 0;
+  double seconds = 0;
+  Status s = RecvRpcReply(c->socket.fd(), &kind, &seconds, owner->body_,
+                          options_.io_timeout_ms);
+  if (!s.ok()) {
+    s = Status::Internal("rpc worker " + worker->endpoint +
+                         " disconnected or timed out mid-round: " +
+                         s.ToString());
+  } else if (kind > static_cast<uint8_t>(RpcReplyKind::kSessionError)) {
+    s = Status::Corruption("rpc worker " + worker->endpoint +
+                           " sent an unknown reply kind " +
+                           std::to_string(kind));
+  }
+  lock->lock();
+  c->reading = false;
+  if (!s.ok()) s = FailConnection(worker, c, s);
+  owner->state_ = s.ok() ? PendingReply::State::kFiled
+                         : PendingReply::State::kFailed;
+  owner->reply_kind_ = kind;
+  owner->seconds_ = seconds;
+  owner->error_ = s;
+  c->cv.notify_all();
+}
+
+Status WorkerSupervisor::FailConnection(Worker* worker, Connection* c,
+                                        const Status& error) {
+  if (!c->failure.ok()) return c->failure;
+  c->failure = error;
+  c->socket.Shutdown();
+  for (PendingReply* pending : c->queue) {
+    pending->state_ = PendingReply::State::kFailed;
+    pending->error_ = error;
+  }
+  c->queue.clear();
+  c->cv.notify_all();
+
   std::lock_guard<std::mutex> state(worker->state_mutex);
   ++worker->io_failures;
   worker->last_error = error.ToString();
-  if (worker->health == WorkerHealth::kDead) return;
+  // Only the live connection's failure moves the health state. Every
+  // caller holds a reference of its own, so dropping the worker's here
+  // cannot destroy the connection under its locked mutex.
+  if (worker->connection.get() != c) return error;
+  worker->connection.reset();
+  if (worker->health == WorkerHealth::kDead) return error;
   if (options_.max_redials <= 0) {
     // No redial budget: first connection failure is final.
     obs::FlightRecorder::Global().Record(
@@ -104,7 +241,7 @@ void WorkerSupervisor::MarkFailed(Worker* worker, const Status& error) {
         worker->endpoint.c_str(), WorkerHealthName(worker->health),
         error.ToString().c_str());
     worker->health = WorkerHealth::kDead;
-    return;
+    return error;
   }
   if (worker->health == WorkerHealth::kHealthy) {
     obs::FlightRecorder::Global().Record(
@@ -114,13 +251,14 @@ void WorkerSupervisor::MarkFailed(Worker* worker, const Status& error) {
     worker->episode_redial_failures = 0;
     worker->next_redial_at = Clock::now();  // first redial: immediately
   }
+  return error;
 }
 
 bool WorkerSupervisor::TryRedial(Worker* worker) {
   {
-    // Re-check under the state lock: a concurrent pass holding io_mutex
-    // before us may have already redialed (HEALTHY), burned the budget
-    // (DEAD), or pushed the backoff window out.
+    // Re-check under the state lock: a concurrent pass holding the dial
+    // lock before us may have already redialed (HEALTHY), burned the
+    // budget (DEAD), or pushed the backoff window out.
     std::lock_guard<std::mutex> state(worker->state_mutex);
     if (worker->health == WorkerHealth::kHealthy) return true;
     if (worker->health == WorkerHealth::kDead) return false;
@@ -129,8 +267,9 @@ bool WorkerSupervisor::TryRedial(Worker* worker) {
   reconnect_attempts_.fetch_add(1, std::memory_order_relaxed);
   StatusOr<Socket> socket = EstablishConnection(worker->endpoint);
   if (socket.ok()) {
-    worker->socket = std::move(socket).value();
+    auto connection = std::make_shared<Connection>(std::move(socket).value());
     std::lock_guard<std::mutex> state(worker->state_mutex);
+    worker->connection = std::move(connection);
     obs::FlightRecorder::Global().Record(
         obs::FlightEventKind::kWorkerState, "%s %s -> healthy (redial ok)",
         worker->endpoint.c_str(), WorkerHealthName(worker->health));
@@ -173,88 +312,112 @@ Status WorkerSupervisor::ExchangeV(size_t w, uint8_t task_kind,
                                    std::vector<uint8_t>* response,
                                    double* compute_seconds,
                                    bool* worker_failed) {
-  // Covers the whole exchange: the io_mutex wait (connection contention
-  // is visible in the trace) plus the send and the blocking receive.
+  // Covers the whole exchange: the send (the send lock wait included),
+  // the time queued behind other frames on the connection, the compute
+  // and the reply.
   obs::Span exchange_span("rpc.exchange");
-  const std::unique_lock<std::mutex> io = LockConnection(w);
-  const Status s = SendLocked(w, task_kind, parts, num_parts, worker_failed);
+  PendingReply pending;
+  const Status s = Send(w, task_kind, parts, num_parts, response, &pending,
+                        worker_failed);
   if (!s.ok()) return s;
-  return ReceiveLocked(w, response, compute_seconds, worker_failed);
+  return Receive(&pending, compute_seconds, worker_failed);
 }
 
-std::unique_lock<std::mutex> WorkerSupervisor::LockConnection(size_t w) {
+Status WorkerSupervisor::Send(size_t w, uint8_t task_kind,
+                              const ConstSpan* parts, size_t num_parts,
+                              std::vector<uint8_t>* response,
+                              PendingReply* pending, bool* worker_failed) {
   MPQOPT_CHECK_LT(w, workers_.size());
-  return std::unique_lock<std::mutex>(workers_[w]->io_mutex);
-}
-
-Status WorkerSupervisor::SendLocked(size_t w, uint8_t task_kind,
-                                    const ConstSpan* parts, size_t num_parts,
-                                    bool* worker_failed) {
-  Worker* worker = workers_[w].get();  // checked by LockConnection
-  const WorkerHealth health = HealthOf(*worker);
-  if (health != WorkerHealth::kHealthy) {
+  MPQOPT_CHECK(pending->connection_ == nullptr);
+  Worker* const worker = workers_[w].get();
+  std::shared_ptr<Connection> connection;
+  WorkerHealth health = WorkerHealth::kHealthy;
+  {
+    std::lock_guard<std::mutex> state(worker->state_mutex);
+    health = worker->health;
+    if (health == WorkerHealth::kHealthy) connection = worker->connection;
+  }
+  if (connection == nullptr) {
     // A concurrent round failed this worker after the scatter chose it.
     *worker_failed = true;
     return Status::Internal("rpc worker " + worker->endpoint + " is " +
                             WorkerHealthName(health));
   }
-  Status s = SendFrameV(worker->socket.fd(), task_kind, parts, num_parts);
-  if (!s.ok()) {
-    s = Status::Internal("rpc worker " + worker->endpoint +
-                         ": request send failed: " + s.ToString());
-    MarkFailed(worker, s);
-    *worker_failed = true;
-    return s;
+  Connection* const c = connection.get();
+  const std::lock_guard<std::mutex> send(c->send_mutex);
+  Status s;
+  {
+    const std::lock_guard<std::mutex> lock(c->mutex);
+    s = c->failure;
   }
-  return Status::OK();
+  if (s.ok()) {
+    ReplyPump pump(this, worker, c);
+    s = SendFrameV(c->socket.fd(), task_kind, parts, num_parts, &pump);
+  }
+  const std::lock_guard<std::mutex> lock(c->mutex);
+  if (s.ok() && c->failure.ok()) {
+    // Still under the send lock: the frame's FIFO place is its wire place.
+    pending->connection_ = std::move(connection);
+    pending->worker_ = w;
+    pending->body_ = response;
+    pending->state_ = PendingReply::State::kQueued;
+    c->queue.push_back(pending);
+    return Status::OK();
+  }
+  *worker_failed = true;
+  if (s.ok()) return c->failure;  // another thread failed it meanwhile
+  return FailConnection(worker, c,
+                        Status::Internal("rpc worker " + worker->endpoint +
+                                         ": request send failed: " +
+                                         s.ToString()));
 }
 
-Status WorkerSupervisor::ReceiveLocked(size_t w,
-                                       std::vector<uint8_t>* response,
-                                       double* compute_seconds,
-                                       bool* worker_failed) {
-  Worker* worker = workers_[w].get();
-  // The reply body lands straight in the caller's buffer (header split
-  // off by the transport); on error replies it holds the status text.
-  uint8_t reply_kind = 0;
-  double seconds = 0;
-  Status s = RecvRpcReply(worker->socket.fd(), &reply_kind, &seconds,
-                          response, options_.io_timeout_ms);
-  if (!s.ok()) {
-    s = Status::Internal("rpc worker " + worker->endpoint +
-                         " disconnected or timed out mid-round: " +
-                         s.ToString());
-    MarkFailed(worker, s);
-    *worker_failed = true;
-    return s;
+Status WorkerSupervisor::Receive(PendingReply* pending,
+                                 double* compute_seconds,
+                                 bool* worker_failed) {
+  MPQOPT_CHECK(pending->connection_ != nullptr);
+  const std::shared_ptr<Connection> connection =
+      std::move(pending->connection_);
+  Connection* const c = connection.get();
+  Worker* const worker = workers_[pending->worker_].get();
+  {
+    const auto answered = [pending] {
+      return pending->state_ == PendingReply::State::kFiled ||
+             pending->state_ == PendingReply::State::kFailed;
+    };
+    std::unique_lock<std::mutex> lock(c->mutex);
+    while (!answered()) {
+      if (c->reading) {
+        c->cv.wait(lock, [&] { return answered() || !c->reading; });
+      } else {
+        ReadNextReply(worker, c, &lock);
+      }
+    }
   }
-  if (reply_kind == static_cast<uint8_t>(RpcReplyKind::kTaskError)) {
+  if (pending->state_ == PendingReply::State::kFailed) {
+    *worker_failed = true;
+    return pending->error_;
+  }
+  *worker_failed = false;
+  const std::vector<uint8_t>& body = *pending->body_;
+  if (pending->reply_kind_ == static_cast<uint8_t>(RpcReplyKind::kTaskError)) {
     // The task itself failed on a healthy worker. Deterministic — the
     // same bytes would fail anywhere — so the round must not retry it,
     // and the connection stays usable for later rounds.
-    *worker_failed = false;
-    return Status::Internal(
-        "rpc worker " + worker->endpoint + " task failed: " +
-        std::string(response->begin(), response->end()));
+    return Status::Internal("rpc worker " + worker->endpoint +
+                            " task failed: " +
+                            std::string(body.begin(), body.end()));
   }
-  if (reply_kind == static_cast<uint8_t>(RpcReplyKind::kSessionError)) {
+  if (pending->reply_kind_ ==
+      static_cast<uint8_t>(RpcReplyKind::kSessionError)) {
     // The referenced session replica is gone on this worker (unknown or
     // TTL-expired id). The connection itself is healthy; the session
     // layer recovers by re-open + replay on kNotFound.
-    *worker_failed = false;
-    return Status::NotFound(
-        "rpc worker " + worker->endpoint + " lost the session: " +
-        std::string(response->begin(), response->end()));
+    return Status::NotFound("rpc worker " + worker->endpoint +
+                            " lost the session: " +
+                            std::string(body.begin(), body.end()));
   }
-  if (reply_kind != static_cast<uint8_t>(RpcReplyKind::kOk)) {
-    s = Status::Corruption("rpc worker " + worker->endpoint +
-                           " sent an unknown reply kind " +
-                           std::to_string(reply_kind));
-    MarkFailed(worker, s);
-    *worker_failed = true;
-    return s;
-  }
-  *compute_seconds = seconds;
+  *compute_seconds = pending->seconds_;
   return Status::OK();
 }
 
@@ -278,10 +441,9 @@ std::vector<size_t> WorkerSupervisor::UsableWorkers() {
       }
     }
     if (redial) {
-      // The dial itself needs the io lock (it replaces the socket);
-      // TryRedial re-checks the state once inside, since another pass
-      // may have won the race for this worker.
-      std::lock_guard<std::mutex> io(worker->io_mutex);
+      // One dial per worker at a time; TryRedial re-checks the state
+      // once inside, since another pass may have won the race.
+      std::lock_guard<std::mutex> dial(worker->dial_mutex);
       if (TryRedial(worker)) usable.push_back(i);
     }
   }

@@ -22,19 +22,49 @@
 // assumed gone, and round recovery (RpcBackend) re-scatters its tasks
 // across the survivors.
 //
-// Thread safety: every method may be called concurrently. Each worker
-// carries TWO locks: `io_mutex` serializes whole request/response
-// exchanges and redials (so interleaved rounds cannot mix frames on one
-// stream, and two rounds never dial one endpoint twice at once), while
-// the small `state_mutex` guards the health state and counters. Health
-// reads (Snapshot, health, NextRedialDelayMs, the HEALTHY fast path of
-// UsableWorkers) take only the state lock, so a stats probe never stalls
-// behind an in-flight exchange — worker compute time is unbounded, and a
-// monitoring call must not wait on it. Lock order is io_mutex before
-// state_mutex, never the reverse. Whoever holds several workers'
-// io_mutexes at once (RpcBackend's scatter pass, via LockConnection)
-// takes them in ascending worker index; every other path holds at most
-// one, so no two callers can wait on each other in a cycle.
+// Pipelined connections: a worker's connection carries frames from
+// several rounds (and session steps and stats polls) at once. A send takes
+// the connection's send lock only for its own write and, in the same
+// critical section, gives the frame its place in the connection's FIFO of
+// unanswered frames. The worker answers a connection's frames in order,
+// so whichever thread waits on the connection reads the next reply (one
+// reader at a time) and files it (body, reply kind, compute seconds) for
+// the frame that asked for it; that frame's sender finds it filed. Nobody
+// holds a connection through a worker's compute.
+//
+// Why no cycle of waits can form. A master thread blocks on a connection
+// in one of three ways: it reads the next reply (waiting for the worker's
+// output), it waits for the current reader to file its reply or give up
+// reading, or it writes a frame the worker is not taking yet (or waits
+// for the send lock such a writer holds). A writer that would block
+// reads replies itself whenever no other thread is reading
+// (SendBackpressure). So while any thread waits on a connection,
+// somebody drains its replies; the worker is then never stuck writing a
+// reply, and it reads the queued frames in order and answers each after
+// its compute. Every wait therefore ends once the worker has answered
+// the frames queued ahead of it, and depends on no other connection and
+// on no other thread doing anything but reading this one. That holds
+// whatever order rounds send in and however large frames and replies
+// are. A per-connection turn, where each thread reads only its own
+// reply, would deadlock once replies outgrow the socket buffers: round A
+// waits for its turn behind round B's reply on worker 0, B is blocked
+// sending to worker 1, and worker 1 cannot read B's frame while it is
+// still writing A's reply, which nobody reads.
+//
+// Failure: the first error on a connection (a send or read failure, a
+// reply or a stalled send past io_timeout_ms, an unknown reply kind)
+// shuts its socket down (shutdown(), not close(): other threads may be
+// blocked on it), fails every frame queued on it, so their rounds
+// re-scatter, and marks the worker SUSPECT. A connection is reference-counted: its descriptor is
+// closed only after the last thread using it has left, and a redial
+// installs a new connection rather than swapping the socket under them.
+//
+// Thread safety: every method may be called concurrently. Locks nest in
+// one order only: a connection's send lock, then its queue mutex, then
+// the worker's state mutex; the worker's dial mutex (one redial at a
+// time) is taken before its state mutex. Health reads (Snapshot, health,
+// NextRedialDelayMs, the HEALTHY fast path of UsableWorkers) take only
+// the state mutex, so a stats probe never waits on network I/O.
 
 #ifndef MPQOPT_CLUSTER_SUPERVISOR_WORKER_SUPERVISOR_H_
 #define MPQOPT_CLUSTER_SUPERVISOR_WORKER_SUPERVISOR_H_
@@ -58,7 +88,9 @@ namespace mpqopt {
 struct SupervisorOptions {
   /// TCP connect timeout per dial attempt.
   int connect_timeout_ms = 5000;
-  /// Bound on each task reply wait; -1 waits indefinitely.
+  /// Bound on each reply, read in the connection's FIFO order, and on a
+  /// send the worker stops taking bytes of; -1 waits indefinitely. On
+  /// expiry the connection fails, and with it every frame queued on it.
   int io_timeout_ms = -1;
   /// Bound on the ping reply after a (re)dial. Unlike task replies, a
   /// health probe must never wait indefinitely.
@@ -96,16 +128,17 @@ class WorkerSupervisor {
   size_t num_workers() const { return workers_.size(); }
   const SupervisorOptions& options() const { return options_; }
 
-  /// One request/response exchange on worker `w` (serialized under the
-  /// worker's mutex). On a connection-level failure the worker is marked
-  /// SUSPECT (`*worker_failed` = true) and the task may be re-scattered;
-  /// a clean task-error reply leaves the worker HEALTHY
-  /// (`*worker_failed` = false) — the failure is the task's own and
-  /// deterministic, so retrying it elsewhere would fail again. A
-  /// session-error reply (the referenced replica is gone; see
-  /// cluster/session/) also leaves the worker HEALTHY and surfaces as
-  /// StatusCode::kNotFound, which the session layer treats as
-  /// recoverable by re-open + replay.
+  class PendingReply;
+
+  /// One request/response exchange on worker `w`: Send, then Receive. On
+  /// a connection-level failure the worker is marked SUSPECT
+  /// (`*worker_failed` = true) and the task may be re-scattered; a clean
+  /// task-error reply leaves the worker HEALTHY (`*worker_failed` =
+  /// false) — the failure is the task's own and deterministic, so
+  /// retrying it elsewhere would fail again. A session-error reply (the
+  /// referenced replica is gone; see cluster/session/) also leaves the
+  /// worker HEALTHY and surfaces as StatusCode::kNotFound, which the
+  /// session layer treats as recoverable by re-open + replay.
   Status Exchange(size_t w, uint8_t task_kind,
                   const std::vector<uint8_t>& request,
                   std::vector<uint8_t>* response, double* compute_seconds,
@@ -114,25 +147,24 @@ class WorkerSupervisor {
   /// Zero-copy variant of Exchange: the request goes out as a gather of
   /// `parts` (one frame, byte-identical to the concatenation) and the
   /// reply body lands directly in `*response` with the compute-seconds
-  /// header split off in place — no master-side payload copies in either
-  /// direction. LockConnection + SendLocked + ReceiveLocked.
+  /// header split off in place.
   Status ExchangeV(size_t w, uint8_t task_kind, const ConstSpan* parts,
                    size_t num_parts, std::vector<uint8_t>* response,
                    double* compute_seconds, bool* worker_failed);
 
-  /// Takes worker `w`'s connection (its io_mutex) until the returned
-  /// lock is released. Hold several only if taken in ascending worker
-  /// index (see the header comment).
-  std::unique_lock<std::mutex> LockConnection(size_t w);
+  /// Writes one frame to worker `w` and queues `*pending` for its reply,
+  /// whose body will land in `*response` (which must stay valid until
+  /// Receive returns). Fails with `*worker_failed` = true, and nothing
+  /// queued, when the worker is not HEALTHY or its connection breaks.
+  Status Send(size_t w, uint8_t task_kind, const ConstSpan* parts,
+              size_t num_parts, std::vector<uint8_t>* response,
+              PendingReply* pending, bool* worker_failed);
 
-  /// ExchangeV's halves, on a connection the caller holds: SendLocked
-  /// fails with `*worker_failed` = true when the worker is not HEALTHY or
-  /// the send breaks; ReceiveLocked reads the reply to the frame last
-  /// sent, with Exchange's outcomes.
-  Status SendLocked(size_t w, uint8_t task_kind, const ConstSpan* parts,
-                    size_t num_parts, bool* worker_failed);
-  Status ReceiveLocked(size_t w, std::vector<uint8_t>* response,
-                       double* compute_seconds, bool* worker_failed);
+  /// Waits until the reply to `*pending`'s frame is filed, reading the
+  /// connection's next replies itself while no other thread does; then
+  /// returns with Exchange's outcomes. `*pending` may be sent again after.
+  Status Receive(PendingReply* pending, double* compute_seconds,
+                 bool* worker_failed);
 
   /// Indices of workers a scatter pass may use right now: every HEALTHY
   /// worker, plus every SUSPECT worker whose backoff has expired and
@@ -161,17 +193,20 @@ class WorkerSupervisor {
                             int failed_redials);
 
  private:
+  struct Connection;
+  class ReplyPump;
+
   struct Worker {
     std::string endpoint;
-    /// Serializes socket use: whole exchanges and redials. Held long
-    /// (a task exchange spans the worker's compute time). Several are
-    /// held at once only in ascending worker index.
-    mutable std::mutex io_mutex;
+    /// One redial at a time; held across the dial and its ping.
+    std::mutex dial_mutex;
     /// Guards everything below. Held only for O(1) reads/writes, so
-    /// health snapshots never wait on network I/O. Acquired after
-    /// io_mutex when both are needed; never the other way around.
+    /// health snapshots never wait on network I/O.
     mutable std::mutex state_mutex;
-    Socket socket;  ///< touched only under io_mutex
+    /// The live connection; null after a failure until a redial installs
+    /// a new one. Senders take a reference, so a failed connection's
+    /// descriptor stays open until its last user has left.
+    std::shared_ptr<Connection> connection;
     WorkerHealth health = WorkerHealth::kHealthy;
     /// Failed redials in the current episode; resets on success.
     int episode_redial_failures = 0;
@@ -192,13 +227,23 @@ class WorkerSupervisor {
   /// Health of `worker` under its state lock.
   WorkerHealth HealthOf(const Worker& worker) const;
 
-  /// Marks `worker` failed after a connection-level error (caller holds
-  /// io_mutex): closes the socket, transitions to SUSPECT (or straight
-  /// to DEAD when the redial budget is 0), records `error`.
-  void MarkFailed(Worker* worker, const Status& error);
+  /// Reads the reply at the front of `connection`'s FIFO and files it for
+  /// its frame. The caller holds `*lock` on the connection's mutex, no
+  /// other thread is reading, and the FIFO is not empty; the lock is
+  /// released during the read.
+  void ReadNextReply(Worker* worker, Connection* connection,
+                     std::unique_lock<std::mutex>* lock);
+
+  /// Fails `connection` after a connection-level error (caller holds its
+  /// mutex and a reference): the first error shuts the socket down, fails
+  /// every queued frame, drops the worker's reference and moves the
+  /// worker to SUSPECT (or straight to DEAD when the redial budget is 0).
+  /// Returns the connection's failure, which the first error becomes.
+  Status FailConnection(Worker* worker, Connection* connection,
+                        const Status& error);
 
   /// Attempts one redial of a SUSPECT worker whose backoff expired
-  /// (caller holds io_mutex). Returns true when the worker is HEALTHY
+  /// (caller holds dial_mutex). Returns true when the worker is HEALTHY
   /// again — either this call's redial succeeded, or a concurrent one
   /// already had.
   bool TryRedial(Worker* worker);
@@ -208,6 +253,30 @@ class WorkerSupervisor {
   std::atomic<uint64_t> reconnect_attempts_{0};
   std::atomic<uint64_t> reconnects_{0};
   mutable std::atomic<uint64_t> ping_nonce_{0};
+};
+
+/// One frame queued on a worker connection, from its send until its
+/// reply is filed. Not movable: the connection's FIFO points at it. A
+/// successful Send must be followed by Receive before it is destroyed.
+class WorkerSupervisor::PendingReply {
+ public:
+  PendingReply() = default;
+  ~PendingReply();
+  MPQOPT_DISALLOW_COPY_AND_ASSIGN(PendingReply);
+
+ private:
+  friend class WorkerSupervisor;
+  enum class State : uint8_t { kQueued, kReading, kFiled, kFailed };
+
+  /// Set from a successful Send until Receive returns.
+  std::shared_ptr<Connection> connection_;
+  size_t worker_ = 0;
+  std::vector<uint8_t>* body_ = nullptr;
+  /// The rest is guarded by the connection's mutex.
+  State state_ = State::kQueued;
+  uint8_t reply_kind_ = 0;
+  double seconds_ = 0;
+  Status error_;
 };
 
 }  // namespace mpqopt

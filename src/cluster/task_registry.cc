@@ -2,6 +2,7 @@
 
 #include "cluster/task_registry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <iterator>
@@ -94,7 +95,17 @@ StatusOr<std::vector<uint8_t>> BatchTaskMain(
   uint32_t count = 0;
   Status s = reader.ReadU32(&count);
   if (!s.ok()) return s;
-  ByteWriter writer;
+  // Every subtask runs before the reply is written, so the reply is sized
+  // once from their outcomes. A slot header is 5 bytes, which bounds the
+  // slots the envelope can hold whatever count it declares.
+  struct Outcome {
+    bool ok = false;
+    double seconds = 0;
+    std::vector<uint8_t> body;  ///< the response, or the status text
+  };
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(std::min<size_t>(count, reader.remaining() / 5));
+  std::vector<uint8_t> sub_request;
   for (uint32_t i = 0; i < count; ++i) {
     uint8_t kind = 0;
     uint32_t len = 0;
@@ -105,7 +116,7 @@ StatusOr<std::vector<uint8_t>> BatchTaskMain(
       return Status::Corruption("batch subtask " + std::to_string(i) +
                                 " length exceeds the envelope");
     }
-    std::vector<uint8_t> sub_request(reader.cursor(), reader.cursor() + len);
+    sub_request.assign(reader.cursor(), reader.cursor() + len);
     reader.Advance(len);
 
     // Nested batches are rejected per slot (an envelope inside an
@@ -125,23 +136,34 @@ StatusOr<std::vector<uint8_t>> BatchTaskMain(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    writer.WriteU8(response.ok() ? 1 : 0);
-    writer.WriteDouble(seconds);
-    if (response.ok()) {
-      const std::vector<uint8_t>& body = response.value();
-      writer.WriteU32(static_cast<uint32_t>(body.size()));
-      writer.WriteBytes(body.data(), body.size());
+    Outcome& outcome = outcomes.emplace_back();
+    outcome.seconds = seconds;
+    outcome.ok = response.ok();
+    if (outcome.ok) {
+      outcome.body = std::move(response).value();
     } else {
       const std::string msg = response.status().ToString();
-      writer.WriteU32(static_cast<uint32_t>(msg.size()));
-      writer.WriteBytes(reinterpret_cast<const uint8_t*>(msg.data()),
-                        msg.size());
+      outcome.body.assign(msg.begin(), msg.end());
     }
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("batch envelope has trailing bytes");
   }
-  return writer.Release();
+  size_t bytes = 0;
+  for (const Outcome& outcome : outcomes) {
+    bytes += sizeof(uint8_t) + sizeof(double) + sizeof(uint32_t) +
+             outcome.body.size();
+  }
+  std::vector<uint8_t> reply;
+  reply.reserve(bytes);
+  ByteWriter writer(&reply);
+  for (const Outcome& outcome : outcomes) {
+    writer.WriteU8(outcome.ok ? 1 : 0);
+    writer.WriteDouble(outcome.seconds);
+    writer.WriteU32(static_cast<uint32_t>(outcome.body.size()));
+    writer.WriteBytes(outcome.body.data(), outcome.body.size());
+  }
+  return reply;
 }
 
 Status ParseBatchTaskResponse(const std::vector<uint8_t>& response,

@@ -199,7 +199,14 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
   if (!dp.ok()) return dp.status();
   const DpResult& result = dp.value();
 
-  ByteWriter writer;
+  // One allocation for the whole response: the 32-byte report, the plan
+  // count, and each arena node serialized once (a scan, the larger kind,
+  // is tag, table, cardinality and arity, then 8 bytes per metric).
+  std::vector<uint8_t> response;
+  response.reserve(32 + 4 +
+                   result.arena.size() *
+                       (14 + 8 * CostModel(config.objective).num_metrics()));
+  ByteWriter writer(&response);
   WorkerReport report;
   report.admissible_sets = static_cast<uint64_t>(result.stats.admissible_sets);
   report.splits_tried = static_cast<uint64_t>(result.stats.splits_tried);
@@ -207,7 +214,7 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
   report.seconds = result.stats.seconds;
   SerializeReport(report, &writer);
   SerializePlanSet(result.arena, result.best, &writer);
-  return writer.Release();
+  return response;
 }
 
 StatusOr<MpqResult> MpqOptimizer::FinalizeResponses(

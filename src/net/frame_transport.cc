@@ -98,13 +98,17 @@ void Socket::Close() {
   }
 }
 
+void Socket::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 Status SendFrame(int fd, uint8_t kind, const std::vector<uint8_t>& payload) {
   ConstSpan part{payload.data(), payload.size()};
   return SendFrameV(fd, kind, &part, 1);
 }
 
 Status SendFrameV(int fd, uint8_t kind, const ConstSpan* parts,
-                  size_t num_parts) {
+                  size_t num_parts, SendBackpressure* backpressure) {
   if (num_parts > kMaxSendSpans) {
     return Status::InvalidArgument("too many frame parts");
   }
@@ -136,15 +140,23 @@ Status SendFrameV(int fd, uint8_t kind, const ConstSpan* parts,
   // Gathering send with partial-write resume: after a short write, skip
   // fully-sent iovecs and bump the partially-sent one. sendmsg (not
   // writev) so MSG_NOSIGNAL keeps SIGPIPE suppressed, matching send().
+  const int flags =
+      MSG_NOSIGNAL | (backpressure != nullptr ? MSG_DONTWAIT : 0);
   size_t first = 0;
   while (first < iov_count) {
     struct msghdr msg;
     std::memset(&msg, 0, sizeof(msg));
     msg.msg_iov = &iov[first];
     msg.msg_iovlen = iov_count - first;
-    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    const ssize_t w = ::sendmsg(fd, &msg, flags);
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (backpressure != nullptr &&
+          (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        const Status s = backpressure->AwaitSendSpace(fd);
+        if (!s.ok()) return s;
+        continue;
+      }
       return Status::Internal(Errno("send failed"));
     }
     if (w == 0) return Status::Internal("send wrote zero bytes");

@@ -52,6 +52,10 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void Close();
+  /// Shuts both directions down but keeps the descriptor: threads
+  /// blocked on it wake (reads see end of stream, writes fail), and the
+  /// fd number cannot be reused under them until Close.
+  void Shutdown();
 
  private:
   int fd_ = -1;
@@ -92,13 +96,26 @@ struct ConstSpan {
 /// pieces per subtask (slot header, request bytes).
 constexpr size_t kMaxSendSpans = 1023;
 
+/// What a sender does while the peer is not taking bytes.
+class SendBackpressure {
+ public:
+  /// Called whenever the socket's send buffer is full. Returns OK once a
+  /// retry may make progress, or an error that aborts the send.
+  virtual Status AwaitSendSpace(int fd) = 0;
+
+ protected:
+  ~SendBackpressure() = default;
+};
+
 /// Sends one frame whose payload is the concatenation of `parts` —
 /// byte-identical on the wire to SendFrame over the concatenated bytes,
 /// but with zero sender-side copies: header and all parts go out through
 /// a single gathering sendmsg (resumed across partial writes). This is
-/// how the master scatters without assembling per-worker buffers.
+/// how the master scatters without assembling per-worker buffers. With
+/// `backpressure`, no sendmsg blocks: a full send buffer calls
+/// backpressure->AwaitSendSpace instead, and the send resumes after it.
 Status SendFrameV(int fd, uint8_t kind, const ConstSpan* parts,
-                  size_t num_parts);
+                  size_t num_parts, SendBackpressure* backpressure = nullptr);
 
 /// Receives one frame whose payload starts with a fixed-size header (e.g.
 /// the RPC reply's compute-seconds prefix), splitting it off in place:

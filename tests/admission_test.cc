@@ -406,12 +406,12 @@ TEST(RpcScatterIdentityTest, RpcPlansAreByteIdenticalToAsync) {
   }
 }
 
-/// TSan and lock-order target for the caller-driven scatter: four
-/// dispatchers' rounds each hold both workers' connections from send to
-/// reply, while a stats poller and an SMA session, which take one
-/// connection at a time, run on the same backend. A lock-order cycle
-/// would hang here, so the whole run has a deadline; the served plans
-/// must still equal the in-process backend's.
+/// TSan and deadlock target for the caller-driven scatter: four
+/// dispatchers' rounds queue frames on both workers' pipelined
+/// connections while a stats poller and an SMA session queue theirs on
+/// the same backend, and each thread may file the others' replies. A
+/// cycle of waits would hang here, so the whole run has a deadline; the
+/// served plans must still equal the in-process backend's.
 TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
   const std::vector<Query> queries = MakeQueries(32, 8, 42);
   MpqOptions opts;

@@ -2,8 +2,9 @@
 //
 // Unit tests of the framed-message TCP transport under RpcBackend:
 // framing round-trips, oversized-frame rejection, peer disconnects in
-// every phase of a frame, and bounded (non-hanging) connect/accept/recv
-// waits.
+// every phase of a frame, bounded (non-hanging) connect/accept/recv
+// waits, and gather sends that hand a full send buffer to a
+// backpressure hook instead of blocking.
 
 #include "net/frame_transport.h"
 
@@ -11,11 +12,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 namespace mpqopt {
@@ -407,6 +411,79 @@ TEST(FrameTransportTest, GatherSendSurvivesPartialWrites) {
   EXPECT_EQ(std::memcmp(frame.payload.data() + head.size(), body.data(),
                         body.size()),
             0);
+}
+
+TEST(FrameTransportTest, GatherSendWithBackpressureNeverBlocks) {
+  // With a backpressure hook, a full send buffer calls the hook instead
+  // of blocking inside sendmsg: the peer starts reading only once the
+  // hook has run, and the send then resumes where it stopped.
+  struct SignalOnFull : SendBackpressure {
+    Status AwaitSendSpace(int fd) override {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++calls;
+      }
+      cv.notify_all();
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = POLLOUT;
+      ::poll(&pfd, 1, 5000);
+      return Status::OK();
+    }
+    std::mutex mutex;
+    std::condition_variable cv;
+    int calls = 0;  // guarded by `mutex`
+  } hook;
+  TcpPair pair = MakeTcpPair();
+  const int small = 8 * 1024;
+  ASSERT_EQ(::setsockopt(pair.client.fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  std::vector<uint8_t> body(3 << 20);
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<uint8_t>(i * 131 + 17);
+  }
+  const ConstSpan part{body.data(), body.size()};
+  Frame frame;
+  Status recv_status = Status::OK();
+  bool hook_ran_first = false;
+  std::thread reader([&] {
+    {
+      std::unique_lock<std::mutex> lock(hook.mutex);
+      hook_ran_first = hook.cv.wait_for(lock, std::chrono::seconds(10),
+                                        [&] { return hook.calls > 0; });
+    }
+    recv_status = RecvFrame(pair.server.fd(), &frame, /*timeout_ms=*/20000);
+  });
+  const Status sent = SendFrameV(pair.client.fd(), 11, &part, 1, &hook);
+  reader.join();
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_TRUE(hook_ran_first);
+  ASSERT_TRUE(recv_status.ok()) << recv_status.ToString();
+  EXPECT_EQ(frame.kind, 11);
+  EXPECT_EQ(frame.payload, body);
+}
+
+TEST(FrameTransportTest, BackpressureErrorAbortsTheSend) {
+  struct Refuse : SendBackpressure {
+    Status AwaitSendSpace(int /*fd*/) override {
+      ++calls;
+      return Status::Internal("refused");
+    }
+    int calls = 0;
+  } refuse;
+  // Nobody reads the peer, so the send buffer fills long before 3 MiB.
+  TcpPair pair = MakeTcpPair();
+  const int small = 8 * 1024;
+  ASSERT_EQ(::setsockopt(pair.client.fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  std::vector<uint8_t> body(3 << 20);
+  const ConstSpan part{body.data(), body.size()};
+  const Status sent = SendFrameV(pair.client.fd(), 1, &part, 1, &refuse);
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.message(), "refused");
+  EXPECT_EQ(refuse.calls, 1);
 }
 
 TEST(FrameTransportTest, RecvFrameSplitSeparatesHeaderFromBody) {

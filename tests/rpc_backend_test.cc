@@ -3,26 +3,33 @@
 // RPC-specific loopback tests: real mpqopt_worker subprocesses serve the
 // rounds, covering what the backend-parameterized conformance suite in
 // backend_test.cc cannot — worker crashes, unregistered tasks, scatter
-// behaviour (one frame per worker), the heterogeneous wire contract, and
-// the OptimizerService running unchanged over remote workers — plus
-// socket-free cases for the master's batch-reply decoder.
+// behaviour (one frame per worker), pipelined connections (rounds queue
+// frames on a worker's connection and file each other's replies), the
+// heterogeneous wire contract, and the OptimizerService running
+// unchanged over remote workers — plus socket-free cases for the
+// master's batch-reply decoder.
 
 #include "cluster/rpc_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 
 #include "catalog/generator.h"
 #include "cluster/rpc_protocol.h"
+#include "cluster/supervisor/worker_supervisor.h"
 #include "cluster/task_registry.h"
 #include "common/copy_probe.h"
 #include "common/serialize.h"
 #include "mpq/heterogeneous.h"
 #include "mpq/mpq.h"
+#include "obs/trace.h"
 #include "service/optimizer_service.h"
 #include "tests/rpc_test_util.h"
 
@@ -43,6 +50,28 @@ std::shared_ptr<ExecutionBackend> ConnectFarm(const RpcWorkerFarm& farm) {
       MakeBackend(BackendKind::kRpc, options);
   MPQOPT_CHECK(backend.ok());
   return std::move(backend).value();
+}
+
+/// A SleepEcho request: sleep `ms` on the worker, then echo `body`.
+std::vector<uint8_t> SleepEchoRequest(uint32_t ms,
+                                      const std::vector<uint8_t>& body) {
+  ByteWriter writer;
+  writer.WriteU32(ms);
+  writer.WriteBytes(body.data(), body.size());
+  return writer.Release();
+}
+
+/// The rpc.exchange span of a traced round that sent one frame.
+obs::SpanRecord OnlyExchangeSpan(const obs::QueryTrace& trace) {
+  obs::SpanRecord found;
+  int count = 0;
+  for (const obs::SpanRecord& span : trace.Snapshot()) {
+    if (span.name != "rpc.exchange") continue;
+    found = span;
+    ++count;
+  }
+  EXPECT_EQ(count, 1) << trace.label();
+  return found;
 }
 
 TEST(RpcBackendTest, SplitEndpoints) {
@@ -532,6 +561,176 @@ TEST(RpcBackendTest, ConcurrentRoundsShareConnectionsSafely) {
   for (int s = 0; s < kSubmitters; ++s) {
     EXPECT_EQ(failures[s], 0) << "submitter " << s;
   }
+}
+
+// A round submitted while another round's task runs on the only worker
+// queues its frame behind it at once: its rpc.exchange span starts before
+// the first round's ends. A connection held from send to reply would
+// keep the second send waiting for the first reply.
+TEST(RpcPipelineTest, RoundSendsWhileAnotherRoundsTaskRuns) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  auto backend = ConnectFarm(farm);
+  obs::QueryTrace first_trace(1, "first");
+  obs::QueryTrace second_trace(2, "second");
+  StatusOr<RoundResult> first = Status::Internal("not run");
+  std::thread first_round([&]() {
+    obs::TraceContextScope scope(&first_trace, obs::kNoSpan);
+    first = backend->RunRound({WorkerTask(&SleepEchoTaskMain)},
+                              {SleepEchoRequest(300, {1})});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  StatusOr<RoundResult> second = Status::Internal("not run");
+  {
+    obs::TraceContextScope scope(&second_trace, obs::kNoSpan);
+    second = backend->RunRound({WorkerTask(&EchoTaskMain)}, {{2}});
+  }
+  first_round.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first.value().responses[0], std::vector<uint8_t>{1});
+  EXPECT_EQ(second.value().responses[0], std::vector<uint8_t>{2});
+  const obs::SpanRecord a = OnlyExchangeSpan(first_trace);
+  const obs::SpanRecord b = OnlyExchangeSpan(second_trace);
+  EXPECT_GT(b.start_ns, a.start_ns);
+  EXPECT_LT(b.start_ns, a.end_ns)
+      << "the second round's frame waited for the first round's reply";
+}
+
+// A task-error reply in the middle of a connection's queue fails only its
+// own round: the round queued behind it gets its bytes, and the worker
+// stays HEALTHY on the same connection.
+TEST(RpcPipelineTest, TaskErrorLeavesTheRoundQueuedBehindItOk) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  auto backend = ConnectFarm(farm);
+  const std::string message = "bad payload";
+  // A 300 ms task holds the worker while a failing task and an echo
+  // queue behind it, in that order.
+  StatusOr<RoundResult> held = Status::Internal("not run");
+  StatusOr<RoundResult> bad = Status::Internal("not run");
+  std::thread holder([&]() {
+    held = backend->RunRound({WorkerTask(&SleepEchoTaskMain)},
+                             {SleepEchoRequest(300, {1})});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread failer([&]() {
+    bad = backend->RunRound(
+        {WorkerTask(&FailTaskMain)},
+        {std::vector<uint8_t>(message.begin(), message.end())});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  StatusOr<RoundResult> good =
+      backend->RunRound({WorkerTask(&EchoTaskMain)}, {{7}});
+  holder.join();
+  failer.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(held.value().responses[0], std::vector<uint8_t>{1});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find(message), std::string::npos);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().responses[0], std::vector<uint8_t>{7});
+  const BackendHealth health = backend->health();
+  ASSERT_EQ(health.workers.size(), 1u);
+  EXPECT_EQ(health.workers[0].health, WorkerHealth::kHealthy);
+  EXPECT_EQ(health.workers[0].io_failures, 0u);
+  EXPECT_EQ(health.workers[0].reconnects, 0u);
+  EXPECT_EQ(health.tasks_rescattered, 0u);
+}
+
+// Replies are filed by their frame's place in the connection's FIFO,
+// whichever thread reads them: the owner of the last of three queued
+// frames waits for its reply first, reading and filing the two ahead of
+// it, whose owners then find theirs filed.
+TEST(RpcPipelineTest, RepliesAreFiledByQueuePosition) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  StatusOr<std::unique_ptr<WorkerSupervisor>> connected =
+      WorkerSupervisor::Connect(farm.endpoints(), SupervisorOptions());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  WorkerSupervisor& supervisor = *connected.value();
+  const auto echo = static_cast<uint8_t>(RpcTaskKind::kEchoTask);
+  const uint8_t kinds[] = {static_cast<uint8_t>(RpcTaskKind::kSleepEchoTask),
+                           echo, echo};
+  const std::vector<std::vector<uint8_t>> requests = {
+      SleepEchoRequest(100, {1}), {2, 2}, {3, 3, 3}};
+  std::vector<uint8_t> responses[3];
+  WorkerSupervisor::PendingReply pending[3];
+  for (int i = 0; i < 3; ++i) {
+    const ConstSpan part{requests[i].data(), requests[i].size()};
+    bool worker_failed = true;
+    ASSERT_TRUE(supervisor
+                    .Send(0, kinds[i], &part, 1, &responses[i], &pending[i],
+                          &worker_failed)
+                    .ok());
+  }
+  double seconds[3] = {-1, -1, -1};
+  for (int i : {2, 0, 1}) {
+    bool worker_failed = true;
+    ASSERT_TRUE(
+        supervisor.Receive(&pending[i], &seconds[i], &worker_failed).ok());
+    EXPECT_FALSE(worker_failed);
+  }
+  EXPECT_EQ(responses[0], std::vector<uint8_t>{1});
+  EXPECT_EQ(responses[1], (std::vector<uint8_t>{2, 2}));
+  EXPECT_EQ(responses[2], (std::vector<uint8_t>{3, 3, 3}));
+  EXPECT_GE(seconds[0], 0.09);  // the worker-measured 100 ms sleep
+  EXPECT_LT(seconds[1], 0.09);
+  EXPECT_LT(seconds[2], 0.09);
+  EXPECT_EQ(supervisor.health(0), WorkerHealth::kHealthy);
+}
+
+// Deadlock guard: concurrent rounds over two workers whose frames and
+// replies are far larger than the loopback socket buffers. Rounds send to
+// the workers in different orders (each round's first worker rotates), so
+// a round is routinely blocked sending to one worker while the worker's
+// reply to another round fills its socket; the blocked sender must read
+// that reply itself. Every round must finish with its own bytes.
+TEST(RpcPipelineTest, LargeFramesFromConcurrentRoundsCannotDeadlock) {
+  RpcWorkerFarm farm;
+  farm.Start(2);
+  auto backend = ConnectFarm(farm);
+  constexpr size_t kPayloadBytes = size_t{16} << 20;
+  constexpr int kSubmitters = 3;
+  constexpr int kRoundsEach = 2;
+  std::vector<int> failures(kSubmitters, 0);
+  std::future<void> run = std::async(std::launch::async, [&]() {
+    std::vector<std::thread> submitters;
+    for (int s = 0; s < kSubmitters; ++s) {
+      submitters.emplace_back([&backend, &failures, s]() {
+        for (int r = 0; r < kRoundsEach; ++r) {
+          std::vector<std::vector<uint8_t>> requests(2);
+          for (size_t t = 0; t < requests.size(); ++t) {
+            requests[t].resize(kPayloadBytes);
+            const size_t salt = 31 * s + 7 * r + 3 * t;
+            for (size_t i = 0; i < kPayloadBytes; ++i) {
+              requests[t][i] = static_cast<uint8_t>((i >> 10) + salt);
+            }
+          }
+          StatusOr<RoundResult> round = backend->RunRound(
+              std::vector<WorkerTask>(2, WorkerTask(&EchoTaskMain)),
+              requests);
+          if (!round.ok() || round.value().responses != requests) {
+            ++failures[s];
+          }
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+  });
+  if (run.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    // A deadlocked thread cannot be joined; fail loudly instead of
+    // waiting for the ctest timeout.
+    std::fprintf(stderr,
+                 "rounds with 16 MiB frames did not finish within 120 s: "
+                 "deadlock between pipelined rounds?\n");
+    std::abort();
+  }
+  run.get();
+  for (int s = 0; s < kSubmitters; ++s) {
+    EXPECT_EQ(failures[s], 0) << "submitter " << s;
+  }
+  EXPECT_EQ(backend->health().CountWorkers(WorkerHealth::kHealthy), 2u);
 }
 
 TEST(RpcBackendTest, HeteroWorkerWireContractOverRpc) {

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "catalog/generator.h"
 #include "cluster/rpc_backend.h"
@@ -109,6 +111,188 @@ TEST(RpcFailoverTest, KilledWorkerMidRoundIsRescatteredToSurvivors) {
   EXPECT_EQ(health.rounds_recovered, 1u);
   EXPECT_GE(health.reconnect_attempts, 1u);
   EXPECT_EQ(health.CountWorkers(WorkerHealth::kHealthy), 3u);
+}
+
+// Frames from three rounds are queued on worker 0 (one running, two
+// waiting behind it) when it is SIGKILLed: every one of them fails with
+// the connection, each round re-scatters its task to the survivor and
+// returns its echoed bytes. After a restart on the same port the worker
+// is redialed and serves rounds again.
+TEST(RpcFailoverTest, WorkerKilledWithThreeRoundsQueuedOnIt) {
+  RpcWorkerFarm farm;
+  farm.Start(2);
+  // A redial budget that outlasts the outage, so worker 0 stays SUSPECT
+  // (not DEAD) until it is back.
+  auto backend = ConnectFarm(farm, /*retries=*/50);
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<uint8_t>>> requests(kRounds);
+  std::vector<std::vector<std::vector<uint8_t>>> expected(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    for (uint8_t t = 0; t < 2; ++t) {
+      ByteWriter writer;
+      writer.WriteU32(200);
+      std::vector<uint8_t> request = writer.Release();
+      request.push_back(static_cast<uint8_t>(10 * r + t));
+      requests[r].push_back(request);
+      expected[r].push_back({static_cast<uint8_t>(10 * r + t)});
+    }
+  }
+  // Each round sends one 200 ms frame to each worker at once; worker 0
+  // dies 100 ms in, with all three rounds' frames on its connection.
+  std::vector<StatusOr<RoundResult>> rounds(
+      kRounds, StatusOr<RoundResult>(Status::Internal("not run")));
+  std::vector<std::thread> submitters;
+  for (int r = 0; r < kRounds; ++r) {
+    submitters.emplace_back([&, r]() {
+      rounds[r] = backend->RunRound(
+          std::vector<WorkerTask>(2, WorkerTask(&SleepEchoTaskMain)),
+          requests[r]);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  farm.Kill(0);
+  for (std::thread& t : submitters) t.join();
+  for (int r = 0; r < kRounds; ++r) {
+    ASSERT_TRUE(rounds[r].ok()) << "round " << r << ": "
+                                << rounds[r].status().ToString();
+    EXPECT_EQ(rounds[r].value().responses, expected[r]) << "round " << r;
+  }
+  BackendHealth health = backend->health();
+  EXPECT_EQ(health.rounds_recovered, static_cast<uint64_t>(kRounds));
+  EXPECT_GE(health.tasks_rescattered, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(health.workers[0].health, WorkerHealth::kSuspect);
+  EXPECT_EQ(health.workers[0].io_failures, 1u);
+
+  farm.Restart(0);
+  const std::vector<WorkerTask> echo(2, WorkerTask(&EchoTaskMain));
+  const std::vector<std::vector<uint8_t>> bytes = {{1}, {2}};
+  for (int r = 0;
+       r < 100 && backend->health().workers[0].health != WorkerHealth::kHealthy;
+       ++r) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    StatusOr<RoundResult> round = backend->RunRound(echo, bytes);
+    ASSERT_TRUE(round.ok()) << round.status().ToString();
+  }
+  health = backend->health();
+  ASSERT_EQ(health.workers[0].health, WorkerHealth::kHealthy);
+  EXPECT_GE(health.workers[0].reconnects, 1u);
+  // With the other worker gone, the restarted one serves the round.
+  farm.Kill(1);
+  StatusOr<RoundResult> round = backend->RunRound(echo, bytes);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round.value().responses, bytes);
+  EXPECT_EQ(backend->health().workers[0].health, WorkerHealth::kHealthy);
+}
+
+// With io_timeout_ms set, a reply that stalls fails the whole connection
+// once: the frames queued behind it fail with it within one timeout, not
+// one timeout each.
+TEST(WorkerSupervisorTest, StalledReplyFailsEveryFrameQueuedBehindIt) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  SupervisorOptions options;
+  options.io_timeout_ms = 500;
+  StatusOr<std::unique_ptr<WorkerSupervisor>> connected =
+      WorkerSupervisor::Connect(farm.endpoints(), options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  WorkerSupervisor& supervisor = *connected.value();
+  ByteWriter writer;
+  writer.WriteU32(10'000);
+  const std::vector<std::vector<uint8_t>> requests = {
+      writer.Release(), {2}, {3}};
+  const uint8_t kinds[] = {static_cast<uint8_t>(RpcTaskKind::kSleepEchoTask),
+                           static_cast<uint8_t>(RpcTaskKind::kEchoTask),
+                           static_cast<uint8_t>(RpcTaskKind::kEchoTask)};
+  std::vector<uint8_t> responses[3];
+  WorkerSupervisor::PendingReply pending[3];
+  for (int i = 0; i < 3; ++i) {
+    const ConstSpan part{requests[i].data(), requests[i].size()};
+    bool worker_failed = true;
+    ASSERT_TRUE(supervisor
+                    .Send(0, kinds[i], &part, 1, &responses[i], &pending[i],
+                          &worker_failed)
+                    .ok());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto seconds_since_start = [&start]() {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  // The last frame's owner reads the stalled reply ahead of its own.
+  double seconds = 0;
+  bool worker_failed = false;
+  Status last = supervisor.Receive(&pending[2], &seconds, &worker_failed);
+  const double failed_after = seconds_since_start();
+  ASSERT_FALSE(last.ok());
+  EXPECT_TRUE(worker_failed);
+  EXPECT_NE(last.message().find("timed out"), std::string::npos)
+      << last.ToString();
+  // One 500 ms timeout, not one per frame it had to read through.
+  EXPECT_GE(failed_after, 0.4);
+  EXPECT_LT(failed_after, 0.95);
+  for (int i = 0; i < 2; ++i) {
+    worker_failed = false;
+    const Status s = supervisor.Receive(&pending[i], &seconds, &worker_failed);
+    EXPECT_FALSE(s.ok());
+    EXPECT_TRUE(worker_failed);
+    EXPECT_NE(s.message().find("timed out"), std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_LT(seconds_since_start() - failed_after, 0.25)
+      << "a frame queued behind the stalled one waited a timeout of its own";
+  EXPECT_EQ(supervisor.health(0), WorkerHealth::kSuspect);
+  EXPECT_EQ(supervisor.Snapshot().workers[0].io_failures, 1u);
+}
+
+// With io_timeout_ms set, a send the worker stops taking bytes of is
+// bounded too: behind a 10 s task, a 16 MiB frame fills the socket
+// buffers, no reply comes to read meanwhile, and the send fails after one
+// timeout, failing the frame queued ahead of it with the connection.
+TEST(WorkerSupervisorTest, StalledWorkerBoundsASendItStopsReading) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  SupervisorOptions options;
+  options.io_timeout_ms = 500;
+  StatusOr<std::unique_ptr<WorkerSupervisor>> connected =
+      WorkerSupervisor::Connect(farm.endpoints(), options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  WorkerSupervisor& supervisor = *connected.value();
+  ByteWriter writer;
+  writer.WriteU32(10'000);
+  const std::vector<uint8_t> sleep = writer.Release();
+  const ConstSpan sleep_part{sleep.data(), sleep.size()};
+  std::vector<uint8_t> sleep_reply;
+  WorkerSupervisor::PendingReply sleeping;
+  bool worker_failed = true;
+  ASSERT_TRUE(supervisor
+                  .Send(0, static_cast<uint8_t>(RpcTaskKind::kSleepEchoTask),
+                        &sleep_part, 1, &sleep_reply, &sleeping,
+                        &worker_failed)
+                  .ok());
+  const std::vector<uint8_t> big(size_t{16} << 20, 7);
+  const ConstSpan big_part{big.data(), big.size()};
+  std::vector<uint8_t> big_reply;
+  WorkerSupervisor::PendingReply stalled;
+  const auto start = std::chrono::steady_clock::now();
+  worker_failed = false;
+  const Status sent = supervisor.Send(
+      0, static_cast<uint8_t>(RpcTaskKind::kEchoTask), &big_part, 1,
+      &big_reply, &stalled, &worker_failed);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(sent.ok());
+  EXPECT_TRUE(worker_failed);
+  EXPECT_NE(sent.message().find("send timed out"), std::string::npos)
+      << sent.ToString();
+  EXPECT_GE(elapsed, 0.4);
+  EXPECT_LT(elapsed, 0.95);
+  double seconds = 0;
+  worker_failed = false;
+  EXPECT_FALSE(supervisor.Receive(&sleeping, &seconds, &worker_failed).ok());
+  EXPECT_TRUE(worker_failed);
+  EXPECT_EQ(supervisor.health(0), WorkerHealth::kSuspect);
 }
 
 // The acceptance scenario: an OptimizerService over N=4 remote workers,
