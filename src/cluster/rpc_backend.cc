@@ -215,21 +215,31 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       tasks_rescattered_.fetch_add(pending.size(), std::memory_order_relaxed);
     }
 
-    // Share k holds pending tasks k, k+lanes, ... in order and goes to
-    // one worker. The per-round rotating base spreads concurrent small
-    // rounds across the whole pool instead of piling them all onto
-    // worker 0 first.
+    // Lane k holds pending tasks k, k+lanes, ... in order and goes to
+    // usable[(base + k) % usable.size()]. The per-round rotating base
+    // spreads concurrent small rounds across the whole pool instead of
+    // piling them all onto worker 0 first. The shares, though, stay in
+    // ascending worker order, the order every round sends and reads in:
+    // two rounds sending at once then queue in the same order on every
+    // worker, and the first is answered after one compute on each. Sent
+    // in rotating order, they could cross (each queued behind the other
+    // on one worker): both then waited for two computes and finished
+    // together, and their next rounds tended to cross again.
     obs::Span pass_span("rpc.scatter_pass");
     const size_t lanes = std::min(usable.size(), pending.size());
     const size_t base =
         round_offset_.fetch_add(1, std::memory_order_relaxed) %
         usable.size();
     std::vector<WorkerShare> shares(lanes);
-    for (size_t k = 0; k < lanes; ++k) {
-      shares[k].worker = usable[(base + k) % usable.size()];
+    std::vector<size_t> share_of_lane(lanes);
+    for (size_t j = 0, next_share = 0; j < usable.size(); ++j) {
+      const size_t lane = (j + usable.size() - base) % usable.size();
+      if (lane >= lanes) continue;
+      shares[next_share].worker = usable[j];
+      share_of_lane[lane] = next_share++;
     }
     for (size_t p = 0; p < pending.size(); ++p) {
-      shares[p % lanes].tasks.push_back(pending[p]);
+      shares[share_of_lane[p % lanes]].tasks.push_back(pending[p]);
     }
 
     // Sends the share's next frame: as many unsent tasks as one frame

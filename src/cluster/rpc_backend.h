@@ -21,9 +21,9 @@
 // one scatter and one gather per query: a kBatchTask envelope holding the
 // share's requests (cluster/task_registry.h), or the plain request when
 // the share is a single task. The calling thread sends every used
-// worker's frame, then reads the replies in send order; no thread is
-// started per round. A share too large for one frame goes out as several,
-// with at most one of them outstanding.
+// worker's frame in ascending worker order, then reads the replies in
+// send order; no thread is started per round. A share too large for one
+// frame goes out as several, with at most one of them outstanding.
 //
 // Frame kinds at or above kSessionFrameKindBase are session-control
 // frames of the stateful-worker protocol (cluster/session/): the serve

@@ -681,11 +681,10 @@ TEST(RpcPipelineTest, RepliesAreFiledByQueuePosition) {
 }
 
 // Deadlock guard: concurrent rounds over two workers whose frames and
-// replies are far larger than the loopback socket buffers. Rounds send to
-// the workers in different orders (each round's first worker rotates), so
-// a round is routinely blocked sending to one worker while the worker's
-// reply to another round fills its socket; the blocked sender must read
-// that reply itself. Every round must finish with its own bytes.
+// replies are far larger than the loopback socket buffers, so a round is
+// routinely blocked sending to a worker while the worker's reply to
+// another round fills its socket; the blocked sender must read that reply
+// itself. Every round must finish with its own bytes.
 TEST(RpcPipelineTest, LargeFramesFromConcurrentRoundsCannotDeadlock) {
   RpcWorkerFarm farm;
   farm.Start(2);
