@@ -279,8 +279,8 @@ StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
 
 /// The process-wide in-process pool: one AsyncBatchBackend of hardware
 /// concurrency minus one threads, built on first use and shared by every
-/// caller. It is what a null backend means for MpqOptimizer,
-/// HeteroMpqOptimizer and OptimizerService.
+/// caller. It is what a null backend means for MpqOptimizer and
+/// OptimizerService.
 std::shared_ptr<ExecutionBackend> DefaultBackend();
 
 }  // namespace mpqopt

@@ -61,7 +61,7 @@ inline void EncodeRpcReplySeconds(double compute_seconds,
 inline std::vector<uint8_t> BuildRpcReplyPayload(double compute_seconds,
                                                  const uint8_t* body,
                                                  size_t size) {
-  CountPayloadCopy(size);  // the gather path (SendRpcReply) avoids this
+  CountPayloadCopy();  // the gather path (SendRpcReply) avoids this
   std::vector<uint8_t> payload(kRpcReplyHeaderBytes + size);
   EncodeRpcReplySeconds(compute_seconds, payload.data());
   if (size > 0) {

@@ -53,7 +53,7 @@ constexpr uint8_t kSessionCloseFrame = kSessionFrameKindBase + 2;
 inline std::vector<uint8_t> BuildSessionOpenPayload(
     uint64_t session_id, StatefulTaskKind kind,
     const std::vector<uint8_t>& open_request) {
-  CountPayloadCopy(open_request.size());
+  CountPayloadCopy();
   ByteWriter writer;
   writer.WriteU64(session_id);
   writer.WriteU8(static_cast<uint8_t>(kind));
@@ -64,7 +64,7 @@ inline std::vector<uint8_t> BuildSessionOpenPayload(
 
 inline std::vector<uint8_t> BuildSessionStepPayload(
     uint64_t session_id, const std::vector<uint8_t>& request) {
-  CountPayloadCopy(request.size());
+  CountPayloadCopy();
   ByteWriter writer;
   writer.WriteU64(session_id);
   std::vector<uint8_t> payload = writer.Release();

@@ -21,6 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Bound on the ping reply after a (re)dial. Unlike task replies, a
+/// health probe must never wait indefinitely.
+constexpr int kPingTimeoutMs = 2000;
+
 int MillisUntil(Clock::time_point deadline) {
   const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
@@ -166,7 +170,7 @@ StatusOr<Socket> WorkerSupervisor::EstablishConnection(
   double seconds = 0;
   std::vector<uint8_t> echo;
   s = RecvRpcReply(socket.value().fd(), &reply_kind, &seconds, &echo,
-                   options_.ping_timeout_ms);
+                   kPingTimeoutMs);
   if (!s.ok()) return Status::Internal("ping reply failed: " + s.ToString());
   if (reply_kind != static_cast<uint8_t>(RpcReplyKind::kOk) || echo != probe) {
     return Status::Internal("ping reply mismatch (not an mpqopt worker, or "

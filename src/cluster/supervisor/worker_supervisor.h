@@ -92,9 +92,6 @@ struct SupervisorOptions {
   /// send the worker stops taking bytes of; -1 waits indefinitely. On
   /// expiry the connection fails, and with it every frame queued on it.
   int io_timeout_ms = -1;
-  /// Bound on the ping reply after a (re)dial. Unlike task replies, a
-  /// health probe must never wait indefinitely.
-  int ping_timeout_ms = 2000;
   /// Redials allowed per failure episode before SUSPECT -> DEAD.
   int max_redials = 2;
   /// Initial redial backoff; doubles per failed redial.

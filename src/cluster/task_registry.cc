@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/serialize.h"
-#include "mpq/heterogeneous.h"
 #include "mpq/mpq.h"
 #include "obs/metrics.h"
 #include "obs/metrics_export.h"
@@ -32,8 +31,6 @@ const char* RpcTaskKindName(RpcTaskKind kind) {
       return "unknown";
     case RpcTaskKind::kMpqWorker:
       return "mpq";
-    case RpcTaskKind::kHeteroWorker:
-      return "hetero";
     case RpcTaskKind::kEchoTask:
       return "echo";
     case RpcTaskKind::kFailTask:
@@ -316,9 +313,6 @@ RpcTaskKind ResolveTaskKind(const WorkerTask& task) {
   const WorkerFn* fn = task.target<WorkerFn>();
   if (fn == nullptr) return RpcTaskKind::kUnknownTask;
   if (*fn == &MpqOptimizer::WorkerMain) return RpcTaskKind::kMpqWorker;
-  if (*fn == &HeteroMpqOptimizer::WorkerMain) {
-    return RpcTaskKind::kHeteroWorker;
-  }
   if (*fn == &EchoTaskMain) return RpcTaskKind::kEchoTask;
   if (*fn == &FailTaskMain) return RpcTaskKind::kFailTask;
   if (*fn == &SleepEchoTaskMain) return RpcTaskKind::kSleepEchoTask;
@@ -335,8 +329,6 @@ WorkerTask TaskForKind(RpcTaskKind kind) {
       return nullptr;
     case RpcTaskKind::kMpqWorker:
       return WorkerTask(&MpqOptimizer::WorkerMain);
-    case RpcTaskKind::kHeteroWorker:
-      return WorkerTask(&HeteroMpqOptimizer::WorkerMain);
     case RpcTaskKind::kEchoTask:
       return WorkerTask(&EchoTaskMain);
     case RpcTaskKind::kFailTask:

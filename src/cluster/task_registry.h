@@ -8,11 +8,11 @@
 // tagged with a registered TASK KIND, and the worker server maps the tag
 // back to the matching entry point. Only self-contained functions from
 // request bytes to response bytes can be registered — exactly the wire
-// contract MpqOptimizer::WorkerMain and HeteroMpqOptimizer::WorkerMain
-// already satisfy. (SMA's per-node tasks close over the node's memo
-// replica and are deliberately NOT registrable here; stateful workers
-// have their own registry of open/step/close triples and a session
-// protocol — see cluster/session/stateful_task.h.)
+// contract of MpqOptimizer::WorkerMain, the one optimizer kind. (SMA's
+// per-node tasks close over the node's memo replica and are deliberately
+// NOT registrable here; stateful workers have their own registry of
+// open/step/close triples and a session protocol — see
+// cluster/session/stateful_task.h.)
 //
 // The registry also carries tiny diagnostic kinds (echo, fail,
 // sleep-echo, ping) so the cross-backend conformance suite and the
@@ -41,7 +41,9 @@ class ByteWriter;
 enum class RpcTaskKind : uint8_t {
   kUnknownTask = 0,    ///< unregistered function — not shippable
   kMpqWorker = 1,      ///< MpqOptimizer::WorkerMain
-  kHeteroWorker = 2,   ///< HeteroMpqOptimizer::WorkerMain
+  // 2 is retired and must never be reused: it named a heterogeneous-MPQ
+  // worker, and a worker answers it like any unknown tag, with a task
+  // error, so an old master gets a clean error, not another task's bytes.
   kEchoTask = 3,       ///< diagnostic: response = request
   kFailTask = 4,       ///< diagnostic: fails with the request as message
   kSleepEchoTask = 5,  ///< diagnostic: u32 ms sleep, then echo the rest

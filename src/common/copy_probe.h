@@ -9,37 +9,29 @@
 // counter untouched — the proof that the hot path really is copy-free,
 // not merely faster.
 //
-// The counters are process-wide relaxed atomics: cheap enough to leave on
+// The counter is a process-wide relaxed atomic: cheap enough to leave on
 // in release builds, and the tests only ever compare deltas.
 
 #ifndef MPQOPT_COMMON_COPY_PROBE_H_
 #define MPQOPT_COMMON_COPY_PROBE_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace mpqopt {
 
 namespace internal {
 inline std::atomic<uint64_t> g_payload_copies{0};
-inline std::atomic<uint64_t> g_payload_copy_bytes{0};
 }  // namespace internal
 
-/// Records one payload-assembly copy of `bytes` bytes.
-inline void CountPayloadCopy(size_t bytes) {
+/// Records one payload-assembly copy.
+inline void CountPayloadCopy() {
   internal::g_payload_copies.fetch_add(1, std::memory_order_relaxed);
-  internal::g_payload_copy_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 /// Number of payload-assembly copies since process start.
 inline uint64_t PayloadCopiesSoFar() {
   return internal::g_payload_copies.load(std::memory_order_relaxed);
-}
-
-/// Total bytes those copies moved.
-inline uint64_t PayloadCopyBytesSoFar() {
-  return internal::g_payload_copy_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace mpqopt

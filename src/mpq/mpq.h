@@ -121,8 +121,7 @@ class MpqOptimizer {
   /// options.alpha otherwise), and copies the winners into
   /// `MpqResult::best`. Returns the first malformed response's status.
   /// Fills the plan/stat fields only — timing and traffic are the
-  /// caller's. Exposed for tests, benchmarks and the heterogeneous
-  /// optimizer's range and master merges.
+  /// caller's. Exposed for tests and benchmarks.
   static StatusOr<MpqResult> FinalizeResponses(
       const std::vector<std::vector<uint8_t>>& responses,
       const MpqOptions& options);

@@ -148,16 +148,6 @@ Status FinishQuery(const QueryDraft& draft,
 
 }  // namespace
 
-const char* WorkloadVariantName(WorkloadVariant variant) {
-  switch (variant) {
-    case WorkloadVariant::kMpq:
-      return "mpq";
-    case WorkloadVariant::kSma:
-      return "sma";
-  }
-  return "unknown";
-}
-
 std::vector<int> Workload::Arrivals(int repeat_cap) const {
   std::vector<int> arrivals;
   for (const ScheduleEntry& entry : schedule) {

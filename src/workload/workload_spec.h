@@ -88,9 +88,6 @@ enum class WorkloadVariant : uint8_t {
   kSma = 1,
 };
 
-/// "mpq" / "sma".
-const char* WorkloadVariantName(WorkloadVariant variant);
-
 /// One named query of a workload: the materialized Query (tables carry
 /// the referenced relations' names, cardinalities, and domains) plus the
 /// per-query option delta already applied over defaults.

@@ -14,8 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <thread>
 #include <vector>
@@ -468,14 +466,9 @@ TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
     poller.join();
     sma.join();
   });
-  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
-    // A deadlocked thread cannot be joined; fail loudly instead of
-    // waiting for the ctest timeout.
-    std::fprintf(stderr,
-                 "rpc rounds, stats polls and SMA session steps did not "
-                 "finish within 60 s: lock-order deadlock?\n");
-    std::abort();
-  }
+  AbortUnlessDone(run, std::chrono::seconds(60), &farm,
+                  "rpc rounds, stats polls and SMA session steps did not "
+                  "finish within 60 s: lock-order deadlock?");
   run.get();
 
   EXPECT_EQ(PlansOf(report), reference);

@@ -2,20 +2,18 @@
 //
 // RPC-specific loopback tests: real mpqopt_worker subprocesses serve the
 // rounds, covering what the backend-parameterized conformance suite in
-// backend_test.cc cannot — worker crashes, unregistered tasks, scatter
-// behaviour (one frame per worker), pipelined connections (rounds queue
-// frames on a worker's connection and file each other's replies), the
-// heterogeneous wire contract, and the OptimizerService running
-// unchanged over remote workers — plus socket-free cases for the
-// master's batch-reply decoder.
+// backend_test.cc cannot — worker crashes, unregistered tasks and the
+// retired task kind, scatter behaviour (one frame per worker), pipelined
+// connections (rounds queue frames on a worker's connection and file
+// each other's replies), and the OptimizerService running unchanged over
+// remote workers — plus socket-free cases for the master's batch-reply
+// decoder.
 
 #include "cluster/rpc_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <string>
@@ -27,7 +25,6 @@
 #include "cluster/task_registry.h"
 #include "common/copy_probe.h"
 #include "common/serialize.h"
-#include "mpq/heterogeneous.h"
 #include "mpq/mpq.h"
 #include "obs/trace.h"
 #include "service/optimizer_service.h"
@@ -434,6 +431,61 @@ TEST(RpcBackendTest, TaskErrorDoesNotPoisonTheConnection) {
   EXPECT_EQ(good.value().responses[0], std::vector<uint8_t>{9});
 }
 
+// Task kind 2 is retired (cluster/task_registry.h). A worker answers it
+// like any unknown kind: a plain frame gets a task-error reply and a batch
+// slot an ok = 0 outcome, while the worker stays HEALTHY on the same
+// connection and the slot after it still runs.
+TEST(RpcBackendTest, RetiredTaskKindGetsATaskError) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  StatusOr<std::unique_ptr<WorkerSupervisor>> connected =
+      WorkerSupervisor::Connect(farm.endpoints(), SupervisorOptions());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  WorkerSupervisor& supervisor = *connected.value();
+  constexpr uint8_t kRetiredKind = 2;
+  std::vector<uint8_t> response;
+  double seconds = 0;
+  bool worker_failed = true;
+
+  const Status plain = supervisor.Exchange(0, kRetiredKind, {1, 2, 3},
+                                           &response, &seconds,
+                                           &worker_failed);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_FALSE(worker_failed);
+  EXPECT_NE(plain.message().find("task failed: unknown task kind 2"),
+            std::string::npos)
+      << plain.ToString();
+
+  const std::string echo_body = "kept";
+  ByteWriter batch;
+  batch.WriteU32(2);
+  batch.WriteU8(kRetiredKind);
+  batch.WriteU32(1);
+  batch.WriteU8(9);
+  batch.WriteU8(static_cast<uint8_t>(RpcTaskKind::kEchoTask));
+  batch.WriteU32(static_cast<uint32_t>(echo_body.size()));
+  batch.WriteBytes(reinterpret_cast<const uint8_t*>(echo_body.data()),
+                   echo_body.size());
+  worker_failed = true;
+  const Status batched = supervisor.Exchange(
+      0, static_cast<uint8_t>(RpcTaskKind::kBatchTask), batch.Release(),
+      &response, &seconds, &worker_failed);
+  ASSERT_TRUE(batched.ok()) << batched.ToString();
+  EXPECT_FALSE(worker_failed);
+  std::vector<BatchSlot> slots;
+  ASSERT_TRUE(ParseBatchTaskResponse(response, 2, &slots).ok());
+  EXPECT_FALSE(slots[0].ok);
+  EXPECT_NE(BodyText(slots[0]).find("kind 2"), std::string::npos)
+      << BodyText(slots[0]);
+  EXPECT_TRUE(slots[1].ok);
+  EXPECT_EQ(BodyText(slots[1]), echo_body);
+
+  const BackendHealth health = supervisor.Snapshot();
+  ASSERT_EQ(health.workers.size(), 1u);
+  EXPECT_EQ(health.workers[0].health, WorkerHealth::kHealthy);
+  EXPECT_EQ(health.workers[0].io_failures, 0u);
+}
+
 TEST(RpcBackendTest, KilledWorkerIsFailedOverToTheSurvivor) {
   // The supervision subsystem turned this scenario from fail-fast into
   // self-healing: with one of two workers SIGKILLed, the round must
@@ -717,51 +769,14 @@ TEST(RpcPipelineTest, LargeFramesFromConcurrentRoundsCannotDeadlock) {
     }
     for (std::thread& t : submitters) t.join();
   });
-  if (run.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
-    // A deadlocked thread cannot be joined; fail loudly instead of
-    // waiting for the ctest timeout.
-    std::fprintf(stderr,
-                 "rounds with 16 MiB frames did not finish within 120 s: "
-                 "deadlock between pipelined rounds?\n");
-    std::abort();
-  }
+  AbortUnlessDone(run, std::chrono::seconds(120), &farm,
+                  "rounds with 16 MiB frames did not finish within 120 s: "
+                  "deadlock between pipelined rounds?");
   run.get();
   for (int s = 0; s < kSubmitters; ++s) {
     EXPECT_EQ(failures[s], 0) << "submitter " << s;
   }
   EXPECT_EQ(backend->health().CountWorkers(WorkerHealth::kHealthy), 2u);
-}
-
-TEST(RpcBackendTest, HeteroWorkerWireContractOverRpc) {
-  RpcWorkerFarm farm;
-  farm.Start(2);
-  auto backend = ConnectFarm(farm);
-
-  const Query q = MakeQuery(8, 902);
-  MpqOptions opts;
-  opts.space = PlanSpace::kLinear;
-  opts.num_workers = 8;
-  const std::vector<PartitionShare> shares =
-      AssignPartitions({1.0, 3.0}, opts.num_workers);
-  ASSERT_EQ(shares.size(), 2u);
-
-  std::vector<std::vector<uint8_t>> requests;
-  std::vector<std::vector<uint8_t>> reference;
-  for (const PartitionShare& share : shares) {
-    requests.push_back(HeteroMpqOptimizer::BuildRequest(q, share, opts));
-    StatusOr<std::vector<uint8_t>> direct =
-        HeteroMpqOptimizer::WorkerMain(requests.back());
-    ASSERT_TRUE(direct.ok());
-    reference.push_back(std::move(direct).value());
-  }
-
-  std::vector<WorkerTask> tasks(shares.size(),
-                                WorkerTask(&HeteroMpqOptimizer::WorkerMain));
-  StatusOr<RoundResult> round = backend->RunRound(tasks, requests);
-  ASSERT_TRUE(round.ok()) << round.status().ToString();
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(round.value().responses[i].size(), reference[i].size());
-  }
 }
 
 TEST(RpcServiceTest, OptimizerServiceRunsUnchangedOverRpc) {

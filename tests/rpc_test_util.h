@@ -22,6 +22,11 @@
 // stderr is redirected to <dir>/worker-<pid>.log; CI points this at a
 // directory it uploads as a failure artifact, so a red failover test
 // ships the worker-side story with it.
+//
+// A test whose failure mode is a hang runs its body with std::async and
+// waits through AbortUnlessDone, which kills the farm's workers before it
+// aborts: abort skips the farm's destructor, and workers left serving
+// would outlive the test and hold its stderr open.
 
 #ifndef MPQOPT_TESTS_RPC_TEST_UTIL_H_
 #define MPQOPT_TESTS_RPC_TEST_UTIL_H_
@@ -32,9 +37,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -210,6 +217,18 @@ class RpcWorkerFarm {
 
   std::vector<Worker> workers_;
 };
+
+/// Hang guard: waits up to `limit` for `run`. If it is not done, prints
+/// `what`, SIGKILLs and reaps every worker of `farm`, and aborts (a
+/// deadlocked thread cannot be joined).
+inline void AbortUnlessDone(const std::future<void>& run,
+                            std::chrono::seconds limit, RpcWorkerFarm* farm,
+                            const char* what) {
+  if (run.wait_for(limit) == std::future_status::ready) return;
+  std::fprintf(stderr, "%s\n", what);
+  farm->StopAll();
+  std::abort();
+}
 
 }  // namespace mpqopt
 

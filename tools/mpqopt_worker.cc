@@ -3,8 +3,8 @@
 // mpqopt_worker — the remote worker server behind --backend=rpc.
 //
 // Listens on a TCP endpoint and serves framed worker-task requests
-// (MpqOptimizer::WorkerMain, HeteroMpqOptimizer::WorkerMain, and the
-// diagnostic kinds; see cluster/task_registry.h) plus stateful session
+// (MpqOptimizer::WorkerMain and the diagnostic kinds; see
+// cluster/task_registry.h) plus stateful session
 // frames (SMA memo replicas and other registered session kinds; see
 // cluster/session/). One serving thread per master connection;
 // connections are persistent and each carries a sequential
