@@ -457,20 +457,27 @@ BENCHMARK(BM_MasterSerializeFinalize)
 /// iteration on the query and the partition index come from this
 /// thread's caches (BM_WorkerSmallRound times the misses). range(0) is
 /// the table count, range(1) selects the plan space (0 = linear, 1 =
-/// bushy). The "splits" counter is the DP's splits per task
-/// (DpStats::splits_tried), so the JSON records carry ns per split next
-/// to ns per task.
+/// bushy), and range(2) is 0 for the single-objective DP or ten times
+/// alpha for the time+buffer DP. The "splits" counter is the DP's splits
+/// per task (DpStats::splits_tried), so the JSON records carry ns per
+/// split next to ns per task.
 void BM_WorkerFullOptimization(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Query q = TestQuery(n);
   MpqOptions opts;
   opts.space = state.range(1) != 0 ? PlanSpace::kBushy : PlanSpace::kLinear;
+  if (state.range(2) != 0) {
+    opts.objective = Objective::kTimeAndBuffer;
+    opts.alpha = static_cast<double>(state.range(2)) / 10;
+  }
   opts.num_workers = 16;
   const uint64_t partition = 3;
   const std::vector<uint8_t> request =
       MpqOptimizer::BuildRequest(q, partition, opts);
   DpConfig config;
   config.space = opts.space;
+  config.objective = opts.objective;
+  config.alpha = opts.alpha;
   StatusOr<DpResult> dp = RunPartitionDp(
       q, TestPartition(n, opts.space, partition, opts.num_workers), config);
   MPQOPT_CHECK(dp.ok());
@@ -484,11 +491,14 @@ void BM_WorkerFullOptimization(benchmark::State& state) {
       static_cast<double>(dp.value().stats.splits_tried);
 }
 BENCHMARK(BM_WorkerFullOptimization)
-    ->Args({10, 0})
-    ->Args({14, 0})
-    ->Args({16, 0})
-    ->Args({17, 0})
-    ->Args({12, 1});
+    ->Args({10, 0, 0})
+    ->Args({14, 0, 0})
+    ->Args({16, 0, 0})
+    ->Args({17, 0, 0})
+    ->Args({12, 1, 0})
+    ->Args({12, 1, 10})
+    ->Args({12, 1, 12})
+    ->Args({12, 1, 100});
 
 /// Console output as usual, plus one BenchJsonWriter record per run
 /// (bench name with its args as the config, ns/iter as the metric).

@@ -2,6 +2,7 @@
 
 #include "catalog/query.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace mpqopt {
@@ -41,8 +42,9 @@ Status Query::Validate() const {
     return Status::InvalidArgument("query exceeds kMaxTables tables");
   }
   for (const TableInfo& t : tables_) {
-    if (!(t.cardinality > 0)) {
-      return Status::InvalidArgument("table cardinality must be positive");
+    if (!(t.cardinality > 0 && std::isfinite(t.cardinality))) {
+      return Status::InvalidArgument(
+          "table cardinality must be positive and finite");
     }
     for (double d : t.attribute_domains) {
       if (!(d >= 1)) {

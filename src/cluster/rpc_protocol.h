@@ -23,7 +23,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/copy_probe.h"
 #include "common/status.h"
 #include "net/frame_transport.h"
 
@@ -61,7 +60,6 @@ inline void EncodeRpcReplySeconds(double compute_seconds,
 inline std::vector<uint8_t> BuildRpcReplyPayload(double compute_seconds,
                                                  const uint8_t* body,
                                                  size_t size) {
-  CountPayloadCopy();  // the gather path (SendRpcReply) avoids this
   std::vector<uint8_t> payload(kRpcReplyHeaderBytes + size);
   EncodeRpcReplySeconds(compute_seconds, payload.data());
   if (size > 0) {

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "cluster/session/stateful_task.h"
-#include "common/copy_probe.h"
 #include "common/serialize.h"
 #include "common/status.h"
 #include "net/frame_transport.h"
@@ -53,7 +52,6 @@ constexpr uint8_t kSessionCloseFrame = kSessionFrameKindBase + 2;
 inline std::vector<uint8_t> BuildSessionOpenPayload(
     uint64_t session_id, StatefulTaskKind kind,
     const std::vector<uint8_t>& open_request) {
-  CountPayloadCopy();
   ByteWriter writer;
   writer.WriteU64(session_id);
   writer.WriteU8(static_cast<uint8_t>(kind));
@@ -64,7 +62,6 @@ inline std::vector<uint8_t> BuildSessionOpenPayload(
 
 inline std::vector<uint8_t> BuildSessionStepPayload(
     uint64_t session_id, const std::vector<uint8_t>& request) {
-  CountPayloadCopy();
   ByteWriter writer;
   writer.WriteU64(session_id);
   std::vector<uint8_t> payload = writer.Release();

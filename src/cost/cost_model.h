@@ -22,12 +22,46 @@
 // reused down the pipeline, the peak governs admission. Both combination
 // rules (sum for time, max for buffer) are monotone, so the principle of
 // optimality holds for Pareto-set DP.
+//
+// Sort-merge dominance (CostModel::SortMergeDominated). A sort term is at
+// least its operand's card (SortTime(c) = c for c <= 2, and c log2 c >= c
+// above 2), so a sort-merge join's work is at least 2(|L| + |R|) while the
+// hash join's is c_h (|L| + |R|). Costs are pinned bit for bit, so the
+// DPs may skip the sort-merge candidate only if its computed cost can
+// never undercut the computed hash-join cost; HJ precedes SMJ in
+// kJoinAlgorithms, so a tie already keeps the hash join. In floating
+// point, with u = 2^-53 and every operand nonnegative:
+//   S  = fl(|L| + |R|)                  the hash join's sum
+//   X  = fl(sort_L + sort_R) >= S       fl is monotone, sort >= card
+//   Z  = fl(fl(X + |L|) + |R|)          the sort-merge work
+//      >= (S + |L| + |R|)(1 - u)^2      one rounding per addition (an
+//                                       addition with a subnormal result
+//                                       is exact)
+//      >= S (1 + 1/(1 + u))(1 - u)^2    since |L| + |R| >= S / (1 + u)
+//      >= 2 (1 - 4u) S >= c_h S         while c_h <= 2 (1 - 4u)
+// so Z >= fl(c_h S), the computed hash-join work (Z is a double and fl is
+// monotone; an overflow makes Z +inf). Adding the same output time and
+// then the same operand costs is monotone too, so the sort-merge cost is
+// never below the hash-join cost. That settles the single-objective DP,
+// whose pruning keeps the first strict minimum. This relies on std::log2
+// returning at least 1 above 2, which any faithfully rounded log2 does.
+//
+// The time+buffer DP offers the hash join before the sort-merge join over
+// the same operand plans. The hash join's buffer |L| is at most the
+// sort-merge's fl(|L| + |R|) and its time is at most the sort-merge's, so
+// whatever kept the hash join out, or the hash join itself, alpha-
+// dominates the sort-merge candidate too, as long as alpha >= 1 and every
+// cost is nonnegative (x <= alpha x needs x >= 0): c_h >= 0, a positive
+// block size and a nonnegative output factor. Overflow cannot break this:
+// a NaN time (0 * inf) is NaN in both candidates' times, and
+// CostVector::AlphaDominates never rejects on a NaN component.
 
 #ifndef MPQOPT_COST_COST_MODEL_H_
 #define MPQOPT_COST_COST_MODEL_H_
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "cost/cost_vector.h"
 
@@ -74,7 +108,8 @@ struct CostModelOptions {
 struct JoinOperand {
   double card = 0;    ///< estimated rows
   double blocks = 0;  ///< ceil(card / B): BNL passes when this is the outer
-  double sort = 0;    ///< SortTime(card): card log2 card, or card if <= 2
+  double sort = 0;    ///< SortTime(card): card log2 card, or card if <= 2;
+                      ///< 0 where no sort-merge join is costed
 };
 
 /// Stateless cost model; cheap to copy into each worker.
@@ -116,9 +151,24 @@ class CostModel {
     return CostVector::TimeBuffer(time, buffer);
   }
 
-  /// The per-operand terms of an operand with `card` rows.
-  JoinOperand Operand(double card) const {
-    return {card, OuterBlocks(card), SortTime(card)};
+  /// True when a sort-merge join never costs less than the hash join over
+  /// the same operands (proof in the header comment): 0 <= c_h <=
+  /// 2(1 - 4u), a positive block size and a nonnegative output factor.
+  /// NaN constants fail it. While it holds, the scalar and time+buffer DPs
+  /// (partition_dp.h) neither cost the sort-merge candidate nor prepare
+  /// its sort terms; the plans they keep are the same either way.
+  bool SortMergeDominated() const {
+    constexpr double kMaxHashConstant =
+        2 * (1 - 4 * (std::numeric_limits<double>::epsilon() / 2));
+    return options_.hash_constant >= 0 &&
+           options_.hash_constant <= kMaxHashConstant &&
+           options_.block_size > 0 && options_.output_cost_factor >= 0;
+  }
+
+  /// The per-operand terms of an operand with `card` rows. The sort term
+  /// stays 0 unless `sort` is set, for a DP that never costs sort-merge.
+  JoinOperand Operand(double card, bool sort = true) const {
+    return {card, OuterBlocks(card), sort ? SortTime(card) : 0};
   }
 
   /// The output term of the join-time formula.

@@ -40,7 +40,7 @@ StatusOr<DpResult> RunPartitionDp(const Query& query,
   } else if (config.objective == Objective::kTime) {
     ScalarDp dp(query, index, model);
     const int64_t splits = WalkPartition(index, &dp);
-    // Every split costs each join algorithm once.
+    // Every split ranks each join algorithm once (DpStats::plans_costed).
     result.stats.splits_tried = splits;
     result.stats.plans_costed = splits * kNumJoinAlgorithms;
     result.best.push_back(BuildPlan(index, dp, all, 0, &result.arena));

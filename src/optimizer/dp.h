@@ -62,7 +62,11 @@ struct DpStats {
   int64_t admissible_sets = 0;
   /// Operand pairs generated (the quantity of Theorems 6/7).
   int64_t splits_tried = 0;
-  /// Cost evaluations (splits x join algorithms x plan pairs).
+  /// Candidates the pruning function ranks: splits x join algorithms x
+  /// operand plan pairs. A sort-merge join the kernels skip because the
+  /// hash join dominates it (CostModel::SortMergeDominated) still counts:
+  /// it is ranked, as a loser, without being costed. So the count does
+  /// not depend on the cost constants.
   int64_t plans_costed = 0;
   /// Pure optimization time in seconds (excludes (de)serialization).
   double seconds = 0;

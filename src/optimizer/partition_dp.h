@@ -35,6 +35,10 @@
 #ifndef MPQOPT_OPTIMIZER_PARTITION_DP_H_
 #define MPQOPT_OPTIMIZER_PARTITION_DP_H_
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -136,12 +140,47 @@ struct ScalarEntry {
   JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
 
+// Both kernels take a split's candidates in kJoinAlgorithms order and
+// skip a dominated sort-merge join as the last, after the hash join that
+// covers it.
+static_assert(kNumJoinAlgorithms == 3 &&
+              kJoinAlgorithms[0] == JoinAlgorithm::kBlockNestedLoop &&
+              kJoinAlgorithms[1] == JoinAlgorithm::kHashJoin &&
+              kJoinAlgorithms[2] == JoinAlgorithm::kSortMergeJoin);
+
+/// `a < b ? a : b`, so `b` when they are equal or either is NaN: one
+/// minsd on x86-64, where GCC 12 may otherwise compile the compare into a
+/// branch.
+inline double MinSd(double a, double b) {
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_min_sd(_mm_set_sd(a), _mm_set_sd(b)));
+#else
+  return a < b ? a : b;
+#endif
+}
+
+/// Folds candidate `cost` of algorithm `alg` into a running first minimum
+/// (`*best`, `*best_alg`): the candidate replaces it only if strictly
+/// cheaper, so a tie or a NaN keeps the earlier one. GCC 12 compiles a
+/// ternary into a branch when its compare also picks the algorithm, so
+/// the compare is hinted as a coin flip and the algorithm is selected
+/// with a mask.
+inline void FoldFirstMinimum(double cost, JoinAlgorithm alg, double* best,
+                             uint64_t* best_alg) {
+  const bool less = __builtin_expect_with_probability(cost < *best, 1, 0.5);
+  *best_alg ^= (*best_alg ^ static_cast<uint64_t>(alg)) & (uint64_t{0} - less);
+  *best = MinSd(cost, *best);
+}
+
 /// The classical DP: keeps the single cheapest plan per table set.
 class ScalarDp {
  public:
-  /// The set under construction: its best split so far, output terms.
+  /// The set under construction: its best split so far (cost NaN and
+  /// left_bits 0 before the first) and its output terms.
   struct State {
-    ScalarEntry best;
+    double cost;
+    uint64_t left_bits;
+    uint64_t alg;
     double out_card;
     double out_time;
   };
@@ -152,12 +191,13 @@ class ScalarDp {
   ScalarDp(const Query& query, const PartitionIndex& index,
            const CostModel& model)
       : model_(model),
+        sort_merge_(!model.SortMergeDominated()),
         estimator_(query),
         memo_(static_cast<size_t>(index.size())) {
     for (int t = 0; t < query.num_tables(); ++t) {
       const double card = query.table(t).cardinality;
-      scan_[t] = {model_.ScanCost(card).time(), model_.Operand(card), 0,
-                  JoinAlgorithm::kScan};
+      scan_[t] = {model_.ScanCost(card).time(),
+                  model_.Operand(card, sort_merge_), 0, JoinAlgorithm::kScan};
       const int64_t rank = index.Rank(TableSet::Single(t));
       if (rank >= 0) memo_[static_cast<size_t>(rank)] = scan_[t];
     }
@@ -166,36 +206,57 @@ class ScalarDp {
 
   State Begin(TableSet u) const {
     const double card = estimator_.Cardinality(u);
-    return {ScalarEntry(), card, model_.OutputTime(card)};
+    return {std::numeric_limits<double>::quiet_NaN(), 0, 0, card,
+            model_.OutputTime(card)};
   }
 
-  /// Costs every join algorithm over one split, keeping the cheapest. The
-  /// strict < in kJoinAlgorithms order means a tie keeps the earlier
-  /// candidate; an operand not stored yet never wins.
+  /// One split: its cost is the first minimum of its join algorithms in
+  /// kJoinAlgorithms order (sort-merge only while it is not dominated),
+  /// and it replaces the set's best if strictly cheaper, or if it is the
+  /// set's first split. So the set keeps its first minimum in split
+  /// order, and a set whose every candidate costs +inf (an overflow)
+  /// keeps its first split. An operand not stored yet costs +inf, so its
+  /// splits never beat a stored one's.
   void Join(State* s, TableSet left, const ScalarEntry& l,
             const ScalarEntry& r) const {
     const double base = l.cost + r.cost;
-    for (JoinAlgorithm alg : kJoinAlgorithms) {
-      const double cost =
-          base + model_.LocalJoinTime(alg, l.op, r.op, s->out_time);
-      if (cost < s->best.cost) {
-        s->best.cost = cost;
-        s->best.left_bits = left.bits();
-        s->best.alg = alg;
-      }
+    const auto cost = [&](JoinAlgorithm a) {
+      return base + model_.LocalJoinTime(a, l.op, r.op, s->out_time);
+    };
+    // The split's first minimum; a NaN candidate never wins, so neither
+    // is it ever NaN.
+    double split = MinSd(cost(JoinAlgorithm::kBlockNestedLoop), kInfiniteCost);
+    uint64_t alg = static_cast<uint64_t>(JoinAlgorithm::kBlockNestedLoop);
+    FoldFirstMinimum(cost(JoinAlgorithm::kHashJoin), JoinAlgorithm::kHashJoin,
+                     &split, &alg);
+    if (sort_merge_) {
+      FoldFirstMinimum(cost(JoinAlgorithm::kSortMergeJoin),
+                       JoinAlgorithm::kSortMergeJoin, &split, &alg);
     }
+    // The set's best starts as NaN, which fails every comparison, so its
+    // first split is taken whatever it costs. On a tie MinSd returns the
+    // split's cost, which has the best's bits: no cost is -0, since a
+    // scan costs its positive card and a sum is -0 only if both addends
+    // are.
+    const bool take =
+        __builtin_expect_with_probability(!(s->cost <= split), 1, 0.5);
+    const uint64_t mask = uint64_t{0} - take;
+    s->left_bits ^= (s->left_bits ^ left.bits()) & mask;
+    s->alg ^= (s->alg ^ alg) & mask;
+    s->cost = MinSd(s->cost, split);
   }
 
   void End(State* s, int64_t rank) {
-    MPQOPT_CHECK(s->best.cost < kInfiniteCost);  // every set has a split
-    Store(rank, s->out_card, s->best);
+    MPQOPT_CHECK(s->left_bits != 0);  // every set has a split
+    Store(rank, s->out_card,
+          {s->cost, {}, s->left_bits, static_cast<JoinAlgorithm>(s->alg)});
   }
 
   /// Stores `entry` at `rank` with the operand terms of `card` rows.
   void Store(int64_t rank, double card, const ScalarEntry& entry) {
     ScalarEntry& slot = memo_[static_cast<size_t>(rank)];
     slot = entry;
-    slot.op = model_.Operand(card);
+    slot.op = model_.Operand(card, sort_merge_);
   }
 
   const ScalarEntry& Entry(int64_t rank) const {
@@ -211,6 +272,9 @@ class ScalarDp {
 
  private:
   const CostModel& model_;
+  /// Whether Join costs sort-merge joins: only while they are not
+  /// dominated (CostModel::SortMergeDominated).
+  const bool sort_merge_;
   CardinalityEstimator estimator_;
   std::vector<ScalarEntry> memo_;
   ScalarEntry scan_[kMaxTables];
@@ -254,12 +318,15 @@ class ParetoDp {
            const CostModel& model, double alpha)
       : model_(model),
         alpha_(alpha),
+        num_algorithms_(model.SortMergeDominated() && alpha >= 1
+                            ? kNumJoinAlgorithms - 1
+                            : kNumJoinAlgorithms),
         estimator_(query),
         memo_(static_cast<size_t>(index.size())) {
     for (int t = 0; t < query.num_tables(); ++t) {
       const double card = query.table(t).cardinality;
       scan_plan_[t] = {model_.ScanCost(card), 0, 0, 0, JoinAlgorithm::kScan};
-      scan_[t] = {model_.Operand(card), &scan_plan_[t], 1};
+      scan_[t] = {model_.Operand(card, SortMerge()), &scan_plan_[t], 1};
       const int64_t rank = index.Rank(TableSet::Single(t));
       if (rank >= 0) Store(rank, card, &scan_plan_[t], 1);
     }
@@ -273,14 +340,17 @@ class ParetoDp {
   }
 
   /// Offers every (left plan, right plan, algorithm) of one split to the
-  /// frontier under construction.
+  /// frontier under construction. A dominated sort-merge join is not
+  /// offered: the hash join over the same operand plans, offered just
+  /// before it, or the incumbent that rejected that hash join, would
+  /// reject it (cost_model.h). plans_costed still counts it.
   void Join(State* s, TableSet left, const ParetoEntry& l,
             const ParetoEntry& r) {
     // The operator-local terms depend on the split alone, not on which
     // operand plans it combines.
     double local_time[kNumJoinAlgorithms];
     double local_buffer[kNumJoinAlgorithms];
-    for (int a = 0; a < kNumJoinAlgorithms; ++a) {
+    for (int a = 0; a < num_algorithms_; ++a) {
       local_time[a] =
           model_.LocalJoinTime(kJoinAlgorithms[a], l.op, r.op, s->out_time);
       local_buffer[a] =
@@ -292,7 +362,7 @@ class ParetoDp {
     };
     for (uint32_t li = 0; li < l.num_plans; ++li) {
       for (uint32_t ri = 0; ri < r.num_plans; ++ri) {
-        for (int a = 0; a < kNumJoinAlgorithms; ++a) {
+        for (int a = 0; a < num_algorithms_; ++a) {
           ParetoPlanRef cand;
           cand.cost = model_.ComposeJoinCost(l.plans[li].cost,
                                              r.plans[ri].cost, local_time[a],
@@ -320,7 +390,7 @@ class ParetoDp {
     ParetoPlanRef* copy = frontier_arena_.AllocateArray<ParetoPlanRef>(count);
     if (count > 0) std::memcpy(copy, plans, count * sizeof(ParetoPlanRef));
     ParetoEntry& e = memo_[static_cast<size_t>(rank)];
-    e.op = model_.Operand(card);
+    e.op = model_.Operand(card, SortMerge());
     e.plans = copy;
     e.num_plans = static_cast<uint32_t>(count);
   }
@@ -346,8 +416,15 @@ class ParetoDp {
   }
 
  private:
+  bool SortMerge() const { return num_algorithms_ == kNumJoinAlgorithms; }
+
   const CostModel& model_;
   double alpha_;
+  /// The leading kJoinAlgorithms that Join offers: all three, or the two
+  /// before a dominated sort-merge join (CostModel::SortMergeDominated;
+  /// the rejection argument also needs alpha >= 1, which RunPartitionDp
+  /// checks and SMA does not).
+  const int num_algorithms_;
   CardinalityEstimator estimator_;
   std::vector<ParetoEntry> memo_;
   /// Bump storage for finished frontiers; scratch_ is the one mutable

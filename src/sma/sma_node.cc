@@ -164,12 +164,12 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
     if (Scalar()) {
       const ScalarDp::State state =
           JoinSplits(&*scalar_, options_.space, TableSet(bits));
-      if (!(state.best.cost < kInfiniteCost)) return NotInReplica();
+      if (!(state.cost < kInfiniteCost)) return NotInReplica();
       writer.WriteU64(bits);
-      writer.WriteU8(static_cast<uint8_t>(state.best.alg));
-      writer.WriteU64(state.best.left_bits);
+      writer.WriteU8(static_cast<uint8_t>(state.alg));
+      writer.WriteU64(state.left_bits);
       writer.WriteDouble(state.out_card);
-      writer.WriteDouble(state.best.cost);
+      writer.WriteDouble(state.cost);
     } else {
       const ParetoDp::State state =
           JoinSplits(&*pareto_, options_.space, TableSet(bits));

@@ -259,6 +259,83 @@ TEST(CostModelTest, OperandTermsMatchTheirDefinitions) {
   }
 }
 
+TEST(CostModelTest, OperandWithoutSortTermLeavesItZero) {
+  const CostModel model(Objective::kTime);
+  for (double card : SweepCardinalities()) {
+    const JoinOperand op = model.Operand(card, /*sort=*/false);
+    EXPECT_EQ(op.card, card);
+    EXPECT_EQ(op.blocks, model.Operand(card).blocks) << card;
+    EXPECT_EQ(op.sort, 0) << card;
+  }
+}
+
+/// The largest hash constant the dominance proof allows: 2 (1 - 4u).
+constexpr double kMaxDominatedHash =
+    2 * (1 - 2 * std::numeric_limits<double>::epsilon());
+
+bool SortMergeDominated(double hash, double block, double output) {
+  CostModelOptions o;
+  o.hash_constant = hash;
+  o.block_size = block;
+  o.output_cost_factor = output;
+  return CostModel(Objective::kTime, o).SortMergeDominated();
+}
+
+TEST(CostModelTest, SortMergeDominatedWhileHashJoinCoversIt) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(CostModel(Objective::kTime).SortMergeDominated());
+  EXPECT_TRUE(CostModel(Objective::kTimeAndBuffer).SortMergeDominated());
+  EXPECT_TRUE(SortMergeDominated(1.99, 100, 1));
+  EXPECT_TRUE(SortMergeDominated(kMaxDominatedHash, 100, 1));
+  EXPECT_TRUE(SortMergeDominated(0, 100, 1));
+  EXPECT_TRUE(SortMergeDominated(1.2, 100, 0));
+  EXPECT_TRUE(SortMergeDominated(1.2, 1, 1));
+  // A hash join can cost more than a sort-merge join over the same
+  // operands, or the proof's margin is gone.
+  EXPECT_FALSE(SortMergeDominated(2, 100, 1));
+  EXPECT_FALSE(SortMergeDominated(std::nextafter(kMaxDominatedHash, 2.0), 100,
+                                  1));
+  EXPECT_FALSE(SortMergeDominated(10, 100, 1));
+  // Negative operator times break the time+buffer DP's alpha argument.
+  EXPECT_FALSE(SortMergeDominated(-0.5, 100, 1));
+  EXPECT_FALSE(SortMergeDominated(1.2, 0, 1));
+  EXPECT_FALSE(SortMergeDominated(1.2, -100, 1));
+  EXPECT_FALSE(SortMergeDominated(1.2, 100, -1));
+  // NaN constants fail every comparison.
+  EXPECT_FALSE(SortMergeDominated(nan, 100, 1));
+  EXPECT_FALSE(SortMergeDominated(1.2, nan, 1));
+  EXPECT_FALSE(SortMergeDominated(1.2, 100, nan));
+}
+
+TEST(CostModelTest, DominatedSortMergeNeverUndercutsHashJoin) {
+  // The header's claim, bit for bit over the sweep: every sort term is at
+  // least its card, and at the largest hash constant the predicate
+  // accepts the sort-merge join's computed time is never below the hash
+  // join's.
+  const std::vector<double> cards = SweepCardinalities();
+  for (double card : cards) {
+    EXPECT_GE(CostModel(Objective::kTime).SortTime(card), card) << card;
+  }
+  for (double hash : {kMaxDominatedHash, 1.99, 1.2, 0.0}) {
+    CostModelOptions o;
+    o.hash_constant = hash;
+    const CostModel model(Objective::kTime, o);
+    ASSERT_TRUE(model.SortMergeDominated());
+    for (double l : cards) {
+      for (double r : cards) {
+        const double out_time = model.OutputTime(l);
+        EXPECT_GE(model.LocalJoinTime(JoinAlgorithm::kSortMergeJoin,
+                                      model.Operand(l), model.Operand(r),
+                                      out_time),
+                  model.LocalJoinTime(JoinAlgorithm::kHashJoin,
+                                      model.Operand(l), model.Operand(r),
+                                      out_time))
+            << hash << " " << l << " " << r;
+      }
+    }
+  }
+}
+
 TEST(CostModelTest, NumMetricsFollowsObjective) {
   EXPECT_EQ(CostModel(Objective::kTime).num_metrics(), 1);
   EXPECT_EQ(CostModel(Objective::kTimeAndBuffer).num_metrics(), 2);

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "catalog/generator.h"
 #include "cost/cardinality.h"
 #include "optimizer/pruning.h"
 #include "plan/plan_validator.h"
+#include "tests/overflow_query.h"
 #include "tests/plan_digest.h"
 
 namespace mpqopt {
@@ -287,6 +289,29 @@ TEST(DpTest, TwoTableQueryPicksCheaperOuter) {
   EXPECT_NEAR(cost / BruteForceLinearBest(q), 1.0, 1e-12);
 }
 
+TEST(DpTest, OverflowingCostsGiveAPlanThatCostsInfinity) {
+  // Every candidate of the full join costs +inf, so none beats the +inf a
+  // set starts from: the set keeps its first split, by the first join
+  // algorithm.
+  const Query q = OverflowingChainQuery();
+  ASSERT_TRUE(q.Validate().ok());
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    DpConfig config;
+    config.space = space;
+    StatusOr<DpResult> result = OptimizeSerial(q, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().best.size(), 1u);
+    const PlanNode& root = result.value().arena.node(result.value().best[0]);
+    EXPECT_EQ(root.tables, q.all_tables());
+    EXPECT_EQ(root.algorithm, JoinAlgorithm::kBlockNestedLoop);
+    EXPECT_EQ(root.cardinality, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(root.cost.time(), std::numeric_limits<double>::infinity());
+    // Its operands are finite, optimal subplans.
+    EXPECT_LT(result.value().arena.node(root.left).cost.time(),
+              std::numeric_limits<double>::infinity());
+  }
+}
+
 TEST(DpTest, RejectsMismatchedConstraintSpace) {
   const Query q = RandomQuery(6, JoinGraphShape::kStar, 45);
   DpConfig config;
@@ -475,12 +500,61 @@ struct PlanPin {
   bool tuned_costs = false;
 };
 
+/// True if the plan rooted at `id` contains a join by `alg`.
+bool ContainsJoin(const PlanArena& arena, PlanId id, JoinAlgorithm alg) {
+  const PlanNode& node = arena.node(id);
+  if (node.IsScan()) return false;
+  return node.algorithm == alg || ContainsJoin(arena, node.left, alg) ||
+         ContainsJoin(arena, node.right, alg);
+}
+
+/// Digests every partition's returned plans and work counters at m = 16,
+/// bit by bit, under `config` with the pin's space and objective. Sets
+/// `*sort_merge` if a returned plan contains a sort-merge join.
+uint64_t PinnedPartitionsDigest(const PlanPin& pin, DpConfig config,
+                                bool* sort_merge) {
+  constexpr uint64_t kPartitions = 16;
+  const Query q = RandomQuery(pin.num_tables, pin.shape, pin.seed);
+  config.space = pin.space;
+  config.objective = pin.objective;
+  Fnv64 h;
+  for (uint64_t part = 0; part < kPartitions; ++part) {
+    StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
+        q.num_tables(), pin.space, part, kPartitions);
+    EXPECT_TRUE(constraints.ok());
+    if (!constraints.ok()) return 0;
+    StatusOr<DpResult> result = RunPartitionDp(q, constraints.value(), config);
+    EXPECT_TRUE(result.ok());
+    if (!result.ok()) return 0;
+    const DpResult& r = result.value();
+    h.Add(part);
+    h.Add(r.stats.admissible_sets);
+    h.Add(r.stats.splits_tried);
+    h.Add(r.stats.plans_costed);
+    h.Add(static_cast<uint64_t>(r.best.size()));
+    for (PlanId id : r.best) {
+      DigestPlan(r.arena, id, &h);
+      if (ContainsJoin(r.arena, id, JoinAlgorithm::kSortMergeJoin)) {
+        *sort_merge = true;
+      }
+    }
+  }
+  return h.value();
+}
+
+std::string PinName(const PlanPin& pin) {
+  return std::string(JoinGraphShapeName(pin.shape)) + " " +
+         PlanSpaceName(pin.space) +
+         " objective=" + std::to_string(static_cast<int>(pin.objective)) +
+         " n=" + std::to_string(pin.num_tables) +
+         " seed=" + std::to_string(pin.seed);
+}
+
 TEST(DpTest, PartitionPlansMatchPinnedDigests) {
   // Every partition's returned plans and work counters, digested bit by
   // bit. A changed evaluation order in the cost arithmetic, tie-break or
   // enumeration order changes a digest, so a change that alters plans
   // must update these goldens on purpose.
-  constexpr uint64_t kPartitions = 16;
   const PlanPin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 101,
        0x21cb1bcab6e012f6},
@@ -512,36 +586,46 @@ TEST(DpTest, PartitionPlansMatchPinnedDigests) {
        12, 114, 0x2a9ea4e12b629296, true},
   };
   for (const PlanPin& pin : pins) {
-    const Query q = RandomQuery(pin.num_tables, pin.shape, pin.seed);
     DpConfig config;
-    config.space = pin.space;
-    config.objective = pin.objective;
     if (pin.tuned_costs) {
       config.cost_options.block_size = 64;
       config.cost_options.hash_constant = 1.7;
       config.cost_options.output_cost_factor = 0.5;
     }
-    Fnv64 h;
-    for (uint64_t part = 0; part < kPartitions; ++part) {
-      StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
-          q.num_tables(), pin.space, part, kPartitions);
-      ASSERT_TRUE(constraints.ok());
-      StatusOr<DpResult> result =
-          RunPartitionDp(q, constraints.value(), config);
-      ASSERT_TRUE(result.ok());
-      const DpResult& r = result.value();
-      h.Add(part);
-      h.Add(r.stats.admissible_sets);
-      h.Add(r.stats.splits_tried);
-      h.Add(r.stats.plans_costed);
-      h.Add(static_cast<uint64_t>(r.best.size()));
-      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
-    }
-    EXPECT_EQ(h.value(), pin.digest)
-        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
-        << " objective=" << static_cast<int>(pin.objective) << " n="
-        << pin.num_tables << " seed=" << pin.seed << ": digest 0x" << std::hex
-        << h.value();
+    bool sort_merge = false;
+    const uint64_t digest = PinnedPartitionsDigest(pin, config, &sort_merge);
+    EXPECT_EQ(digest, pin.digest)
+        << PinName(pin) << ": digest 0x" << std::hex << digest;
+  }
+}
+
+TEST(DpTest, SortMergeCostedPlansMatchPinnedDigests) {
+  // At hash constant 10 and one-row blocks a sort-merge join can be the
+  // cheapest, so the DPs cost it (CostModel::SortMergeDominated is
+  // false). These plans were pinned before the kernels learned to skip a
+  // dominated sort-merge join, and each digest covers plans that use one.
+  // At alpha = 1 the time+buffer frontiers keep the sort-merge plans a
+  // coarser alpha would let the hash joins cover.
+  const PlanPin pins[] = {
+      {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 115,
+       0xe5632dd6b2848257},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 116,
+       0x1453355e58d73eb1},
+      {JoinGraphShape::kCycle, PlanSpace::kLinear, Objective::kTimeAndBuffer,
+       12, 117, 0x905ba4508ac34f7a},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
+       12, 118, 0x57c1e7c9f839b38d},
+  };
+  DpConfig config;
+  config.alpha = 1;
+  config.cost_options.hash_constant = 10;
+  config.cost_options.block_size = 1;
+  for (const PlanPin& pin : pins) {
+    bool sort_merge = false;
+    const uint64_t digest = PinnedPartitionsDigest(pin, config, &sort_merge);
+    EXPECT_EQ(digest, pin.digest)
+        << PinName(pin) << ": digest 0x" << std::hex << digest;
+    EXPECT_TRUE(sort_merge) << PinName(pin);
   }
 }
 

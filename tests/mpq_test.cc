@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "optimizer/pruning.h"
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
+#include "tests/overflow_query.h"
 
 namespace mpqopt {
 namespace {
@@ -148,6 +150,21 @@ TEST(MpqTest, ReturnedPlanValidates) {
     EXPECT_TRUE(ValidatePlan(result.value().arena, result.value().best[0], q,
                              model, vopts)
                     .ok());
+  }
+}
+
+TEST(MpqTest, OverflowingCostsGiveAPlanThatCostsInfinity) {
+  const Query q = OverflowingChainQuery();
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    const uint64_t m = UsableWorkers(q.num_tables(), space, 4);
+    MpqOptimizer mpq(Options(space, m));
+    StatusOr<MpqResult> result = mpq.Optimize(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().best.size(), 1u);
+    const PlanNode& root = result.value().arena.node(result.value().best[0]);
+    EXPECT_EQ(root.tables, q.all_tables());
+    EXPECT_EQ(root.cost.time(), std::numeric_limits<double>::infinity())
+        << PlanSpaceName(space) << " m=" << m;
   }
 }
 

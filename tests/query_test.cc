@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/serialize.h"
 
 namespace mpqopt {
@@ -36,6 +38,16 @@ TEST(QueryTest, NonPositiveCardinalityRejected) {
   tables[0].cardinality = 0;
   Query q(std::move(tables), {});
   EXPECT_FALSE(q.Validate().ok());
+}
+
+TEST(QueryTest, NonFiniteCardinalityRejected) {
+  for (double card : {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<TableInfo> tables(1);
+    tables[0].cardinality = card;
+    Query q(std::move(tables), {});
+    EXPECT_EQ(q.Validate().code(), StatusCode::kInvalidArgument) << card;
+  }
 }
 
 TEST(QueryTest, PredicateTableOutOfRangeRejected) {

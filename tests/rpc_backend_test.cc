@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -23,11 +24,11 @@
 #include "cluster/rpc_protocol.h"
 #include "cluster/supervisor/worker_supervisor.h"
 #include "cluster/task_registry.h"
-#include "common/copy_probe.h"
 #include "common/serialize.h"
 #include "mpq/mpq.h"
 #include "obs/trace.h"
 #include "service/optimizer_service.h"
+#include "tests/overflow_query.h"
 #include "tests/rpc_test_util.h"
 
 namespace mpqopt {
@@ -179,34 +180,30 @@ TEST(RpcBackendTest, ShareLargerThanOneFrameSplitsIntoSeveral) {
   EXPECT_EQ(health.tasks_coalesced, 2 * per_frame);
 }
 
-TEST(RpcBackendTest, MasterSideScatterGatherMakesZeroPayloadCopies) {
-  // The copy probe counts every master-side payload assembly copy (the
-  // legacy Build*Payload builders). The production send path gathers
-  // header and body spans straight into sendmsg, so a full MPQ run over
-  // RPC — scatter, worker rounds, replies, finalize — must not move the
-  // probe at all in this (master) process.
+TEST(RpcBackendTest, OverflowingCostsComeBackAsAnInfinitePlan) {
+  // Every plan of the full join costs +inf. The worker's DP keeps the
+  // first split instead of aborting, so the round returns a plan that
+  // costs +inf and the worker stays HEALTHY.
   RpcWorkerFarm farm;
-  farm.Start(2);
+  farm.Start(1);
   auto backend = ConnectFarm(farm);
-
-  MpqOptions opts;
-  opts.num_workers = 8;
-  opts.space = PlanSpace::kLinear;
-  opts.backend = backend;
-  const Query query = MakeQuery(10, 91);
-
-  const uint64_t copies_before = PayloadCopiesSoFar();
-  MpqOptimizer optimizer(opts);
-  StatusOr<MpqResult> result = optimizer.Optimize(query);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result.value().best.empty());
-  EXPECT_EQ(PayloadCopiesSoFar() - copies_before, 0u)
-      << "master-side payload copy on the zero-copy path";
-
-  // Sanity: the probe is live — the legacy copying builder moves it.
-  const std::vector<uint8_t> body = {1, 2, 3};
-  (void)BuildRpcReplyPayload(0.5, body.data(), body.size());
-  EXPECT_EQ(PayloadCopiesSoFar() - copies_before, 1u);
+  const Query query = OverflowingChainQuery();
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    MpqOptions opts;
+    opts.space = space;
+    opts.num_workers = UsableWorkers(query.num_tables(), space, 4);
+    opts.backend = backend;
+    MpqOptimizer optimizer(opts);
+    StatusOr<MpqResult> result = optimizer.Optimize(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().best.size(), 1u);
+    EXPECT_EQ(result.value().arena.node(result.value().best[0]).cost.time(),
+              std::numeric_limits<double>::infinity())
+        << PlanSpaceName(space);
+  }
+  const BackendHealth health = backend->health();
+  EXPECT_EQ(health.CountWorkers(WorkerHealth::kHealthy), 1u);
+  EXPECT_EQ(health.workers[0].io_failures, 0u);
 }
 
 TEST(RpcReplyWireTest, GatherReplyMatchesLegacyBuilderBytes) {
