@@ -28,39 +28,33 @@ namespace {
 /// Bytes of a kBatchTask subtask-slot header (u8 kind + u32 length).
 constexpr size_t kBatchSlotHeaderBytes = sizeof(uint8_t) + sizeof(uint32_t);
 
-constexpr uint8_t kTracedKind = static_cast<uint8_t>(RpcTaskKind::kTracedTask);
-
-/// Splits a traced-task reply in place: grafts the worker spans into
-/// `trace` under the frame's `exchange` span and leaves exactly the inner
-/// response bytes in `response` — downstream parsing sees the untraced
-/// protocol. The worker reports RELATIVE nanoseconds from envelope entry;
-/// they are re-based so the envelope ENDS at `end_ns`, when its reply
-/// landed (network transfer shows up as the gap between rpc.exchange
-/// start and worker.serve start). spans[0] covers the whole envelope and
-/// parents the rest.
-Status StripTraceBlock(obs::QueryTrace* trace, uint32_t exchange,
-                       uint64_t end_ns, std::vector<uint8_t>* response) {
-  uint64_t trace_id = 0;
-  std::vector<ImportedSpan> spans;
-  std::vector<uint8_t> inner;
-  Status s = ParseTracedTaskResponse(*response, &trace_id, &spans, &inner);
-  if (!s.ok()) {
-    return Status::Corruption("traced rpc reply is malformed: " +
-                              s.ToString());
+/// Records a traced frame's worker spans under its rpc.exchange span
+/// [sent_ns, end_ns], from the timings its reply carries: one worker.serve
+/// that lasts the reply header's `serve_seconds` and ends when the reply
+/// was read, clamped to the exchange; inside it, one worker.compute per
+/// slot, laid back to back in slot order (the order the worker ran them)
+/// and clamped to worker.serve. The worker measured every duration; only
+/// their placement on the master's clock is computed here.
+void AddWorkerSpans(obs::QueryTrace* trace, uint32_t exchange,
+                    uint64_t sent_ns, uint64_t end_ns, double serve_seconds,
+                    const std::vector<BatchSlot>& slots) {
+  // Peer-reported seconds to nanoseconds, at most `limit` (a NaN or a
+  // negative reads as 0).
+  const auto nanos = [](double seconds, uint64_t limit) -> uint64_t {
+    const double ns = seconds * 1e9;
+    if (!(ns > 0)) return 0;
+    return ns < static_cast<double>(limit) ? static_cast<uint64_t>(ns) : limit;
+  };
+  const uint64_t serve_start =
+      end_ns - nanos(serve_seconds, end_ns - sent_ns);
+  const uint32_t serve =
+      trace->AddCompleteSpan("worker.serve", exchange, serve_start, end_ns);
+  uint64_t at = serve_start;
+  for (const BatchSlot& slot : slots) {
+    const uint64_t end = at + nanos(slot.compute_seconds, end_ns - at);
+    trace->AddCompleteSpan("worker.compute", serve, at, end);
+    at = end;
   }
-  if (trace->trace_id() == trace_id && !spans.empty()) {
-    const uint64_t total = spans[0].start_rel_ns + spans[0].dur_ns;
-    const uint64_t base = end_ns >= total ? end_ns - total : 0;
-    uint32_t parent = exchange;
-    for (size_t k = 0; k < spans.size(); ++k) {
-      const uint64_t start = base + spans[k].start_rel_ns;
-      const uint32_t id = trace->AddCompleteSpan(spans[k].name, parent, start,
-                                                 start + spans[k].dur_ns);
-      if (k == 0) parent = id;
-    }
-  }
-  *response = std::move(inner);
-  return Status::OK();
 }
 
 /// One worker's share of a scatter pass, and where its frames stand.
@@ -139,18 +133,10 @@ StatusOr<RoundResult> RpcBackend::RunRound(
     kinds[i] = static_cast<uint8_t>(kind);
   }
 
-  // With an active trace on the calling thread, each request ships inside
-  // a kTracedTask envelope carrying the query's trace id; the worker
-  // returns its serve-loop timings ahead of the real response, which
-  // StripTraceBlock grafts into the trace and removes — every byte the
-  // round's consumers see is identical to the untraced protocol. A
-  // request too close to the frame limit for the 9-byte envelope ships
-  // plain (it merely loses its worker-side spans).
+  // With an active trace on the calling thread, each frame's exchange and
+  // worker spans are recorded from its send and reply times and the
+  // timings the reply carries; the frames themselves are the untraced ones.
   obs::QueryTrace* const trace = obs::CurrentTraceContext().trace;
-  const auto wrap_task = [&](size_t i) {
-    return trace != nullptr &&
-           requests[i].size() + kTracedTaskPrefixBytes <= kMaxFramePayloadBytes;
-  };
 
   // Round-level recovery loop: scatter the pending tasks over the usable
   // workers; connection-level failures leave their tasks pending and the
@@ -252,10 +238,8 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       size_t count = 0;
       size_t bytes = sizeof(uint32_t);
       for (size_t t = share.next; t < share.tasks.size(); ++t) {
-        const size_t i = share.tasks[t];
-        const size_t need = kBatchSlotHeaderBytes +
-                            (wrap_task(i) ? kTracedTaskPrefixBytes : 0) +
-                            requests[i].size();
+        const size_t need =
+            kBatchSlotHeaderBytes + requests[share.tasks[t]].size();
         if (count > 0 && (bytes + need > kMaxFramePayloadBytes ||
                           2 * (count + 1) > kMaxSendSpans)) {
           break;
@@ -263,26 +247,19 @@ StatusOr<RoundResult> RpcBackend::RunRound(
         bytes += need;
         ++count;
       }
-      // Envelope and slot headers (and traced prefixes) go into `heads`,
-      // reserved up front so the spans into it stay valid.
+      // Envelope and slot headers go into `heads`, reserved up front so the
+      // spans into it stay valid.
       const bool batch = count > 1;
       heads.clear();
-      heads.reserve(sizeof(uint32_t) +
-                    count * (kBatchSlotHeaderBytes + kTracedTaskPrefixBytes));
+      heads.reserve(sizeof(uint32_t) + count * kBatchSlotHeaderBytes);
       parts.clear();
       ByteWriter writer(&heads);
       if (batch) writer.WriteU32(static_cast<uint32_t>(count));
       for (size_t t = share.next, mark = 0; t < share.next + count; ++t) {
         const size_t i = share.tasks[t];
-        const bool wrap = wrap_task(i);
         if (batch) {
-          writer.WriteU8(wrap ? kTracedKind : kinds[i]);
-          writer.WriteU32(static_cast<uint32_t>(
-              (wrap ? kTracedTaskPrefixBytes : 0) + requests[i].size()));
-        }
-        if (wrap) {
-          WriteTracedTaskPrefix(trace->trace_id(),
-                                static_cast<RpcTaskKind>(kinds[i]), &writer);
+          writer.WriteU8(kinds[i]);
+          writer.WriteU32(static_cast<uint32_t>(requests[i].size()));
         }
         parts.push_back({heads.data() + mark, heads.size() - mark});
         parts.push_back({requests[i].data(), requests[i].size()});
@@ -290,8 +267,7 @@ StatusOr<RoundResult> RpcBackend::RunRound(
       }
       const size_t lone = share.tasks[share.next];
       const uint8_t kind =
-          batch ? static_cast<uint8_t>(RpcTaskKind::kBatchTask)
-                : (wrap_task(lone) ? kTracedKind : kinds[lone]);
+          batch ? static_cast<uint8_t>(RpcTaskKind::kBatchTask) : kinds[lone];
       if (trace != nullptr) share.sent_ns = obs::MonotonicNanos();
       bool worker_failed = false;
       const Status s = supervisor_->Send(
@@ -332,8 +308,8 @@ StatusOr<RoundResult> RpcBackend::RunRound(
         return true;
       }
       // One rpc.exchange span per frame, from its send to its reply (time
-      // queued behind other rounds' frames included); the grafted worker
-      // spans go under it.
+      // queued behind other rounds' frames included); the worker spans go
+      // under it once the reply has been split into slots.
       uint32_t exchange = obs::kNoSpan;
       const uint64_t end_ns = trace != nullptr ? obs::MonotonicNanos() : 0;
       if (trace != nullptr) {
@@ -352,29 +328,25 @@ StatusOr<RoundResult> RpcBackend::RunRound(
         }
         return true;
       }
+      if (trace != nullptr) {
+        AddWorkerSpans(trace, exchange, share.sent_ns, end_ns, seconds, slots);
+      }
       for (size_t k = 0; k < count; ++k) {
         const size_t i = share.tasks[first + k];
         const ConstSpan slot = slots[k].body;
-        Status status = Status::OK();
         if (!slots[k].ok) {
-          status = Status::Internal("rpc batch subtask failed: " +
-                                    std::string(slot.data,
-                                                slot.data + slot.size));
-        } else {
-          if (count > 1) {
-            result.responses[i].assign(slot.data, slot.data + slot.size);
+          if (task_error.ok()) {
+            task_error = Status::Internal(
+                "rpc batch subtask failed: " +
+                std::string(slot.data, slot.data + slot.size));
           }
-          result.compute_seconds[i] = slots[k].compute_seconds;
-          if (wrap_task(i)) {
-            status = StripTraceBlock(trace, exchange, end_ns,
-                                     &result.responses[i]);
-          }
+          continue;
         }
-        if (status.ok()) {
-          done[i] = 1;
-        } else if (task_error.ok()) {
-          task_error = std::move(status);
+        if (count > 1) {
+          result.responses[i].assign(slot.data, slot.data + slot.size);
         }
+        result.compute_seconds[i] = slots[k].compute_seconds;
+        done[i] = 1;
       }
       return true;
     };

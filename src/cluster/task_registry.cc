@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstddef>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -41,8 +39,6 @@ const char* RpcTaskKindName(RpcTaskKind kind) {
       return "ping";
     case RpcTaskKind::kBatchTask:
       return "batch";
-    case RpcTaskKind::kTracedTask:
-      return "traced";
     case RpcTaskKind::kStatsPollTask:
       return "stats-poll";
   }
@@ -188,127 +184,6 @@ Status ParseBatchTaskResponse(const std::vector<uint8_t>& response,
   return Status::OK();
 }
 
-StatusOr<std::vector<uint8_t>> TracedTaskMain(
-    const std::vector<uint8_t>& request) {
-  const auto entry = std::chrono::steady_clock::now();
-  ByteReader reader(request);
-  uint64_t trace_id = 0;
-  uint8_t inner_kind = 0;
-  Status s = reader.ReadU64(&trace_id);
-  if (s.ok()) s = reader.ReadU8(&inner_kind);
-  if (!s.ok()) return s;
-  if (inner_kind == static_cast<uint8_t>(RpcTaskKind::kTracedTask) ||
-      inner_kind == static_cast<uint8_t>(RpcTaskKind::kBatchTask)) {
-    return Status::InvalidArgument(
-        std::string("traced envelope cannot wrap ") +
-        RpcTaskKindName(static_cast<RpcTaskKind>(inner_kind)));
-  }
-  WorkerTask task = TaskForKind(static_cast<RpcTaskKind>(inner_kind));
-  if (task == nullptr) {
-    return Status::InvalidArgument("traced subtask kind " +
-                                   std::to_string(inner_kind) +
-                                   " is not executable");
-  }
-  std::vector<uint8_t> inner_request(reader.cursor(),
-                                     reader.cursor() + reader.remaining());
-
-  const auto rel_ns = [entry](std::chrono::steady_clock::time_point t) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t - entry)
-            .count());
-  };
-  const auto compute_start = std::chrono::steady_clock::now();
-  StatusOr<std::vector<uint8_t>> response = task(inner_request);
-  const auto compute_end = std::chrono::steady_clock::now();
-  // A failed subtask fails the whole envelope: upstream sees exactly the
-  // status the unwrapped task would have produced.
-  if (!response.ok()) return response.status();
-
-  struct WireSpan {
-    const char* name;
-    uint64_t start_rel_ns;
-    uint64_t dur_ns;
-  };
-  const auto now = std::chrono::steady_clock::now();
-  const WireSpan spans[] = {
-      {"worker.serve", 0, rel_ns(now)},
-      {"worker.compute", rel_ns(compute_start),
-       rel_ns(compute_end) - rel_ns(compute_start)},
-  };
-
-  ByteWriter writer;
-  ByteWriter block;
-  block.WriteU64(trace_id);
-  block.WriteU32(static_cast<uint32_t>(std::size(spans)));
-  for (const WireSpan& span : spans) {
-    const size_t name_len = std::char_traits<char>::length(span.name);
-    block.WriteU8(static_cast<uint8_t>(name_len));
-    block.WriteBytes(reinterpret_cast<const uint8_t*>(span.name), name_len);
-    block.WriteU64(span.start_rel_ns);
-    block.WriteU64(span.dur_ns);
-  }
-  const std::vector<uint8_t> block_bytes = block.Release();
-  writer.WriteU32(static_cast<uint32_t>(block_bytes.size()));
-  writer.WriteBytes(block_bytes.data(), block_bytes.size());
-  const std::vector<uint8_t>& body = response.value();
-  writer.WriteBytes(body.data(), body.size());
-  return writer.Release();
-}
-
-void WriteTracedTaskPrefix(uint64_t trace_id, RpcTaskKind inner_kind,
-                           ByteWriter* writer) {
-  writer->WriteU64(trace_id);
-  writer->WriteU8(static_cast<uint8_t>(inner_kind));
-}
-
-Status ParseTracedTaskResponse(const std::vector<uint8_t>& response,
-                               uint64_t* trace_id,
-                               std::vector<ImportedSpan>* spans,
-                               std::vector<uint8_t>* inner_body) {
-  ByteReader reader(response);
-  uint32_t block_len = 0;
-  Status s = reader.ReadU32(&block_len);
-  if (!s.ok()) return s;
-  if (block_len > reader.remaining()) {
-    return Status::Corruption("traced response block exceeds the reply");
-  }
-  // The spans are parsed from the block alone, never from the body.
-  const size_t body_offset = sizeof(uint32_t) + block_len;
-  ByteReader block(reader.cursor(), block_len);
-  s = block.ReadU64(trace_id);
-  uint32_t count = 0;
-  if (s.ok()) s = block.ReadU32(&count);
-  if (!s.ok()) return s;
-  // A span is at least a u8 name length and two u64 timestamps.
-  constexpr size_t kMinSpanBytes = sizeof(uint8_t) + 2 * sizeof(uint64_t);
-  if (count > block.remaining() / kMinSpanBytes) {
-    return Status::Corruption("traced span count exceeds the block");
-  }
-  spans->clear();
-  spans->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t name_len = 0;
-    s = block.ReadU8(&name_len);
-    if (!s.ok()) return s;
-    if (name_len > block.remaining()) {
-      return Status::Corruption("traced span name exceeds the block");
-    }
-    ImportedSpan span;
-    span.name.assign(reinterpret_cast<const char*>(block.cursor()), name_len);
-    block.Advance(name_len);
-    s = block.ReadU64(&span.start_rel_ns);
-    if (s.ok()) s = block.ReadU64(&span.dur_ns);
-    if (!s.ok()) return s;
-    spans->push_back(std::move(span));
-  }
-  if (!block.AtEnd()) {
-    return Status::Corruption("traced spans do not end at the block end");
-  }
-  inner_body->assign(response.begin() + static_cast<ptrdiff_t>(body_offset),
-                     response.end());
-  return Status::OK();
-}
-
 RpcTaskKind ResolveTaskKind(const WorkerTask& task) {
   const WorkerFn* fn = task.target<WorkerFn>();
   if (fn == nullptr) return RpcTaskKind::kUnknownTask;
@@ -318,7 +193,6 @@ RpcTaskKind ResolveTaskKind(const WorkerTask& task) {
   if (*fn == &SleepEchoTaskMain) return RpcTaskKind::kSleepEchoTask;
   if (*fn == &PingTaskMain) return RpcTaskKind::kPingTask;
   if (*fn == &BatchTaskMain) return RpcTaskKind::kBatchTask;
-  if (*fn == &TracedTaskMain) return RpcTaskKind::kTracedTask;
   if (*fn == &StatsPollTaskMain) return RpcTaskKind::kStatsPollTask;
   return RpcTaskKind::kUnknownTask;
 }
@@ -339,8 +213,6 @@ WorkerTask TaskForKind(RpcTaskKind kind) {
       return WorkerTask(&PingTaskMain);
     case RpcTaskKind::kBatchTask:
       return WorkerTask(&BatchTaskMain);
-    case RpcTaskKind::kTracedTask:
-      return WorkerTask(&TracedTaskMain);
     case RpcTaskKind::kStatsPollTask:
       return WorkerTask(&StatsPollTaskMain);
   }

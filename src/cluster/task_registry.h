@@ -20,12 +20,17 @@
 // optimizer; ping doubles as the health-probe frame the supervision
 // subsystem (cluster/supervisor/) sends to verify a redialed worker
 // actually serves before marking it healthy again.
+//
+// Tracing adds no kind and no bytes: a traced round sends exactly the
+// untraced frames. The worker times every frame it serves (the reply
+// header's seconds) and every batch subtask (its slot's seconds), and the
+// master builds the frame's worker.serve and worker.compute spans from
+// those timings alone (cluster/rpc_backend.cc).
 
 #ifndef MPQOPT_CLUSTER_TASK_REGISTRY_H_
 #define MPQOPT_CLUSTER_TASK_REGISTRY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/backend.h"
@@ -34,22 +39,21 @@
 
 namespace mpqopt {
 
-class ByteWriter;
-
 /// Wire tag of one registered worker entry point. Values are part of the
 /// RPC protocol — append new kinds, never renumber.
 enum class RpcTaskKind : uint8_t {
   kUnknownTask = 0,    ///< unregistered function — not shippable
   kMpqWorker = 1,      ///< MpqOptimizer::WorkerMain
-  // 2 is retired and must never be reused: it named a heterogeneous-MPQ
-  // worker, and a worker answers it like any unknown tag, with a task
-  // error, so an old master gets a clean error, not another task's bytes.
+  // 2 and 8 are retired and must never be reused: 2 named a
+  // heterogeneous-MPQ worker, 8 the kTracedTask envelope that once carried
+  // a trace id and shipped worker spans home. A worker answers either like
+  // any unknown tag, with a task error, so an old master gets a clean
+  // error, not another task's bytes.
   kEchoTask = 3,       ///< diagnostic: response = request
   kFailTask = 4,       ///< diagnostic: fails with the request as message
   kSleepEchoTask = 5,  ///< diagnostic: u32 ms sleep, then echo the rest
   kPingTask = 6,       ///< health probe: echoes the nonce payload
   kBatchTask = 7,      ///< envelope: a worker's N subtask requests
-  kTracedTask = 8,     ///< envelope: trace id + one subtask request
   kStatsPollTask = 9,  ///< telemetry: worker's MetricsRegistry sample
 };
 
@@ -113,27 +117,6 @@ struct BatchSlot {
 Status ParseBatchTaskResponse(const std::vector<uint8_t>& response,
                               size_t count, std::vector<BatchSlot>* slots);
 
-/// Tracing envelope: wraps one subtask request together with the query's
-/// u64 trace id, and returns the worker-side span timings ahead of the
-/// subtask's response so the master can graft them into the query's
-/// trace under the same id.
-///
-///   request   u64 trace_id, u8 inner kind, then the inner request bytes
-///   response  u32 block_len, block { u64 trace_id, u32 span count, per
-///             span: u8 name_len, name bytes, u64 start_rel_ns,
-///             u64 dur_ns }, then the inner response bytes
-///
-/// Span times are RELATIVE nanoseconds from envelope entry (worker and
-/// master clocks are unrelated; the master re-bases on receipt). A
-/// failed subtask fails the envelope with the subtask's status — no
-/// block, no partial reply — so error handling upstream is identical to
-/// the unwrapped task's. Like every registered kind it is a pure
-/// function of its request bytes: tracing observes, never perturbs.
-/// Nested traced or batch envelopes are rejected (a traced request rides
-/// INSIDE a batch slot, never the other way around).
-StatusOr<std::vector<uint8_t>> TracedTaskMain(
-    const std::vector<uint8_t>& request);
-
 /// Telemetry poll entry point: ignores the (empty) request and returns
 /// this process's global MetricsRegistry serialized with
 /// obs::SerializeRegistrySample. The master's telemetry server sends one
@@ -142,29 +125,6 @@ StatusOr<std::vector<uint8_t>> TracedTaskMain(
 /// relaxed-atomic sums — polling observes, never perturbs.
 StatusOr<std::vector<uint8_t>> StatsPollTaskMain(
     const std::vector<uint8_t>& request);
-
-/// One worker-side span timing carried back by a traced-task response.
-struct ImportedSpan {
-  std::string name;
-  uint64_t start_rel_ns = 0;
-  uint64_t dur_ns = 0;
-};
-
-/// Bytes a kTracedTask request carries in front of the inner request.
-constexpr size_t kTracedTaskPrefixBytes = sizeof(uint64_t) + sizeof(uint8_t);
-
-/// Appends a kTracedTask request's prefix (see TracedTaskMain for the
-/// layout) to `writer`; the inner request's bytes follow it on the wire.
-void WriteTracedTaskPrefix(uint64_t trace_id, RpcTaskKind inner_kind,
-                           ByteWriter* writer);
-
-/// Splits a kTracedTask response into the worker-side spans and the
-/// inner response body. `inner_body` gets exactly the bytes the wrapped
-/// task returned.
-Status ParseTracedTaskResponse(const std::vector<uint8_t>& response,
-                               uint64_t* trace_id,
-                               std::vector<ImportedSpan>* spans,
-                               std::vector<uint8_t>* inner_body);
 
 /// Maps a WorkerTask back to its registered kind, or kUnknownTask when
 /// the task wraps anything but a registered entry-point function pointer.

@@ -52,7 +52,7 @@ void QueryTrace::EndSpan(uint32_t span) {
   spans_[span].end_ns = now;
 }
 
-uint32_t QueryTrace::AddCompleteSpan(const std::string& name, uint32_t parent,
+uint32_t QueryTrace::AddCompleteSpan(const char* name, uint32_t parent,
                                      uint64_t start_ns, uint64_t end_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
   const uint32_t id = static_cast<uint32_t>(spans_.size());
@@ -135,7 +135,7 @@ size_t TraceCollector::collected() const {
 
 namespace {
 
-void AppendJsonEscaped(const std::string& in, std::string* out) {
+void AppendJsonEscaped(std::string_view in, std::string* out) {
   for (const char c : in) {
     switch (c) {
       case '"':
@@ -245,8 +245,8 @@ std::string FormatSpanBreakdown(const QueryTrace& trace) {
     const uint64_t end_ns =
         span.end_ns >= span.start_ns ? span.end_ns : span.start_ns;
     char buf[160];
-    std::snprintf(buf, sizeof(buf), "  %*s%-24s %10.3f ms\n", depth * 2, "",
-                  span.name.c_str(),
+    std::snprintf(buf, sizeof(buf), "  %*s%-24.*s %10.3f ms\n", depth * 2,
+                  "", static_cast<int>(span.name.size()), span.name.data(),
                   static_cast<double>(end_ns - span.start_ns) / 1e6);
     out += buf;
     for (auto it = children[i].rbegin(); it != children[i].rend(); ++it) {

@@ -12,21 +12,23 @@
 // (the async pool's threads, session lanes) adopt the submitting
 // thread's context for the scope of that work via TraceContextScope.
 // Spans measured elsewhere — an rpc frame from send to reply, timings a
-// worker process reports — are recorded with AddCompleteSpan.
+// worker process reports — are recorded with AddCompleteSpan. Every span
+// name is a string literal, so recording a span copies no string.
 //
 // Disabled cost. When no trace is installed (the default everywhere),
 // constructing a Span is one thread-local load and one branch — no
 // allocation, no atomics, no clock read. Instrumented hot paths stay
 // byte- and plan-identical with tracing on or off: spans only observe.
 //
-// Wire propagation. RpcBackend wraps each task request in a
-// kTracedTask envelope carrying the u64 trace id (cluster/
-// task_registry.h); the worker returns its serve-loop timings in a reply
-// prefix which the master re-bases and grafts under the rpc.exchange
-// span of the frame that carried the task —
-// so one trace id joins master-side and worker-side spans. With tracing
-// off, nothing is wrapped and the wire bytes are exactly the untraced
-// protocol.
+// Wire propagation. None: a traced rpc round sends exactly the untraced
+// frames. The worker's reply already carries its timings — the reply
+// header's seconds for the whole frame, a batch slot's seconds for each
+// task — and RpcBackend builds the worker spans from them under the
+// rpc.exchange span of the frame (send to reply): one worker.serve that
+// lasts the header's seconds and ends when the reply was read, and inside
+// it one worker.compute per task, back to back in slot order (the order
+// the worker ran them). So the exchange minus its worker.serve is the
+// frame's queueing plus wire time.
 //
 // Collection. TraceCollector hands out trace ids, gathers finished
 // traces, prints the span breakdown of queries slower than
@@ -41,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/macros.h"
@@ -56,9 +59,10 @@ constexpr uint32_t kNoSpan = ~uint32_t{0};
 /// re-based to the first call so values stay small).
 uint64_t MonotonicNanos();
 
-/// One recorded span. `end_ns` == 0 means still open.
+/// One recorded span. `end_ns` == 0 means still open. `name` views the
+/// string literal the span was recorded with.
 struct SpanRecord {
-  std::string name;
+  std::string_view name;
   uint32_t parent = kNoSpan;
   uint64_t start_ns = 0;
   uint64_t end_ns = 0;
@@ -74,12 +78,14 @@ class QueryTrace {
   uint64_t trace_id() const { return trace_id_; }
   const std::string& label() const { return label_; }
 
-  /// Opens a span (start = now) and returns its index.
+  /// Opens a span (start = now) and returns its index. `name` must be a
+  /// string literal (see Span).
   uint32_t BeginSpan(const char* name, uint32_t parent);
   void EndSpan(uint32_t span);
-  /// Records an already-measured span (imported worker timings, pool
-  /// thread compute). Returns its index.
-  uint32_t AddCompleteSpan(const std::string& name, uint32_t parent,
+  /// Records an already-measured span (an rpc frame's exchange and worker
+  /// timings, pool thread compute) under a string-literal `name`. Returns
+  /// its index.
+  uint32_t AddCompleteSpan(const char* name, uint32_t parent,
                            uint64_t start_ns, uint64_t end_ns);
 
   /// Point-in-time copy of every span recorded so far.

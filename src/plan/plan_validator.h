@@ -1,8 +1,10 @@
 // Copyright 2026 mpqopt authors.
 //
-// Structural and semantic plan validation, used by integration tests and
-// by the master to sanity-check plans returned from (simulated) remote
-// workers before trusting their cost annotations.
+// Structural and semantic plan validation: re-derives a plan's tables,
+// cardinalities and costs from the query and the cost model. The tests
+// and perfbench's replay check optimizer results with it; nothing in the
+// serving path calls it, so the master trusts the cost annotations its
+// workers return.
 
 #ifndef MPQOPT_PLAN_PLAN_VALIDATOR_H_
 #define MPQOPT_PLAN_PLAN_VALIDATOR_H_

@@ -31,6 +31,14 @@ typename Dp::State JoinSplits(Dp* dp, PlanSpace space, TableSet u) {
   return state;
 }
 
+/// Whether the scalar replica holds a plan for `set`: a single table's
+/// scan, or a join installed by a broadcast. Every broadcast join has a
+/// non-empty left set (CheckJoin), while a set not installed yet has an
+/// empty one. Its cost cannot tell: a plan that overflows costs +inf too.
+bool Installed(const ScalarDp& dp, uint64_t set) {
+  return TableSet(set).Count() == 1 || dp.Entry(set).left_bits != 0;
+}
+
 Status NotInReplica() {
   return Status::Corruption(
       "assignment references a set whose sub-plans are not in the "
@@ -160,11 +168,16 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
       return Status::Corruption("assignment set out of range");
     }
     // A sub-plan missing from the replica costs kInfiniteCost or has no
-    // plans, so it never yields a candidate.
+    // plans, so it never beats an installed one. A scalar set keeps its
+    // first split when every split costs +inf, so the split it chose must
+    // have installed operands.
     if (Scalar()) {
       const ScalarDp::State state =
           JoinSplits(&*scalar_, options_.space, TableSet(bits));
-      if (!(state.cost < kInfiniteCost)) return NotInReplica();
+      if (!Installed(*scalar_, state.left_bits) ||
+          !Installed(*scalar_, bits & ~state.left_bits)) {
+        return NotInReplica();
+      }
       writer.WriteU64(bits);
       writer.WriteU8(static_cast<uint8_t>(state.alg));
       writer.WriteU64(state.left_bits);
@@ -213,7 +226,7 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
         if (!(s = reader.ReadDouble(&e.cost)).ok()) return s;
         e.alg = static_cast<JoinAlgorithm>(alg);
         const auto installed = [&](uint64_t set) {
-          return scalar_->Entry(set).cost < kInfiniteCost;
+          return Installed(*scalar_, set);
         };
         if (installed(bits)) {
           return Status::Corruption("broadcast set already installed");
@@ -276,7 +289,7 @@ size_t SmaNode::ApproxBytes() const {
 Status SmaNode::BuildBest(PlanArena* arena, std::vector<PlanId>* best) const {
   const TableSet all = query_.all_tables();
   if (Scalar()) {
-    if (!(scalar_->Entry(all.bits()).cost < kInfiniteCost)) {
+    if (!Installed(*scalar_, all.bits())) {
       return Status::Corruption("the full query has no plan installed");
     }
     best->push_back(BuildPlan(index_, *scalar_, all, 0, arena));

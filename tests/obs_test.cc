@@ -3,8 +3,10 @@
 // Observability subsystem tests: the shared percentile estimator, the
 // metrics registry (histogram boundaries, bucket-interpolated
 // percentiles, snapshot deltas, concurrent recording), the span tree
-// (nesting, ordering, thread-context adoption), the kTracedTask wire
-// round-trip over real loopback mpqopt_worker subprocesses, and the
+// (nesting, ordering, thread-context adoption), the worker spans a traced
+// rpc round builds from its replies over real loopback mpqopt_worker
+// subprocesses (one worker.serve per frame under its rpc.exchange, one
+// worker.compute per task inside it, back to back in slot order), and the
 // invariant the whole subsystem hangs on: plan choices are byte-identical
 // with tracing on or off, on every execution backend.
 
@@ -247,59 +249,6 @@ TEST(TraceTest, BreakdownAndChromeExport) {
   EXPECT_NE(content.find("\"label\":\"export\""), std::string::npos);
 }
 
-// ------------------------------------------------------------ wire format
-
-/// A kTracedTask request wrapping `inner_request`, laid out as the master
-/// sends it: the registry's prefix, then the inner bytes.
-std::vector<uint8_t> BuildTracedTaskRequest(
-    uint64_t trace_id, RpcTaskKind inner_kind,
-    const std::vector<uint8_t>& inner_request) {
-  ByteWriter writer;
-  WriteTracedTaskPrefix(trace_id, inner_kind, &writer);
-  writer.WriteBytes(inner_request.data(), inner_request.size());
-  return writer.Release();
-}
-
-TEST(TracedTaskTest, EnvelopeRoundTripInProcess) {
-  const std::vector<uint8_t> inner_request = {1, 2, 3, 4};
-  const std::vector<uint8_t> payload =
-      BuildTracedTaskRequest(42, RpcTaskKind::kEchoTask, inner_request);
-  StatusOr<std::vector<uint8_t>> response = TracedTaskMain(payload);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  uint64_t trace_id = 0;
-  std::vector<ImportedSpan> spans;
-  std::vector<uint8_t> inner_response;
-  ASSERT_TRUE(ParseTracedTaskResponse(response.value(), &trace_id, &spans,
-                                      &inner_response)
-                  .ok());
-  EXPECT_EQ(trace_id, 42u);
-  EXPECT_EQ(inner_response, inner_request);  // echo through the envelope
-  ASSERT_GE(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "worker.serve");
-  EXPECT_EQ(spans[1].name, "worker.compute");
-  // The compute span is contained in the serve span.
-  EXPECT_LE(spans[1].start_rel_ns + spans[1].dur_ns,
-            spans[0].start_rel_ns + spans[0].dur_ns);
-}
-
-TEST(TracedTaskTest, RejectsNestingAndFailsThrough) {
-  // traced(traced(...)) and traced(batch(...)) are rejected outright.
-  const std::vector<uint8_t> nested = BuildTracedTaskRequest(
-      1, RpcTaskKind::kTracedTask,
-      BuildTracedTaskRequest(2, RpcTaskKind::kEchoTask, {}));
-  EXPECT_FALSE(TracedTaskMain(nested).ok());
-  // A failing subtask fails the whole envelope (no partial trace block).
-  const std::string message = "inner failure";
-  const std::vector<uint8_t> failing = BuildTracedTaskRequest(
-      3, RpcTaskKind::kFailTask,
-      std::vector<uint8_t>(message.begin(), message.end()));
-  StatusOr<std::vector<uint8_t>> response = TracedTaskMain(failing);
-  ASSERT_FALSE(response.ok());
-  EXPECT_NE(response.status().message().find("inner failure"),
-            std::string::npos);
-}
-
 // ------------------------------------------------- rpc + plan invariants
 
 Query MakeQuery(int n, uint64_t seed) {
@@ -349,12 +298,11 @@ TEST(TracedRpcTest, TraceIdJoinsWorkerSpansOverRealSockets) {
   }
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
 
-  // Same plan bytes with and without the envelope on the wire.
+  // Same plan bytes with and without tracing.
   EXPECT_EQ(PlanBytes(traced.value()), PlanBytes(reference.value()));
 
-  // The worker's serve-loop timings came back over the wire and were
-  // grafted under this trace: per task, one worker.serve parenting one
-  // worker.compute.
+  // The worker timings the replies carry became spans of this trace: per
+  // frame, one worker.serve, and under it one worker.compute per task.
   const std::vector<obs::SpanRecord> spans = trace.Snapshot();
   size_t serve = 0, compute = 0;
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -367,7 +315,7 @@ TEST(TracedRpcTest, TraceIdJoinsWorkerSpansOverRealSockets) {
       EXPECT_EQ(spans[spans[i].parent].name, "worker.serve");
     }
   }
-  EXPECT_EQ(serve, opts.num_workers);
+  EXPECT_EQ(serve, 2u);
   EXPECT_EQ(compute, opts.num_workers);
   // Master-side: one rpc.exchange span per worker frame (4 tasks over 2
   // workers ship as 2 batch frames) under the scatter pass, and every
@@ -408,15 +356,78 @@ TEST(TracedRpcTest, BatchFrameCarriesTracedSubtasks) {
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(round.value().responses[i], requests[i]);
   }
-  // The three subtasks rode one frame and each brought its worker spans.
-  size_t serve = 0, exchanges = 0;
+  // The three subtasks rode one frame: one worker.serve for the frame,
+  // one worker.compute per subtask.
+  size_t serve = 0, compute = 0, exchanges = 0;
   for (const obs::SpanRecord& span : trace.Snapshot()) {
     serve += span.name == "worker.serve";
+    compute += span.name == "worker.compute";
     exchanges += span.name == "rpc.exchange";
   }
-  EXPECT_EQ(serve, requests.size());
+  EXPECT_EQ(serve, 1u);
+  EXPECT_EQ(compute, requests.size());
   EXPECT_EQ(exchanges, 1u);
   EXPECT_EQ(backend.value()->health().scatter_batches, 1u);
+}
+
+// Three 20 ms tasks in one frame: the frame's worker.serve covers all
+// three computes, and their worker.compute spans run back to back inside
+// it in slot order, the order the worker ran them.
+TEST(TracedRpcTest, BatchFrameWorkerSpansRunBackToBack) {
+  RpcWorkerFarm farm;
+  farm.Start(1);
+  BackendOptions options;
+  options.workers_addr = farm.workers_addr();
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
+      MakeBackend(BackendKind::kRpc, options);
+  ASSERT_TRUE(backend.ok());
+
+  constexpr uint32_t kTaskMs = 20;
+  constexpr uint64_t kTaskNs = uint64_t{kTaskMs} * 1'000'000;
+  obs::QueryTrace trace(78, "back-to-back");
+  std::vector<WorkerTask> tasks(3, WorkerTask(&SleepEchoTaskMain));
+  std::vector<std::vector<uint8_t>> requests;
+  for (uint8_t k = 0; k < 3; ++k) {
+    ByteWriter writer;
+    writer.WriteU32(kTaskMs);
+    writer.WriteU8(k);
+    requests.push_back(writer.Release());
+  }
+  StatusOr<RoundResult> round = Status::Internal("not run");
+  {
+    obs::TraceContextScope scope(&trace, obs::kNoSpan);
+    obs::Span root("round");
+    round = backend.value()->RunRound(tasks, requests);
+  }
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(backend.value()->health().scatter_batches, 1u);
+
+  const std::vector<obs::SpanRecord> spans = trace.Snapshot();
+  std::vector<uint32_t> exchanges, serves, computes;
+  for (uint32_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "rpc.exchange") exchanges.push_back(i);
+    if (spans[i].name == "worker.serve") serves.push_back(i);
+    if (spans[i].name == "worker.compute") computes.push_back(i);
+  }
+  ASSERT_EQ(exchanges.size(), 1u);
+  ASSERT_EQ(serves.size(), 1u);
+  ASSERT_EQ(computes.size(), 3u);
+  const obs::SpanRecord& exchange = spans[exchanges[0]];
+  const obs::SpanRecord& serve = spans[serves[0]];
+  EXPECT_EQ(serve.parent, exchanges[0]);
+  EXPECT_GE(serve.end_ns - serve.start_ns, 3 * kTaskNs);
+  EXPECT_GE(serve.start_ns, exchange.start_ns);
+  EXPECT_LE(serve.end_ns, exchange.end_ns);
+  // Recorded in slot order, each starting where the one before ended.
+  uint64_t at = serve.start_ns;
+  for (const uint32_t c : computes) {
+    const obs::SpanRecord& compute = spans[c];
+    EXPECT_EQ(compute.parent, serves[0]);
+    EXPECT_GE(compute.start_ns, at);
+    EXPECT_GE(compute.end_ns - compute.start_ns, kTaskNs);
+    EXPECT_LE(compute.end_ns, serve.end_ns);
+    at = compute.end_ns;
+  }
 }
 
 class TracingBackendTest : public ::testing::TestWithParam<BackendKind> {

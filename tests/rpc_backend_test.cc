@@ -3,7 +3,7 @@
 // RPC-specific loopback tests: real mpqopt_worker subprocesses serve the
 // rounds, covering what the backend-parameterized conformance suite in
 // backend_test.cc cannot — worker crashes, unregistered tasks and the
-// retired task kind, scatter behaviour (one frame per worker), pipelined
+// retired task kinds, scatter behaviour (one frame per worker), pipelined
 // connections (rounds queue frames on a worker's connection and file
 // each other's replies), and the OptimizerService running unchanged over
 // remote workers — plus socket-free cases for the master's batch-reply
@@ -344,60 +344,6 @@ TEST(BatchReplyDecoderTest, RejectsAnOkByteOtherThanZeroOrOne) {
             StatusCode::kCorruption);
 }
 
-/// A kTracedTask reply: the u32 span-block length, the block (trace id,
-/// span count, then `spans` as written), and the inner body.
-std::vector<uint8_t> TracedReply(uint32_t block_len, uint32_t count,
-                                 const std::vector<uint8_t>& spans,
-                                 const std::vector<uint8_t>& body) {
-  ByteWriter writer;
-  writer.WriteU32(block_len);
-  writer.WriteU64(7);  // trace id
-  writer.WriteU32(count);
-  writer.WriteBytes(spans.data(), spans.size());
-  writer.WriteBytes(body.data(), body.size());
-  return writer.Release();
-}
-
-TEST(BatchReplyDecoderTest, TracedReplyCountBeyondTheBlockIsCorruption) {
-  // 16 bytes claiming 2^32 - 1 spans: rejected before any reservation.
-  const std::vector<uint8_t> reply = TracedReply(12, 0xFFFFFFFF, {}, {});
-  ASSERT_EQ(reply.size(), 16u);
-  uint64_t trace_id = 0;
-  std::vector<ImportedSpan> spans;
-  std::vector<uint8_t> body;
-  EXPECT_EQ(ParseTracedTaskResponse(reply, &trace_id, &spans, &body).code(),
-            StatusCode::kCorruption);
-}
-
-TEST(BatchReplyDecoderTest, TracedReplySpansMustEndAtTheBlock) {
-  // One span with a 4-byte name is 21 bytes, but the block leaves it 17:
-  // its last timestamp would be read from the body.
-  ByteWriter span;
-  span.WriteU8(4);
-  span.WriteBytes(reinterpret_cast<const uint8_t*>("span"), 4);
-  span.WriteU64(1);
-  span.WriteU64(2);
-  const std::vector<uint8_t> span_bytes = span.Release();
-  const std::vector<uint8_t> body = {9, 9, 9, 9, 9, 9, 9, 9};
-  uint64_t trace_id = 0;
-  std::vector<ImportedSpan> spans;
-  std::vector<uint8_t> decoded;
-  const auto parse = [&](uint32_t block_len) {
-    return ParseTracedTaskResponse(TracedReply(block_len, 1, span_bytes, body),
-                                   &trace_id, &spans, &decoded);
-  };
-  EXPECT_EQ(parse(12 + 17).code(), StatusCode::kCorruption);
-  // A block longer than its spans is rejected too...
-  EXPECT_EQ(parse(12 + 21 + 1).code(), StatusCode::kCorruption);
-  // ...and the exact block parses, with the body intact.
-  ASSERT_TRUE(parse(12 + 21).ok());
-  EXPECT_EQ(trace_id, 7u);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "span");
-  EXPECT_EQ(spans[0].dur_ns, 2u);
-  EXPECT_EQ(decoded, body);
-}
-
 TEST(RpcBackendTest, UnregisteredTaskIsRejectedUpFront) {
   RpcWorkerFarm farm;
   farm.Start(1);
@@ -428,10 +374,10 @@ TEST(RpcBackendTest, TaskErrorDoesNotPoisonTheConnection) {
   EXPECT_EQ(good.value().responses[0], std::vector<uint8_t>{9});
 }
 
-// Task kind 2 is retired (cluster/task_registry.h). A worker answers it
-// like any unknown kind: a plain frame gets a task-error reply and a batch
-// slot an ok = 0 outcome, while the worker stays HEALTHY on the same
-// connection and the slot after it still runs.
+// Task kinds 2 and 8 are retired (cluster/task_registry.h). A worker
+// answers each like any unknown kind: a plain frame gets a task-error reply
+// and a batch slot an ok = 0 outcome, while the worker stays HEALTHY on the
+// same connection and the slot after it still runs.
 TEST(RpcBackendTest, RetiredTaskKindGetsATaskError) {
   RpcWorkerFarm farm;
   farm.Start(1);
@@ -439,43 +385,45 @@ TEST(RpcBackendTest, RetiredTaskKindGetsATaskError) {
       WorkerSupervisor::Connect(farm.endpoints(), SupervisorOptions());
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   WorkerSupervisor& supervisor = *connected.value();
-  constexpr uint8_t kRetiredKind = 2;
-  std::vector<uint8_t> response;
-  double seconds = 0;
-  bool worker_failed = true;
+  for (const uint8_t retired : {uint8_t{2}, uint8_t{8}}) {
+    SCOPED_TRACE("retired kind " + std::to_string(retired));
+    const std::string unknown = "kind " + std::to_string(retired);
+    std::vector<uint8_t> response;
+    double seconds = 0;
+    bool worker_failed = true;
 
-  const Status plain = supervisor.Exchange(0, kRetiredKind, {1, 2, 3},
-                                           &response, &seconds,
-                                           &worker_failed);
-  ASSERT_FALSE(plain.ok());
-  EXPECT_FALSE(worker_failed);
-  EXPECT_NE(plain.message().find("task failed: unknown task kind 2"),
-            std::string::npos)
-      << plain.ToString();
+    const Status plain = supervisor.Exchange(0, retired, {1, 2, 3}, &response,
+                                             &seconds, &worker_failed);
+    ASSERT_FALSE(plain.ok());
+    EXPECT_FALSE(worker_failed);
+    EXPECT_NE(plain.message().find("task failed: unknown task " + unknown),
+              std::string::npos)
+        << plain.ToString();
 
-  const std::string echo_body = "kept";
-  ByteWriter batch;
-  batch.WriteU32(2);
-  batch.WriteU8(kRetiredKind);
-  batch.WriteU32(1);
-  batch.WriteU8(9);
-  batch.WriteU8(static_cast<uint8_t>(RpcTaskKind::kEchoTask));
-  batch.WriteU32(static_cast<uint32_t>(echo_body.size()));
-  batch.WriteBytes(reinterpret_cast<const uint8_t*>(echo_body.data()),
-                   echo_body.size());
-  worker_failed = true;
-  const Status batched = supervisor.Exchange(
-      0, static_cast<uint8_t>(RpcTaskKind::kBatchTask), batch.Release(),
-      &response, &seconds, &worker_failed);
-  ASSERT_TRUE(batched.ok()) << batched.ToString();
-  EXPECT_FALSE(worker_failed);
-  std::vector<BatchSlot> slots;
-  ASSERT_TRUE(ParseBatchTaskResponse(response, 2, &slots).ok());
-  EXPECT_FALSE(slots[0].ok);
-  EXPECT_NE(BodyText(slots[0]).find("kind 2"), std::string::npos)
-      << BodyText(slots[0]);
-  EXPECT_TRUE(slots[1].ok);
-  EXPECT_EQ(BodyText(slots[1]), echo_body);
+    const std::string echo_body = "kept";
+    ByteWriter batch;
+    batch.WriteU32(2);
+    batch.WriteU8(retired);
+    batch.WriteU32(1);
+    batch.WriteU8(9);
+    batch.WriteU8(static_cast<uint8_t>(RpcTaskKind::kEchoTask));
+    batch.WriteU32(static_cast<uint32_t>(echo_body.size()));
+    batch.WriteBytes(reinterpret_cast<const uint8_t*>(echo_body.data()),
+                     echo_body.size());
+    worker_failed = true;
+    const Status batched = supervisor.Exchange(
+        0, static_cast<uint8_t>(RpcTaskKind::kBatchTask), batch.Release(),
+        &response, &seconds, &worker_failed);
+    ASSERT_TRUE(batched.ok()) << batched.ToString();
+    EXPECT_FALSE(worker_failed);
+    std::vector<BatchSlot> slots;
+    ASSERT_TRUE(ParseBatchTaskResponse(response, 2, &slots).ok());
+    EXPECT_FALSE(slots[0].ok);
+    EXPECT_NE(BodyText(slots[0]).find(unknown), std::string::npos)
+        << BodyText(slots[0]);
+    EXPECT_TRUE(slots[1].ok);
+    EXPECT_EQ(BodyText(slots[1]), echo_body);
+  }
 
   const BackendHealth health = supervisor.Snapshot();
   ASSERT_EQ(health.workers.size(), 1u);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/generator.h"
 #include "common/serialize.h"
 #include "mpq/mpq.h"
@@ -11,6 +13,7 @@
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
 #include "sma/sma_node.h"
+#include "tests/overflow_query.h"
 #include "tests/plan_digest.h"
 #include "tests/rpc_test_util.h"
 
@@ -402,6 +405,54 @@ TEST(SmaTest, ExtractionWithoutTheFullQueryIsCorruption) {
     std::vector<PlanId> best;
     EXPECT_EQ(node.BuildBest(&arena, &best).code(), StatusCode::kCorruption);
     EXPECT_TRUE(best.empty());
+  }
+}
+
+TEST(SmaTest, ChunkOfASetWithoutInstalledSubplansIsCorruption) {
+  // {T0, T1, T2} on a fresh replica: none of its two-table operands is
+  // installed, so the step fails rather than return a plan over them.
+  ByteWriter chunk;
+  chunk.WriteU32(1);
+  chunk.WriteU64(0b0111);
+  const std::vector<uint8_t> request = chunk.Release();
+  for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
+    SmaNodeOptions options;
+    options.objective = objective;
+    SmaNode node(RandomQuery(4, 85), options);
+    EXPECT_EQ(node.ComputeChunk(request.data(), request.size())
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
+  }
+  // Once {T0, T1} is installed, the split {T0, T1} x T2 is chosen.
+  SmaNode node(RandomQuery(4, 85), SmaNodeOptions());
+  ASSERT_TRUE(node.ApplyBroadcast(ScalarBroadcast(
+                                      0b0011, JoinAlgorithm::kHashJoin, 0b0001))
+                  .ok());
+  EXPECT_TRUE(node.ComputeChunk(request.data(), request.size()).ok());
+}
+
+TEST(SmaTest, OverflowingCostsGiveAnInfinitePlan) {
+  // Every plan of the full join costs +inf. SMA must still return one
+  // over all four tables, as OptimizeSerial does: a set installed with a
+  // +inf cost is installed all the same.
+  const Query q = OverflowingChainQuery();
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    DpConfig config;
+    config.space = space;
+    StatusOr<DpResult> serial = OptimizeSerial(q, config);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    StatusOr<SmaResult> result = SmaOptimize(q, Options(space, 2));
+    ASSERT_TRUE(result.ok())
+        << PlanSpaceName(space) << ": " << result.status().ToString();
+    ASSERT_EQ(result.value().best.size(), 1u);
+    const PlanNode& plan = result.value().arena.node(result.value().best[0]);
+    EXPECT_EQ(plan.tables, q.all_tables()) << PlanSpaceName(space);
+    EXPECT_EQ(plan.cost.time(), std::numeric_limits<double>::infinity())
+        << PlanSpaceName(space);
+    EXPECT_EQ(plan.cost.time(),
+              serial.value().arena.node(serial.value().best[0]).cost.time())
+        << PlanSpaceName(space);
   }
 }
 

@@ -4,9 +4,9 @@
 The exporters (obs::TraceCollector::WriteChromeTrace, used by mpqopt_cli
 and macrobench) emit one flat JSON array of complete ("ph": "X") events;
 chrome://tracing and Perfetto load it directly. CI runs this after the
-macro smoke so a malformed export — or a silent loss of the worker-side
-spans the kTracedTask envelope ships home — fails the build instead of
-shipping an unloadable artifact.
+macro smoke so a malformed export — or a silent loss or misplacement of
+the worker-side spans the master builds from each rpc reply's timings —
+fails the build instead of shipping an unloadable artifact.
 
 Checks, in order:
   1. the file parses as one JSON array with at least one event;
@@ -17,7 +17,11 @@ Checks, in order:
      one event;
   4. with --expect-worker-spans: at least one worker.serve event exists
      AND shares its tid with a master-side service.optimize event —
-     i.e. the trace id genuinely joined the two sides of the RPC.
+     i.e. the worker spans landed in the trace of the query whose frame
+     the worker served — and they sit where the master put them: every
+     worker.compute event lies inside a worker.serve event of the same
+     trace, and every worker.serve event inside an rpc.exchange event of
+     the same trace.
 
 Exit codes: 0 valid, 1 validation failure, 2 usage/input error.
 """
@@ -27,11 +31,33 @@ import json
 import sys
 
 REQUIRED_KEYS = ("name", "ph", "pid", "tid", "ts", "dur")
+# The export rounds ts and dur to 0.001 us each, so an event's end
+# (ts + dur) may be off by two rounding steps.
+SLACK_US = 0.002
 
 
 def fail(msg):
     print(f"check_trace: FAIL: {msg}", file=sys.stderr)
     return 1
+
+
+def first_uncontained(events, inner, outer):
+    """The first `inner` event lying inside no `outer` event of its
+    trace (same tid), or None."""
+    outers = {}
+    for e in events:
+        if e["name"] == outer:
+            outers.setdefault(e["tid"], []).append(e)
+    for e in events:
+        if e["name"] != inner:
+            continue
+        if not any(
+            e["ts"] >= o["ts"] - SLACK_US
+            and e["ts"] + e["dur"] <= o["ts"] + o["dur"] + SLACK_US
+            for o in outers.get(e["tid"], [])
+        ):
+            return e
+    return None
 
 
 def main():
@@ -102,8 +128,19 @@ def main():
         if not joined:
             return fail(
                 "worker.serve and service.optimize events never share a "
-                "trace id — the wire propagation is broken"
+                "trace id — worker spans landed in no query's trace"
             )
+        for inner, outer in (
+            ("worker.compute", "worker.serve"),
+            ("worker.serve", "rpc.exchange"),
+        ):
+            stray = first_uncontained(events, inner, outer)
+            if stray is not None:
+                return fail(
+                    f"{inner} event at ts {stray['ts']} (trace "
+                    f"{stray['tid']}) lies inside no {outer} event of its "
+                    "trace"
+                )
 
     print(
         f"check_trace: OK: {len(events)} events, {len(names)} distinct "
