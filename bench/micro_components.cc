@@ -110,7 +110,8 @@ class RankSumDp {
  public:
   struct State {};
   State Begin(TableSet) const { return {}; }
-  void Join(State*, TableSet, int64_t left, int64_t right) {
+  void Join(State*, TableSet, int64_t /*left_rank*/, int64_t left,
+            int64_t right) {
     sum_ += left + right;
   }
   void End(State*, int64_t) {}

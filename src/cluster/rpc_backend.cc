@@ -28,35 +28,6 @@ namespace {
 /// Bytes of a kBatchTask subtask-slot header (u8 kind + u32 length).
 constexpr size_t kBatchSlotHeaderBytes = sizeof(uint8_t) + sizeof(uint32_t);
 
-/// Records a traced frame's worker spans under its rpc.exchange span
-/// [sent_ns, end_ns], from the timings its reply carries: one worker.serve
-/// that lasts the reply header's `serve_seconds` and ends when the reply
-/// was read, clamped to the exchange; inside it, one worker.compute per
-/// slot, laid back to back in slot order (the order the worker ran them)
-/// and clamped to worker.serve. The worker measured every duration; only
-/// their placement on the master's clock is computed here.
-void AddWorkerSpans(obs::QueryTrace* trace, uint32_t exchange,
-                    uint64_t sent_ns, uint64_t end_ns, double serve_seconds,
-                    const std::vector<BatchSlot>& slots) {
-  // Peer-reported seconds to nanoseconds, at most `limit` (a NaN or a
-  // negative reads as 0).
-  const auto nanos = [](double seconds, uint64_t limit) -> uint64_t {
-    const double ns = seconds * 1e9;
-    if (!(ns > 0)) return 0;
-    return ns < static_cast<double>(limit) ? static_cast<uint64_t>(ns) : limit;
-  };
-  const uint64_t serve_start =
-      end_ns - nanos(serve_seconds, end_ns - sent_ns);
-  const uint32_t serve =
-      trace->AddCompleteSpan("worker.serve", exchange, serve_start, end_ns);
-  uint64_t at = serve_start;
-  for (const BatchSlot& slot : slots) {
-    const uint64_t end = at + nanos(slot.compute_seconds, end_ns - at);
-    trace->AddCompleteSpan("worker.compute", serve, at, end);
-    at = end;
-  }
-}
-
 /// One worker's share of a scatter pass, and where its frames stand.
 /// Not movable (the worker connection's queue points at `pending`).
 struct WorkerShare {

@@ -301,6 +301,28 @@ bool WorkerSupervisor::TryRedial(Worker* worker) {
   return false;
 }
 
+void AddWorkerSpans(obs::QueryTrace* trace, uint32_t exchange,
+                    uint64_t sent_ns, uint64_t end_ns, double serve_seconds,
+                    const std::vector<BatchSlot>& slots) {
+  // Peer-reported seconds to nanoseconds, at most `limit` (a NaN or a
+  // negative reads as 0).
+  const auto nanos = [](double seconds, uint64_t limit) -> uint64_t {
+    const double ns = seconds * 1e9;
+    if (!(ns > 0)) return 0;
+    return ns < static_cast<double>(limit) ? static_cast<uint64_t>(ns) : limit;
+  };
+  const uint64_t serve_start =
+      end_ns - nanos(serve_seconds, end_ns - sent_ns);
+  const uint32_t serve =
+      trace->AddCompleteSpan("worker.serve", exchange, serve_start, end_ns);
+  uint64_t at = serve_start;
+  for (const BatchSlot& slot : slots) {
+    const uint64_t end = at + nanos(slot.compute_seconds, end_ns - at);
+    trace->AddCompleteSpan("worker.compute", serve, at, end);
+    at = end;
+  }
+}
+
 Status WorkerSupervisor::Exchange(size_t w, uint8_t task_kind,
                                   const std::vector<uint8_t>& request,
                                   std::vector<uint8_t>* response,
@@ -320,11 +342,19 @@ Status WorkerSupervisor::ExchangeV(size_t w, uint8_t task_kind,
   // the time queued behind other frames on the connection, the compute
   // and the reply.
   obs::Span exchange_span("rpc.exchange");
+  obs::QueryTrace* const trace = exchange_span.trace();
+  const uint64_t sent_ns = trace != nullptr ? obs::MonotonicNanos() : 0;
   PendingReply pending;
-  const Status s = Send(w, task_kind, parts, num_parts, response, &pending,
-                        worker_failed);
+  Status s = Send(w, task_kind, parts, num_parts, response, &pending,
+                  worker_failed);
   if (!s.ok()) return s;
-  return Receive(&pending, compute_seconds, worker_failed);
+  s = Receive(&pending, compute_seconds, worker_failed);
+  if (s.ok() && trace != nullptr) {
+    // The frame is one task: its one worker.compute is the whole serve.
+    AddWorkerSpans(trace, exchange_span.id(), sent_ns, obs::MonotonicNanos(),
+                   *compute_seconds, {BatchSlot{true, *compute_seconds, {}}});
+  }
+  return s;
 }
 
 Status WorkerSupervisor::Send(size_t w, uint8_t task_kind,

@@ -77,9 +77,11 @@
 #include <vector>
 
 #include "cluster/backend.h"
+#include "cluster/task_registry.h"
 #include "common/macros.h"
 #include "common/status.h"
 #include "net/frame_transport.h"
+#include "obs/trace.h"
 
 namespace mpqopt {
 
@@ -275,6 +277,19 @@ class WorkerSupervisor::PendingReply {
   double seconds_ = 0;
   Status error_;
 };
+
+/// Records a traced frame's worker spans under its rpc.exchange span
+/// `exchange` [sent_ns, end_ns], from the timings its reply carries: one
+/// worker.serve that lasts the reply header's `serve_seconds` and ends
+/// when the reply was read, clamped to the exchange; inside it, one
+/// worker.compute per slot, laid back to back in slot order (the order
+/// the worker ran them) and clamped to worker.serve. The worker measured
+/// every duration; only their placement on the master's clock is
+/// computed here. RpcBackend records round frames this way, and
+/// ExchangeV session frames, whose one slot is the whole frame.
+void AddWorkerSpans(obs::QueryTrace* trace, uint32_t exchange,
+                    uint64_t sent_ns, uint64_t end_ns, double serve_seconds,
+                    const std::vector<BatchSlot>& slots);
 
 }  // namespace mpqopt
 

@@ -23,8 +23,10 @@
 // Wire propagation. None: a traced rpc round sends exactly the untraced
 // frames. The worker's reply already carries its timings — the reply
 // header's seconds for the whole frame, a batch slot's seconds for each
-// task — and RpcBackend builds the worker spans from them under the
-// rpc.exchange span of the frame (send to reply): one worker.serve that
+// task — and the master builds the worker spans from them under the
+// rpc.exchange span of the frame (send to reply), RpcBackend for round
+// frames and WorkerSupervisor::ExchangeV for session frames (one task
+// each, timed by the header's seconds): one worker.serve that
 // lasts the header's seconds and ends when the reply was read, and inside
 // it one worker.compute per task, back to back in slot order (the order
 // the worker ran them). So the exchange minus its worker.serve is the

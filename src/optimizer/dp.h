@@ -14,8 +14,9 @@
 // in ascending local-pattern order, see partition_index.h), so both
 // operands of a split are final when the set is joined. The partition's
 // index comes from a per-thread cache behind OpenPartition. The modes:
-//  * kTime: one best plan per admissible table set (48-byte memo entry:
-//    cost, back-pointer, and the set's prepared join-time operand terms).
+//  * kTime: one best plan per admissible table set (40 bytes per set: a
+//    32-byte operand entry, the cost and the set's prepared join-time
+//    operand terms, and an 8-byte back-pointer).
 //  * kTimeAndBuffer: an alpha-approximate Pareto set per table set.
 //  * interesting_orders: the best plan per (table set, order class)
 //    (io_dp.h).

@@ -98,7 +98,8 @@ class InterestingOrderDp {
     return {u, {estimator_.Cardinality(u), {}}};
   }
 
-  void Join(State* s, TableSet left, const IoEntry& le, const IoEntry& re) {
+  void Join(State* s, TableSet left, int64_t /*left_rank*/, const IoEntry& le,
+            const IoEntry& re) {
     const double card = s->entry.card;
     const std::vector<int> merge_classes =
         orders_.MergeClassesForCut(left, s->u.Minus(left));
@@ -147,6 +148,9 @@ class InterestingOrderDp {
             TableSet(p.left_bits),
             p.left_idx,
             p.right_idx};
+  }
+  DpNode Node(int64_t rank, uint32_t idx) const {
+    return Node(Entry(rank), idx);
   }
 
   int64_t plans_costed() const { return plans_costed_; }

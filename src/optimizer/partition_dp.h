@@ -5,21 +5,28 @@
 // so each variant here is a class with one per-set shape:
 //
 //   Begin(u)                   per-set state, e.g. u's output cardinality
-//   Join(&state, left, le, re) one split (left, u \ left) with the
-//                              operands' entries: the pruning function
+//   Join(&state, left, left_rank, le, re)
+//                              one split (left, u \ left) with the left
+//                              operand's rank and the operands' entries:
+//                              the pruning function
 //   End(&state, rank)          finishes u and stores its entry at `rank`
 //   Entry(rank), Scan(t)       a stored set's entry; table t's scans
-//   Node(entry, idx)           what BuildPlan reads of kept plan `idx`
+//   Node(rank, idx)            what BuildPlan reads of kept plan `idx` of
+//   Node(Scan(t), idx)         a stored set or of a scan
 //
 // and one walk and one plan builder drive every variant: WalkPartition
 // visits the admissible sets of a partition in ascending rank and hands
 // each one's admissible splits to the DP (Algorithm 5), and BuildPlan
-// materializes a kept plan by recursion over left operand sets. Ascending
-// rank is a valid DP order because a proper subset always has a smaller
-// rank (partition_index.h), so both operands of every split are stored
-// before the set that joins them; a set's splits come in the same order
-// as in any other valid order, so the plans, costs and counters do not
-// depend on it.
+// materializes a kept plan by recursion over left operand sets. The
+// scalar DP keeps one word per set apart from what its splits read: the
+// kept split's left-operand rank in the low 56 bits and its algorithm
+// above them, which Node decodes with PartitionIndex::SetOfRank. The
+// other DPs keep the left set and ignore the rank. Ascending rank is a
+// valid DP order because a proper subset always has a smaller rank
+// (partition_index.h), so both operands of every split are stored before
+// the set that joins them; a set's splits come in the same order as in
+// any other valid order, so the plans, costs and counters do not depend
+// on it.
 //
 // OpenPartition is every DP's one entry path. It keeps the indexes this
 // thread built last, so a worker that serves the same partitions again
@@ -80,15 +87,16 @@ int64_t WalkPartition(const PartitionIndex& index, Dp* dp) {
     if ((bits & (bits - 1)) == 0) return;  // the empty set or a scan
     typename Dp::State state = dp->Begin(u);
     if (linear) {
-      index.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
-        ++splits;
-        dp->Join(&state, u.Without(t), dp->Entry(left_rank), dp->Scan(t));
-      });
+      splits += index.ForEachLinearSplit(
+          u, rank, [&](int t, int64_t left_rank) {
+            dp->Join(&state, u.Without(t), left_rank, dp->Entry(left_rank),
+                     dp->Scan(t));
+          });
     } else {
       index.ForEachSplit(
           u, [&](TableSet left, int64_t left_rank, int64_t right_rank) {
             ++splits;
-            dp->Join(&state, left, dp->Entry(left_rank),
+            dp->Join(&state, left, left_rank, dp->Entry(left_rank),
                      dp->Entry(right_rank));
           });
     }
@@ -117,7 +125,7 @@ PlanId BuildPlan(const PartitionIndex& index, const Dp& dp, TableSet s,
   }
   const int64_t rank = index.Rank(s);
   MPQOPT_CHECK_GE(rank, 0);
-  const DpNode join = dp.Node(dp.Entry(rank), idx);
+  const DpNode join = dp.Node(rank, idx);
   const PlanId lid = BuildPlan(index, dp, join.left, join.left_idx, arena);
   const PlanId rid =
       BuildPlan(index, dp, s.Minus(join.left), join.right_idx, arena);
@@ -127,18 +135,16 @@ PlanId BuildPlan(const PartitionIndex& index, const Dp& dp, TableSet s,
 inline constexpr double kInfiniteCost =
     std::numeric_limits<double>::infinity();
 
-/// Memo entry of the single-objective DP: the best plan for one admissible
-/// table set, O(1) space (Theorem 4) — children are recovered through
-/// left_bits at reconstruction time. `op` carries the set's cardinality
-/// with its join-time operand terms, prepared once when the entry is
-/// stored rather than for every split that uses it as an operand. A set
-/// not stored yet costs kInfiniteCost.
-struct ScalarEntry {
+/// What the scalar DP's split kernel reads of a stored set or a scan:
+/// its best plan's cost and its operand terms, the set's cardinality
+/// with its join-time terms, prepared once when the set is stored rather
+/// than for every split that uses it. A set not stored yet costs
+/// kInfiniteCost.
+struct ScalarOperand {
   double cost = kInfiniteCost;
   JoinOperand op;
-  uint64_t left_bits = 0;
-  JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
+static_assert(sizeof(ScalarOperand) == 32);
 
 // Both kernels take a split's candidates in kJoinAlgorithms order and
 // skip a dominated sort-merge join as the last, after the hash join that
@@ -172,41 +178,62 @@ inline void FoldFirstMinimum(double cost, JoinAlgorithm alg, double* best,
   *best = MinSd(cost, *best);
 }
 
-/// The classical DP: keeps the single cheapest plan per table set.
+/// The classical DP: keeps the single cheapest plan per table set, in
+/// O(1) space per set (Theorem 4) and two arrays indexed by rank: the
+/// operands the split kernel reads (32 bytes), and a kept word (8 bytes)
+/// that only BuildPlan and SMA read. The kept word holds the kept split's
+/// left-operand rank in its low 56 bits and its join algorithm above
+/// them; it is 0 for a scan or a set not stored yet, since a join's left
+/// operand is non-empty and only the empty set has rank 0.
 class ScalarDp {
  public:
   /// The set under construction: its best split so far (cost NaN and
-  /// left_bits 0 before the first) and its output terms.
+  /// kept word 0 before the first) and its output terms.
   struct State {
     double cost;
-    uint64_t left_bits;
-    uint64_t alg;
+    uint64_t kept;
     double out_card;
     double out_time;
   };
+
+  static constexpr int kAlgorithmShift = 56;
+  static constexpr uint64_t kRankMask = (uint64_t{1} << kAlgorithmShift) - 1;
+
+  static uint64_t KeptWord(uint64_t left_rank, JoinAlgorithm alg) {
+    return left_rank | static_cast<uint64_t>(alg) << kAlgorithmShift;
+  }
+  static int64_t LeftRank(uint64_t kept) {
+    return static_cast<int64_t>(kept & kRankMask);
+  }
+  static JoinAlgorithm Algorithm(uint64_t kept) {
+    return static_cast<JoinAlgorithm>(kept >> kAlgorithmShift);
+  }
 
   /// Starts a memo of index.size() slots holding the admissible
   /// singletons' scans (inadmissible singletons are provably never used
   /// as operands).
   ScalarDp(const Query& query, const PartitionIndex& index,
            const CostModel& model)
-      : model_(model),
+      : index_(index),
+        model_(model),
         sort_merge_(!model.SortMergeDominated()),
         estimator_(query),
-        memo_(static_cast<size_t>(index.size())) {
+        operand_(static_cast<size_t>(index.size())),
+        kept_(static_cast<size_t>(index.size()), 0) {
+    MPQOPT_CHECK_LE(static_cast<uint64_t>(index.size()), kRankMask + 1);
     for (int t = 0; t < query.num_tables(); ++t) {
       const double card = query.table(t).cardinality;
       scan_[t] = {model_.ScanCost(card).time(),
-                  model_.Operand(card, sort_merge_), 0, JoinAlgorithm::kScan};
+                  model_.Operand(card, sort_merge_)};
       const int64_t rank = index.Rank(TableSet::Single(t));
-      if (rank >= 0) memo_[static_cast<size_t>(rank)] = scan_[t];
+      if (rank >= 0) operand_[static_cast<size_t>(rank)] = scan_[t];
     }
   }
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(ScalarDp);
 
   State Begin(TableSet u) const {
     const double card = estimator_.Cardinality(u);
-    return {std::numeric_limits<double>::quiet_NaN(), 0, 0, card,
+    return {std::numeric_limits<double>::quiet_NaN(), 0, card,
             model_.OutputTime(card)};
   }
 
@@ -217,8 +244,8 @@ class ScalarDp {
   /// order, and a set whose every candidate costs +inf (an overflow)
   /// keeps its first split. An operand not stored yet costs +inf, so its
   /// splits never beat a stored one's.
-  void Join(State* s, TableSet left, const ScalarEntry& l,
-            const ScalarEntry& r) const {
+  void Join(State* s, TableSet /*left*/, int64_t left_rank,
+            const ScalarOperand& l, const ScalarOperand& r) const {
     const double base = l.cost + r.cost;
     const auto cost = [&](JoinAlgorithm a) {
       return base + model_.LocalJoinTime(a, l.op, r.op, s->out_time);
@@ -240,44 +267,58 @@ class ScalarDp {
     // are.
     const bool take =
         __builtin_expect_with_probability(!(s->cost <= split), 1, 0.5);
-    const uint64_t mask = uint64_t{0} - take;
-    s->left_bits ^= (s->left_bits ^ left.bits()) & mask;
-    s->alg ^= (s->alg ^ alg) & mask;
+    const uint64_t kept = KeptWord(static_cast<uint64_t>(left_rank),
+                                   static_cast<JoinAlgorithm>(alg));
+    s->kept ^= (s->kept ^ kept) & (uint64_t{0} - take);
     s->cost = MinSd(s->cost, split);
   }
 
   void End(State* s, int64_t rank) {
-    MPQOPT_CHECK(s->left_bits != 0);  // every set has a split
-    Store(rank, s->out_card,
-          {s->cost, {}, s->left_bits, static_cast<JoinAlgorithm>(s->alg)});
+    MPQOPT_CHECK(s->kept != 0);  // every set has a split
+    Store(rank, s->out_card, s->cost, s->kept);
   }
 
-  /// Stores `entry` at `rank` with the operand terms of `card` rows.
-  void Store(int64_t rank, double card, const ScalarEntry& entry) {
-    ScalarEntry& slot = memo_[static_cast<size_t>(rank)];
-    slot = entry;
-    slot.op = model_.Operand(card, sort_merge_);
+  /// Stores a set of `card` rows at `rank`: its best plan's cost, the
+  /// operand terms of `card` and the plan's kept word.
+  void Store(int64_t rank, double card, double cost, uint64_t kept) {
+    operand_[static_cast<size_t>(rank)] = {cost,
+                                           model_.Operand(card, sort_merge_)};
+    kept_[static_cast<size_t>(rank)] = kept;
   }
 
-  const ScalarEntry& Entry(int64_t rank) const {
-    return memo_[static_cast<size_t>(rank)];
+  const ScalarOperand& Entry(int64_t rank) const {
+    return operand_[static_cast<size_t>(rank)];
   }
-  const ScalarEntry& Scan(int t) const { return scan_[t]; }
-  DpNode Node(const ScalarEntry& e, uint32_t /*idx*/) const {
-    return {e.op.card, CostVector::Scalar(e.cost), e.alg,
-            TableSet(e.left_bits)};
+  uint64_t Kept(int64_t rank) const {
+    return kept_[static_cast<size_t>(rank)];
+  }
+  const ScalarOperand& Scan(int t) const { return scan_[t]; }
+  DpNode Node(int64_t rank, uint32_t /*idx*/) const {
+    const ScalarOperand& e = Entry(rank);
+    const uint64_t kept = Kept(rank);
+    return {e.op.card, CostVector::Scalar(e.cost), Algorithm(kept),
+            index_.SetOfRank(LeftRank(kept))};
+  }
+  DpNode Node(const ScalarOperand& scan, uint32_t /*idx*/) const {
+    return {scan.op.card, CostVector::Scalar(scan.cost), JoinAlgorithm::kScan,
+            TableSet()};
   }
 
-  size_t ApproxBytes() const { return memo_.capacity() * sizeof(ScalarEntry); }
+  size_t ApproxBytes() const {
+    return operand_.capacity() * sizeof(ScalarOperand) +
+           kept_.capacity() * sizeof(uint64_t);
+  }
 
  private:
+  const PartitionIndex& index_;
   const CostModel& model_;
   /// Whether Join costs sort-merge joins: only while they are not
   /// dominated (CostModel::SortMergeDominated).
   const bool sort_merge_;
   CardinalityEstimator estimator_;
-  std::vector<ScalarEntry> memo_;
-  ScalarEntry scan_[kMaxTables];
+  std::vector<ScalarOperand> operand_;
+  std::vector<uint64_t> kept_;
+  ScalarOperand scan_[kMaxTables];
 };
 
 /// One plan of a Pareto frontier in the multi-objective DP. left_idx and
@@ -344,8 +385,8 @@ class ParetoDp {
   /// offered: the hash join over the same operand plans, offered just
   /// before it, or the incumbent that rejected that hash join, would
   /// reject it (cost_model.h). plans_costed still counts it.
-  void Join(State* s, TableSet left, const ParetoEntry& l,
-            const ParetoEntry& r) {
+  void Join(State* s, TableSet left, int64_t /*left_rank*/,
+            const ParetoEntry& l, const ParetoEntry& r) {
     // The operator-local terms depend on the split alone, not on which
     // operand plans it combines.
     double local_time[kNumJoinAlgorithms];
@@ -407,6 +448,9 @@ class ParetoDp {
     const ParetoPlanRef& p = e.plans[idx];
     return {e.op.card, p.cost, p.alg, TableSet(p.left_bits), p.left_idx,
             p.right_idx};
+  }
+  DpNode Node(int64_t rank, uint32_t idx) const {
+    return Node(Entry(rank), idx);
   }
 
   size_t ApproxBytes() const {

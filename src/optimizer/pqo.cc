@@ -104,8 +104,8 @@ class ParametricDp {
 
   State Begin(TableSet u) const { return {SetCard(u), {}}; }
 
-  void Join(State* entry, TableSet left, const PqoEntry& le,
-            const PqoEntry& re) const {
+  void Join(State* entry, TableSet left, int64_t /*left_rank*/,
+            const PqoEntry& le, const PqoEntry& re) const {
     const CostModelOptions& opts = config_.cost_options;
     for (uint32_t li = 0; li < le.plans.size(); ++li) {
       for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
@@ -149,6 +149,9 @@ class ParametricDp {
             TableSet(p.left_bits),
             p.left_idx,
             p.right_idx};
+  }
+  DpNode Node(int64_t rank, uint32_t idx) const {
+    return Node(Entry(rank), idx);
   }
 
  private:

@@ -37,7 +37,14 @@ PartitionIndex::PartitionIndex(int num_tables,
 
   if (space_ == PlanSpace::kLinear) {
     for (const LinearConstraint& c : constraints.linear()) {
-      linear_[num_linear_++] = c;
+      MPQOPT_CHECK_EQ(c.before / 2, c.after / 2);  // within pair (2i, 2i + 1)
+      MPQOPT_CHECK_NE(c.before, c.after);
+      const uint64_t before = uint64_t{1} << c.before;
+      if (c.after > c.before) {
+        blocked_by_next_ |= before;
+      } else {
+        blocked_by_prev_ |= before;
+      }
     }
   }
 
@@ -149,6 +156,19 @@ void PartitionIndex::BuildGroupTables(Group* g, uint8_t excluded_pattern) {
     }
     g->split_count[p] = count;
   }
+}
+
+TableSet PartitionIndex::SetOfRank(int64_t rank) const {
+  MPQOPT_CHECK(rank >= 0 && rank < size_);
+  // Group 0 is the least significant digit, and each group's stride is
+  // the product of the digit counts below it.
+  uint64_t bits = 0;
+  for (const Group& g : groups_) {
+    bits |= static_cast<uint64_t>(g.pattern_of_digit[rank % g.num_digits])
+            << g.offset;
+    rank /= g.num_digits;
+  }
+  return TableSet(bits);
 }
 
 int64_t PartitionIndex::CountSetsOfCard(int k) const {

@@ -79,6 +79,10 @@ class PartitionIndex {
 
   bool Contains(TableSet s) const { return Rank(s) >= 0; }
 
+  /// The admissible set whose rank is `rank`, in [0, size()): the inverse
+  /// of Rank.
+  TableSet SetOfRank(int64_t rank) const;
+
   /// Invokes fn(TableSet set, int64_t rank) for every admissible set
   /// (all cardinalities, including the empty set) in ascending rank, so
   /// rank runs 0, 1, ..., size() - 1 and every proper subset of a set
@@ -120,27 +124,27 @@ class PartitionIndex {
 
   /// Linear DP: invokes fn(int inner, int64_t left_rank) for every table
   /// t of the admissible set `u` (whose rank is `rank`) that may serve as
-  /// its inner (last-joined) operand, in ascending order of t. These are
-  /// the t with no constraint (t ≺ v) for a v in u (Algorithm 5, linear
-  /// variant); u \ {t} is then admissible too (Theorem 2's argument), and
-  /// left_rank is its rank. The constraints block tables through one mask
-  /// and each left rank is one table lookup, so no per-table test
-  /// branches on which tables u holds.
+  /// its inner (last-joined) operand, in ascending order of t, and
+  /// returns how many there are. These are the t with no constraint
+  /// (t ≺ v) for a v in u (Algorithm 5, linear variant); u \ {t} is then
+  /// admissible too (Theorem 2's argument), and left_rank is its rank.
+  /// Every constraint lies within its pair, so two shifted masks block
+  /// the tables, and each left rank is one table lookup: no per-table
+  /// test branches on which tables u holds.
   template <typename Fn>
-  void ForEachLinearSplit(TableSet u, int64_t rank, Fn&& fn) const {
+  int ForEachLinearSplit(TableSet u, int64_t rank, Fn&& fn) const {
     MPQOPT_DCHECK(space_ == PlanSpace::kLinear);
     const uint64_t bits = u.bits();
-    uint64_t blocked = 0;
-    for (int i = 0; i < num_linear_; ++i) {
-      const LinearConstraint& c = linear_[i];
-      blocked |= ((bits >> c.after) & 1) << c.before;
-    }
-    for (int t : TableSet(bits & ~blocked)) {
+    const uint64_t blocked =
+        ((bits >> 1) & blocked_by_next_) | ((bits << 1) & blocked_by_prev_);
+    const TableSet inner(bits & ~blocked);
+    for (int t : inner) {
       const int64_t delta =
           rank_delta_[t][(bits >> group_offset_[t]) & group_mask_[t]];
       MPQOPT_DCHECK(delta > 0);
       fn(t, rank - delta);
     }
+    return inner.Count();
   }
 
   /// Total number of admissible ordered splits summed over all admissible
@@ -199,9 +203,12 @@ class PartitionIndex {
   PlanSpace space_;
   std::vector<Group> groups_;
   int64_t size_;
-  /// The linear constraints (before ≺ after), at most one per pair.
-  LinearConstraint linear_[kMaxTables / 2] = {};
-  int num_linear_ = 0;
+  /// The linear constraints (before ≺ after, within one pair) as masks
+  /// of their `before` tables: blocked_by_next_ where after = before + 1,
+  /// blocked_by_prev_ where after = before - 1. A set that holds `after`
+  /// cannot take `before` as its inner table.
+  uint64_t blocked_by_next_ = 0;
+  uint64_t blocked_by_prev_ = 0;
   /// rank_delta_[t][p] = Rank(s) - Rank(s \ {t}) for every admissible s
   /// whose local pattern in t's group is p, when p holds t and p \ {t} is
   /// admissible; 0, which no valid delta is, otherwise.

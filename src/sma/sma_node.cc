@@ -11,20 +11,22 @@ namespace {
 
 /// Joins the splits of `u` with `dp`'s kernels in SMA's own order:
 /// ascending inner table for linear plans, SubsetEnumerator's order for
-/// bushy ones. The memo is addressed by bit pattern.
+/// bushy ones. The memo is addressed by bit pattern: with no constraint a
+/// set's rank is its bits.
 template <typename Dp>
 typename Dp::State JoinSplits(Dp* dp, PlanSpace space, TableSet u) {
   typename Dp::State state = dp->Begin(u);
   if (space == PlanSpace::kLinear) {
     for (int t : u) {
       const TableSet left = u.Without(t);
-      dp->Join(&state, left, dp->Entry(left.bits()), dp->Scan(t));
+      dp->Join(&state, left, left.bits(), dp->Entry(left.bits()),
+               dp->Scan(t));
     }
   } else {
     SubsetEnumerator subsets(u);
     while (subsets.Next()) {
       const TableSet left = subsets.current();
-      dp->Join(&state, left, dp->Entry(left.bits()),
+      dp->Join(&state, left, left.bits(), dp->Entry(left.bits()),
                dp->Entry(u.Minus(left).bits()));
     }
   }
@@ -33,10 +35,11 @@ typename Dp::State JoinSplits(Dp* dp, PlanSpace space, TableSet u) {
 
 /// Whether the scalar replica holds a plan for `set`: a single table's
 /// scan, or a join installed by a broadcast. Every broadcast join has a
-/// non-empty left set (CheckJoin), while a set not installed yet has an
-/// empty one. Its cost cannot tell: a plan that overflows costs +inf too.
+/// non-empty left set (CheckJoin), so a non-zero kept word, while a set
+/// not installed yet has kept word 0. Its cost cannot tell: a plan that
+/// overflows costs +inf too.
 bool Installed(const ScalarDp& dp, uint64_t set) {
-  return TableSet(set).Count() == 1 || dp.Entry(set).left_bits != 0;
+  return TableSet(set).Count() == 1 || dp.Kept(set) != 0;
 }
 
 Status NotInReplica() {
@@ -174,13 +177,14 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
     if (Scalar()) {
       const ScalarDp::State state =
           JoinSplits(&*scalar_, options_.space, TableSet(bits));
-      if (!Installed(*scalar_, state.left_bits) ||
-          !Installed(*scalar_, bits & ~state.left_bits)) {
+      // The left operand's rank is its bit pattern.
+      const uint64_t left = ScalarDp::LeftRank(state.kept);
+      if (!Installed(*scalar_, left) || !Installed(*scalar_, bits & ~left)) {
         return NotInReplica();
       }
       writer.WriteU64(bits);
-      writer.WriteU8(static_cast<uint8_t>(state.alg));
-      writer.WriteU64(state.left_bits);
+      writer.WriteU8(static_cast<uint8_t>(ScalarDp::Algorithm(state.kept)));
+      writer.WriteU64(left);
       writer.WriteDouble(state.out_card);
       writer.WriteDouble(state.cost);
     } else {
@@ -218,25 +222,27 @@ Status SmaNode::ApplyBroadcast(const uint8_t* data, size_t size) {
       }
       double card = 0;
       if (Scalar()) {
-        ScalarEntry e;
-        uint8_t alg = 0;
-        if (!(s = reader.ReadU8(&alg)).ok()) return s;
-        if (!(s = reader.ReadU64(&e.left_bits)).ok()) return s;
+        uint8_t alg_raw = 0;
+        uint64_t left = 0;
+        double cost = 0;
+        if (!(s = reader.ReadU8(&alg_raw)).ok()) return s;
+        if (!(s = reader.ReadU64(&left)).ok()) return s;
         if (!(s = reader.ReadDouble(&card)).ok()) return s;
-        if (!(s = reader.ReadDouble(&e.cost)).ok()) return s;
-        e.alg = static_cast<JoinAlgorithm>(alg);
+        if (!(s = reader.ReadDouble(&cost)).ok()) return s;
+        const JoinAlgorithm alg = static_cast<JoinAlgorithm>(alg_raw);
         const auto installed = [&](uint64_t set) {
           return Installed(*scalar_, set);
         };
         if (installed(bits)) {
           return Status::Corruption("broadcast set already installed");
         }
-        s = CheckJoin(bits, e.left_bits, e.alg, options_.space,
+        s = CheckJoin(bits, left, alg, options_.space,
                       [&](uint64_t l, uint64_t r) {
                         return installed(l) && installed(r);
                       });
         if (!s.ok()) return s;
-        scalar_->Store(bits, card, e);
+        // CheckJoin made left a non-empty subset of bits, so a rank.
+        scalar_->Store(bits, card, cost, ScalarDp::KeptWord(left, alg));
         continue;
       }
       uint32_t num_plans = 0;

@@ -6,9 +6,10 @@
 // (nesting, ordering, thread-context adoption), the worker spans a traced
 // rpc round builds from its replies over real loopback mpqopt_worker
 // subprocesses (one worker.serve per frame under its rpc.exchange, one
-// worker.compute per task inside it, back to back in slot order), and the
-// invariant the whole subsystem hangs on: plan choices are byte-identical
-// with tracing on or off, on every execution backend.
+// worker.compute per task inside it, back to back in slot order; SMA's
+// session frames get the same), and the invariant the whole subsystem
+// hangs on: plan choices are byte-identical with tracing on or off, on
+// every execution backend.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "obs/percentile.h"
 #include "obs/trace.h"
 #include "plan/plan_serde.h"
+#include "sma/sma.h"
 #include "tests/rpc_test_util.h"
 
 namespace mpqopt {
@@ -428,6 +430,60 @@ TEST(TracedRpcTest, BatchFrameWorkerSpansRunBackToBack) {
     EXPECT_LE(compute.end_ns, serve.end_ns);
     at = compute.end_ns;
   }
+}
+
+// SMA's session frames get their worker side from the reply as round
+// frames do: every rpc.exchange of a session round holds exactly one
+// worker.serve, within the exchange, with one worker.compute inside it.
+TEST(TracedRpcTest, SessionFramesCarryWorkerSpans) {
+  RpcWorkerFarm farm;
+  farm.Start(2);
+  BackendOptions options;
+  options.workers_addr = farm.workers_addr();
+  StatusOr<std::shared_ptr<ExecutionBackend>> backend =
+      MakeBackend(BackendKind::kRpc, options);
+  ASSERT_TRUE(backend.ok());
+
+  SmaOptions opts;
+  opts.space = PlanSpace::kLinear;
+  opts.num_workers = 2;
+  opts.backend = backend.value();
+  obs::QueryTrace trace(79, "sma");
+  StatusOr<SmaResult> result = Status::Internal("not run");
+  {
+    obs::TraceContextScope scope(&trace, obs::kNoSpan);
+    obs::Span root("sma");
+    result = SmaOptimize(MakeQuery(6, 903), opts);
+  }
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const std::vector<obs::SpanRecord> spans = trace.Snapshot();
+  std::vector<std::vector<uint32_t>> children(spans.size());
+  for (uint32_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].parent != obs::kNoSpan) children[spans[i].parent].push_back(i);
+  }
+  size_t session_exchanges = 0;
+  for (uint32_t i = 0; i < spans.size(); ++i) {
+    const obs::SpanRecord& exchange = spans[i];
+    if (exchange.name != "rpc.exchange" || exchange.parent == obs::kNoSpan ||
+        spans[exchange.parent].name != "session.round") {
+      continue;
+    }
+    ++session_exchanges;
+    std::vector<uint32_t> serves;
+    for (const uint32_t c : children[i]) {
+      if (spans[c].name == "worker.serve") serves.push_back(c);
+    }
+    ASSERT_EQ(serves.size(), 1u) << "exchange " << i;
+    const obs::SpanRecord& serve = spans[serves[0]];
+    EXPECT_GE(serve.start_ns, exchange.start_ns);
+    EXPECT_LE(serve.end_ns, exchange.end_ns);
+    ASSERT_EQ(children[serves[0]].size(), 1u);
+    EXPECT_EQ(spans[children[serves[0]][0]].name, "worker.compute");
+  }
+  // Six tables give five levels, each a step round and a broadcast round
+  // over both nodes, and no recovery.
+  EXPECT_EQ(session_exchanges, 5u * 2u * 2u);
 }
 
 class TracingBackendTest : public ::testing::TestWithParam<BackendKind> {

@@ -112,6 +112,31 @@ TEST(PartitionIndexTest, EmptySetHasRankZero) {
   EXPECT_EQ(idx.Rank(TableSet::Empty()), 0);
 }
 
+TEST(PartitionIndexTest, SetOfRankInvertsRank) {
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    for (int n = 1; n <= 12; ++n) {
+      for (uint64_t m : {1, 4, 16}) {
+        if (m > MaxWorkers(n, space)) continue;
+        for (uint64_t part = 0; part < m; ++part) {
+          const PartitionIndex idx(n, Constraints(n, space, part, m));
+          SCOPED_TRACE(testing::Message()
+                       << PlanSpaceName(space) << " n=" << n << " m=" << m
+                       << " part=" << part);
+          for (uint64_t bits = 0; bits < (uint64_t{1} << n); ++bits) {
+            const int64_t rank = idx.Rank(TableSet(bits));
+            if (rank >= 0) {
+              ASSERT_EQ(idx.SetOfRank(rank).bits(), bits);
+            }
+          }
+          for (int64_t rank = 0; rank < idx.size(); ++rank) {
+            ASSERT_EQ(idx.Rank(idx.SetOfRank(rank)), rank);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PartitionIndexTest, CountSetsOfCardMatchesEnumeration) {
   for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
     const int n = 10;
@@ -404,8 +429,10 @@ class WalkOrderProbe {
 
   State Begin(TableSet u) const { return {u, index_.Rank(u)}; }
 
-  void Join(State* s, TableSet left, const Operand& l, const Operand& r) {
+  void Join(State* s, TableSet left, int64_t left_rank, const Operand& l,
+            const Operand& r) {
     Check(l.rank == index_.Rank(left), "left rank is not Rank(left)", s->u);
+    Check(left_rank == l.rank, "left_rank is not the left entry's", s->u);
     CheckStoredBelow(l.rank, *s);
     const TableSet right = s->u.Minus(left);
     if (index_.space() == PlanSpace::kLinear) {

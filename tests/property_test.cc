@@ -192,6 +192,16 @@ TEST_P(SeededProperty, MpqExactAcrossRandomConfigurations) {
 // costs below +inf.
 // ---------------------------------------------------------------------
 
+/// The scalar DP's memo entry as it was before the DP split it into an
+/// operand entry and a kept word: one struct per set, with its left
+/// operand's tables.
+struct ScalarEntry {
+  double cost = kInfiniteCost;
+  JoinOperand op;
+  uint64_t left_bits = 0;
+  JoinAlgorithm alg = JoinAlgorithm::kScan;
+};
+
 class ReferenceScalarDp {
  public:
   struct State {
@@ -219,8 +229,8 @@ class ReferenceScalarDp {
     return {ScalarEntry(), card, model_.OutputTime(card)};
   }
 
-  void Join(State* s, TableSet left, const ScalarEntry& l,
-            const ScalarEntry& r) const {
+  void Join(State* s, TableSet left, int64_t /*left_rank*/,
+            const ScalarEntry& l, const ScalarEntry& r) const {
     const double base = l.cost + r.cost;
     for (JoinAlgorithm alg : kJoinAlgorithms) {
       const double cost =
@@ -284,7 +294,8 @@ class ReferenceParetoDp {
     return {card, model_.OutputTime(card)};
   }
 
-  void Join(State* s, TableSet left, const Frontier& l, const Frontier& r) {
+  void Join(State* s, TableSet left, int64_t /*left_rank*/, const Frontier& l,
+            const Frontier& r) {
     double local_time[kNumJoinAlgorithms];
     double local_buffer[kNumJoinAlgorithms];
     for (int a = 0; a < kNumJoinAlgorithms; ++a) {
@@ -365,13 +376,16 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
     ReferenceScalarDp ref(q, *index, model);
     ASSERT_EQ(WalkPartition(*index, &dp), WalkPartition(*index, &ref));
     for (int64_t rank = 0; rank < index->size(); ++rank) {
-      const ScalarEntry& got = dp.Entry(rank);
       const ScalarEntry& want = ref.Entry(rank);
-      ASSERT_EQ(std::bit_cast<uint64_t>(got.cost),
+      ASSERT_EQ(std::bit_cast<uint64_t>(dp.Entry(rank).cost),
                 std::bit_cast<uint64_t>(want.cost))
           << where << " rank " << rank;
-      ASSERT_EQ(got.left_bits, want.left_bits) << where << " rank " << rank;
-      ASSERT_EQ(got.alg, want.alg) << where << " rank " << rank;
+      const uint64_t kept = dp.Kept(rank);
+      ASSERT_EQ(index->SetOfRank(ScalarDp::LeftRank(kept)).bits(),
+                want.left_bits)
+          << where << " rank " << rank;
+      ASSERT_EQ(ScalarDp::Algorithm(kept), want.alg)
+          << where << " rank " << rank;
     }
   }
   const CostModel model(Objective::kTimeAndBuffer, costs);
