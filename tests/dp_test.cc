@@ -495,6 +495,9 @@ struct PlanPin {
   int num_tables;
   uint64_t seed;
   uint64_t digest;
+  /// The same plans' structure and work counters alone, with no card or
+  /// cost bit (DigestPlanShape).
+  uint64_t shape_digest;
   /// Non-default cost constants, so a DP that drops one of them (say the
   /// output cost factor, 1 by default) changes the digest.
   bool tuned_costs = false;
@@ -508,38 +511,49 @@ bool ContainsJoin(const PlanArena& arena, PlanId id, JoinAlgorithm alg) {
          ContainsJoin(arena, node.right, alg);
 }
 
-/// Digests every partition's returned plans and work counters at m = 16,
-/// bit by bit, under `config` with the pin's space and objective. Sets
-/// `*sort_merge` if a returned plan contains a sort-merge join.
-uint64_t PinnedPartitionsDigest(const PlanPin& pin, DpConfig config,
-                                bool* sort_merge) {
+/// A pin's two digests: bit by bit, and of the structure alone.
+struct PinDigests {
+  uint64_t bits = 0;
+  uint64_t shape = 0;
+};
+
+/// Digests every partition's returned plans and work counters at m = 16
+/// under `config` with the pin's space and objective, once bit by bit and
+/// once without cards and costs. Sets `*sort_merge` if a returned plan
+/// contains a sort-merge join.
+PinDigests PinnedPartitionsDigest(const PlanPin& pin, DpConfig config,
+                                  bool* sort_merge) {
   constexpr uint64_t kPartitions = 16;
   const Query q = RandomQuery(pin.num_tables, pin.shape, pin.seed);
   config.space = pin.space;
   config.objective = pin.objective;
   Fnv64 h;
+  Fnv64 shape;
   for (uint64_t part = 0; part < kPartitions; ++part) {
     StatusOr<ConstraintSet> constraints = ConstraintSet::FromPartitionId(
         q.num_tables(), pin.space, part, kPartitions);
     EXPECT_TRUE(constraints.ok());
-    if (!constraints.ok()) return 0;
+    if (!constraints.ok()) return {};
     StatusOr<DpResult> result = RunPartitionDp(q, constraints.value(), config);
     EXPECT_TRUE(result.ok());
-    if (!result.ok()) return 0;
+    if (!result.ok()) return {};
     const DpResult& r = result.value();
-    h.Add(part);
-    h.Add(r.stats.admissible_sets);
-    h.Add(r.stats.splits_tried);
-    h.Add(r.stats.plans_costed);
-    h.Add(static_cast<uint64_t>(r.best.size()));
+    for (Fnv64* d : {&h, &shape}) {
+      d->Add(part);
+      d->Add(r.stats.admissible_sets);
+      d->Add(r.stats.splits_tried);
+      d->Add(r.stats.plans_costed);
+      d->Add(static_cast<uint64_t>(r.best.size()));
+    }
     for (PlanId id : r.best) {
       DigestPlan(r.arena, id, &h);
+      DigestPlanShape(r.arena, id, &shape);
       if (ContainsJoin(r.arena, id, JoinAlgorithm::kSortMergeJoin)) {
         *sort_merge = true;
       }
     }
   }
-  return h.value();
+  return {h.value(), shape.value()};
 }
 
 std::string PinName(const PlanPin& pin) {
@@ -554,36 +568,37 @@ TEST(DpTest, PartitionPlansMatchPinnedDigests) {
   // Every partition's returned plans and work counters, digested bit by
   // bit. A changed evaluation order in the cost arithmetic, tie-break or
   // enumeration order changes a digest, so a change that alters plans
-  // must update these goldens on purpose.
+  // must update these goldens on purpose. The shape digest leaves out
+  // cards and costs, so a change of cost bits alone keeps it.
   const PlanPin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 101,
-       0x21cb1bcab6e012f6},
+       0x21cb1bcab6e012f6, 0xec6aa109dbbd8e45},
       {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTime, 12, 102,
-       0x1c8eab4e6cc993a2},
+       0x1c8eab4e6cc993a2, 0xeb814c4f8979cc35},
       {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTime, 12, 103,
-       0x4ccd0800ce83a199},
+       0x4ccd0800ce83a199, 0xe43e583ccedd8ed1},
       {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTime, 12, 104,
-       0xf6de0fda240c0556},
+       0xf6de0fda240c0556, 0x725aa2e4a80c06ef},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 105,
-       0xc3d4236946188f75},
+       0xc3d4236946188f75, 0x62e2f4d3f4f2b87d},
       {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTime, 12, 106,
-       0x4d6a57fd7a8e3e6d},
+       0x4d6a57fd7a8e3e6d, 0xa9523e867532df25},
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 107, 0x5e7c062fdd4dfcf0},
+       12, 107, 0x5e7c062fdd4dfcf0, 0x8050d7fa172fcf1b},
       {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 108, 0x467ce84748b3f41d},
+       12, 108, 0x467ce84748b3f41d, 0x736bed67dbe57c20},
       {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 109, 0xc55f62c9856fda14},
+       12, 109, 0xc55f62c9856fda14, 0x20df6e2fc57cc300},
       {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 110, 0xc465e2fc79881e7e},
+       12, 110, 0xc465e2fc79881e7e, 0x06b6aa7532bc63b5},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 111, 0x27d1a89d4f424d63},
+       12, 111, 0x27d1a89d4f424d63, 0x372263cfa44206f7},
       {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 112, 0x52542b9a59a24988},
+       12, 112, 0x52542b9a59a24988, 0x3de56ed1261b52b8},
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 113,
-       0xeb64a7b96818797e, true},
+       0xeb64a7b96818797e, 0x99df5f821140b4f5, true},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 114, 0x2a9ea4e12b629296, true},
+       12, 114, 0x2a9ea4e12b629296, 0x1321c564765e2105, true},
   };
   for (const PlanPin& pin : pins) {
     DpConfig config;
@@ -593,9 +608,11 @@ TEST(DpTest, PartitionPlansMatchPinnedDigests) {
       config.cost_options.output_cost_factor = 0.5;
     }
     bool sort_merge = false;
-    const uint64_t digest = PinnedPartitionsDigest(pin, config, &sort_merge);
-    EXPECT_EQ(digest, pin.digest)
-        << PinName(pin) << ": digest 0x" << std::hex << digest;
+    const PinDigests digest = PinnedPartitionsDigest(pin, config, &sort_merge);
+    EXPECT_EQ(digest.bits, pin.digest)
+        << PinName(pin) << ": digest 0x" << std::hex << digest.bits;
+    EXPECT_EQ(digest.shape, pin.shape_digest)
+        << PinName(pin) << ": shape digest 0x" << std::hex << digest.shape;
   }
 }
 
@@ -608,13 +625,13 @@ TEST(DpTest, SortMergeCostedPlansMatchPinnedDigests) {
   // coarser alpha would let the hash joins cover.
   const PlanPin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 115,
-       0xe5632dd6b2848257},
+       0xe5632dd6b2848257, 0xc77d87ad6167c8a9},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 116,
-       0x1453355e58d73eb1},
+       0x1453355e58d73eb1, 0x356b4f363228df11},
       {JoinGraphShape::kCycle, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 117, 0x905ba4508ac34f7a},
+       12, 117, 0x905ba4508ac34f7a, 0xf257eca81bddb575},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 118, 0x57c1e7c9f839b38d},
+       12, 118, 0x57c1e7c9f839b38d, 0xd350f35a327cb8b9},
   };
   DpConfig config;
   config.alpha = 1;
@@ -622,9 +639,11 @@ TEST(DpTest, SortMergeCostedPlansMatchPinnedDigests) {
   config.cost_options.block_size = 1;
   for (const PlanPin& pin : pins) {
     bool sort_merge = false;
-    const uint64_t digest = PinnedPartitionsDigest(pin, config, &sort_merge);
-    EXPECT_EQ(digest, pin.digest)
-        << PinName(pin) << ": digest 0x" << std::hex << digest;
+    const PinDigests digest = PinnedPartitionsDigest(pin, config, &sort_merge);
+    EXPECT_EQ(digest.bits, pin.digest)
+        << PinName(pin) << ": digest 0x" << std::hex << digest.bits;
+    EXPECT_EQ(digest.shape, pin.shape_digest)
+        << PinName(pin) << ": shape digest 0x" << std::hex << digest.shape;
     EXPECT_TRUE(sort_merge) << PinName(pin);
   }
 }

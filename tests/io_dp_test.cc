@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "catalog/generator.h"
 #include "mpq/mpq.h"
@@ -198,22 +199,29 @@ TEST(IoDpTest, MemoSizeFollowsPartitioningTheorems) {
 }
 
 TEST(IoDpTest, PartitionPlansMatchPinnedDigests) {
-  // Every partition's plan and work counters, digested bit by bit (see
-  // tests/plan_digest.h). Ten tables allow 16 linear and 8 bushy
-  // partitions.
+  // Every partition's plan and work counters, digested bit by bit and
+  // without cards and costs (see tests/plan_digest.h). Ten tables allow
+  // 16 linear and 8 bushy partitions.
   struct Pin {
     JoinGraphShape shape;
     PlanSpace space;
     uint64_t seed;
     uint64_t digest;
+    uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {JoinGraphShape::kStar, PlanSpace::kLinear, 201, 0xd12c789f0072b6d2},
-      {JoinGraphShape::kChain, PlanSpace::kLinear, 202, 0xa831a874a6a8e5cb},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 203, 0x6689d46839e5a6e9},
-      {JoinGraphShape::kStar, PlanSpace::kBushy, 204, 0x0a47359aac787ced},
-      {JoinGraphShape::kChain, PlanSpace::kBushy, 205, 0x192afe551733e6ba},
-      {JoinGraphShape::kClique, PlanSpace::kBushy, 206, 0x79ba20a973e643d1},
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 201, 0xd12c789f0072b6d2,
+       0xbee5e8bc2ee7e405},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 202, 0xa831a874a6a8e5cb,
+       0x93849c0177e8058b},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 203, 0x6689d46839e5a6e9,
+       0x0f1b19a78bca5af9},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 204, 0x0a47359aac787ced,
+       0x1aa144697e841066},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 205, 0x192afe551733e6ba,
+       0x31157b1d116875c0},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 206, 0x79ba20a973e643d1,
+       0xb366cc1f018d9493},
   };
   for (const Pin& pin : pins) {
     const Query q = RandomQuery(10, pin.shape, pin.seed);
@@ -222,6 +230,7 @@ TEST(IoDpTest, PartitionPlansMatchPinnedDigests) {
     config.interesting_orders = true;
     const uint64_t m = std::min<uint64_t>(16, MaxWorkers(10, pin.space));
     Fnv64 h;
+    Fnv64 shape;
     for (uint64_t part = 0; part < m; ++part) {
       StatusOr<ConstraintSet> c =
           ConstraintSet::FromPartitionId(10, pin.space, part, m);
@@ -229,16 +238,25 @@ TEST(IoDpTest, PartitionPlansMatchPinnedDigests) {
       StatusOr<DpResult> result = RunPartitionDp(q, c.value(), config);
       ASSERT_TRUE(result.ok());
       const DpResult& r = result.value();
-      h.Add(part);
-      h.Add(r.stats.admissible_sets);
-      h.Add(r.stats.splits_tried);
-      h.Add(r.stats.plans_costed);
-      h.Add(static_cast<uint64_t>(r.best.size()));
-      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
+      for (Fnv64* d : {&h, &shape}) {
+        d->Add(part);
+        d->Add(r.stats.admissible_sets);
+        d->Add(r.stats.splits_tried);
+        d->Add(r.stats.plans_costed);
+        d->Add(static_cast<uint64_t>(r.best.size()));
+      }
+      for (PlanId id : r.best) {
+        DigestPlan(r.arena, id, &h);
+        DigestPlanShape(r.arena, id, &shape);
+      }
     }
+    const std::string name = std::string(JoinGraphShapeName(pin.shape)) +
+                             " " + PlanSpaceName(pin.space) +
+                             " seed=" + std::to_string(pin.seed);
     EXPECT_EQ(h.value(), pin.digest)
-        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
-        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
+        << name << ": digest 0x" << std::hex << h.value();
+    EXPECT_EQ(shape.value(), pin.shape_digest)
+        << name << ": shape digest 0x" << std::hex << shape.value();
   }
 }
 

@@ -3,7 +3,10 @@
 // Bit-exact digests for the plan-identity pins of the optimizer tests: a
 // changed evaluation order in the cost arithmetic, a changed tie-break or
 // a changed enumeration order moves a digest, so a change that alters
-// plans must update the pinned values on purpose.
+// plans must update the pinned values on purpose. Each bit pin has a
+// shape pin beside it, over the plans' structure alone, so a change that
+// moves cost bits on purpose (a new fold order, say) shows whether any
+// plan moved with them.
 
 #ifndef MPQOPT_TESTS_PLAN_DIGEST_H_
 #define MPQOPT_TESTS_PLAN_DIGEST_H_
@@ -47,6 +50,19 @@ inline void DigestPlan(const PlanArena& arena, PlanId id, Fnv64* h) {
   if (!node.IsScan()) {
     DigestPlan(arena, node.left, h);
     DigestPlan(arena, node.right, h);
+  }
+}
+
+/// Adds a plan tree's structure alone, pre-order: table set and
+/// algorithm of every node, which fix the tree's shape. No cardinality or
+/// cost bit enters it.
+inline void DigestPlanShape(const PlanArena& arena, PlanId id, Fnv64* h) {
+  const PlanNode& node = arena.node(id);
+  h->Add(node.tables.bits());
+  h->Add(static_cast<uint8_t>(node.algorithm));
+  if (!node.IsScan()) {
+    DigestPlanShape(arena, node.left, h);
+    DigestPlanShape(arena, node.right, h);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "catalog/generator.h"
 #include "tests/plan_digest.h"
@@ -225,28 +226,40 @@ TEST(PqoTest, SingleTableQuery) {
 TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
   // Every partition's parametric optimal set (plans, affine costs, theta
   // intervals) and work counters, then the merged parallel result,
-  // digested bit by bit (see tests/plan_digest.h). Ten tables allow 16
-  // linear and 8 bushy partitions.
+  // digested bit by bit, and once more without cards, costs and theta
+  // intervals (see tests/plan_digest.h). Ten tables allow 16 linear and 8
+  // bushy partitions.
   struct Pin {
     JoinGraphShape shape;
     PlanSpace space;
     uint64_t seed;
     uint64_t digest;
+    uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0xf4c71839ad2c2707},
-      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x566c7a9bc11a7656},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0xd42abe4f277e9349},
-      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0xdd3334ddfea2982e},
-      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x1a9a39f15a758b77},
-      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x8ecd3bb9b1669230},
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0xf4c71839ad2c2707,
+       0x9f0265d58f6b4dd9},
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x566c7a9bc11a7656,
+       0x6e731ecd4aea68aa},
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0xd42abe4f277e9349,
+       0x14b66c1721f90773},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0xdd3334ddfea2982e,
+       0xdffaafc7805eb7e2},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x1a9a39f15a758b77,
+       0xa31d928cd16b1753},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x8ecd3bb9b1669230,
+       0xee16488ac02c5cbe},
   };
-  const auto digest_result = [](const PqoResult& r, Fnv64* h) {
-    h->Add(r.admissible_sets);
-    h->Add(r.splits_tried);
-    h->Add(static_cast<uint64_t>(r.plans.size()));
+  const auto digest_result = [](const PqoResult& r, Fnv64* h,
+                                 Fnv64* shape) {
+    for (Fnv64* d : {h, shape}) {
+      d->Add(r.admissible_sets);
+      d->Add(r.splits_tried);
+      d->Add(static_cast<uint64_t>(r.plans.size()));
+    }
     for (const PqoPlan& p : r.plans) {
       DigestPlan(r.arena, p.plan, h);
+      DigestPlanShape(r.arena, p.plan, shape);
       h->Add(p.cost.constant);
       h->Add(p.cost.slope);
       h->Add(p.theta_begin);
@@ -263,6 +276,7 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
     config.variability = 99.0;
     const uint64_t m = std::min<uint64_t>(16, MaxWorkers(10, pin.space));
     Fnv64 h;
+    Fnv64 shape;
     for (uint64_t part = 0; part < m; ++part) {
       StatusOr<ConstraintSet> c =
           ConstraintSet::FromPartitionId(10, pin.space, part, m);
@@ -270,14 +284,19 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
       StatusOr<PqoResult> result = RunParametricDp(q, c.value(), config);
       ASSERT_TRUE(result.ok());
       h.Add(part);
-      digest_result(result.value(), &h);
+      shape.Add(part);
+      digest_result(result.value(), &h, &shape);
     }
     StatusOr<PqoResult> parallel = ParallelParametricOptimize(q, m, config);
     ASSERT_TRUE(parallel.ok());
-    digest_result(parallel.value(), &h);
+    digest_result(parallel.value(), &h, &shape);
+    const std::string name = std::string(JoinGraphShapeName(pin.shape)) +
+                             " " + PlanSpaceName(pin.space) +
+                             " seed=" + std::to_string(pin.seed);
     EXPECT_EQ(h.value(), pin.digest)
-        << JoinGraphShapeName(pin.shape) << " " << PlanSpaceName(pin.space)
-        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
+        << name << ": digest 0x" << std::hex << h.value();
+    EXPECT_EQ(shape.value(), pin.shape_digest)
+        << name << ": shape digest 0x" << std::hex << shape.value();
   }
 }
 

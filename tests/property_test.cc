@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/generator.h"
@@ -19,6 +21,7 @@
 #include "optimizer/pruning.h"
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
+#include "plan/plan_validator.h"
 
 namespace mpqopt {
 namespace {
@@ -155,33 +158,155 @@ TEST_P(SeededProperty, CardinalityCutIdentity) {
   }
 }
 
+/// The bits of a cost.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Expects the plan rooted at `id` to pass ValidatePlan at tolerance 0:
+/// every card and, with `check_costs`, every cost equal to what the
+/// estimator and `model` derive from its operands, bit for bit; in the
+/// linear space it must be left-deep too.
+void ExpectValidAtToleranceZero(const PlanArena& arena, PlanId id,
+                                const Query& q, const CostModel& model,
+                                PlanSpace space, bool check_costs,
+                                const std::string& where) {
+  PlanValidationOptions options;
+  options.relative_tolerance = 0;
+  options.check_costs = check_costs;
+  options.require_left_deep = space == PlanSpace::kLinear;
+  const Status s = ValidatePlan(arena, id, q, model, options);
+  EXPECT_TRUE(s.ok()) << where << ": " << s.ToString();
+}
+
+/// A random space, a query of a random shape with up to `max_linear`
+/// (linear) or `max_bushy` (bushy) tables, and a usable worker count of
+/// up to 32, drawn from `rng`.
+struct RandomConfiguration {
+  PlanSpace space;
+  int n;
+  JoinGraphShape shape;
+  uint64_t m;
+
+  RandomConfiguration(Rng* rng, int max_linear, int max_bushy) {
+    space = rng->UniformInt(0, 1) == 0 ? PlanSpace::kLinear
+                                       : PlanSpace::kBushy;
+    n = static_cast<int>(space == PlanSpace::kLinear
+                             ? rng->UniformInt(4, max_linear)
+                             : rng->UniformInt(4, max_bushy));
+    shape = static_cast<JoinGraphShape>(rng->UniformInt(0, 3));
+    m = UsableWorkers(n, space, uint64_t{1} << rng->UniformInt(0, 5));
+  }
+
+  std::string Name() const {
+    return std::string(JoinGraphShapeName(shape)) + " " +
+           PlanSpaceName(space) + " n=" + std::to_string(n) +
+           " m=" + std::to_string(m);
+  }
+};
+
 TEST_P(SeededProperty, MpqExactAcrossRandomConfigurations) {
   const uint64_t seed = GetParam();
   Rng rng(seed ^ 0x7777);
-  const auto space =
-      rng.UniformInt(0, 1) == 0 ? PlanSpace::kLinear : PlanSpace::kBushy;
-  const int n = static_cast<int>(
-      space == PlanSpace::kLinear ? rng.UniformInt(4, 11)
-                                  : rng.UniformInt(4, 9));
-  const auto shape = static_cast<JoinGraphShape>(rng.UniformInt(0, 3));
-  const Query q = MakeQuery(n, shape, seed);
+  const RandomConfiguration c(&rng, 11, 9);
+  const Query q = MakeQuery(c.n, c.shape, seed);
   DpConfig config;
-  config.space = space;
+  config.space = c.space;
   StatusOr<DpResult> serial = OptimizeSerial(q, config);
   ASSERT_TRUE(serial.ok());
-  const uint64_t m = UsableWorkers(
-      n, space, uint64_t{1} << rng.UniformInt(0, 5));
   MpqOptions opts;
-  opts.space = space;
-  opts.num_workers = m;
+  opts.space = c.space;
+  opts.num_workers = c.m;
   MpqOptimizer mpq(opts);
   StatusOr<MpqResult> result = mpq.Optimize(q);
   ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(
-      result.value().arena.node(result.value().best[0]).cost.time() /
-          serial.value().arena.node(serial.value().best[0]).cost.time(),
-      1.0, 1e-12)
-      << PlanSpaceName(space) << " n=" << n << " m=" << m;
+  // Costs do not depend on the partition, so MPQ's best is the serial
+  // optimum's cost exactly.
+  EXPECT_EQ(
+      Bits(result.value().arena.node(result.value().best[0]).cost.time()),
+      Bits(serial.value().arena.node(serial.value().best[0]).cost.time()))
+      << c.Name();
+  const CostModel model(Objective::kTime);
+  ExpectValidAtToleranceZero(result.value().arena, result.value().best[0], q,
+                             model, c.space, true, "mpq " + c.Name());
+  ExpectValidAtToleranceZero(serial.value().arena, serial.value().best[0], q,
+                             model, c.space, true, "serial " + c.Name());
+}
+
+/// The cost vectors of `plans` as bits, sorted.
+std::vector<std::pair<uint64_t, uint64_t>> FrontierBits(
+    const PlanArena& arena, const std::vector<PlanId>& plans) {
+  std::vector<std::pair<uint64_t, uint64_t>> costs;
+  for (PlanId id : plans) {
+    const CostVector& cost = arena.node(id).cost;
+    costs.push_back({Bits(cost.time()), Bits(cost[1])});
+  }
+  std::sort(costs.begin(), costs.end());
+  return costs;
+}
+
+TEST_P(SeededProperty, MpqFrontierEqualsSerialAtAlphaOne) {
+  // At alpha = 1 every partition keeps its exact Pareto set, and the
+  // master's prune of their union leaves the cost vectors of the serial
+  // DP's exact Pareto set: the same vectors, bit for bit.
+  const uint64_t seed = GetParam();
+  Rng rng(seed ^ 0x1357);
+  const RandomConfiguration c(&rng, 9, 8);
+  const Query q = MakeQuery(c.n, c.shape, seed);
+  DpConfig config;
+  config.space = c.space;
+  config.objective = Objective::kTimeAndBuffer;
+  config.alpha = 1;
+  StatusOr<DpResult> serial = OptimizeSerial(q, config);
+  ASSERT_TRUE(serial.ok());
+  MpqOptions opts;
+  opts.space = c.space;
+  opts.objective = Objective::kTimeAndBuffer;
+  opts.alpha = 1;
+  opts.num_workers = c.m;
+  MpqOptimizer mpq(opts);
+  StatusOr<MpqResult> result = mpq.Optimize(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(FrontierBits(result.value().arena, result.value().best),
+            FrontierBits(serial.value().arena, serial.value().best))
+      << c.Name();
+  const CostModel model(Objective::kTimeAndBuffer);
+  for (PlanId id : result.value().best) {
+    ExpectValidAtToleranceZero(result.value().arena, id, q, model, c.space,
+                               true, "mpq " + c.Name());
+  }
+  for (PlanId id : serial.value().best) {
+    ExpectValidAtToleranceZero(serial.value().arena, id, q, model, c.space,
+                               true, "serial " + c.Name());
+  }
+}
+
+TEST_P(SeededProperty, MpqInterestingOrdersEqualSerial) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed ^ 0x8642);
+  const RandomConfiguration c(&rng, 10, 8);
+  const Query q = MakeQuery(c.n, c.shape, seed);
+  DpConfig config;
+  config.space = c.space;
+  config.interesting_orders = true;
+  StatusOr<DpResult> serial = OptimizeSerial(q, config);
+  ASSERT_TRUE(serial.ok());
+  MpqOptions opts;
+  opts.space = c.space;
+  opts.interesting_orders = true;
+  opts.num_workers = c.m;
+  MpqOptimizer mpq(opts);
+  StatusOr<MpqResult> result = mpq.Optimize(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(
+      Bits(result.value().arena.node(result.value().best[0]).cost.time()),
+      Bits(serial.value().arena.node(serial.value().best[0]).cost.time()))
+      << c.Name();
+  // An interesting-orders cost depends on the order context, which the
+  // plain cost model cannot rederive; the cards still must match.
+  const CostModel model(Objective::kTime);
+  ExpectValidAtToleranceZero(result.value().arena, result.value().best[0], q,
+                             model, c.space, false, "mpq " + c.Name());
+  ExpectValidAtToleranceZero(serial.value().arena, serial.value().best[0], q,
+                             model, c.space, false, "serial " + c.Name());
 }
 
 // ---------------------------------------------------------------------

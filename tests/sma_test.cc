@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "catalog/generator.h"
 #include "common/serialize.h"
@@ -484,23 +485,30 @@ TEST(SmaTest, MultiObjectiveFrontierCoversSerial) {
 
 TEST(SmaTest, ResultsMatchPinnedDigests) {
   // The plan bytes, network bytes, messages and rounds of both
-  // objectives in both spaces, digested bit by bit (see
+  // objectives in both spaces, digested bit by bit, and once more with
+  // the plans' structure in place of their bytes (see
   // tests/plan_digest.h).
   struct Pin {
     PlanSpace space;
     Objective objective;
     uint64_t seed;
     uint64_t digest;
+    uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {PlanSpace::kLinear, Objective::kTime, 311, 0x82687aeaed809604},
-      {PlanSpace::kBushy, Objective::kTime, 312, 0xc9124dde374a5cf6},
-      {PlanSpace::kLinear, Objective::kTimeAndBuffer, 313, 0x67640e597037d698},
-      {PlanSpace::kBushy, Objective::kTimeAndBuffer, 314, 0xfd1227988f1dfe79},
+      {PlanSpace::kLinear, Objective::kTime, 311, 0x82687aeaed809604,
+       0xd2ee9e082f149cea},
+      {PlanSpace::kBushy, Objective::kTime, 312, 0xc9124dde374a5cf6,
+       0x28f4cbf1455b324f},
+      {PlanSpace::kLinear, Objective::kTimeAndBuffer, 313, 0x67640e597037d698,
+       0x9043ae6d019d820d},
+      {PlanSpace::kBushy, Objective::kTimeAndBuffer, 314, 0xfd1227988f1dfe79,
+       0xd229781dda3616a8},
   };
   for (const Pin& pin : pins) {
     const Query q = RandomQuery(9, pin.seed);
     Fnv64 h;
+    Fnv64 shape;
     for (uint64_t m : {1u, 3u, 8u}) {
       SmaOptions opts = Options(pin.space, m);
       opts.objective = pin.objective;
@@ -509,15 +517,25 @@ TEST(SmaTest, ResultsMatchPinnedDigests) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const SmaResult& r = result.value();
       for (uint8_t byte : PlanBytes(r)) h.Add(byte);
-      for (PlanId id : r.best) DigestPlan(r.arena, id, &h);
-      h.Add(r.network_bytes);
-      h.Add(r.network_messages);
-      h.Add(r.rounds);
+      shape.Add(static_cast<uint64_t>(r.best.size()));
+      for (PlanId id : r.best) {
+        DigestPlan(r.arena, id, &h);
+        DigestPlanShape(r.arena, id, &shape);
+      }
+      for (Fnv64* d : {&h, &shape}) {
+        d->Add(r.network_bytes);
+        d->Add(r.network_messages);
+        d->Add(r.rounds);
+      }
     }
+    const std::string name =
+        std::string(PlanSpaceName(pin.space)) +
+        " objective=" + std::to_string(static_cast<int>(pin.objective)) +
+        " seed=" + std::to_string(pin.seed);
     EXPECT_EQ(h.value(), pin.digest)
-        << PlanSpaceName(pin.space)
-        << " objective=" << static_cast<int>(pin.objective)
-        << " seed=" << pin.seed << ": digest 0x" << std::hex << h.value();
+        << name << ": digest 0x" << std::hex << h.value();
+    EXPECT_EQ(shape.value(), pin.shape_digest)
+        << name << ": shape digest 0x" << std::hex << shape.value();
   }
 }
 
