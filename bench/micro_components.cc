@@ -105,11 +105,12 @@ BENCHMARK(BM_EnumerateAdmissibleSets)->Arg(0)->Arg(4)->Arg(8);
 
 /// A DP that keeps nothing: it sums the operand ranks the walk hands it
 /// (a linear split's right operand is its inner table), so a bench over
-/// WalkPartition times the DP's set and split enumeration alone.
+/// WalkPartition times the DP's set and split enumeration and the walk's
+/// incremental cardinality fold alone.
 class RankSumDp {
  public:
   struct State {};
-  State Begin(TableSet) const { return {}; }
+  State Begin(TableSet, double) const { return {}; }
   void Join(State*, TableSet, int64_t /*left_rank*/, int64_t left,
             int64_t right) {
     sum_ += left + right;
@@ -126,13 +127,14 @@ class RankSumDp {
 /// WalkPartition over one bushy partition; "splits" is its split count.
 void BM_BushySplitGeneration(benchmark::State& state) {
   const int n = 12;
+  const Query q = TestQuery(n);
   const PartitionIndex idx(
       n, TestConstraints(n, PlanSpace::kBushy,
                          static_cast<int>(state.range(0))));
   int64_t splits = 0;
   for (auto _ : state) {
     RankSumDp dp;
-    splits = WalkPartition(idx, &dp);
+    splits = WalkPartition(q, idx, &dp);
     benchmark::DoNotOptimize(dp.sum());
   }
   state.counters["splits"] = static_cast<double>(splits);
@@ -142,13 +144,14 @@ BENCHMARK(BM_BushySplitGeneration)->Arg(0)->Arg(2)->Arg(4);
 /// WalkPartition over one linear partition; "splits" is its split count.
 void BM_LinearSplitGeneration(benchmark::State& state) {
   const int n = 16;
+  const Query q = TestQuery(n);
   const PartitionIndex idx(
       n, TestConstraints(n, PlanSpace::kLinear,
                          static_cast<int>(state.range(0))));
   int64_t splits = 0;
   for (auto _ : state) {
     RankSumDp dp;
-    splits = WalkPartition(idx, &dp);
+    splits = WalkPartition(q, idx, &dp);
     benchmark::DoNotOptimize(dp.sum());
   }
   state.counters["splits"] = static_cast<double>(splits);

@@ -10,20 +10,19 @@ CardinalityEstimator::CardinalityEstimator(const Query& query) {
   const int n = query.num_tables();
   table_cards_.resize(n);
   for (int i = 0; i < n; ++i) table_cards_[i] = query.table(i).cardinality;
-  // Counting sort of the predicates by lower endpoint; each table's
-  // predicates keep predicate order, which fixes the order Cardinality()
-  // multiplies in.
+  // Counting sort of the predicates by higher endpoint; each table's
+  // predicates keep predicate order, which fixes the canonical fold.
   edge_begin_.assign(n + 1, 0);
   for (const JoinPredicate& p : query.predicates()) {
-    ++edge_begin_[std::min(p.left_table, p.right_table) + 1];
+    ++edge_begin_[std::max(p.left_table, p.right_table) + 1];
   }
   for (int t = 0; t < n; ++t) edge_begin_[t + 1] += edge_begin_[t];
   edges_.resize(edge_begin_[n]);
   std::vector<uint32_t> next(edge_begin_.begin(), edge_begin_.end() - 1);
   for (const JoinPredicate& p : query.predicates()) {
-    const int lower = std::min(p.left_table, p.right_table);
-    edges_[next[lower]++] = {{1.0, p.selectivity},
-                             std::max(p.left_table, p.right_table)};
+    const int higher = std::max(p.left_table, p.right_table);
+    edges_[next[higher]++] = {{1.0, p.selectivity},
+                              std::min(p.left_table, p.right_table)};
   }
 }
 

@@ -39,14 +39,14 @@ StatusOr<DpResult> RunPartitionDp(const Query& query,
     RunInterestingOrderDp(query, index, model, &result);
   } else if (config.objective == Objective::kTime) {
     ScalarDp dp(query, index, model);
-    const int64_t splits = WalkPartition(index, &dp);
+    const int64_t splits = WalkPartition(query, index, &dp);
     // Every split ranks each join algorithm once (DpStats::plans_costed).
     result.stats.splits_tried = splits;
     result.stats.plans_costed = splits * kNumJoinAlgorithms;
     result.best.push_back(BuildPlan(index, dp, all, 0, &result.arena));
   } else {
     ParetoDp dp(query, index, model, config.alpha);
-    result.stats.splits_tried = WalkPartition(index, &dp);
+    result.stats.splits_tried = WalkPartition(query, index, &dp);
     result.stats.plans_costed = dp.plans_costed();
     const uint32_t frontier = dp.Entry(index.Rank(all)).num_plans;
     for (uint32_t i = 0; i < frontier; ++i) {

@@ -66,7 +66,6 @@ class InterestingOrderDp {
   InterestingOrderDp(const Query& query, const PartitionIndex& index,
                      const CostModel& model)
       : model_(model),
-        estimator_(query),
         orders_(query),
         memo_(static_cast<size_t>(index.size())),
         scan_entries_(query.num_tables()) {
@@ -94,8 +93,8 @@ class InterestingOrderDp {
     }
   }
 
-  State Begin(TableSet u) const {
-    return {u, {estimator_.Cardinality(u), {}}};
+  State Begin(TableSet u, double product) const {
+    return {u, {CardinalityEstimator::Clamp(product), {}}};
   }
 
   void Join(State* s, TableSet left, int64_t /*left_rank*/, const IoEntry& le,
@@ -157,7 +156,6 @@ class InterestingOrderDp {
 
  private:
   const CostModel& model_;
-  CardinalityEstimator estimator_;
   OrderClasses orders_;
   std::vector<IoEntry> memo_;
   std::vector<IoEntry> scan_entries_;
@@ -169,7 +167,7 @@ class InterestingOrderDp {
 void RunInterestingOrderDp(const Query& query, const PartitionIndex& index,
                            const CostModel& model, DpResult* result) {
   InterestingOrderDp dp(query, index, model);
-  result->stats.splits_tried = WalkPartition(index, &dp);
+  result->stats.splits_tried = WalkPartition(query, index, &dp);
   result->stats.plans_costed = dp.plans_costed();
   // The cheapest plan of any order; a tie keeps the earlier one.
   const TableSet all = query.all_tables();

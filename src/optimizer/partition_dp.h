@@ -4,7 +4,8 @@
 // parallelizes differ only in the pruning function (Sections 4 and 5.4),
 // so each variant here is a class with one per-set shape:
 //
-//   Begin(u)                   per-set state, e.g. u's output cardinality
+//   Begin(u, product)          per-set state, e.g. u's output cardinality
+//                              from its unclamped product
 //   Join(&state, left, left_rank, le, re)
 //                              one split (left, u \ left) with the left
 //                              operand's rank and the operands' entries:
@@ -15,8 +16,9 @@
 //   Node(Scan(t), idx)         a stored set or of a scan
 //
 // and one walk and one plan builder drive every variant: WalkPartition
-// visits the admissible sets of a partition in ascending rank and hands
-// each one's admissible splits to the DP (Algorithm 5), and BuildPlan
+// visits the admissible sets of a partition in ascending rank, estimates
+// each one's rows and hands its admissible splits to the DP
+// (Algorithm 5), and BuildPlan
 // materializes a kept plan by recursion over left operand sets. The
 // scalar DP keeps one word per set apart from what its splits read: the
 // kept split's left-operand rank in the low 56 bits and its algorithm
@@ -26,7 +28,10 @@
 // (partition_index.h), so both operands of every split are stored before
 // the set that joins them; a set's splits come in the same order as in
 // any other valid order, so the plans, costs and counters do not depend
-// on it.
+// on it. The walk keeps every set's unclamped product by rank and folds
+// each set's from its prefix's (cost/cardinality.h), so no DP estimates
+// cardinalities itself; SMA's replicas, which join one set at a time,
+// hand Begin the full fold, which has the same bits.
 //
 // OpenPartition is every DP's one entry path. It keeps the indexes this
 // thread built last, so a worker that serves the same partitions again
@@ -46,6 +51,7 @@
 #include <emmintrin.h>
 #endif
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -74,18 +80,34 @@ Status OpenPartition(const Query& query, const ConstraintSet& constraints,
                      PlanSpace space, int64_t max_memo_entries,
                      const PartitionIndex** index);
 
-/// Paper Algorithm 2 over one partition: visits every admissible set of
-/// two or more tables in ascending rank, hands each admissible split to
-/// `dp` (a linear split's right operand is its inner table's Scan) and
-/// stores the set. Returns the number of splits.
+/// Paper Algorithm 2 over one partition of `query`: visits every
+/// admissible set of two or more tables in ascending rank, hands each
+/// admissible split to `dp` (a linear split's right operand is its inner
+/// table's Scan) and stores the set. Returns the number of splits.
+///
+/// Each set's unclamped product is its prefix's, continued over its top
+/// group's tables (CardinalityEstimator::Extend), kept in one array by
+/// rank: the prefix precedes the set, so its product is there already.
+/// Debug builds check it against the full fold on every set.
 template <typename Dp>
-int64_t WalkPartition(const PartitionIndex& index, Dp* dp) {
+int64_t WalkPartition(const Query& query, const PartitionIndex& index,
+                      Dp* dp) {
+  MPQOPT_CHECK_EQ(query.num_tables(), index.num_tables());
+  const CardinalityEstimator estimator(query);
+  std::vector<double> product(static_cast<size_t>(index.size()));
+  product[0] = 1.0;  // the empty set's, which is its own prefix
   int64_t splits = 0;
   const bool linear = index.space() == PlanSpace::kLinear;
-  index.ForEachSet([&](TableSet u, int64_t rank) {
+  index.ForEachSetWithPrefix([&](TableSet u, int64_t rank,
+                                 int64_t prefix_rank, int top_offset) {
+    const double raw = estimator.Extend(
+        product[static_cast<size_t>(prefix_rank)], u, top_offset);
+    MPQOPT_DCHECK(std::bit_cast<uint64_t>(raw) ==
+                  std::bit_cast<uint64_t>(estimator.Product(u)));
+    product[static_cast<size_t>(rank)] = raw;
     const uint64_t bits = u.bits();
     if ((bits & (bits - 1)) == 0) return;  // the empty set or a scan
-    typename Dp::State state = dp->Begin(u);
+    typename Dp::State state = dp->Begin(u, raw);
     if (linear) {
       splits += index.ForEachLinearSplit(
           u, rank, [&](int t, int64_t left_rank) {
@@ -217,7 +239,6 @@ class ScalarDp {
       : index_(index),
         model_(model),
         sort_merge_(!model.SortMergeDominated()),
-        estimator_(query),
         operand_(static_cast<size_t>(index.size())),
         kept_(static_cast<size_t>(index.size()), 0) {
     MPQOPT_CHECK_LE(static_cast<uint64_t>(index.size()), kRankMask + 1);
@@ -231,8 +252,8 @@ class ScalarDp {
   }
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(ScalarDp);
 
-  State Begin(TableSet u) const {
-    const double card = estimator_.Cardinality(u);
+  State Begin(TableSet /*u*/, double product) const {
+    const double card = CardinalityEstimator::Clamp(product);
     return {std::numeric_limits<double>::quiet_NaN(), 0, card,
             model_.OutputTime(card)};
   }
@@ -315,7 +336,6 @@ class ScalarDp {
   /// Whether Join costs sort-merge joins: only while they are not
   /// dominated (CostModel::SortMergeDominated).
   const bool sort_merge_;
-  CardinalityEstimator estimator_;
   std::vector<ScalarOperand> operand_;
   std::vector<uint64_t> kept_;
   ScalarOperand scan_[kMaxTables];
@@ -362,7 +382,6 @@ class ParetoDp {
         num_algorithms_(model.SortMergeDominated() && alpha >= 1
                             ? kNumJoinAlgorithms - 1
                             : kNumJoinAlgorithms),
-        estimator_(query),
         memo_(static_cast<size_t>(index.size())) {
     for (int t = 0; t < query.num_tables(); ++t) {
       const double card = query.table(t).cardinality;
@@ -374,9 +393,9 @@ class ParetoDp {
   }
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(ParetoDp);
 
-  State Begin(TableSet u) {
+  State Begin(TableSet /*u*/, double product) {
     scratch_.clear();
-    const double card = estimator_.Cardinality(u);
+    const double card = CardinalityEstimator::Clamp(product);
     return {card, model_.OutputTime(card)};
   }
 
@@ -469,7 +488,6 @@ class ParetoDp {
   /// the rejection argument also needs alpha >= 1, which RunPartitionDp
   /// checks and SMA does not).
   const int num_algorithms_;
-  CardinalityEstimator estimator_;
   std::vector<ParetoEntry> memo_;
   /// Bump storage for finished frontiers; scratch_ is the one mutable
   /// frontier under construction, reused across sets.

@@ -90,7 +90,6 @@ class ParametricDp {
                const PqoConfig& config)
       : query_(query),
         config_(config),
-        estimator_(query),
         memo_(static_cast<size_t>(index.size())),
         scan_entries_(query.num_tables()) {
     for (int t = 0; t < query.num_tables(); ++t) {
@@ -102,7 +101,9 @@ class ParametricDp {
     }
   }
 
-  State Begin(TableSet u) const { return {SetCard(u), {}}; }
+  State Begin(TableSet u, double product) const {
+    return {SetCard(u, product), {}};
+  }
 
   void Join(State* entry, TableSet left, int64_t /*left_rank*/,
             const PqoEntry& le, const PqoEntry& re) const {
@@ -166,12 +167,13 @@ class ParametricDp {
   /// Affine cardinality of a table set (no one-row clamping — clamping
   /// would break affinity; parametric costs may therefore dip below one
   /// row for extremely selective queries, which only shifts envelopes).
-  AffineCost SetCard(TableSet s) const {
+  AffineCost SetCard(TableSet s, double product) const {
     // Selectivity-scaled product of base cardinalities via the regular
     // estimator, with the parametric factor applied on top.
     double base = 1.0;
     for (int t : s) base *= query_.table(t).cardinality;
-    double sel = estimator_.Cardinality(s) / base;  // combined selectivity
+    // combined selectivity
+    double sel = CardinalityEstimator::Clamp(product) / base;
     // Recompute without the estimator's clamp where possible.
     const double unclamped = base * sel;
     AffineCost card = AffineCost::Constant(unclamped);
@@ -183,7 +185,6 @@ class ParametricDp {
 
   const Query& query_;
   const PqoConfig& config_;
-  CardinalityEstimator estimator_;
   std::vector<PqoEntry> memo_;
   std::vector<PqoEntry> scan_entries_;
 };
@@ -278,7 +279,7 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
     plan.theta_end = 1;
     result.plans.push_back(plan);
   } else {
-    result.splits_tried = WalkPartition(index, &dp);
+    result.splits_tried = WalkPartition(query, index, &dp);
     const TableSet all = query.all_tables();
     const std::vector<PqoRef>& envelope = dp.Entry(index.Rank(all)).plans;
     std::vector<PlanId> plans;

@@ -26,7 +26,9 @@
 //    pattern in each group is a sub-pattern of the set's, so a proper
 //    subset has a smaller digit somewhere, no larger digit anywhere and
 //    thus a smaller rank: every operand of a set is visited before it,
-//    which is all the DP needs of its order,
+//    which is all the DP needs of its order. The same odometer hands out
+//    each set's prefix, its tables below its highest non-empty group,
+//    for the incremental cardinality fold (cost/cardinality.h),
 //  * the constrained split enumeration for bushy plans that only generates
 //    admissible operand pairs (Algorithm 5, the 21/27 factor),
 //  * the linear twin, ForEachLinearSplit: every admissible inner table of
@@ -90,14 +92,35 @@ class PartitionIndex {
   /// cardinality filter on u.Count().
   template <typename Fn>
   void ForEachSet(Fn&& fn) const {
+    ForEachSetWithPrefix([&](TableSet set, int64_t rank, int64_t, int) {
+      fn(set, rank);
+    });
+  }
+
+  /// ForEachSet that also hands each set its prefix: fn(TableSet set,
+  /// int64_t rank, int64_t prefix_rank, int top_offset), where the set's
+  /// top group is the highest group holding one of its tables,
+  /// top_offset is that group's first table, and the prefix (the set's
+  /// tables below top_offset) has rank prefix_rank. Every group's digit 0
+  /// is its empty pattern, so the prefix is admissible, and its rank is
+  /// the set's minus the top group's digit times its stride: below the
+  /// set's, so it was handed out before. The empty set is its own
+  /// prefix (rank 0, top_offset 0).
+  template <typename Fn>
+  void ForEachSetWithPrefix(Fn&& fn) const {
     uint8_t digit[kMaxTables] = {};  // per group; all 0 is the empty set
     uint64_t bits = 0;
+    // The top group is the highest group the odometer has moved: a
+    // group wraps to 0 only when a higher one moves.
+    size_t top = 0;
+    int64_t prefix_rank = 0;
     for (int64_t rank = 0;;) {
-      fn(TableSet(bits), rank);
+      fn(TableSet(bits), rank, prefix_rank, groups_[top].offset);
       if (++rank == size_) return;
       // Add one to the odometer. Digit 0 of every group is its empty
       // pattern, so a wrapped group clears its bits.
-      for (size_t gi = 0;; ++gi) {
+      size_t gi = 0;
+      for (;; ++gi) {
         const Group& g = groups_[gi];
         bits ^= static_cast<uint64_t>(g.pattern_of_digit[digit[gi]])
                 << g.offset;
@@ -107,6 +130,14 @@ class PartitionIndex {
           break;
         }
         digit[gi] = 0;
+      }
+      // Below the top group the digits count on as one counter; a move
+      // at or above it leaves them all 0.
+      if (gi < top) {
+        ++prefix_rank;
+      } else {
+        top = gi;
+        prefix_rank = 0;
       }
     }
   }

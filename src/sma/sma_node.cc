@@ -12,10 +12,12 @@ namespace {
 /// Joins the splits of `u` with `dp`'s kernels in SMA's own order:
 /// ascending inner table for linear plans, SubsetEnumerator's order for
 /// bushy ones. The memo is addressed by bit pattern: with no constraint a
-/// set's rank is its bits.
+/// set's rank is its bits. u's rows come from the full canonical fold,
+/// which has the bits of the MPQ walk's incremental one.
 template <typename Dp>
-typename Dp::State JoinSplits(Dp* dp, PlanSpace space, TableSet u) {
-  typename Dp::State state = dp->Begin(u);
+typename Dp::State JoinSplits(Dp* dp, const CardinalityEstimator& estimator,
+                              PlanSpace space, TableSet u) {
+  typename Dp::State state = dp->Begin(u, estimator.Product(u));
   if (space == PlanSpace::kLinear) {
     for (int t : u) {
       const TableSet left = u.Without(t);
@@ -76,6 +78,7 @@ SmaNode::SmaNode(Query query, const SmaNodeOptions& options)
     : query_(std::move(query)),
       options_(options),
       model_(options.objective, options.cost_options),
+      estimator_(query_),
       index_(query_.num_tables(), ConstraintSet::None(options.space)) {
   if (Scalar()) {
     scalar_.emplace(query_, index_, model_);
@@ -176,7 +179,7 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
     // have installed operands.
     if (Scalar()) {
       const ScalarDp::State state =
-          JoinSplits(&*scalar_, options_.space, TableSet(bits));
+          JoinSplits(&*scalar_, estimator_, options_.space, TableSet(bits));
       // The left operand's rank is its bit pattern.
       const uint64_t left = ScalarDp::LeftRank(state.kept);
       if (!Installed(*scalar_, left) || !Installed(*scalar_, bits & ~left)) {
@@ -189,7 +192,7 @@ StatusOr<std::vector<uint8_t>> SmaNode::ComputeChunk(const uint8_t* data,
       writer.WriteDouble(state.cost);
     } else {
       const ParetoDp::State state =
-          JoinSplits(&*pareto_, options_.space, TableSet(bits));
+          JoinSplits(&*pareto_, estimator_, options_.space, TableSet(bits));
       const std::vector<ParetoPlanRef>& frontier = pareto_->frontier();
       if (frontier.empty()) return NotInReplica();
       writer.WriteU64(bits);

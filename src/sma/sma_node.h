@@ -41,6 +41,7 @@
 #include "catalog/query.h"
 #include "common/macros.h"
 #include "common/status.h"
+#include "cost/cardinality.h"
 #include "cost/cost_model.h"
 #include "optimizer/dp.h"
 #include "optimizer/partition_dp.h"
@@ -120,6 +121,7 @@ class SmaNode {
   const Query query_;  ///< owned: the replica outlives the master's call
   const SmaNodeOptions options_;
   const CostModel model_;
+  const CardinalityEstimator estimator_;
   const PartitionIndex index_;
   /// Exactly one is set, by objective; both reference the members above.
   std::optional<ScalarDp> scalar_;

@@ -572,33 +572,33 @@ TEST(DpTest, PartitionPlansMatchPinnedDigests) {
   // cards and costs, so a change of cost bits alone keeps it.
   const PlanPin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 101,
-       0x21cb1bcab6e012f6, 0xec6aa109dbbd8e45},
+       0x889f55afb3fc8ce2, 0xec6aa109dbbd8e45},
       {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTime, 12, 102,
-       0x1c8eab4e6cc993a2, 0xeb814c4f8979cc35},
+       0xa53becd6655152f2, 0xeb814c4f8979cc35},
       {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTime, 12, 103,
-       0x4ccd0800ce83a199, 0xe43e583ccedd8ed1},
+       0x4e0f9e570e6a46bd, 0xe43e583ccedd8ed1},
       {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTime, 12, 104,
-       0xf6de0fda240c0556, 0x725aa2e4a80c06ef},
+       0x8f970e4b41f6dfad, 0x725aa2e4a80c06ef},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 105,
-       0xc3d4236946188f75, 0x62e2f4d3f4f2b87d},
+       0x175bc776561c9f7d, 0x62e2f4d3f4f2b87d},
       {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTime, 12, 106,
        0x4d6a57fd7a8e3e6d, 0xa9523e867532df25},
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 107, 0x5e7c062fdd4dfcf0, 0x8050d7fa172fcf1b},
+       12, 107, 0x5163e7ef59afdbc4, 0x8050d7fa172fcf1b},
       {JoinGraphShape::kChain, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 108, 0x467ce84748b3f41d, 0x736bed67dbe57c20},
+       12, 108, 0x9cbdc8276c72ab18, 0x736bed67dbe57c20},
       {JoinGraphShape::kClique, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 109, 0xc55f62c9856fda14, 0x20df6e2fc57cc300},
+       12, 109, 0x21af4213740023cc, 0x20df6e2fc57cc300},
       {JoinGraphShape::kStar, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 110, 0xc465e2fc79881e7e, 0x06b6aa7532bc63b5},
+       12, 110, 0x9b9e4933e09eaca0, 0x06b6aa7532bc63b5},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 111, 0x27d1a89d4f424d63, 0x372263cfa44206f7},
+       12, 111, 0x9db8807f17d3dc5f, 0x372263cfa44206f7},
       {JoinGraphShape::kClique, PlanSpace::kBushy, Objective::kTimeAndBuffer,
        12, 112, 0x52542b9a59a24988, 0x3de56ed1261b52b8},
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 113,
-       0xeb64a7b96818797e, 0x99df5f821140b4f5, true},
+       0x6a792e9464cf5718, 0x99df5f821140b4f5, true},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 114, 0x2a9ea4e12b629296, 0x1321c564765e2105, true},
+       12, 114, 0xa4e76b66a5a61111, 0x1321c564765e2105, true},
   };
   for (const PlanPin& pin : pins) {
     DpConfig config;
@@ -625,13 +625,13 @@ TEST(DpTest, SortMergeCostedPlansMatchPinnedDigests) {
   // coarser alpha would let the hash joins cover.
   const PlanPin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, Objective::kTime, 12, 115,
-       0xe5632dd6b2848257, 0xc77d87ad6167c8a9},
+       0xa0a27b68c5ec6b75, 0xc77d87ad6167c8a9},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTime, 12, 116,
-       0x1453355e58d73eb1, 0x356b4f363228df11},
+       0xe0dca0de5ad2f059, 0x356b4f363228df11},
       {JoinGraphShape::kCycle, PlanSpace::kLinear, Objective::kTimeAndBuffer,
-       12, 117, 0x905ba4508ac34f7a, 0xf257eca81bddb575},
+       12, 117, 0xf7e11bf0369411e4, 0xf257eca81bddb575},
       {JoinGraphShape::kChain, PlanSpace::kBushy, Objective::kTimeAndBuffer,
-       12, 118, 0x57c1e7c9f839b38d, 0xd350f35a327cb8b9},
+       12, 118, 0x472df776b682c49d, 0xd350f35a327cb8b9},
   };
   DpConfig config;
   config.alpha = 1;

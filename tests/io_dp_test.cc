@@ -210,16 +210,16 @@ TEST(IoDpTest, PartitionPlansMatchPinnedDigests) {
     uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {JoinGraphShape::kStar, PlanSpace::kLinear, 201, 0xd12c789f0072b6d2,
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 201, 0x1063bb4834fb81a7,
        0xbee5e8bc2ee7e405},
-      {JoinGraphShape::kChain, PlanSpace::kLinear, 202, 0xa831a874a6a8e5cb,
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 202, 0xcab52ef9feba4169,
        0x93849c0177e8058b},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 203, 0x6689d46839e5a6e9,
-       0x0f1b19a78bca5af9},
-      {JoinGraphShape::kStar, PlanSpace::kBushy, 204, 0x0a47359aac787ced,
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 203, 0x8752200ac2118009,
+       0x8263d47f54b3ed21},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 204, 0x025a57f1c7d88a45,
        0x1aa144697e841066},
-      {JoinGraphShape::kChain, PlanSpace::kBushy, 205, 0x192afe551733e6ba,
-       0x31157b1d116875c0},
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 205, 0x05f51eca90db521e,
+       0x7ff1453bcc49da98},
       {JoinGraphShape::kClique, PlanSpace::kBushy, 206, 0x79ba20a973e643d1,
        0xb366cc1f018d9493},
   };

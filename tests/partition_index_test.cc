@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
@@ -11,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "catalog/generator.h"
 #include "common/math_util.h"
 #include "optimizer/partition_dp.h"
 
@@ -153,6 +155,44 @@ TEST(PartitionIndexTest, CountSetsOfCardMatchesEnumeration) {
       total += tally[k];
     }
     EXPECT_EQ(total, idx.size());
+  }
+}
+
+TEST(PartitionIndexTest, ForEachSetHandsEachSetItsPrefix) {
+  // The prefix is the set's tables below its top group, the group of its
+  // highest table: a pair or triple, or a leftover single table.
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    const int width = GroupWidth(space);
+    for (int n = 1; n <= 12; ++n) {
+      for (uint64_t m = 1; m <= MaxWorkers(n, space); m *= 4) {
+        for (uint64_t part = 0; part < m; ++part) {
+          const PartitionIndex idx(n, Constraints(n, space, part, m));
+          SCOPED_TRACE(testing::Message()
+                       << PlanSpaceName(space) << " n=" << n << " m=" << m
+                       << " part=" << part);
+          int64_t visited = 0;
+          idx.ForEachSetWithPrefix([&](TableSet s, int64_t rank,
+                                       int64_t prefix_rank, int top_offset) {
+            ++visited;
+            ASSERT_EQ(idx.Rank(s), rank);
+            if (s.IsEmpty()) {
+              ASSERT_EQ(prefix_rank, 0);
+              ASSERT_EQ(top_offset, 0);
+              return;
+            }
+            const int highest = 63 - std::countl_zero(s.bits());
+            const int offset = highest < n / width * width
+                                   ? highest / width * width
+                                   : highest;
+            ASSERT_EQ(top_offset, offset) << s.ToString();
+            const TableSet prefix(s.bits() & ((uint64_t{1} << offset) - 1));
+            ASSERT_EQ(prefix_rank, idx.Rank(prefix)) << s.ToString();
+            ASSERT_LT(prefix_rank, rank) << s.ToString();
+          });
+          EXPECT_EQ(visited, idx.size());
+        }
+      }
+    }
   }
 }
 
@@ -427,7 +467,9 @@ class WalkOrderProbe {
     }
   }
 
-  State Begin(TableSet u) const { return {u, index_.Rank(u)}; }
+  State Begin(TableSet u, double /*product*/) const {
+    return {u, index_.Rank(u)};
+  }
 
   void Join(State* s, TableSet left, int64_t left_rank, const Operand& l,
             const Operand& r) {
@@ -485,11 +527,12 @@ class WalkOrderProbe {
 TEST(PartitionIndexTest, WalkVisitsSetsInRankOrderAfterTheirOperands) {
   for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
     for (int n = 1; n <= 12; ++n) {
+      const Query q = QueryGenerator(GeneratorOptions(), 40 + n).Generate(n);
       for (uint64_t m = 1; m <= MaxWorkers(n, space); m *= 2) {
         for (uint64_t part = 0; part < m; ++part) {
           const PartitionIndex idx(n, Constraints(n, space, part, m));
           WalkOrderProbe probe(idx);
-          const int64_t splits = WalkPartition(idx, &probe);
+          const int64_t splits = WalkPartition(q, idx, &probe);
           SCOPED_TRACE(testing::Message()
                        << PlanSpaceName(space) << " n=" << n << " m=" << m
                        << " part=" << part);

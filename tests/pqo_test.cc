@@ -237,17 +237,17 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
     uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0xf4c71839ad2c2707,
+      {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0x9976785434b801c6,
        0x9f0265d58f6b4dd9},
-      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x566c7a9bc11a7656,
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x0d8c62e7785e0812,
        0x6e731ecd4aea68aa},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0xd42abe4f277e9349,
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0x2aa4723e30b94783,
        0x14b66c1721f90773},
-      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0xdd3334ddfea2982e,
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0x05916e01d6a2f8e2,
        0xdffaafc7805eb7e2},
-      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x1a9a39f15a758b77,
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0xb07deece98eaa076,
        0xa31d928cd16b1753},
-      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x8ecd3bb9b1669230,
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x3c7527e50572b409,
        0xee16488ac02c5cbe},
   };
   const auto digest_result = [](const PqoResult& r, Fnv64* h,

@@ -349,7 +349,9 @@ class ReferenceScalarDp {
     }
   }
 
-  State Begin(TableSet u) const {
+  /// The walk's product goes unused: the reference takes its rows from
+  /// the full fold.
+  State Begin(TableSet u, double /*product*/) const {
     const double card = estimator_.Cardinality(u);
     return {ScalarEntry(), card, model_.OutputTime(card)};
   }
@@ -413,7 +415,7 @@ class ReferenceParetoDp {
     }
   }
 
-  State Begin(TableSet u) {
+  State Begin(TableSet u, double /*product*/) {
     frontier_.clear();
     const double card = estimator_.Cardinality(u);
     return {card, model_.OutputTime(card)};
@@ -499,7 +501,7 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
     const CostModel model(Objective::kTime, costs);
     ScalarDp dp(q, *index, model);
     ReferenceScalarDp ref(q, *index, model);
-    ASSERT_EQ(WalkPartition(*index, &dp), WalkPartition(*index, &ref));
+    ASSERT_EQ(WalkPartition(q, *index, &dp), WalkPartition(q, *index, &ref));
     for (int64_t rank = 0; rank < index->size(); ++rank) {
       const ScalarEntry& want = ref.Entry(rank);
       ASSERT_EQ(std::bit_cast<uint64_t>(dp.Entry(rank).cost),
@@ -517,7 +519,7 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
   for (double alpha : alphas) {
     ParetoDp dp(q, *index, model, alpha);
     ReferenceParetoDp ref(q, *index, model, alpha);
-    ASSERT_EQ(WalkPartition(*index, &dp), WalkPartition(*index, &ref));
+    ASSERT_EQ(WalkPartition(q, *index, &dp), WalkPartition(q, *index, &ref));
     ASSERT_EQ(dp.plans_costed(), ref.plans_costed());
     for (int64_t rank = 0; rank < index->size(); ++rank) {
       const ParetoEntry& got = dp.Entry(rank);

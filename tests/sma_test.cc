@@ -496,13 +496,13 @@ TEST(SmaTest, ResultsMatchPinnedDigests) {
     uint64_t shape_digest;
   };
   const Pin pins[] = {
-      {PlanSpace::kLinear, Objective::kTime, 311, 0x82687aeaed809604,
+      {PlanSpace::kLinear, Objective::kTime, 311, 0xc3951b39d06bed88,
        0xd2ee9e082f149cea},
-      {PlanSpace::kBushy, Objective::kTime, 312, 0xc9124dde374a5cf6,
+      {PlanSpace::kBushy, Objective::kTime, 312, 0xbf08cbadb5ea49bc,
        0x28f4cbf1455b324f},
-      {PlanSpace::kLinear, Objective::kTimeAndBuffer, 313, 0x67640e597037d698,
+      {PlanSpace::kLinear, Objective::kTimeAndBuffer, 313, 0x1d40358b87afdf56,
        0x9043ae6d019d820d},
-      {PlanSpace::kBushy, Objective::kTimeAndBuffer, 314, 0xfd1227988f1dfe79,
+      {PlanSpace::kBushy, Objective::kTimeAndBuffer, 314, 0x4a841ea49bcc9fed,
        0xd229781dda3616a8},
   };
   for (const Pin& pin : pins) {
