@@ -164,21 +164,14 @@ class ParametricDp {
     return AffineCost::Constant(base);
   }
 
-  /// Affine cardinality of a table set (no one-row clamping — clamping
-  /// would break affinity; parametric costs may therefore dip below one
-  /// row for extremely selective queries, which only shifts envelopes).
+  /// Affine cardinality of a table set from its unclamped product (no
+  /// one-row clamping — clamping would break affinity; parametric costs
+  /// may therefore dip below one row for extremely selective queries,
+  /// which only shifts envelopes), with the parametric factor on top.
   AffineCost SetCard(TableSet s, double product) const {
-    // Selectivity-scaled product of base cardinalities via the regular
-    // estimator, with the parametric factor applied on top.
-    double base = 1.0;
-    for (int t : s) base *= query_.table(t).cardinality;
-    // combined selectivity
-    double sel = CardinalityEstimator::Clamp(product) / base;
-    // Recompute without the estimator's clamp where possible.
-    const double unclamped = base * sel;
-    AffineCost card = AffineCost::Constant(unclamped);
+    AffineCost card = AffineCost::Constant(product);
     if (s.Contains(config_.parametric_table)) {
-      card.slope = unclamped * config_.variability;
+      card.slope = product * config_.variability;
     }
     return card;
   }

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/generator.h"
+#include "cost/cardinality.h"
 #include "tests/plan_digest.h"
 
 namespace mpqopt {
@@ -223,6 +226,35 @@ TEST(PqoTest, SingleTableQuery) {
   EXPECT_DOUBLE_EQ(result.value().plans[0].theta_end, 1);
 }
 
+TEST(PqoTest, SetsBelowOneRowKeepTheirUnclampedProduct) {
+  // 10 x 10 rows at selectivity 0.001 make 0.1 rows, which the other DPs
+  // clamp to one row; the affine cardinality keeps the product itself.
+  std::vector<TableInfo> tables(2);
+  for (TableInfo& t : tables) {
+    t.cardinality = 10;
+    t.attribute_domains = {1000.0};
+  }
+  const Query q(std::move(tables), {{0, 0, 1, 0, 0.001}});
+  const double product = CardinalityEstimator(q).Product(q.all_tables());
+  ASSERT_LT(product, 1.0);
+  for (const double variability : {0.0, 4.0}) {
+    PqoConfig config;
+    config.parametric_table = 1;
+    config.variability = variability;
+    StatusOr<PqoResult> result =
+        RunParametricDp(q, ConstraintSet::None(PlanSpace::kLinear), config);
+    ASSERT_TRUE(result.ok());
+    ASSERT_FALSE(result.value().plans.empty());
+    // A plan's node carries its affine cardinality at theta = 0.5.
+    const AffineCost card{product, product * variability};
+    for (const PqoPlan& plan : result.value().plans) {
+      EXPECT_EQ(result.value().arena.node(plan.plan).cardinality,
+                card.At(0.5))
+          << "variability " << variability;
+    }
+  }
+}
+
 TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
   // Every partition's parametric optimal set (plans, affine costs, theta
   // intervals) and work counters, then the merged parallel result,
@@ -239,16 +271,16 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
   const Pin pins[] = {
       {JoinGraphShape::kStar, PlanSpace::kLinear, 221, 0x9976785434b801c6,
        0x9f0265d58f6b4dd9},
-      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0x0d8c62e7785e0812,
+      {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0xcf6d861f50d742f9,
        0x6e731ecd4aea68aa},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0x2aa4723e30b94783,
-       0x14b66c1721f90773},
-      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0x05916e01d6a2f8e2,
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0x27c79a77d5d09279,
+       0x46651ddd5f04047d},
+      {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0x14b22236567ae7ca,
        0xdffaafc7805eb7e2},
-      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0xb07deece98eaa076,
+      {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x61eef0755a9e6fdd,
        0xa31d928cd16b1753},
-      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x3c7527e50572b409,
-       0xee16488ac02c5cbe},
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0xdfc2eb13a0f95159,
+       0xa5d47c658134a900},
   };
   const auto digest_result = [](const PqoResult& r, Fnv64* h,
                                  Fnv64* shape) {
