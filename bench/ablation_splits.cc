@@ -20,7 +20,7 @@ using Clock = std::chrono::steady_clock;
 /// Strategy A (paper, Algorithm 5): constrained generation.
 int64_t GenerateOnly(const PartitionIndex& idx) {
   int64_t splits = 0;
-  idx.ForEachSet([&](TableSet u, int64_t) {
+  idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
     if (u.Count() < 2) return;
     idx.ForEachSplit(u, [&](TableSet, int64_t, int64_t) { ++splits; });
   });
@@ -31,7 +31,7 @@ int64_t GenerateOnly(const PartitionIndex& idx) {
 /// result and filter both operands through the admissibility test.
 int64_t GenerateAndFilter(const PartitionIndex& idx) {
   int64_t splits = 0;
-  idx.ForEachSet([&](TableSet u, int64_t) {
+  idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
     if (u.Count() < 2) return;
     SubsetEnumerator subsets(u);
     while (subsets.Next()) {

@@ -94,7 +94,7 @@ void BM_EnumerateAdmissibleSets(benchmark::State& state) {
                          static_cast<int>(state.range(0))));
   for (auto _ : state) {
     int64_t count = 0;
-    idx.ForEachSet([&](TableSet u, int64_t) {
+    idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
       const uint64_t bits = u.bits();
       if ((bits & (bits - 1)) != 0) ++count;
     });

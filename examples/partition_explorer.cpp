@@ -36,7 +36,7 @@ int main() {
         ConstraintSet::FromPartitionId(4, PlanSpace::kLinear, 2, 4);
     if (!c.ok()) return 1;
     const PartitionIndex idx(4, c.value());
-    idx.ForEachSet([&](TableSet s, int64_t) {
+    idx.ForEachSet([&](TableSet s, int64_t, int64_t, int) {
       std::printf("%s ", s.ToString().c_str());
     });
     std::printf("\n  (the paper's Example 2 lists the same 9 sets, with\n"

@@ -98,8 +98,8 @@ int64_t WalkPartition(const Query& query, const PartitionIndex& index,
   product[0] = 1.0;  // the empty set's, which is its own prefix
   int64_t splits = 0;
   const bool linear = index.space() == PlanSpace::kLinear;
-  index.ForEachSetWithPrefix([&](TableSet u, int64_t rank,
-                                 int64_t prefix_rank, int top_offset) {
+  index.ForEachSet([&](TableSet u, int64_t rank, int64_t prefix_rank,
+                       int top_offset) {
     const double raw = estimator.Extend(
         product[static_cast<size_t>(prefix_rank)], u, top_offset);
     MPQOPT_DCHECK(std::bit_cast<uint64_t>(raw) ==

@@ -178,7 +178,7 @@ int64_t PartitionIndex::CountSetsOfCard(int k) const {
 
 int64_t PartitionIndex::CountAdmissibleSplits() const {
   int64_t total = 0;
-  ForEachSet([&](TableSet u, int64_t) {
+  ForEachSet([&](TableSet u, int64_t, int64_t, int) {
     if (u.Count() < 2) return;
     int64_t splits = 1;
     for (const Group& g : groups_) {

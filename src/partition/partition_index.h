@@ -85,29 +85,22 @@ class PartitionIndex {
   /// of Rank.
   TableSet SetOfRank(int64_t rank) const;
 
-  /// Invokes fn(TableSet set, int64_t rank) for every admissible set
-  /// (all cardinalities, including the empty set) in ascending rank, so
-  /// rank runs 0, 1, ..., size() - 1 and every proper subset of a set
-  /// comes before it (see the file comment). Callers that want one
-  /// cardinality filter on u.Count().
+  /// Invokes fn(TableSet set, int64_t rank, int64_t prefix_rank,
+  /// int top_offset) for every admissible set (all cardinalities,
+  /// including the empty set) in ascending rank, so rank runs 0, 1, ...,
+  /// size() - 1 and every proper subset of a set comes before it (see the
+  /// file comment). Callers that want one cardinality filter on
+  /// u.Count().
+  ///
+  /// Each set comes with its prefix: the set's top group is the highest
+  /// group holding one of its tables, top_offset is that group's first
+  /// table, and the prefix (the set's tables below top_offset) has rank
+  /// prefix_rank. Every group's digit 0 is its empty pattern, so the
+  /// prefix is admissible, and its rank is the set's minus the top
+  /// group's digit times its stride: below the set's, so it came before.
+  /// The empty set is its own prefix (rank 0, top_offset 0).
   template <typename Fn>
   void ForEachSet(Fn&& fn) const {
-    ForEachSetWithPrefix([&](TableSet set, int64_t rank, int64_t, int) {
-      fn(set, rank);
-    });
-  }
-
-  /// ForEachSet that also hands each set its prefix: fn(TableSet set,
-  /// int64_t rank, int64_t prefix_rank, int top_offset), where the set's
-  /// top group is the highest group holding one of its tables,
-  /// top_offset is that group's first table, and the prefix (the set's
-  /// tables below top_offset) has rank prefix_rank. Every group's digit 0
-  /// is its empty pattern, so the prefix is admissible, and its rank is
-  /// the set's minus the top group's digit times its stride: below the
-  /// set's, so it was handed out before. The empty set is its own
-  /// prefix (rank 0, top_offset 0).
-  template <typename Fn>
-  void ForEachSetWithPrefix(Fn&& fn) const {
     uint8_t digit[kMaxTables] = {};  // per group; all 0 is the empty set
     uint64_t bits = 0;
     // The top group is the highest group the odometer has moved: a

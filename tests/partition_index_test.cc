@@ -144,7 +144,7 @@ TEST(PartitionIndexTest, CountSetsOfCardMatchesEnumeration) {
     const int n = 10;
     const PartitionIndex idx(n, Constraints(n, space, 3, 8));
     std::vector<int64_t> tally(n + 1, 0);
-    idx.ForEachSet([&](TableSet s, int64_t rank) {
+    idx.ForEachSet([&](TableSet s, int64_t rank, int64_t, int) {
       EXPECT_EQ(idx.Rank(s), rank);
       ++tally[s.Count()];
     });
@@ -171,8 +171,8 @@ TEST(PartitionIndexTest, ForEachSetHandsEachSetItsPrefix) {
                        << PlanSpaceName(space) << " n=" << n << " m=" << m
                        << " part=" << part);
           int64_t visited = 0;
-          idx.ForEachSetWithPrefix([&](TableSet s, int64_t rank,
-                                       int64_t prefix_rank, int top_offset) {
+          idx.ForEachSet([&](TableSet s, int64_t rank, int64_t prefix_rank,
+                             int top_offset) {
             ++visited;
             ASSERT_EQ(idx.Rank(s), rank);
             if (s.IsEmpty()) {
@@ -200,7 +200,7 @@ TEST(PartitionIndexTest, ForEachSetVisitsEverySetOnce) {
   const int n = 8;
   const PartitionIndex idx(n, Constraints(n, PlanSpace::kBushy, 1, 2));
   std::set<uint64_t> seen;
-  idx.ForEachSet([&](TableSet s, int64_t rank) {
+  idx.ForEachSet([&](TableSet s, int64_t rank, int64_t, int) {
     EXPECT_EQ(idx.Rank(s), rank);
     EXPECT_TRUE(seen.insert(s.bits()).second);
   });
@@ -248,7 +248,7 @@ TEST(PartitionIndexTest, LinearSplitsAreExactlyTheAdmissibleInners) {
         const ConstraintSet constraints =
             Constraints(n, PlanSpace::kLinear, part, m);
         const PartitionIndex idx(n, constraints);
-        idx.ForEachSet([&](TableSet u, int64_t rank) {
+        idx.ForEachSet([&](TableSet u, int64_t rank, int64_t, int) {
           if (u.IsEmpty()) return;
           std::vector<int> yielded;
           idx.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
@@ -271,7 +271,7 @@ TEST(PartitionIndexTest, SplitsOnlyAdmissibleAndComplete) {
   const int n = 9;
   for (uint64_t part : {0ull, 3ull, 7ull}) {
     const PartitionIndex idx(n, Constraints(n, PlanSpace::kBushy, part, 8));
-    idx.ForEachSet([&](TableSet u, int64_t) {
+    idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
       if (u.Count() < 2) return;
       std::set<uint64_t> generated;
       idx.ForEachSplit(u, [&](TableSet left, int64_t lrank, int64_t rrank) {
@@ -307,7 +307,7 @@ TEST(PartitionIndexTest, BushySplitCountMatchesTheorem7) {
     const int n = 9;
     const PartitionIndex idx(n, Constraints(n, PlanSpace::kBushy, 0, 1u << l));
     int64_t total_pairs = 0;  // ordered (left, right) incl. trivial
-    idx.ForEachSet([&](TableSet u, int64_t) {
+    idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
       if (u.Count() < 2) return;
       int64_t count = 2;  // the two trivial splits are not emitted
       idx.ForEachSplit(u, [&](TableSet, int64_t, int64_t) { ++count; });
@@ -350,7 +350,7 @@ TEST(PartitionIndexTest, CountAdmissibleSplitsExactFactor) {
   for (int l = 0; l <= 3; ++l) {
     const PartitionIndex idx(n, Constraints(n, PlanSpace::kBushy, 0, 1u << l));
     int64_t assignments = 0;  // splits incl. trivial, over ALL admissible u
-    idx.ForEachSet([&](TableSet u, int64_t) {
+    idx.ForEachSet([&](TableSet u, int64_t, int64_t, int) {
       if (u.Count() >= 2) {
         assignments += 2;
         idx.ForEachSplit(u, [&](TableSet, int64_t, int64_t) { ++assignments; });
