@@ -25,9 +25,9 @@
 namespace mpqopt {
 namespace {
 
-Query TestQuery(int n) {
+Query TestQuery(int n, JoinGraphShape shape = JoinGraphShape::kStar) {
   GeneratorOptions opts;
-  opts.shape = JoinGraphShape::kStar;
+  opts.shape = shape;
   QueryGenerator gen(opts, 7);
   return gen.Generate(n);
 }
@@ -457,17 +457,19 @@ BENCHMARK(BM_MasterSerializeFinalize)
     ->Args({17, 1, 1});
 
 /// End-to-end worker task: decode + constrained DP + encode, for
-/// partition 3 of m = 16. The request repeats, so from the second
-/// iteration on the query and the partition index come from this
-/// thread's caches (BM_WorkerSmallRound times the misses). range(0) is
-/// the table count, range(1) selects the plan space (0 = linear, 1 =
-/// bushy), and range(2) is 0 for the single-objective DP or ten times
-/// alpha for the time+buffer DP. The "splits" counter is the DP's splits
-/// per task (DpStats::splits_tried), so the JSON records carry ns per
-/// split next to ns per task.
-void BM_WorkerFullOptimization(benchmark::State& state) {
+/// partition 3 of m = 16, over a star query or, in the cases named
+/// "clique", a clique. The request repeats, so from the second iteration
+/// on the query and the partition index come from this thread's caches
+/// (BM_WorkerSmallRound times the misses). range(0) is the table count,
+/// range(1) selects the plan space (0 = linear, 1 = bushy), and range(2)
+/// is 0 for the single-objective DP or ten times alpha for the
+/// time+buffer DP. The "splits" counter is the DP's splits per task
+/// (DpStats::splits_tried), so the JSON records carry ns per split next
+/// to ns per task.
+void BM_WorkerFullOptimization(benchmark::State& state,
+                               JoinGraphShape shape) {
   const int n = static_cast<int>(state.range(0));
-  const Query q = TestQuery(n);
+  const Query q = TestQuery(n, shape);
   MpqOptions opts;
   opts.space = state.range(1) != 0 ? PlanSpace::kBushy : PlanSpace::kLinear;
   if (state.range(2) != 0) {
@@ -494,6 +496,9 @@ void BM_WorkerFullOptimization(benchmark::State& state) {
   state.counters["splits"] =
       static_cast<double>(dp.value().stats.splits_tried);
 }
+void BM_WorkerFullOptimization(benchmark::State& state) {
+  BM_WorkerFullOptimization(state, JoinGraphShape::kStar);
+}
 BENCHMARK(BM_WorkerFullOptimization)
     ->Args({10, 0, 0})
     ->Args({14, 0, 0})
@@ -503,12 +508,23 @@ BENCHMARK(BM_WorkerFullOptimization)
     ->Args({12, 1, 10})
     ->Args({12, 1, 12})
     ->Args({12, 1, 100});
+// A clique has a predicate between every two tables, so the cardinality
+// fold is the largest share of its DP.
+BENCHMARK_CAPTURE(BM_WorkerFullOptimization, clique, JoinGraphShape::kClique)
+    ->Args({16, 0, 0});
 
-/// Console output as usual, plus one BenchJsonWriter record per run
-/// (bench name with its args as the config, ns/iter as the metric).
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
+/// One BenchJsonWriter record per run (bench name with its args as the
+/// config, ns/iter as the metric), and every report passed on to the
+/// display reporter that --benchmark_format selects.
+class JsonCaptureReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit JsonCaptureReporter(BenchJsonWriter* json) : json_(json) {}
+  JsonCaptureReporter(BenchJsonWriter* json,
+                      benchmark::BenchmarkReporter* display)
+      : json_(json), display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
@@ -536,11 +552,14 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
         }
       }
     }
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
  private:
   BenchJsonWriter* json_;
+  benchmark::BenchmarkReporter* display_;
 };
 
 }  // namespace
@@ -552,7 +571,9 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   mpqopt::BenchJsonWriter json;
-  mpqopt::JsonCaptureReporter reporter(&json);
+  // The library owns the default display reporter.
+  mpqopt::JsonCaptureReporter reporter(
+      &json, benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;
