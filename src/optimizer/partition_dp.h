@@ -17,21 +17,21 @@
 //
 // and one walk and one plan builder drive every variant: WalkPartition
 // visits the admissible sets of a partition in ascending rank, estimates
-// each one's rows and hands its admissible splits to the DP
-// (Algorithm 5), and BuildPlan
-// materializes a kept plan by recursion over left operand sets. The
-// scalar DP keeps one word per set apart from what its splits read: the
-// kept split's left-operand rank in the low 56 bits and its algorithm
-// above them, which Node decodes with PartitionIndex::SetOfRank. The
-// other DPs keep the left set and ignore the rank. Ascending rank is a
-// valid DP order because a proper subset always has a smaller rank
-// (partition_index.h), so both operands of every split are stored before
-// the set that joins them; a set's splits come in the same order as in
-// any other valid order, so the plans, costs and counters do not depend
-// on it. The walk keeps every set's unclamped product by rank and folds
-// each set's from its prefix's (cost/cardinality.h), so no DP estimates
-// cardinalities itself; SMA's replicas, which join one set at a time,
-// hand Begin the full fold, which has the same bits.
+// each one's rows and hands its admissible splits to the DP (Algorithm
+// 5), and BuildPlan materializes a kept plan by recursion over left
+// operand sets. The scalar DP keeps one word per set apart from what its
+// splits read: the kept split's left-operand rank in the low 56 bits and
+// its algorithm above them, which Node decodes with
+// PartitionIndex::SetOfRank. The other DPs keep the left set and ignore
+// the rank. Ascending rank is a valid DP order because a proper subset
+// always has a smaller rank (partition_index.h), so both operands of
+// every split are stored before the set that joins them; a set's splits
+// come in the same order as in any other valid order, so the plans,
+// costs and counters do not depend on it. The walk keeps every set's
+// unclamped product by rank and folds each set's from its prefix's
+// (cost/cardinality.h), so no DP estimates cardinalities itself; SMA's
+// replicas, which join one set at a time, hand Begin the full fold,
+// which has the same bits.
 //
 // OpenPartition is every DP's one entry path. It keeps the indexes this
 // thread built last, so a worker that serves the same partitions again
