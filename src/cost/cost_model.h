@@ -104,13 +104,17 @@ struct CostModelOptions {
 
 /// The terms of the join-time formula that depend on one operand alone.
 /// A DP prepares them once per memo entry (CostModel::Operand) instead of
-/// recomputing the log2 and ceil for every split it costs.
-struct JoinOperand {
-  double card = 0;    ///< estimated rows
-  double blocks = 0;  ///< ceil(card / B): BNL passes when this is the outer
-  double sort = 0;    ///< SortTime(card): card log2 card, or card if <= 2;
-                      ///< 0 where no sort-merge join is costed
+/// recomputing the log2 and ceil for every split it costs. T is double,
+/// or a GCC vector of doubles whose lanes hold several left operands'
+/// terms (the scalar DP's lane kernel, partition_dp.h).
+template <typename T>
+struct JoinTerms {
+  T card{};    ///< estimated rows
+  T blocks{};  ///< ceil(card / B): BNL passes when this is the outer
+  T sort{};    ///< SortTime(card): card log2 card, or card if <= 2;
+               ///< 0 where no sort-merge join is costed
 };
+using JoinOperand = JoinTerms<double>;
 
 /// Stateless cost model; cheap to copy into each worker.
 class CostModel {
@@ -180,10 +184,13 @@ class CostModel {
   /// plus `output_time` = OutputTime(|out|). This is the one definition
   /// of the join-time formula; every other entry point wraps it. Plans
   /// are pinned bit for bit, so each expression's evaluation order is
-  /// part of the contract.
-  double LocalJoinTime(JoinAlgorithm alg, const JoinOperand& left,
-                       const JoinOperand& right, double output_time) const {
-    double work = 0;
+  /// part of the contract. With T a vector, each lane evaluates the same
+  /// expressions in the same order for its own left operand and output
+  /// time, against the one right operand.
+  template <typename T>
+  T LocalJoinTime(JoinAlgorithm alg, const JoinTerms<T>& left,
+                  const JoinOperand& right, T output_time) const {
+    T work{};
     switch (alg) {
       case JoinAlgorithm::kBlockNestedLoop:
         work = left.card + left.blocks * right.card;

@@ -14,6 +14,9 @@
 //   Entry(rank), Scan(t)       a stored set's entry; table t's scans
 //   Node(rank, idx)            what BuildPlan reads of kept plan `idx` of
 //   Node(Scan(t), idx)         a stored set or of a scan
+//   JoinRun(run, products)     optional: Begin, Join and End for all the
+//                              sets of a linear run at once (the scalar
+//                              DP's lane kernel)
 //
 // and one walk and one plan builder drive every variant: WalkPartition
 // visits the admissible sets of a partition in ascending rank, estimates
@@ -89,6 +92,12 @@ Status OpenPartition(const Query& query, const ConstraintSet& constraints,
 /// group's tables (CardinalityEstimator::Extend), kept in one array by
 /// rank: the prefix precedes the set, so its product is there already.
 /// Debug builds check it against the full fold on every set.
+///
+/// A linear partition is walked in runs (PartitionIndex::LinearRun). A DP
+/// with a JoinRun(run, products) member, the scalar DP, takes every run
+/// whose sets all hold two or more tables at once; every other set gets
+/// Begin, its splits in ascending inner table and End, as a bushy set
+/// gets its splits in ForEachSplit's order.
 template <typename Dp>
 int64_t WalkPartition(const Query& query, const PartitionIndex& index,
                       Dp* dp) {
@@ -96,33 +105,69 @@ int64_t WalkPartition(const Query& query, const PartitionIndex& index,
   const CardinalityEstimator estimator(query);
   std::vector<double> product(static_cast<size_t>(index.size()));
   product[0] = 1.0;  // the empty set's, which is its own prefix
-  int64_t splits = 0;
-  const bool linear = index.space() == PlanSpace::kLinear;
-  index.ForEachSet([&](TableSet u, int64_t rank, int64_t prefix_rank,
-                       int top_offset) {
+  const auto fold = [&](TableSet u, int64_t rank, int64_t prefix_rank,
+                        int top_offset) {
     const double raw = estimator.Extend(
         product[static_cast<size_t>(prefix_rank)], u, top_offset);
     MPQOPT_DCHECK(std::bit_cast<uint64_t>(raw) ==
                   std::bit_cast<uint64_t>(estimator.Product(u)));
     product[static_cast<size_t>(rank)] = raw;
-    const uint64_t bits = u.bits();
-    if ((bits & (bits - 1)) == 0) return;  // the empty set or a scan
-    typename Dp::State state = dp->Begin(u, raw);
-    if (linear) {
-      splits += index.ForEachLinearSplit(
-          u, rank, [&](int t, int64_t left_rank) {
-            dp->Join(&state, u.Without(t), left_rank, dp->Entry(left_rank),
-                     dp->Scan(t));
-          });
-    } else {
+  };
+  int64_t splits = 0;
+  if (index.space() == PlanSpace::kBushy) {
+    index.ForEachSet([&](TableSet u, int64_t rank, int64_t prefix_rank,
+                         int top_offset) {
+      fold(u, rank, prefix_rank, top_offset);
+      const uint64_t bits = u.bits();
+      if ((bits & (bits - 1)) == 0) return;  // the empty set or a scan
+      typename Dp::State state =
+          dp->Begin(u, product[static_cast<size_t>(rank)]);
       index.ForEachSplit(
           u, [&](TableSet left, int64_t left_rank, int64_t right_rank) {
             ++splits;
             dp->Join(&state, left, left_rank, dp->Entry(left_rank),
                      dp->Entry(right_rank));
           });
+      dp->End(&state, rank);
+    });
+    return splits;
+  }
+  index.ForEachLinearRun([&](const PartitionIndex::LinearRun& run) {
+    for (int k = 0; k < run.size; ++k) {
+      fold(run.set[k], run.rank + k, run.prefix_rank[k], run.top_offset);
     }
-    dp->End(&state, rank);
+    if constexpr (requires { dp->JoinRun(run, product.data()); }) {
+      // Lane 0 holds the tables above group 0 alone; with two of them,
+      // every lane is a join.
+      const uint64_t upper = run.set[0].bits();
+      if ((upper & (upper - 1)) != 0) {
+        for (int k = 0; k < run.size; ++k) splits += run.Splits(k);
+        dp->JoinRun(run, &product[static_cast<size_t>(run.rank)]);
+        return;
+      }
+    }
+    for (int k = 0; k < run.size; ++k) {
+      const TableSet u = run.set[k];
+      const uint64_t bits = u.bits();
+      if ((bits & (bits - 1)) == 0) continue;  // the empty set or a scan
+      splits += run.Splits(k);
+      const int64_t rank = run.rank + k;
+      typename Dp::State state =
+          dp->Begin(u, product[static_cast<size_t>(rank)]);
+      const auto join = [&](int t, int64_t delta) {
+        const int64_t left_rank = rank - delta;
+        dp->Join(&state, u.Without(t), left_rank, dp->Entry(left_rank),
+                 dp->Scan(t));
+      };
+      const PartitionIndex::InnerTables& lower = run.lower[k];
+      for (int i = 0; i < lower.count; ++i) {
+        join(lower.table[i], lower.delta[i]);
+      }
+      for (int i = 0; i < run.num_upper; ++i) {
+        join(run.upper_table[i], run.upper_delta[i]);
+      }
+      dp->End(&state, rank);
+    }
   });
   return splits;
 }
@@ -198,6 +243,30 @@ inline void FoldFirstMinimum(double cost, JoinAlgorithm alg, double* best,
   const bool less = __builtin_expect_with_probability(cost < *best, 1, 0.5);
   *best_alg ^= (*best_alg ^ static_cast<uint64_t>(alg)) & (uint64_t{0} - less);
   *best = MinSd(cost, *best);
+}
+
+/// Two doubles, and two 64-bit words: the lanes of the scalar DP's run
+/// kernel. Pairs, because a 32-byte vector at the baseline ISA (SSE2)
+/// goes through memory. Each lane is one set's arithmetic, in the same
+/// expressions and order as the scalar code, so its bits are the same.
+using Lanes = double __attribute__((vector_size(16)));
+using LaneWords = uint64_t __attribute__((vector_size(16)));
+
+/// MinSd in each lane: `a < b ? a : b`, one minpd on x86-64.
+inline Lanes MinLanes(Lanes a, Lanes b) {
+#if defined(__SSE2__)
+  return _mm_min_pd(a, b);
+#else
+  return a < b ? a : b;
+#endif
+}
+
+/// FoldFirstMinimum in each lane, the algorithm given and kept as its
+/// bits of a kept word.
+inline void FoldFirstMinimum(Lanes cost, LaneWords alg, Lanes* best,
+                             LaneWords* best_alg) {
+  *best_alg = cost < *best ? alg : *best_alg;
+  *best = MinLanes(cost, *best);
 }
 
 /// The classical DP: keeps the single cheapest plan per table set, in
@@ -281,17 +350,61 @@ class ScalarDp {
       FoldFirstMinimum(cost(JoinAlgorithm::kSortMergeJoin),
                        JoinAlgorithm::kSortMergeJoin, &split, &alg);
     }
-    // The set's best starts as NaN, which fails every comparison, so its
-    // first split is taken whatever it costs. On a tie MinSd returns the
-    // split's cost, which has the best's bits: no cost is -0, since a
-    // scan costs its positive card and a sum is -0 only if both addends
-    // are.
-    const bool take =
-        __builtin_expect_with_probability(!(s->cost <= split), 1, 0.5);
-    const uint64_t kept = KeptWord(static_cast<uint64_t>(left_rank),
-                                   static_cast<JoinAlgorithm>(alg));
-    s->kept ^= (s->kept ^ kept) & (uint64_t{0} - take);
-    s->cost = MinSd(s->cost, split);
+    Take(s, split, KeptWord(static_cast<uint64_t>(left_rank),
+                            static_cast<JoinAlgorithm>(alg)));
+  }
+
+  /// Joins the sets of a linear run, every one of two or more tables,
+  /// whose unclamped products are products[0 .. run.size): the same
+  /// entries as Begin, Join over each set's splits in ascending inner
+  /// table, and End.
+  ///
+  /// The upper splits (PartitionIndex::LinearRun) are the same in every
+  /// lane but for the left operand, which sits at consecutive ranks, so
+  /// they are joined two lanes at a time; a lane past the run repeats its
+  /// last set and is dropped. Each lane keeps Join's first minimum over
+  /// them. Then each set folds its group 0 splits, which come first, with
+  /// Join, and takes its lane's minimum only if that is strictly cheaper
+  /// (Take): no split costs NaN, so that is the first minimum over all
+  /// its splits in order, with the same cost bits. A set's group 0 splits
+  /// read lanes before it, stored by then.
+  void JoinRun(const PartitionIndex::LinearRun& run, const double* products) {
+    constexpr int kLanes = PartitionIndex::LinearRun::kMaxSize;
+    const int last = run.size - 1;
+    State state[kLanes];
+    double upper_cost[kLanes];
+    uint64_t upper_kept[kLanes];
+    for (int k = 0; k < kLanes; ++k) {
+      const int set = k < last ? k : last;
+      state[k] = Begin(run.set[set], products[set]);
+    }
+    for (int k = 0; k < run.size; k += 2) {
+      const int k1 = k < last ? k + 1 : last;
+      const Lanes out_time = {state[k].out_time, state[k1].out_time};
+      Lanes best;
+      LaneWords kept;
+      if (sort_merge_) {
+        JoinUpper<true>(run, k, k1, out_time, &best, &kept);
+      } else {
+        JoinUpper<false>(run, k, k1, out_time, &best, &kept);
+      }
+      upper_cost[k] = best[0];
+      upper_kept[k] = kept[0];
+      upper_cost[k1] = best[1];
+      upper_kept[k1] = kept[1];
+    }
+    for (int k = 0; k < run.size; ++k) {
+      const int64_t rank = run.rank + k;
+      const PartitionIndex::InnerTables& lower = run.lower[k];
+      for (int i = 0; i < lower.count; ++i) {
+        const int t = lower.table[i];
+        const int64_t left_rank = rank - lower.delta[i];
+        Join(&state[k], run.set[k].Without(t), left_rank, Entry(left_rank),
+             Scan(t));
+      }
+      Take(&state[k], upper_cost[k], upper_kept[k]);
+      End(&state[k], rank);
+    }
   }
 
   void End(State* s, int64_t rank) {
@@ -325,12 +438,69 @@ class ScalarDp {
             TableSet()};
   }
 
+  /// The first minimum of lanes k and k1 of `run` over the upper splits
+  /// (JoinRun), in `best` and `kept`; kSortMerge is sort_merge_.
+  template <bool kSortMerge>
+  void JoinUpper(const PartitionIndex::LinearRun& run, int k, int k1,
+                 Lanes out_time, Lanes* best, LaneWords* kept) const {
+    const Lanes infinity = Lanes{} + kInfiniteCost;
+    // Each algorithm's bits of a kept word.
+    const LaneWords bnl_alg =
+        LaneWords{} + KeptWord(0, JoinAlgorithm::kBlockNestedLoop);
+    const LaneWords hj_alg = LaneWords{} + KeptWord(0, JoinAlgorithm::kHashJoin);
+    const LaneWords smj_alg =
+        LaneWords{} + KeptWord(0, JoinAlgorithm::kSortMergeJoin);
+    const LaneWords rank = {static_cast<uint64_t>(run.rank + k),
+                            static_cast<uint64_t>(run.rank + k1)};
+    const ScalarOperand* left0 = &operand_[static_cast<size_t>(run.rank + k)];
+    const ptrdiff_t step = k1 - k;  // 0 for a dropped lane
+    *best = Lanes{} + std::numeric_limits<double>::quiet_NaN();
+    *kept = LaneWords{};
+    for (int i = 0; i < run.num_upper; ++i) {
+      const int64_t delta = run.upper_delta[i];
+      const ScalarOperand& a = left0[-delta];
+      const ScalarOperand& b = (&a)[step];
+      const ScalarOperand& r = scan_[run.upper_table[i]];
+      const JoinTerms<Lanes> l = {{a.op.card, b.op.card},
+                                  {a.op.blocks, b.op.blocks},
+                                  {a.op.sort, b.op.sort}};
+      const Lanes base = Lanes{a.cost, b.cost} + r.cost;
+      const auto cost = [&](JoinAlgorithm alg) {
+        return base + model_.LocalJoinTime(alg, l, r.op, out_time);
+      };
+      // Join's expressions, lane by lane.
+      Lanes split = MinLanes(cost(JoinAlgorithm::kBlockNestedLoop), infinity);
+      LaneWords alg = bnl_alg;
+      FoldFirstMinimum(cost(JoinAlgorithm::kHashJoin), hj_alg, &split, &alg);
+      if (kSortMerge) {
+        FoldFirstMinimum(cost(JoinAlgorithm::kSortMergeJoin), smj_alg, &split,
+                         &alg);
+      }
+      const LaneWords word = (rank - static_cast<uint64_t>(delta)) | alg;
+      *kept = *best <= split ? *kept : word;
+      *best = MinLanes(*best, split);
+    }
+  }
+
   size_t ApproxBytes() const {
     return operand_.capacity() * sizeof(ScalarOperand) +
            kept_.capacity() * sizeof(uint64_t);
   }
 
  private:
+  /// Folds a split of cost `cost` and kept word `kept` into the set's
+  /// best: it replaces it if strictly cheaper, or if it is the set's
+  /// first. The best starts as NaN, which fails every comparison, so the
+  /// first split is taken whatever it costs. On a tie MinSd returns the
+  /// split's cost, which has the best's bits: no cost is -0, since a scan
+  /// costs its positive card and a sum is -0 only if both addends are.
+  static void Take(State* s, double cost, uint64_t kept) {
+    const bool take =
+        __builtin_expect_with_probability(!(s->cost <= cost), 1, 0.5);
+    s->kept ^= (s->kept ^ kept) & (uint64_t{0} - take);
+    s->cost = MinSd(s->cost, cost);
+  }
+
   const PartitionIndex& index_;
   const CostModel& model_;
   /// Whether Join costs sort-merge joins: only while they are not

@@ -39,12 +39,6 @@ PartitionIndex::PartitionIndex(int num_tables,
     for (const LinearConstraint& c : constraints.linear()) {
       MPQOPT_CHECK_EQ(c.before / 2, c.after / 2);  // within pair (2i, 2i + 1)
       MPQOPT_CHECK_NE(c.before, c.after);
-      const uint64_t before = uint64_t{1} << c.before;
-      if (c.after > c.before) {
-        blocked_by_next_ |= before;
-      } else {
-        blocked_by_prev_ |= before;
-      }
     }
   }
 
@@ -89,18 +83,19 @@ PartitionIndex::PartitionIndex(int num_tables,
   }
   size_ = stride;
 
-  // Removing table t from a set changes only the digit of t's group.
-  for (const Group& g : groups_) {
-    const int num_patterns = 1 << g.width;
-    for (int bit = 0; bit < g.width; ++bit) {
-      const int t = g.offset + bit;
-      group_offset_[t] = static_cast<uint8_t>(g.offset);
-      group_mask_[t] = static_cast<uint8_t>(num_patterns - 1);
-      for (int p = 0; p < num_patterns; ++p) {
-        const int8_t full = g.digit_of_pattern[p];
-        const int8_t reduced = g.digit_of_pattern[p & ~(1 << bit)];
-        if (((p >> bit) & 1) != 0 && full >= 0 && reduced >= 0) {
-          rank_delta_[t][p] = static_cast<int64_t>(full - reduced) * g.stride;
+  // Removing table t from a set changes only the digit of t's group, and
+  // leaves an admissible set exactly when it leaves an admissible pattern.
+  if (space_ == PlanSpace::kLinear) {
+    for (Group& g : groups_) {
+      for (int d = 0; d < g.num_digits; ++d) {
+        const int p = g.pattern_of_digit[d];
+        InnerTables& inner = g.inner[d];
+        for (int bit = 0; bit < g.width; ++bit) {
+          const int8_t reduced = g.digit_of_pattern[p & ~(1 << bit)];
+          if (((p >> bit) & 1) == 0 || reduced < 0) continue;
+          inner.table[inner.count] = g.offset + bit;
+          inner.delta[inner.count] = (d - reduced) * g.stride;
+          ++inner.count;
         }
       }
     }

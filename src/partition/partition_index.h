@@ -31,9 +31,14 @@
 //    for the incremental cardinality fold (cost/cardinality.h),
 //  * the constrained split enumeration for bushy plans that only generates
 //    admissible operand pairs (Algorithm 5, the 21/27 factor),
-//  * the linear twin, ForEachLinearSplit: every admissible inner table of
-//    a set with its left operand's rank, from a precomputed per-table
-//    rank-delta table instead of a Rank() call or a per-table test.
+//  * the linear twin, ForEachLinearRun: the same ascending walk, one run
+//    of sets per step. A run is the sets that differ only in group 0's
+//    digit, the odometer's innermost one, so they share every group
+//    above it, and with it every inner table above group 0 (a linear
+//    constraint lies within its pair) and that table's rank delta (a
+//    table's removal changes only its own group's digit). The run hands
+//    out those shared splits once, and group 0's per lane from a table
+//    per digit: no Rank() call, no per-table test and no popcount.
 
 #ifndef MPQOPT_PARTITION_PARTITION_INDEX_H_
 #define MPQOPT_PARTITION_PARTITION_INDEX_H_
@@ -146,29 +151,109 @@ class PartitionIndex {
     SplitRec(0, u, TableSet::Empty(), 0, 0, fn);
   }
 
-  /// Linear DP: invokes fn(int inner, int64_t left_rank) for every table
-  /// t of the admissible set `u` (whose rank is `rank`) that may serve as
-  /// its inner (last-joined) operand, in ascending order of t, and
-  /// returns how many there are. These are the t with no constraint
-  /// (t ≺ v) for a v in u (Algorithm 5, linear variant); u \ {t} is then
-  /// admissible too (Theorem 2's argument), and left_rank is its rank.
-  /// Every constraint lies within its pair, so two shifted masks block
-  /// the tables, and each left rank is one table lookup: no per-table
-  /// test branches on which tables u holds.
+  /// A linear group's inner tables for one of its digits, ascending: the
+  /// tables t of the digit's pattern whose removal leaves an admissible
+  /// pattern, which are those with no constraint (t ≺ v) for a v in the
+  /// pattern (Algorithm 5, linear variant; Theorem 2's argument). A set
+  /// with this digit loses delta[i] of its rank without table[i], since
+  /// the removal changes only this group's digit.
+  struct InnerTables {
+    int count = 0;
+    int table[2] = {};
+    int64_t delta[2] = {};
+  };
+
+  /// One step of ForEachLinearRun: the `size` admissible sets at ranks
+  /// rank .. rank + size - 1, which differ only in group 0's digit. Lane
+  /// k holds group 0's digit k; lane 0 holds none of group 0's tables.
+  struct LinearRun {
+    static constexpr int kMaxSize = 4;  ///< the digits of a pair
+
+    int64_t rank = 0;
+    int size = 0;
+    TableSet set[kMaxSize];
+    /// Each lane's prefix for the incremental cardinality fold, as
+    /// ForEachSet hands it: the rank of the lane's tables below its top
+    /// group, whose first table is top_offset (the same in every lane).
+    int64_t prefix_rank[kMaxSize] = {};
+    int top_offset = 0;
+    /// lower[k]: lane k's inner tables in group 0.
+    const InnerTables* lower = nullptr;
+    /// The inner tables above group 0, ascending, which every lane
+    /// shares: lane k's left operand without upper_table[i] has rank
+    /// rank + k - upper_delta[i].
+    int num_upper = 0;
+    int upper_table[kMaxTables + 1] = {};  // one spare slot to copy into
+    int64_t upper_delta[kMaxTables + 1] = {};
+
+    /// Lane k's linear splits: its inner tables, group 0's and the upper
+    /// ones.
+    int Splits(int k) const { return lower[k].count + num_upper; }
+  };
+
+  /// Linear DP: invokes fn(const LinearRun& run) for every run of
+  /// admissible sets, in ascending rank, so the lanes of all runs visit
+  /// every admissible set once in ForEachSet's order, with its prefix.
+  /// Lane k's inner tables in ascending order are lower[k]'s, then the
+  /// upper ones: group 0 holds the lowest tables.
   template <typename Fn>
-  int ForEachLinearSplit(TableSet u, int64_t rank, Fn&& fn) const {
+  void ForEachLinearRun(Fn&& fn) const {
     MPQOPT_DCHECK(space_ == PlanSpace::kLinear);
-    const uint64_t bits = u.bits();
-    const uint64_t blocked =
-        ((bits >> 1) & blocked_by_next_) | ((bits << 1) & blocked_by_prev_);
-    const TableSet inner(bits & ~blocked);
-    for (int t : inner) {
-      const int64_t delta =
-          rank_delta_[t][(bits >> group_offset_[t]) & group_mask_[t]];
-      MPQOPT_DCHECK(delta > 0);
-      fn(t, rank - delta);
+    const Group& g0 = groups_[0];
+    LinearRun run;
+    run.size = g0.num_digits;
+    run.lower = g0.inner;
+    uint8_t digit[kMaxTables] = {};  // per group; group 0's stays 0
+    uint64_t upper = 0;              // the tables above group 0
+    // ForEachSet's top group and lane 0's prefix rank, over groups 1 up.
+    size_t top = 0;
+    int64_t prefix_rank = 0;
+    for (int64_t rank = 0;; rank += run.size) {
+      run.rank = rank;
+      run.top_offset = groups_[top].offset;
+      for (int k = 0; k < run.size; ++k) {
+        run.set[k] = TableSet(
+            upper | static_cast<uint64_t>(g0.pattern_of_digit[k]) << g0.offset);
+        // Below the top group a lane's prefix holds its group 0 digit; a
+        // run within group 0 has the empty prefix.
+        run.prefix_rank[k] = top == 0 ? 0 : prefix_rank + k;
+      }
+      // Both slots of every group are copied, and the count advances past
+      // the used ones: a copy of `count` entries compiles to memcpy calls.
+      int num_upper = 0;
+      for (size_t gi = 1; gi < groups_.size(); ++gi) {
+        const InnerTables& inner = groups_[gi].inner[digit[gi]];
+        run.upper_table[num_upper] = inner.table[0];
+        run.upper_table[num_upper + 1] = inner.table[1];
+        run.upper_delta[num_upper] = inner.delta[0];
+        run.upper_delta[num_upper + 1] = inner.delta[1];
+        num_upper += inner.count;
+      }
+      run.num_upper = num_upper;
+      fn(static_cast<const LinearRun&>(run));
+      if (rank + run.size == size_) return;
+      // ForEachSet's odometer from group 1: the run's last lane is group
+      // 0's last digit, so the next set wraps group 0 and moves a higher
+      // group.
+      size_t gi = 1;
+      for (;; ++gi) {
+        const Group& g = groups_[gi];
+        upper ^= static_cast<uint64_t>(g.pattern_of_digit[digit[gi]])
+                 << g.offset;
+        if (++digit[gi] < g.num_digits) {
+          upper |= static_cast<uint64_t>(g.pattern_of_digit[digit[gi]])
+                   << g.offset;
+          break;
+        }
+        digit[gi] = 0;
+      }
+      if (gi < top) {
+        prefix_rank += run.size;
+      } else {
+        top = gi;
+        prefix_rank = 0;
+      }
     }
-    return inner.Count();
   }
 
   /// Total number of admissible ordered splits summed over all admissible
@@ -191,6 +276,8 @@ class PartitionIndex {
     /// admissible patterns; split_count[p] is its length.
     uint8_t split_list[8][8];
     uint8_t split_count[8];
+    /// Linear groups (at most 4 digits): each digit's inner tables.
+    InnerTables inner[4];
   };
 
   /// Fills digit/pattern/split tables of `g`; `excluded_pattern` is the
@@ -227,19 +314,6 @@ class PartitionIndex {
   PlanSpace space_;
   std::vector<Group> groups_;
   int64_t size_;
-  /// The linear constraints (before ≺ after, within one pair) as masks
-  /// of their `before` tables: blocked_by_next_ where after = before + 1,
-  /// blocked_by_prev_ where after = before - 1. A set that holds `after`
-  /// cannot take `before` as its inner table.
-  uint64_t blocked_by_next_ = 0;
-  uint64_t blocked_by_prev_ = 0;
-  /// rank_delta_[t][p] = Rank(s) - Rank(s \ {t}) for every admissible s
-  /// whose local pattern in t's group is p, when p holds t and p \ {t} is
-  /// admissible; 0, which no valid delta is, otherwise.
-  int64_t rank_delta_[kMaxTables][8] = {};
-  /// Offset and local-pattern mask of each table's group.
-  uint8_t group_offset_[kMaxTables] = {};
-  uint8_t group_mask_[kMaxTables] = {};
   /// count_by_card_[k] = number of admissible sets with k tables.
   std::vector<int64_t> count_by_card_;
 };

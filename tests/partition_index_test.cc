@@ -207,8 +207,8 @@ TEST(PartitionIndexTest, ForEachSetVisitsEverySetOnce) {
   EXPECT_EQ(static_cast<int64_t>(seen.size()), idx.size());
 }
 
-/// The tables ForEachLinearSplit must yield for `u`, in ascending order:
-/// those t with no constraint (t ≺ v) for a v in u.
+/// A linear set's inner tables, in ascending order: those t with no
+/// constraint (t ≺ v) for a v in u.
 std::vector<int> AdmissibleInners(const ConstraintSet& constraints,
                                   TableSet u) {
   std::vector<int> inners;
@@ -222,14 +222,35 @@ std::vector<int> AdmissibleInners(const ConstraintSet& constraints,
   return inners;
 }
 
+/// Invokes fn(u, rank, inner, left_rank) for every split ForEachLinearRun
+/// hands lane u of a run, in the order the walk joins them: group 0's
+/// inner tables, then the upper ones.
+template <typename Fn>
+void ForEachRunSplit(const PartitionIndex::LinearRun& run, int k, Fn&& fn) {
+  const int64_t rank = run.rank + k;
+  const PartitionIndex::InnerTables& lower = run.lower[k];
+  for (int i = 0; i < lower.count; ++i) {
+    fn(run.set[k], rank, lower.table[i], rank - lower.delta[i]);
+  }
+  for (int i = 0; i < run.num_upper; ++i) {
+    fn(run.set[k], rank, run.upper_table[i], rank - run.upper_delta[i]);
+  }
+}
+
 TEST(PartitionIndexTest, LinearSplitsOfAConstrainedPair) {
   // Partition 0 of 2: Q0 must precede Q1.
   const ConstraintSet constraints = Constraints(4, PlanSpace::kLinear, 0, 2);
   const PartitionIndex idx(4, constraints);
   const auto inners = [&](TableSet u) {
     std::vector<int> out;
-    idx.ForEachLinearSplit(u, idx.Rank(u),
-                           [&](int t, int64_t) { out.push_back(t); });
+    idx.ForEachLinearRun([&](const PartitionIndex::LinearRun& run) {
+      for (int k = 0; k < run.size; ++k) {
+        if (run.set[k] != u) continue;
+        ForEachRunSplit(run, k, [&](TableSet, int64_t, int t, int64_t) {
+          out.push_back(t);
+        });
+      }
+    });
     return out;
   };
   // 1 is present, so 0 may not be the last table joined.
@@ -239,28 +260,79 @@ TEST(PartitionIndexTest, LinearSplitsOfAConstrainedPair) {
   EXPECT_EQ(inners(TableSet::Single(0).With(1)), (std::vector<int>{1}));
 }
 
+TEST(PartitionIndexTest, LinearRunsVisitEverySetOnceInRankOrder) {
+  // A run's lanes are consecutive ranks that differ only in group 0, the
+  // runs ascend, and each lane carries ForEachSet's prefix. Odd n leaves
+  // a single-table group after the pairs.
+  for (int n = 1; n <= 12; ++n) {
+    for (uint64_t m = 1; m <= MaxWorkers(n, PlanSpace::kLinear); m *= 2) {
+      for (uint64_t part = 0; part < m; ++part) {
+        const PartitionIndex idx(n, Constraints(n, PlanSpace::kLinear, part, m));
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " m=" << m << " part=" << part);
+        struct Prefix {
+          TableSet set;
+          int64_t prefix_rank;
+          int top_offset;
+        };
+        std::vector<Prefix> want;
+        idx.ForEachSet([&](TableSet s, int64_t, int64_t prefix_rank,
+                           int top_offset) {
+          want.push_back({s, prefix_rank, top_offset});
+        });
+        int64_t next = 0;
+        idx.ForEachLinearRun([&](const PartitionIndex::LinearRun& run) {
+          ASSERT_EQ(run.rank, next);
+          ASSERT_GE(run.size, 2);
+          ASSERT_LE(run.size, PartitionIndex::LinearRun::kMaxSize);
+          const uint64_t group0 = n == 1 ? 1 : 3;
+          ASSERT_EQ(run.set[0].bits() & group0, 0u);
+          for (int k = 0; k < run.size; ++k) {
+            const TableSet u = run.set[k];
+            ASSERT_EQ(u.bits() & ~group0, run.set[0].bits()) << u.ToString();
+            ASSERT_EQ(idx.Rank(u), run.rank + k) << u.ToString();
+            const Prefix& p = want[static_cast<size_t>(run.rank + k)];
+            ASSERT_EQ(u, p.set);
+            ASSERT_EQ(run.prefix_rank[k], p.prefix_rank) << u.ToString();
+            ASSERT_EQ(run.top_offset, p.top_offset) << u.ToString();
+          }
+          next += run.size;
+        });
+        EXPECT_EQ(next, idx.size());
+      }
+    }
+  }
+}
+
 TEST(PartitionIndexTest, LinearSplitsAreExactlyTheAdmissibleInners) {
-  // Odd n leaves a single-table group after the pairs.
-  for (int n : {7, 8, 9}) {
-    const uint64_t max_m = MaxWorkers(n, PlanSpace::kLinear);
-    for (uint64_t m = 1; m <= max_m; m *= 2) {
+  // Every set's splits, group 0's and then the upper ones, are its
+  // admissible inner tables in ascending order, each with its left
+  // operand's rank.
+  for (int n = 1; n <= 12; ++n) {
+    for (uint64_t m = 1; m <= MaxWorkers(n, PlanSpace::kLinear); m *= 2) {
       for (uint64_t part = 0; part < m; ++part) {
         const ConstraintSet constraints =
             Constraints(n, PlanSpace::kLinear, part, m);
         const PartitionIndex idx(n, constraints);
-        idx.ForEachSet([&](TableSet u, int64_t rank, int64_t, int) {
-          if (u.IsEmpty()) return;
-          std::vector<int> yielded;
-          idx.ForEachLinearSplit(u, rank, [&](int t, int64_t left_rank) {
-            EXPECT_GE(left_rank, 0);
-            EXPECT_EQ(left_rank, idx.Rank(u.Without(t)))
-                << u.ToString() << " minus " << t;
-            yielded.push_back(t);
-          });
-          EXPECT_FALSE(yielded.empty()) << u.ToString();
-          EXPECT_EQ(yielded, AdmissibleInners(constraints, u))
-              << "n=" << n << " m=" << m << " part=" << part << " "
-              << u.ToString();
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " m=" << m << " part=" << part);
+        idx.ForEachLinearRun([&](const PartitionIndex::LinearRun& run) {
+          for (int k = 0; k < run.size; ++k) {
+            const TableSet u = run.set[k];
+            std::vector<int> yielded;
+            ForEachRunSplit(run, k, [&](TableSet, int64_t, int t,
+                                        int64_t left_rank) {
+              ASSERT_EQ(left_rank, idx.Rank(u.Without(t)))
+                  << u.ToString() << " minus " << t;
+              yielded.push_back(t);
+            });
+            ASSERT_EQ(static_cast<int>(yielded.size()), run.Splits(k));
+            ASSERT_EQ(yielded, AdmissibleInners(constraints, u))
+                << u.ToString();
+            if (!u.IsEmpty()) {
+              ASSERT_FALSE(yielded.empty()) << u.ToString();
+            }
+          }
         });
       }
     }

@@ -22,6 +22,7 @@
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
+#include "tests/overflow_query.h"
 
 namespace mpqopt {
 namespace {
@@ -475,6 +476,52 @@ class ReferenceParetoDp {
   Frontier scan_[kMaxTables];
 };
 
+/// ReferenceScalarDp, and also over a set that no candidate costs below
+/// +inf, which the reference aborts on: such a set keeps its first split,
+/// by the first join algorithm, at +inf (the scalar DP's documented rule;
+/// DpTest.OverflowingCostsGiveAPlanThatCostsInfinity), and this stores
+/// that entry beside the reference's memo.
+class ReferenceScalarDpOrFirstSplit : public ReferenceScalarDp {
+ public:
+  struct State {
+    ReferenceScalarDp::State ref;
+    uint64_t first_left_bits = 0;
+  };
+
+  ReferenceScalarDpOrFirstSplit(const Query& query, const PartitionIndex& index,
+                                const CostModel& model)
+      : ReferenceScalarDp(query, index, model), model_(model) {}
+
+  State Begin(TableSet u, double product) const {
+    return {ReferenceScalarDp::Begin(u, product)};
+  }
+
+  void Join(State* s, TableSet left, int64_t left_rank, const ScalarEntry& l,
+            const ScalarEntry& r) const {
+    if (s->first_left_bits == 0) s->first_left_bits = left.bits();
+    ReferenceScalarDp::Join(&s->ref, left, left_rank, l, r);
+  }
+
+  void End(State* s, int64_t rank) {
+    if (s->ref.best.cost < kInfiniteCost) {
+      ReferenceScalarDp::End(&s->ref, rank);
+      return;
+    }
+    overflowed_[rank] = {kInfiniteCost, model_.Operand(s->ref.out_card),
+                         s->first_left_bits, JoinAlgorithm::kBlockNestedLoop};
+  }
+
+  const ScalarEntry& Entry(int64_t rank) const {
+    const auto it = overflowed_.find(rank);
+    return it != overflowed_.end() ? it->second
+                                   : ReferenceScalarDp::Entry(rank);
+  }
+
+ private:
+  const CostModel& model_;
+  std::map<int64_t, ScalarEntry> overflowed_;
+};
+
 /// The cost bits, operand plans and algorithm of two kept plans agree.
 bool SamePlan(const ParetoPlanRef& a, const ParetoPlanRef& b) {
   if (a.cost.num_metrics() != b.cost.num_metrics()) return false;
@@ -500,7 +547,7 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
   {
     const CostModel model(Objective::kTime, costs);
     ScalarDp dp(q, *index, model);
-    ReferenceScalarDp ref(q, *index, model);
+    ReferenceScalarDpOrFirstSplit ref(q, *index, model);
     ASSERT_EQ(WalkPartition(q, *index, &dp), WalkPartition(q, *index, &ref));
     for (int64_t rank = 0; rank < index->size(); ++rank) {
       const ScalarEntry& want = ref.Entry(rank);
@@ -539,8 +586,9 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
 /// and 16 (where usable), under cost constants where sort-merge is
 /// dominated and where it is not: the defaults, dp_test's tuned ones, a
 /// hash constant just under 2, hash 10 with one- and two-row blocks
-/// (sort-merge joins can win) and with the default blocks, and no output
-/// term.
+/// (sort-merge joins can win) and with the default blocks, no output
+/// term, and a free hash join (hash constant 0), under which a split
+/// costs its operands and its output alone, so splits tie often.
 void ExpectKernelsMatchReferenceEverywhere(const Query& q, PlanSpace space,
                                            const std::vector<double>& alphas,
                                            const std::string& what) {
@@ -549,7 +597,7 @@ void ExpectKernelsMatchReferenceEverywhere(const Query& q, PlanSpace space,
   };
   const Costs cost_options[] = {{100, 1.2, 1}, {64, 1.7, 0.5}, {100, 1.99, 1},
                                 {1, 10, 1},    {2, 10, 1},     {100, 10, 1},
-                                {100, 1.2, 0}};
+                                {100, 1.2, 0}, {100, 0, 1}};
   const int n = q.num_tables();
   for (const Costs& k : cost_options) {
     CostModelOptions costs;
@@ -594,6 +642,17 @@ TEST_P(SeededProperty, KernelsMatchReferenceOnEveryMemoEntry) {
     if (HasFatalFailure()) return;
     const Query large = QueryGenerator(gen, seed).Generate(large_n);
     ExpectKernelsMatchReferenceEverywhere(large, space, {}, what);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PropertyTest, KernelsMatchReferenceOnOverflowingCosts) {
+  // The full join's rows overflow to +inf, so every candidate of that set
+  // costs +inf, or NaN where a zero output factor multiplies +inf rows;
+  // both reach the scalar DP's lanes and the time+buffer DP's frontiers.
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    ExpectKernelsMatchReferenceEverywhere(OverflowingChainQuery(), space,
+                                          {1, 1.2, 10}, "overflow");
     if (HasFatalFailure()) return;
   }
 }
