@@ -212,9 +212,15 @@ std::vector<PqoPlan> IntervalsFromEnvelope(
       const AffineCost& a = lines[idx];
       const AffineCost& b = lines[winners[j + 1].second];
       const double denom = a.slope - b.slope;
+      const double crossing = denom == 0 ? winners[j + 1].first
+                                         : (b.constant - a.constant) / denom;
+      // The winner changes between probes j and j + 1, so the crossing
+      // lies between them; rounding can put it outside (two lines with
+      // the same constant and slopes one rounding apart cross at 0). The
+      // interval's begin is at most probe i's theta, so clamped into the
+      // bracket the interval never runs backwards.
       plan.theta_end =
-          denom == 0 ? winners[j + 1].first
-                     : (b.constant - a.constant) / denom;
+          std::clamp(crossing, winners[j].first, winners[j + 1].first);
     } else {
       plan.theta_end = 1.0;
     }

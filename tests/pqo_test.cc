@@ -273,13 +273,13 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
        0x9f0265d58f6b4dd9},
       {JoinGraphShape::kChain, PlanSpace::kLinear, 222, 0xcf6d861f50d742f9,
        0x6e731ecd4aea68aa},
-      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0x27c79a77d5d09279,
+      {JoinGraphShape::kClique, PlanSpace::kLinear, 223, 0x87d47695bf072ab1,
        0x46651ddd5f04047d},
       {JoinGraphShape::kStar, PlanSpace::kBushy, 224, 0x14b22236567ae7ca,
        0xdffaafc7805eb7e2},
       {JoinGraphShape::kChain, PlanSpace::kBushy, 225, 0x61eef0755a9e6fdd,
        0xa31d928cd16b1753},
-      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0xdfc2eb13a0f95159,
+      {JoinGraphShape::kClique, PlanSpace::kBushy, 226, 0x03ff328158518735,
        0xa5d47c658134a900},
   };
   const auto digest_result = [](const PqoResult& r, Fnv64* h,
@@ -296,6 +296,20 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
       h->Add(p.cost.slope);
       h->Add(p.theta_begin);
       h->Add(p.theta_end);
+    }
+  };
+  // The theta intervals of a result tile [0, 1] in order.
+  const auto expect_tiling = [](const PqoResult& r, const std::string& where) {
+    ASSERT_FALSE(r.plans.empty()) << where;
+    EXPECT_EQ(r.plans.front().theta_begin, 0.0) << where;
+    EXPECT_EQ(r.plans.back().theta_end, 1.0) << where;
+    for (size_t i = 0; i < r.plans.size(); ++i) {
+      EXPECT_LE(r.plans[i].theta_begin, r.plans[i].theta_end)
+          << where << " interval " << i;
+      if (i > 0) {
+        EXPECT_EQ(r.plans[i].theta_begin, r.plans[i - 1].theta_end)
+            << where << " interval " << i;
+      }
     }
   };
   for (const Pin& pin : pins) {
@@ -315,12 +329,16 @@ TEST(PqoTest, PartitionPlansMatchPinnedDigests) {
       ASSERT_TRUE(c.ok());
       StatusOr<PqoResult> result = RunParametricDp(q, c.value(), config);
       ASSERT_TRUE(result.ok());
+      expect_tiling(result.value(), "seed " + std::to_string(pin.seed) +
+                                        " partition " + std::to_string(part));
       h.Add(part);
       shape.Add(part);
       digest_result(result.value(), &h, &shape);
     }
     StatusOr<PqoResult> parallel = ParallelParametricOptimize(q, m, config);
     ASSERT_TRUE(parallel.ok());
+    expect_tiling(parallel.value(),
+                  "seed " + std::to_string(pin.seed) + " merged");
     digest_result(parallel.value(), &h, &shape);
     const std::string name = std::string(JoinGraphShapeName(pin.shape)) +
                              " " + PlanSpaceName(pin.space) +
