@@ -4,12 +4,16 @@
     python3 tools/micro_ab.py PARENT CHANGE --filter REGEX [--rounds N]
         [--cpus A,B]
 
-PARENT and CHANGE are two micro_components binaries. Each round runs both
-at once with --benchmark_filter=REGEX, each pinned to its own CPU, and
-swaps the two CPUs for the next round. A drift of the host's speed then
-hits both sides alike, and neither side keeps the faster CPU, whereas
-two sequential A/B sets of the same builds have disagreed by more than
-the change being measured.
+PARENT and CHANGE are two micro_components binaries. The benchmarks are
+those REGEX selects in both (--benchmark_list_tests). Each round runs
+every one of them in its own pair of processes, one per side, both at
+once, each pinned to its own CPU, and swaps the two CPUs for the next
+round. A drift of the host's speed then hits both sides alike, and
+neither side keeps the faster CPU, whereas two sequential A/B sets of
+the same builds have disagreed by more than the change being measured.
+A benchmark never shares a process with another, because its time
+depended on which ran before it: a case read 1.12x or 0.98x by
+registration order alone.
 
 Prints, for every benchmark, the median real time per side over the
 rounds (in ns) and the change/parent ratio of the medians. A ratio below
@@ -22,6 +26,7 @@ Exit status: 0 on success, 1 if a binary fails, 2 on a usage error.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -64,9 +69,24 @@ def parse_args():
     return args
 
 
-def start(binary, cpu, out_path, args):
-    """Starts one benchmark run pinned to `cpu`, writing JSON to out_path."""
-    command = [binary, "--benchmark_filter=" + args.filter,
+def list_benchmarks(binary, regex):
+    """The names of the benchmarks `regex` selects in `binary`, in order."""
+    listing = subprocess.run(
+        [binary, "--benchmark_list_tests=true",
+         "--benchmark_filter=" + regex],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if listing.returncode != 0:
+        print("micro_ab: %s --benchmark_list_tests exited with status %d" %
+              (binary, listing.returncode), file=sys.stderr)
+        sys.exit(1)
+    return [line.strip() for line in listing.stdout.splitlines()
+            if line.strip()]
+
+
+def start(binary, cpu, out_path, name):
+    """Starts benchmark `name` alone, pinned to `cpu`, writing JSON to
+    out_path."""
+    command = [binary, "--benchmark_filter=^%s$" % re.escape(name),
                "--benchmark_out=" + out_path, "--benchmark_out_format=json"]
     return subprocess.Popen(
         command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -97,6 +117,13 @@ def real_times_ns(process, binary, out_path):
 def main():
     args = parse_args()
     sides = {"parent": args.parent, "change": args.change}
+    in_change = set(list_benchmarks(args.change, args.filter))
+    names = [n for n in list_benchmarks(args.parent, args.filter)
+             if n in in_change]
+    if not names:
+        print("micro_ab: no benchmark matched --filter in both binaries",
+              file=sys.stderr)
+        sys.exit(1)
     samples = {"parent": {}, "change": {}}
     with tempfile.TemporaryDirectory(prefix="micro_ab.") as tmp_dir:
         out = {side: os.path.join(tmp_dir, side + ".json") for side in sides}
@@ -104,27 +131,25 @@ def main():
             # Swap CPUs every round: the parent takes cpus[0] on even
             # rounds.
             cpu = {"parent": args.cpus[r % 2], "change": args.cpus[1 - r % 2]}
-            for path in out.values():  # never read a previous round's
-                if os.path.exists(path):
-                    os.remove(path)
-            running = {side: start(binary, cpu[side], out[side], args)
-                       for side, binary in sides.items()}
-            try:
-                for side, process in running.items():
-                    for name, ns in real_times_ns(process, sides[side],
-                                                  out[side]).items():
-                        samples[side].setdefault(name, []).append(ns)
-            finally:
-                for process in running.values():  # after a failed side
-                    if process.poll() is None:
-                        process.kill()
-                        process.wait()
+            for name in names:
+                for path in out.values():  # never read an earlier run's
+                    if os.path.exists(path):
+                        os.remove(path)
+                running = {side: start(binary, cpu[side], out[side], name)
+                           for side, binary in sides.items()}
+                try:
+                    for side, process in running.items():
+                        for run_name, ns in real_times_ns(
+                                process, sides[side], out[side]).items():
+                            samples[side].setdefault(run_name, []).append(ns)
+                finally:
+                    for process in running.values():  # after a failed side
+                        if process.poll() is None:
+                            process.kill()
+                            process.wait()
             print("round %d/%d done" % (r + 1, args.rounds), file=sys.stderr)
 
     names = [n for n in samples["parent"] if n in samples["change"]]
-    if not names:
-        print("micro_ab: no benchmark matched --filter", file=sys.stderr)
-        sys.exit(1)
     width = max(len("benchmark"), max(len(n) for n in names))
     print("%-*s %14s %14s %14s" % (width, "benchmark", "parent ns",
                                     "change ns", "change/parent"))
