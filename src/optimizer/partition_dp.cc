@@ -9,9 +9,10 @@ namespace mpqopt {
 namespace {
 
 /// Partition indexes each thread keeps: every partition of two query
-/// shapes at m = 16. An entry is a PartitionIndex (4.5 KiB), its groups
-/// and its key: about 5 KiB for a small query and at most 13 KiB at 64
-/// tables, so 170 KiB per thread, 420 KiB at most.
+/// shapes at m = 16. An entry is a PartitionIndex (64 bytes), its groups
+/// (248 bytes each) and its key: about 1.2 KiB for an 8-table query and
+/// at most 9 KiB at 64 tables, so about 40 KiB per thread, 290 KiB at
+/// most.
 constexpr size_t kIndexCacheEntries = 32;
 
 /// One partition index with the key it was built for.

@@ -55,6 +55,7 @@
 #endif
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -381,13 +382,10 @@ class ScalarDp {
     for (int k = 0; k < run.size; k += 2) {
       const int k1 = k < last ? k + 1 : last;
       const Lanes out_time = {state[k].out_time, state[k1].out_time};
-      Lanes best;
-      LaneWords kept;
-      if (sort_merge_) {
-        JoinUpper<true>(run, k, k1, out_time, &best, &kept);
-      } else {
-        JoinUpper<false>(run, k, k1, out_time, &best, &kept);
-      }
+      // Each lane's best starts as a set's does (Begin).
+      Lanes best = Lanes{} + std::numeric_limits<double>::quiet_NaN();
+      LaneWords kept = {};
+      JoinUpper(run, k, k1, out_time, &best, &kept);
       upper_cost[k] = best[0];
       upper_kept[k] = kept[0];
       upper_cost[k1] = best[1];
@@ -438,50 +436,6 @@ class ScalarDp {
             TableSet()};
   }
 
-  /// The first minimum of lanes k and k1 of `run` over the upper splits
-  /// (JoinRun), in `best` and `kept`; kSortMerge is sort_merge_.
-  template <bool kSortMerge>
-  void JoinUpper(const PartitionIndex::LinearRun& run, int k, int k1,
-                 Lanes out_time, Lanes* best, LaneWords* kept) const {
-    const Lanes infinity = Lanes{} + kInfiniteCost;
-    // Each algorithm's bits of a kept word.
-    const LaneWords bnl_alg =
-        LaneWords{} + KeptWord(0, JoinAlgorithm::kBlockNestedLoop);
-    const LaneWords hj_alg = LaneWords{} + KeptWord(0, JoinAlgorithm::kHashJoin);
-    const LaneWords smj_alg =
-        LaneWords{} + KeptWord(0, JoinAlgorithm::kSortMergeJoin);
-    const LaneWords rank = {static_cast<uint64_t>(run.rank + k),
-                            static_cast<uint64_t>(run.rank + k1)};
-    const ScalarOperand* left0 = &operand_[static_cast<size_t>(run.rank + k)];
-    const ptrdiff_t step = k1 - k;  // 0 for a dropped lane
-    *best = Lanes{} + std::numeric_limits<double>::quiet_NaN();
-    *kept = LaneWords{};
-    for (int i = 0; i < run.num_upper; ++i) {
-      const int64_t delta = run.upper_delta[i];
-      const ScalarOperand& a = left0[-delta];
-      const ScalarOperand& b = (&a)[step];
-      const ScalarOperand& r = scan_[run.upper_table[i]];
-      const JoinTerms<Lanes> l = {{a.op.card, b.op.card},
-                                  {a.op.blocks, b.op.blocks},
-                                  {a.op.sort, b.op.sort}};
-      const Lanes base = Lanes{a.cost, b.cost} + r.cost;
-      const auto cost = [&](JoinAlgorithm alg) {
-        return base + model_.LocalJoinTime(alg, l, r.op, out_time);
-      };
-      // Join's expressions, lane by lane.
-      Lanes split = MinLanes(cost(JoinAlgorithm::kBlockNestedLoop), infinity);
-      LaneWords alg = bnl_alg;
-      FoldFirstMinimum(cost(JoinAlgorithm::kHashJoin), hj_alg, &split, &alg);
-      if (kSortMerge) {
-        FoldFirstMinimum(cost(JoinAlgorithm::kSortMergeJoin), smj_alg, &split,
-                         &alg);
-      }
-      const LaneWords word = (rank - static_cast<uint64_t>(delta)) | alg;
-      *kept = *best <= split ? *kept : word;
-      *best = MinLanes(*best, split);
-    }
-  }
-
   size_t ApproxBytes() const {
     return operand_.capacity() * sizeof(ScalarOperand) +
            kept_.capacity() * sizeof(uint64_t);
@@ -499,6 +453,48 @@ class ScalarDp {
         __builtin_expect_with_probability(!(s->cost <= cost), 1, 0.5);
     s->kept ^= (s->kept ^ kept) & (uint64_t{0} - take);
     s->cost = MinSd(s->cost, cost);
+  }
+
+  /// Folds the upper splits of lanes k and k1 of `run` (JoinRun) into
+  /// each lane's best cost and kept word, as Join folds a set's splits.
+  void JoinUpper(const PartitionIndex::LinearRun& run, int k, int k1,
+                 Lanes out_time, Lanes* best, LaneWords* kept) const {
+    const Lanes infinity = Lanes{} + kInfiniteCost;
+    // Each algorithm's bits of a kept word.
+    const LaneWords bnl_alg =
+        LaneWords{} + KeptWord(0, JoinAlgorithm::kBlockNestedLoop);
+    const LaneWords hj_alg =
+        LaneWords{} + KeptWord(0, JoinAlgorithm::kHashJoin);
+    const LaneWords smj_alg =
+        LaneWords{} + KeptWord(0, JoinAlgorithm::kSortMergeJoin);
+    const LaneWords rank = {static_cast<uint64_t>(run.rank + k),
+                            static_cast<uint64_t>(run.rank + k1)};
+    const ScalarOperand* left0 = &operand_[static_cast<size_t>(run.rank + k)];
+    const ptrdiff_t step = k1 - k;  // 0 for a dropped lane
+    for (int i = 0; i < run.num_upper; ++i) {
+      const int64_t delta = run.upper_delta[i];
+      const ScalarOperand& a = left0[-delta];
+      const ScalarOperand& b = (&a)[step];
+      const ScalarOperand& r = scan_[run.upper_table[i]];
+      const JoinTerms<Lanes> l = {{a.op.card, b.op.card},
+                                  {a.op.blocks, b.op.blocks},
+                                  {a.op.sort, b.op.sort}};
+      const Lanes base = Lanes{a.cost, b.cost} + r.cost;
+      const auto cost = [&](JoinAlgorithm alg) {
+        return base + model_.LocalJoinTime(alg, l, r.op, out_time);
+      };
+      // Join's expressions, lane by lane.
+      Lanes split = MinLanes(cost(JoinAlgorithm::kBlockNestedLoop), infinity);
+      LaneWords alg = bnl_alg;
+      FoldFirstMinimum(cost(JoinAlgorithm::kHashJoin), hj_alg, &split, &alg);
+      if (sort_merge_) {
+        FoldFirstMinimum(cost(JoinAlgorithm::kSortMergeJoin), smj_alg, &split,
+                         &alg);
+      }
+      const LaneWords word = (rank - static_cast<uint64_t>(delta)) | alg;
+      *kept = *best <= split ? *kept : word;
+      *best = MinLanes(*best, split);
+    }
   }
 
   const PartitionIndex& index_;
