@@ -222,18 +222,18 @@ std::vector<int> AdmissibleInners(const ConstraintSet& constraints,
   return inners;
 }
 
-/// Invokes fn(u, rank, inner, left_rank) for every split ForEachLinearRun
-/// hands lane u of a run, in the order the walk joins them: group 0's
-/// inner tables, then the upper ones.
+/// Invokes fn(inner, left_rank) for every split ForEachLinearRun hands
+/// lane k of a run, in the order the walk joins them: group 0's inner
+/// tables, then the upper ones.
 template <typename Fn>
 void ForEachRunSplit(const PartitionIndex::LinearRun& run, int k, Fn&& fn) {
   const int64_t rank = run.rank + k;
   const PartitionIndex::InnerTables& lower = run.lower[k];
   for (int i = 0; i < lower.count; ++i) {
-    fn(run.set[k], rank, lower.table[i], rank - lower.delta[i]);
+    fn(lower.table[i], rank - lower.delta[i]);
   }
   for (int i = 0; i < run.num_upper; ++i) {
-    fn(run.set[k], rank, run.upper_table[i], rank - run.upper_delta[i]);
+    fn(run.upper_table[i], rank - run.upper_delta[i]);
   }
 }
 
@@ -246,9 +246,7 @@ TEST(PartitionIndexTest, LinearSplitsOfAConstrainedPair) {
     idx.ForEachLinearRun([&](const PartitionIndex::LinearRun& run) {
       for (int k = 0; k < run.size; ++k) {
         if (run.set[k] != u) continue;
-        ForEachRunSplit(run, k, [&](TableSet, int64_t, int t, int64_t) {
-          out.push_back(t);
-        });
+        ForEachRunSplit(run, k, [&](int t, int64_t) { out.push_back(t); });
       }
     });
     return out;
@@ -320,8 +318,8 @@ TEST(PartitionIndexTest, LinearSplitsAreExactlyTheAdmissibleInners) {
           for (int k = 0; k < run.size; ++k) {
             const TableSet u = run.set[k];
             std::vector<int> yielded;
-            ForEachRunSplit(run, k, [&](TableSet, int64_t, int t,
-                                        int64_t left_rank) {
+            ForEachRunSplit(run, k, [&](int t, int64_t left_rank) {
+              ASSERT_GE(left_rank, 0) << u.ToString() << " minus " << t;
               ASSERT_EQ(left_rank, idx.Rank(u.Without(t)))
                   << u.ToString() << " minus " << t;
               yielded.push_back(t);
