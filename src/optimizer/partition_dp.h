@@ -375,9 +375,8 @@ class ScalarDp {
     State state[kLanes];
     double upper_cost[kLanes];
     uint64_t upper_kept[kLanes];
-    for (int k = 0; k < kLanes; ++k) {
-      const int set = k < last ? k : last;
-      state[k] = Begin(run.set[set], products[set]);
+    for (int k = 0; k < run.size; ++k) {
+      state[k] = Begin(run.set[k], products[k]);
     }
     for (int k = 0; k < run.size; k += 2) {
       const int k1 = k < last ? k + 1 : last;
