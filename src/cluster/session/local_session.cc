@@ -116,9 +116,6 @@ StatusOr<RoundResult> LocalSessionHandle::Broadcast(
 Status LocalSessionHandle::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  for (std::unique_ptr<SessionState>& state : states_) {
-    vtable_->close(state.get());  // advisory; errors are not actionable
-  }
   states_.clear();
   return Status::OK();
 }

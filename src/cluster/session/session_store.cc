@@ -43,7 +43,6 @@ void SessionStore::SweepExpired() {
       Clock::now() - std::chrono::milliseconds(options_.ttl_ms);
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (it->second.last_used < cutoff) {
-      it->second.vtable->close(it->second.state.get());
       it = sessions_.erase(it);
     } else {
       ++it;
@@ -74,11 +73,7 @@ SessionReply SessionStore::HandleOpen(const std::vector<uint8_t>& payload) {
   // Re-opening an id replaces the replica: recovery normally lands on a
   // fresh connection, so a same-connection duplicate is a master bug —
   // but replacing keeps open idempotent, which replay relies on.
-  auto existing = sessions_.find(session_id);
-  if (existing != sessions_.end()) {
-    existing->second.vtable->close(existing->second.state.get());
-    sessions_.erase(existing);
-  }
+  sessions_.erase(session_id);
   const auto start = Clock::now();
   StatusOr<std::unique_ptr<SessionState>> state = vtable->open(open_request);
   const auto end = Clock::now();
@@ -91,7 +86,6 @@ SessionReply SessionStore::HandleOpen(const std::vector<uint8_t>& payload) {
   }
   const size_t bytes = state.value()->ApproxBytes();
   if (bytes > options_.max_session_bytes) {
-    vtable->close(state.value().get());
     return ErrorReply(
         RpcReplyKind::kTaskError,
         "session state of " + std::to_string(bytes) +
@@ -138,7 +132,6 @@ SessionReply SessionStore::HandleStep(const std::vector<uint8_t>& payload) {
     // Drop the runaway replica NOW — the cap exists to protect worker
     // memory, not to advise. Deterministic: a replay of the same
     // transitions would exceed the cap again, so this is a task error.
-    it->second.vtable->close(it->second.state.get());
     sessions_.erase(it);
     return ErrorReply(
         RpcReplyKind::kTaskError,
@@ -156,11 +149,7 @@ SessionReply SessionStore::HandleClose(const std::vector<uint8_t>& payload) {
   size_t offset = 0;
   Status s = ParseSessionId(payload, &session_id, &offset);
   if (!s.ok()) return ErrorReply(RpcReplyKind::kTaskError, s.ToString());
-  auto it = sessions_.find(session_id);
-  if (it != sessions_.end()) {
-    it->second.vtable->close(it->second.state.get());
-    sessions_.erase(it);
-  }
+  sessions_.erase(session_id);
   return SessionReply();  // closing an unknown id is fine (idempotent)
 }
 

@@ -34,8 +34,6 @@ StatusOr<std::vector<uint8_t>> SmaStep(SessionState* state,
   return static_cast<SmaSessionState*>(state)->node()->HandleStep(request);
 }
 
-Status NoOpClose(SessionState* /*state*/) { return Status::OK(); }
-
 // -------------------------------------------------------- accumulator
 
 /// Diagnostic replica: a byte buffer. Lets the session tests (and the
@@ -81,10 +79,9 @@ StatusOr<std::vector<uint8_t>> AccumulatorStep(
 
 // ------------------------------------------------------------ registry
 
-constexpr StatefulTaskVtable kSmaVtable = {&SmaOpen, &SmaStep, &NoOpClose};
+constexpr StatefulTaskVtable kSmaVtable = {&SmaOpen, &SmaStep};
 constexpr StatefulTaskVtable kAccumulatorVtable = {&AccumulatorOpen,
-                                                   &AccumulatorStep,
-                                                   &NoOpClose};
+                                                   &AccumulatorStep};
 
 }  // namespace
 

@@ -7,8 +7,8 @@
 // response bytes; those can be shipped to any worker because they carry
 // no state. Some worker code is inherently STATEFUL: SMA's per-node memo
 // replica must persist across the rounds of one query. Such code
-// registers here as an (open / step / close) function triple over an
-// opaque SessionState:
+// registers here as an (open / step) function pair over an opaque
+// SessionState:
 //
 //   open   bytes -> state       builds a fresh replica from the session
 //                               open request (deterministic)
@@ -22,7 +22,8 @@
 //                               records broadcasts in a replay log so a
 //                               lost replica can be rebuilt as
 //                               fold(step, open(bytes), broadcasts).
-//   close  state -> Status      final teardown hook before destruction
+//
+// The state's destructor is its teardown.
 //
 // As with the stateless registry, kind values are wire tags: append new
 // kinds, never renumber.
@@ -60,20 +61,18 @@ class SessionState {
   virtual size_t ApproxBytes() const = 0;
 };
 
-/// The (open / step / close) triple of one registered stateful kind.
+/// The (open / step) pair of one registered stateful kind.
 struct StatefulTaskVtable {
   using OpenFn =
       StatusOr<std::unique_ptr<SessionState>> (*)(const std::vector<uint8_t>&);
   using StepFn = StatusOr<std::vector<uint8_t>> (*)(SessionState*,
                                                     const std::vector<uint8_t>&);
-  using CloseFn = Status (*)(SessionState*);
 
   OpenFn open = nullptr;
   StepFn step = nullptr;
-  CloseFn close = nullptr;
 };
 
-/// Maps a wire tag to its registered triple; null for unknown tags.
+/// Maps a wire tag to its registered pair; null for unknown tags.
 const StatefulTaskVtable* StatefulTaskForKind(StatefulTaskKind kind);
 
 /// Step-request op tags of the kAccumulator diagnostic kind (first byte

@@ -11,7 +11,7 @@
 // contract of MpqOptimizer::WorkerMain, the one optimizer kind. (SMA's
 // per-node tasks close over the node's memo replica and are deliberately
 // NOT registrable here; stateful workers have their own registry of
-// open/step/close triples and a session protocol — see
+// open/step pairs and a session protocol — see
 // cluster/session/stateful_task.h.)
 //
 // The registry also carries tiny diagnostic kinds (echo, fail,

@@ -67,7 +67,6 @@ TEST(StatefulTaskRegistryTest, AccumulatorTripleWorksDirectly) {
   ASSERT_TRUE(peeked.ok());
   EXPECT_EQ(peeked.value(), Bytes("abcd"));
   EXPECT_GE(state.value()->ApproxBytes(), size_t{4});
-  EXPECT_TRUE(vtable->close(state.value().get()).ok());
 }
 
 TEST(StatefulTaskRegistryTest, SmaOutOfOrderChunkFailsTheStepNotTheNode) {
