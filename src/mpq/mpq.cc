@@ -114,6 +114,10 @@ void SerializeOptionsTail(const MpqOptions& options, ByteWriter* writer) {
   writer->WriteDouble(options.cost_options.hash_constant);
   writer->WriteDouble(options.cost_options.output_cost_factor);
   writer->WriteU64(static_cast<uint64_t>(options.max_memo_entries));
+  // Only the interesting-orders DP prices sorted scans.
+  if (options.interesting_orders) {
+    writer->WriteDouble(options.cost_options.sorted_scan_factor);
+  }
 }
 
 }  // namespace
@@ -183,6 +187,11 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
   }
   uint64_t max_memo = 0;
   if (!(s = reader.ReadU64(&max_memo)).ok()) return s;
+  if (interesting_orders != 0 &&
+      !(s = reader.ReadDouble(&config.cost_options.sorted_scan_factor))
+           .ok()) {
+    return s;
+  }
   if (space_raw > 1) return Status::Corruption("bad plan space tag");
   if (objective_raw > 1) return Status::Corruption("bad objective tag");
   config.space = static_cast<PlanSpace>(space_raw);

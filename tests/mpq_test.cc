@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 #include <thread>
@@ -453,6 +454,54 @@ TEST(MpqTest, WorkerSecondsPopulatedPerPartition) {
     max_seen = std::max(max_seen, s);
   }
   EXPECT_DOUBLE_EQ(max_seen, result.value().max_worker_seconds);
+}
+
+/// examples/interesting_orders.cpp's query: five 50,000-row tables
+/// chained on one shared attribute class.
+Query SortedChainQuery() {
+  std::vector<TableInfo> tables(5);
+  for (int i = 0; i < 5; ++i) {
+    tables[i].cardinality = 50000;
+    tables[i].attribute_domains = {50.0};
+    tables[i].name = "R" + std::to_string(i);
+  }
+  std::vector<JoinPredicate> predicates;
+  for (int i = 0; i + 1 < 5; ++i) {
+    predicates.push_back({i, 0, i + 1, 0, 1.0 / 50.0});
+  }
+  return Query(std::move(tables), std::move(predicates));
+}
+
+TEST(MpqTest, InterestingOrdersCarryTheSortedScanFactor) {
+  // The interesting-orders DP prices sorted scans with the caller's
+  // sorted_scan_factor; MPQ's workers must price them with it too. A
+  // cheap and a dear factor each move the serial optimum.
+  const Query q = SortedChainQuery();
+  for (double factor : {0.01, 50.0}) {
+    for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+      DpConfig config;
+      config.space = space;
+      config.interesting_orders = true;
+      config.cost_options.sorted_scan_factor = factor;
+      StatusOr<DpResult> serial = OptimizeSerial(q, config);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      const double want =
+          serial.value().arena.node(serial.value().best[0]).cost.time();
+      const uint64_t max_workers = UsableWorkers(q.num_tables(), space, 64);
+      for (uint64_t m = 1; m <= max_workers; m *= 2) {
+        MpqOptions opts = Options(space, m);
+        opts.interesting_orders = true;
+        opts.cost_options.sorted_scan_factor = factor;
+        StatusOr<MpqResult> result = MpqOptimizer(opts).Optimize(q);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const double got =
+            result.value().arena.node(result.value().best[0]).cost.time();
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "factor " << factor << ", " << PlanSpaceName(space) << ", m "
+            << m << ": " << got << " vs serial " << want;
+      }
+    }
+  }
 }
 
 /// A worker response with the report's measured seconds (its fourth
