@@ -367,11 +367,12 @@ void BM_MasterFinalize(benchmark::State& state) {
 }
 BENCHMARK(BM_MasterFinalize)->Args({8, 16, 0})->Args({14, 64, 1});
 
-/// The seed's master Phase 3, reproduced through the public slow-path
-/// APIs for the before/after A/B: per-plan Status-returning decode into
-/// one shared arena, then the same final prune. The production path is
-/// FinalizeResponses (raw-cursor decode into one scratch arena, winners
-/// copied out); this stays in the bench as the baseline shape.
+/// The seed's master Phase 3, reproduced through the public APIs for the
+/// before/after A/B: one DeserializePlan call per plan into one shared
+/// arena, then the same final prune. The production path is
+/// FinalizeResponses (one DeserializePlanSet call per response into a
+/// scratch arena reserved once, winners copied out). Both decode with the
+/// one plan decoder; this stays in the bench as the baseline shape.
 struct SeedFinalizeResult {
   PlanArena arena;
   std::vector<PlanId> best;

@@ -237,8 +237,16 @@ StatusOr<MpqResult> MpqOptimizer::FinalizeResponses(
   // the next is read. ParetoInsert is order-dependent (alpha-dominance
   // rejection, then weak-dominance eviction, then append), so the prune
   // must see the plans in partition order; only the winners are copied
-  // into the result, which keeps plan-cache entries minimal.
+  // into the result, which keeps plan-cache entries minimal. The scratch
+  // arena is sized once for every node the responses can hold, so no
+  // DeserializePlanSet call below grows it.
   PlanArena scratch;
+  const int num_metrics = CostModel(options.objective).num_metrics();
+  size_t response_bytes = 0;
+  for (const std::vector<uint8_t>& response : responses) {
+    response_bytes += response.size();
+  }
+  scratch.Reserve(response_bytes / kMinPlanNodeBytes + m);
   std::vector<PlanId> winners;
   const auto cost_of = [&scratch](PlanId id) -> const CostVector& {
     return scratch.node(id).cost;
@@ -263,8 +271,13 @@ StatusOr<MpqResult> MpqOptimizer::FinalizeResponses(
       result.max_worker_memo_sets = result.worker_memo_sets[part];
     }
 
-    // FinalPrune (paper Algorithm 1): compare partition-optimal plans.
+    // FinalPrune (paper Algorithm 1): compare partition-optimal plans,
+    // whose costs must all carry the objective's metrics.
     for (PlanId id : plans.value()) {
+      if (cost_of(id).num_metrics() != num_metrics) {
+        return Status::Corruption(
+            "plan cost arity differs from the objective's");
+      }
       if (options.objective == Objective::kTime) {
         if (winners.empty() ||
             cost_of(id).time() < cost_of(winners[0]).time()) {

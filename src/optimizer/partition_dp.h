@@ -57,13 +57,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "catalog/query.h"
-#include "common/arena.h"
 #include "common/status.h"
 #include "cost/cardinality.h"
 #include "cost/cost_model.h"
@@ -517,15 +514,12 @@ struct ParetoPlanRef {
 };
 
 /// Memo entry of the multi-objective DP: the alpha-approximate Pareto set
-/// of plans for one admissible table set. The frontier is a finished,
-/// immutable arena-allocated array — frontiers are built once in a shared
-/// scratch vector and flushed here, so the memo does one bump allocation
-/// per admissible set instead of one heap vector per set (the hottest
-/// allocation of the multi-objective DP). A set not stored yet has no
-/// plans.
+/// of plans for one admissible table set, `num_plans` consecutive plans
+/// of the DP's one plan vector from offset `first` on (ParetoDp::Plan).
+/// A set not stored yet has no plans.
 struct ParetoEntry {
   JoinOperand op;
-  const ParetoPlanRef* plans = nullptr;
+  size_t first = 0;
   uint32_t num_plans = 0;
 };
 
@@ -548,12 +542,14 @@ class ParetoDp {
                             ? kNumJoinAlgorithms - 1
                             : kNumJoinAlgorithms),
         memo_(static_cast<size_t>(index.size())) {
+    // Table t's scan is plan t.
     for (int t = 0; t < query.num_tables(); ++t) {
       const double card = query.table(t).cardinality;
-      scan_plan_[t] = {model_.ScanCost(card), 0, 0, 0, JoinAlgorithm::kScan};
-      scan_[t] = {model_.Operand(card, SortMerge()), &scan_plan_[t], 1};
+      plans_.push_back({model_.ScanCost(card), 0, 0, 0, JoinAlgorithm::kScan});
+      scan_[t] = {model_.Operand(card, SortMerge()), static_cast<size_t>(t),
+                  1};
       const int64_t rank = index.Rank(TableSet::Single(t));
-      if (rank >= 0) Store(rank, card, &scan_plan_[t], 1);
+      if (rank >= 0) memo_[static_cast<size_t>(rank)] = scan_[t];
     }
   }
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(ParetoDp);
@@ -585,13 +581,15 @@ class ParetoDp {
     const auto cost_of = [](const ParetoPlanRef& p) -> const CostVector& {
       return p.cost;
     };
+    // The frontier under construction is scratch_, so these stay valid.
+    const ParetoPlanRef* const lp = plans_.data() + l.first;
+    const ParetoPlanRef* const rp = plans_.data() + r.first;
     for (uint32_t li = 0; li < l.num_plans; ++li) {
       for (uint32_t ri = 0; ri < r.num_plans; ++ri) {
         for (int a = 0; a < num_algorithms_; ++a) {
           ParetoPlanRef cand;
-          cand.cost = model_.ComposeJoinCost(l.plans[li].cost,
-                                             r.plans[ri].cost, local_time[a],
-                                             local_buffer[a]);
+          cand.cost = model_.ComposeJoinCost(lp[li].cost, rp[ri].cost,
+                                             local_time[a], local_buffer[a]);
           cand.left_bits = left.bits();
           cand.left_idx = li;
           cand.right_idx = ri;
@@ -607,17 +605,16 @@ class ParetoDp {
     Store(rank, s->out_card, scratch_.data(), scratch_.size());
   }
 
-  /// Stores a finished frontier at `rank`, copied into an immutable arena
-  /// array, with the operand terms of `card` rows.
+  /// Stores a finished frontier at `rank`, appended to the plan vector,
+  /// with the operand terms of `card` rows. `plans` must not point into
+  /// the plan vector, which the append may move.
   void Store(int64_t rank, double card, const ParetoPlanRef* plans,
              size_t count) {
-    static_assert(std::is_trivially_copyable_v<ParetoPlanRef>);
-    ParetoPlanRef* copy = frontier_arena_.AllocateArray<ParetoPlanRef>(count);
-    if (count > 0) std::memcpy(copy, plans, count * sizeof(ParetoPlanRef));
     ParetoEntry& e = memo_[static_cast<size_t>(rank)];
     e.op = model_.Operand(card, SortMerge());
-    e.plans = copy;
+    e.first = plans_.size();
     e.num_plans = static_cast<uint32_t>(count);
+    plans_.insert(plans_.end(), plans, plans + count);
   }
 
   /// The frontier of the set under construction (since the last Begin).
@@ -628,8 +625,12 @@ class ParetoDp {
     return memo_[static_cast<size_t>(rank)];
   }
   const ParetoEntry& Scan(int t) const { return scan_[t]; }
+  /// Plan `idx` of the frontier stored in `e`.
+  const ParetoPlanRef& Plan(const ParetoEntry& e, uint32_t idx) const {
+    return plans_[e.first + idx];
+  }
   DpNode Node(const ParetoEntry& e, uint32_t idx) const {
-    const ParetoPlanRef& p = e.plans[idx];
+    const ParetoPlanRef& p = Plan(e, idx);
     return {e.op.card, p.cost, p.alg, TableSet(p.left_bits), p.left_idx,
             p.right_idx};
   }
@@ -639,8 +640,7 @@ class ParetoDp {
 
   size_t ApproxBytes() const {
     return memo_.capacity() * sizeof(ParetoEntry) +
-           frontier_arena_.ApproxBytes() +
-           scratch_.capacity() * sizeof(ParetoPlanRef);
+           (plans_.capacity() + scratch_.capacity()) * sizeof(ParetoPlanRef);
   }
 
  private:
@@ -654,12 +654,11 @@ class ParetoDp {
   /// checks and SMA does not).
   const int num_algorithms_;
   std::vector<ParetoEntry> memo_;
-  /// Bump storage for finished frontiers; scratch_ is the one mutable
-  /// frontier under construction, reused across sets.
-  Arena frontier_arena_;
+  /// Every finished frontier, the scans first; scratch_ is the one
+  /// mutable frontier under construction, reused across sets.
+  std::vector<ParetoPlanRef> plans_;
   std::vector<ParetoPlanRef> scratch_;
   int64_t plans_costed_ = 0;
-  ParetoPlanRef scan_plan_[kMaxTables];
   ParetoEntry scan_[kMaxTables];
 };
 

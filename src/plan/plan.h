@@ -5,25 +5,19 @@
 // outer and `right` the inner operand. Left-deep plans are the subset in
 // which every right operand is a scan.
 //
-// Plans are arena-allocated: a PlanId is an index into a PlanArena and a
-// DP plan costs O(1) memo space (two child ids + operator + cost), which is
-// what makes Theorem 4's space bound hold. Arenas are per-worker — MPQ
-// workers never share plan memory.
+// Plans live in a PlanArena, one vector of nodes: a PlanId is an index
+// into it and a DP plan costs O(1) memo space (two child ids + operator +
+// cost), which is what makes Theorem 4's space bound hold. Arenas are
+// per-worker — MPQ workers never share plan memory.
 
 #ifndef MPQOPT_PLAN_PLAN_H_
 #define MPQOPT_PLAN_PLAN_H_
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
-#include <new>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "common/arena.h"
+#include "common/macros.h"
 #include "common/table_set.h"
 #include "cost/cost_model.h"
 #include "cost/cost_vector.h"
@@ -55,46 +49,16 @@ struct PlanNode {
   bool IsScan() const { return algorithm == JoinAlgorithm::kScan; }
 };
 
-/// Bump allocator for plan nodes. Node ids are stable; nodes are never
-/// freed individually (a worker drops the whole arena when it finishes).
+/// The nodes of one or more plans, in one vector: a PlanId is a node's
+/// index. Nodes are never freed individually (a worker drops the whole
+/// store when it finishes). Copies are deep — the plan cache stores winner
+/// plans by value (CachedPlan) and re-materializes them per hit.
 ///
-/// Nodes live in geometrically growing chunks (8, 16, 32, ... nodes)
-/// carved out of a common/arena.h bump arena, so appending never moves
-/// existing nodes (references handed out by node() stay valid across
-/// growth) and the slack stays within the 2x a vector's capacity policy
-/// allowed. Deep copy is supported — the plan cache stores winner plans
-/// by value (CachedPlan) and re-materializes them per hit.
+/// A reference returned by node() is invalidated by a later MakeScan or
+/// MakeJoin on the same store, which may grow the vector. CopyPlan reads
+/// one store and appends to another, so it holds none across an append.
 class PlanArena {
  public:
-  PlanArena() = default;
-
-  PlanArena(const PlanArena& other) { CopyFrom(other); }
-  PlanArena& operator=(const PlanArena& other) {
-    if (this != &other) {
-      Clear();
-      CopyFrom(other);
-    }
-    return *this;
-  }
-
-  PlanArena(PlanArena&& other) noexcept
-      : arena_(std::move(other.arena_)),
-        chunks_(std::move(other.chunks_)),
-        size_(other.size_) {
-    other.chunks_.clear();
-    other.size_ = 0;
-  }
-  PlanArena& operator=(PlanArena&& other) noexcept {
-    if (this != &other) {
-      arena_ = std::move(other.arena_);
-      chunks_ = std::move(other.chunks_);
-      other.chunks_.clear();
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-    return *this;
-  }
-
   /// Creates a scan leaf for `table`.
   PlanId MakeScan(int table, double cardinality, const CostVector& cost) {
     PlanNode node;
@@ -110,8 +74,6 @@ class PlanArena {
   PlanId MakeJoin(JoinAlgorithm alg, PlanId left, PlanId right,
                   double cardinality, const CostVector& cost) {
     MPQOPT_DCHECK(alg != JoinAlgorithm::kScan);
-    MPQOPT_DCHECK(left >= 0 && left < static_cast<PlanId>(size_));
-    MPQOPT_DCHECK(right >= 0 && right < static_cast<PlanId>(size_));
     PlanNode node;
     node.tables = this->node(left).tables.Union(this->node(right).tables);
     MPQOPT_DCHECK(!this->node(left).tables.Intersects(this->node(right).tables));
@@ -124,73 +86,25 @@ class PlanArena {
   }
 
   const PlanNode& node(PlanId id) const {
-    MPQOPT_DCHECK(id >= 0 && id < static_cast<PlanId>(size_));
-    const size_t i = static_cast<size_t>(id);
-    return chunks_[ChunkOf(i)][i - ChunkBase(ChunkOf(i))];
+    MPQOPT_DCHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size());
+    return nodes_[static_cast<size_t>(id)];
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return nodes_.size(); }
 
-  /// Approximate resident bytes, for memory accounting (counts arena
-  /// slack, like the capacity of a vector).
-  size_t MemoryBytes() const {
-    return arena_.ApproxBytes() + chunks_.capacity() * sizeof(PlanNode*);
-  }
+  /// Resident bytes, for memory accounting (counts the vector's slack).
+  size_t MemoryBytes() const { return nodes_.capacity() * sizeof(PlanNode); }
 
-  void Reserve(size_t n) {
-    // Size the arena for every chunk about to be added in one shot —
-    // the decode hot path calls this with the wire-derived node bound,
-    // and one malloc beats the block-doubling chain.
-    size_t chunk_nodes = 0;
-    for (size_t c = chunks_.size(); ChunkBase(c) < n; ++c) {
-      chunk_nodes += size_t{8} << c;
-    }
-    if (chunk_nodes > 0) {
-      arena_.ReserveBytes(chunk_nodes * sizeof(PlanNode) + alignof(PlanNode));
-    }
-    while (ChunkBase(chunks_.size()) < n) AddChunk();
-  }
-  void Clear() {
-    size_ = 0;
-    chunks_.clear();
-    arena_.Reset();
-  }
+  void Reserve(size_t n) { nodes_.reserve(n); }
+  void Clear() { nodes_.clear(); }
 
  private:
-  /// Chunk c holds nodes [8*(2^c - 1), 8*(2^(c+1) - 1)) — capacity 8<<c.
-  static size_t ChunkOf(size_t id) {
-    return static_cast<size_t>(std::bit_width((id >> 3) + 1)) - 1;
-  }
-  static size_t ChunkBase(size_t chunk) { return (size_t{8} << chunk) - 8; }
-
-  void AddChunk() {
-    chunks_.push_back(
-        arena_.AllocateArray<PlanNode>(size_t{8} << chunks_.size()));
-  }
-
   PlanId Append(const PlanNode& node) {
-    const size_t chunk = ChunkOf(size_);
-    if (chunk == chunks_.size()) AddChunk();
-    // Placement-new: the arena hands out uninitialized storage.
-    new (&chunks_[chunk][size_ - ChunkBase(chunk)]) PlanNode(node);
-    return static_cast<PlanId>(size_++);
+    nodes_.push_back(node);
+    return static_cast<PlanId>(nodes_.size() - 1);
   }
 
-  void CopyFrom(const PlanArena& other) {
-    static_assert(std::is_trivially_copyable_v<PlanNode>);
-    Reserve(other.size_);
-    for (size_t chunk = 0; ChunkBase(chunk) < other.size_; ++chunk) {
-      const size_t count =
-          std::min(other.size_ - ChunkBase(chunk), size_t{8} << chunk);
-      std::memcpy(chunks_[chunk], other.chunks_[chunk],
-                  count * sizeof(PlanNode));
-    }
-    size_ = other.size_;
-  }
-
-  Arena arena_;
-  std::vector<PlanNode*> chunks_;
-  size_t size_ = 0;
+  std::vector<PlanNode> nodes_;
 };
 
 /// True if the subtree rooted at `id` is left-deep (every right child of

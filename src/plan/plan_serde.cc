@@ -7,45 +7,63 @@
 namespace mpqopt {
 namespace {
 
-/// Raw-cursor plan decoder — the master's Phase-3 hot loop. Bounds
-/// checks are plain pointer comparisons and failure is a bool, so the
-/// per-node cost carries no Status/StatusOr construction. The caller
-/// reruns the Status-returning DeserializePlan on failure to produce
-/// the exact legacy error; corruption is the cold path, so the double
-/// decode there costs nothing in practice. Validation is identical:
-/// node tag range, scan table range, join operand disjointness, cost
-/// arity range, and never reading past `end`.
-bool FastDecodePlan(const uint8_t** cursor, const uint8_t* end,
-                    PlanArena* arena, PlanId* out) {
+/// The most joins a join of a valid plan is nested under: a plan over at
+/// most kMaxTables tables has at most kMaxTables - 1 joins on any path
+/// from its root.
+constexpr int kMaxJoinDepth = kMaxTables - 2;
+
+constexpr char kPastEnd[] = "read past end of buffer";
+
+/// Decodes the plan at `*cursor`, `depth` joins below the root, into
+/// `arena`, reading nothing at or past `end`. On success sets `*out` and
+/// moves `*cursor` past the plan, and returns null; otherwise returns
+/// what is wrong. It checks the node tag, the scan table's range, that
+/// join operands are disjoint, the cost arity and the nesting depth, so
+/// bytes from a peer cannot crash the caller or exhaust its stack. Errors
+/// are messages, not Status, so the per-node path builds none.
+const char* DecodePlan(const uint8_t** cursor, const uint8_t* end, int depth,
+                       PlanArena* arena, PlanId* out) {
   const uint8_t* p = *cursor;
-  if (p >= end) return false;
+  if (p >= end) return kPastEnd;
   const uint8_t tag = *p++;
-  if (tag > static_cast<uint8_t>(JoinAlgorithm::kSortMergeJoin)) return false;
+  if (tag > static_cast<uint8_t>(JoinAlgorithm::kSortMergeJoin)) {
+    return "bad plan node tag";
+  }
   const auto alg = static_cast<JoinAlgorithm>(tag);
   PlanId left = kInvalidPlanId;
   PlanId right = kInvalidPlanId;
   uint32_t table = 0;
   if (alg == JoinAlgorithm::kScan) {
-    if (end - p < 4) return false;
+    if (end - p < 4) return kPastEnd;
     std::memcpy(&table, p, 4);
     p += 4;
-    if (table >= static_cast<uint32_t>(kMaxTables)) return false;
+    if (table >= static_cast<uint32_t>(kMaxTables)) {
+      return "scan table index out of range";
+    }
   } else {
+    if (depth > kMaxJoinDepth) return "plan nests too deep";
     *cursor = p;
-    if (!FastDecodePlan(cursor, end, arena, &left)) return false;
-    if (!FastDecodePlan(cursor, end, arena, &right)) return false;
+    if (const char* error = DecodePlan(cursor, end, depth + 1, arena, &left)) {
+      return error;
+    }
+    if (const char* error =
+            DecodePlan(cursor, end, depth + 1, arena, &right)) {
+      return error;
+    }
     p = *cursor;
     if (arena->node(left).tables.Intersects(arena->node(right).tables)) {
-      return false;
+      return "join operands overlap";
     }
   }
-  if (end - p < 9) return false;  // cardinality + cost arity
+  if (end - p < 9) return kPastEnd;  // cardinality + cost arity
   double cardinality = 0;
   std::memcpy(&cardinality, p, 8);
   p += 8;
   const uint8_t arity = *p++;
-  if (arity < 1 || arity > kMaxCostMetrics) return false;
-  if (end - p < 8 * static_cast<ptrdiff_t>(arity)) return false;
+  if (arity < 1 || arity > kMaxCostMetrics) {
+    return "cost vector arity out of range";
+  }
+  if (end - p < 8 * static_cast<ptrdiff_t>(arity)) return kPastEnd;
   CostVector cost(arity);
   for (int i = 0; i < arity; ++i) {
     std::memcpy(&cost[i], p, 8);
@@ -55,7 +73,18 @@ bool FastDecodePlan(const uint8_t** cursor, const uint8_t* end,
   *out = alg == JoinAlgorithm::kScan
              ? arena->MakeScan(static_cast<int>(table), cardinality, cost)
              : arena->MakeJoin(alg, left, right, cardinality, cost);
-  return true;
+  return nullptr;
+}
+
+/// Decodes one plan from `reader` and advances it past the plan.
+const char* ReadPlan(ByteReader* reader, PlanArena* arena, PlanId* out) {
+  const uint8_t* cursor = reader->cursor();
+  const char* error =
+      DecodePlan(&cursor, cursor + reader->remaining(), 0, arena, out);
+  if (error == nullptr) {
+    reader->Advance(static_cast<size_t>(cursor - reader->cursor()));
+  }
+  return error;
 }
 
 }  // namespace
@@ -74,39 +103,11 @@ void SerializePlan(const PlanArena& arena, PlanId id, ByteWriter* writer) {
 }
 
 StatusOr<PlanId> DeserializePlan(ByteReader* reader, PlanArena* arena) {
-  uint8_t tag = 0;
-  Status s = reader->ReadU8(&tag);
-  if (!s.ok()) return s;
-  if (tag > static_cast<uint8_t>(JoinAlgorithm::kSortMergeJoin)) {
-    return Status::Corruption("bad plan node tag");
+  PlanId id = kInvalidPlanId;
+  if (const char* error = ReadPlan(reader, arena, &id)) {
+    return Status::Corruption(error);
   }
-  const auto alg = static_cast<JoinAlgorithm>(tag);
-  if (alg == JoinAlgorithm::kScan) {
-    uint32_t table = 0;
-    if (!(s = reader->ReadU32(&table)).ok()) return s;
-    if (table >= static_cast<uint32_t>(kMaxTables)) {
-      return Status::Corruption("scan table index out of range");
-    }
-    double card = 0;
-    if (!(s = reader->ReadDouble(&card)).ok()) return s;
-    StatusOr<CostVector> cost = CostVector::Deserialize(reader);
-    if (!cost.ok()) return cost.status();
-    return arena->MakeScan(static_cast<int>(table), card, cost.value());
-  }
-  StatusOr<PlanId> left = DeserializePlan(reader, arena);
-  if (!left.ok()) return left.status();
-  StatusOr<PlanId> right = DeserializePlan(reader, arena);
-  if (!right.ok()) return right.status();
-  if (arena->node(left.value())
-          .tables.Intersects(arena->node(right.value()).tables)) {
-    return Status::Corruption("join operands overlap");
-  }
-  double card = 0;
-  if (!(s = reader->ReadDouble(&card)).ok()) return s;
-  StatusOr<CostVector> cost = CostVector::Deserialize(reader);
-  if (!cost.ok()) return cost.status();
-  return arena->MakeJoin(alg, left.value(), right.value(), card,
-                         cost.value());
+  return id;
 }
 
 void SerializePlanSet(const PlanArena& arena, const std::vector<PlanId>& ids,
@@ -120,31 +121,19 @@ StatusOr<std::vector<PlanId>> DeserializePlanSet(ByteReader* reader,
   uint32_t count = 0;
   Status s = reader->ReadU32(&count);
   if (!s.ok()) return s;
-  if (count > 1u << 24) return Status::Corruption("plan set too large");
+  // The bytes received bound the plans and their nodes, so neither
+  // reservation below can exceed what the peer actually sent.
+  const size_t max_nodes = reader->remaining() / kMinPlanNodeBytes;
+  if (count > max_nodes) return Status::Corruption("plan set too large");
   std::vector<PlanId> ids;
   ids.reserve(count);
-  // Pre-size the arena from the wire: a serialized node is at least 18
-  // bytes (tag + cardinality + 1-metric cost), so remaining/18 bounds
-  // the node count and one Reserve replaces the incremental growth the
-  // decode loop would otherwise pay. Range-checked: `remaining` is
-  // bounded by the frame size limit, not attacker-declared counts.
-  arena->Reserve(arena->size() + reader->remaining() / 18 + 1);
+  arena->Reserve(arena->size() + max_nodes + 1);
   for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* cursor = reader->cursor();
-    const uint8_t* const end = cursor + reader->remaining();
     PlanId id = kInvalidPlanId;
-    if (FastDecodePlan(&cursor, end, arena, &id)) {
-      reader->Advance(static_cast<size_t>(cursor - reader->cursor()));
-      ids.push_back(id);
-      continue;
+    if (const char* error = ReadPlan(reader, arena, &id)) {
+      return Status::Corruption(error);
     }
-    // Cold path: rerun the Status-returning decoder from the same
-    // offset for the exact error text (partial nodes appended by the
-    // failed fast pass stay in the arena — callers discard it on error,
-    // just as they did when the recursive decoder failed mid-plan).
-    StatusOr<PlanId> slow = DeserializePlan(reader, arena);
-    if (!slow.ok()) return slow.status();
-    ids.push_back(slow.value());
+    ids.push_back(id);
   }
   return ids;
 }

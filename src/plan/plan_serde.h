@@ -9,6 +9,7 @@
 #ifndef MPQOPT_PLAN_PLAN_SERDE_H_
 #define MPQOPT_PLAN_PLAN_SERDE_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/serialize.h"
@@ -17,17 +18,25 @@
 
 namespace mpqopt {
 
+/// Bytes of the smallest serialized node: a join's tag, cardinality and
+/// one-metric cost (a scan adds its table). A payload of n bytes
+/// therefore holds at most n / kMinPlanNodeBytes nodes.
+inline constexpr size_t kMinPlanNodeBytes = 18;
+
 /// Appends the subtree rooted at `id` to `writer`.
 void SerializePlan(const PlanArena& arena, PlanId id, ByteWriter* writer);
 
 /// Reads one plan tree from `reader`, materializing nodes into `arena`.
+/// Malformed bytes, including a join nested under kMaxTables - 1 others
+/// (no plan over kMaxTables tables nests so deep), are Corruption.
 StatusOr<PlanId> DeserializePlan(ByteReader* reader, PlanArena* arena);
 
 /// Serializes a set of plans (count-prefixed); used for Pareto frontiers.
 void SerializePlanSet(const PlanArena& arena, const std::vector<PlanId>& ids,
                       ByteWriter* writer);
 
-/// Reads a count-prefixed set of plans into `arena`.
+/// Reads a count-prefixed set of plans into `arena`, reserving room for
+/// as many nodes as the unread bytes can hold.
 StatusOr<std::vector<PlanId>> DeserializePlanSet(ByteReader* reader,
                                                  PlanArena* arena);
 

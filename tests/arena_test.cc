@@ -1,15 +1,10 @@
 // Copyright 2026 mpqopt authors.
 //
-// Unit tests of the bump arena (common/arena.h) and the arena-backed
-// PlanArena chunk layout (plan/plan.h): alignment, reset-for-reuse,
-// ApproxBytes accounting, reference stability across growth, and deep
-// copy/move semantics the plan cache depends on.
+// Unit tests of PlanArena's storage (plan/plan.h): reserved capacity,
+// MemoryBytes accounting, and the deep copy and move semantics the plan
+// cache depends on.
 
-#include "common/arena.h"
-
-#include <cstdint>
 #include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,125 +12,6 @@
 
 namespace mpqopt {
 namespace {
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena;
-  uint8_t* a = static_cast<uint8_t*>(arena.Allocate(3, 1));
-  double* d = static_cast<double*>(arena.Allocate(sizeof(double), 8));
-  uint8_t* b = static_cast<uint8_t*>(arena.Allocate(5, 1));
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(d, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(d) % 8, 0u);
-  // Write through every pointer; ASan (tier-1 CI) catches overlap.
-  a[0] = 1;
-  a[2] = 2;
-  *d = 3.5;
-  b[0] = 4;
-  b[4] = 5;
-  EXPECT_EQ(*d, 3.5);
-  EXPECT_EQ(a[2], 2);
-}
-
-TEST(ArenaTest, ZeroByteAllocationsReturnDistinctPointers) {
-  Arena arena;
-  void* a = arena.Allocate(0, 1);
-  void* b = arena.Allocate(0, 1);
-  EXPECT_NE(a, nullptr);
-  EXPECT_NE(a, b);
-}
-
-TEST(ArenaTest, AllocateArrayReturnsNullForZeroCount) {
-  Arena arena;
-  EXPECT_EQ(arena.AllocateArray<int>(0), nullptr);
-  int* p = arena.AllocateArray<int>(4);
-  ASSERT_NE(p, nullptr);
-  p[3] = 7;
-  EXPECT_EQ(p[3], 7);
-}
-
-TEST(ArenaTest, GrowsBeyondOneBlock) {
-  Arena arena;
-  // Far more than kMinBlockBytes: forces several growth blocks.
-  std::vector<uint64_t*> slots;
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t* p = arena.AllocateArray<uint64_t>(8);
-    p[0] = static_cast<uint64_t>(i);
-    slots.push_back(p);
-  }
-  // Earlier allocations were never moved by later growth.
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(slots[i][0], static_cast<uint64_t>(i));
-  }
-  EXPECT_GE(arena.used_bytes(), 1000u * 8 * sizeof(uint64_t));
-  EXPECT_GE(arena.ApproxBytes(), arena.used_bytes());
-}
-
-TEST(ArenaTest, OversizeAllocationGetsItsOwnBlock) {
-  Arena arena;
-  const size_t big = Arena::kMaxBlockBytes + 4096;
-  uint8_t* p = static_cast<uint8_t*>(arena.Allocate(big, 8));
-  ASSERT_NE(p, nullptr);
-  p[0] = 1;
-  p[big - 1] = 2;
-  EXPECT_GE(arena.ApproxBytes(), big);
-}
-
-TEST(ArenaTest, ResetRewindsAndReusesMemory) {
-  Arena arena;
-  (void)arena.AllocateArray<uint64_t>(16);
-  const size_t reserved_before = arena.ApproxBytes();
-  arena.Reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  // A single-block arena keeps its block: same footprint, no new malloc.
-  EXPECT_EQ(arena.ApproxBytes(), reserved_before);
-  uint64_t* p = arena.AllocateArray<uint64_t>(16);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(arena.ApproxBytes(), reserved_before);
-}
-
-TEST(ArenaTest, ResetAfterGrowthRepacksIntoOneBlock) {
-  Arena arena;
-  for (int i = 0; i < 200; ++i) (void)arena.AllocateArray<uint64_t>(64);
-  const size_t used = 200u * 64 * sizeof(uint64_t);
-  arena.Reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  // The repacked arena serves the same workload without growing again.
-  for (int i = 0; i < 200; ++i) (void)arena.AllocateArray<uint64_t>(64);
-  EXPECT_GE(arena.ApproxBytes(), used);
-}
-
-TEST(ArenaTest, MoveTransfersOwnership) {
-  Arena arena;
-  uint64_t* p = arena.AllocateArray<uint64_t>(4);
-  p[0] = 42;
-  Arena moved(std::move(arena));
-  EXPECT_EQ(p[0], 42u);  // storage survived the move
-  EXPECT_EQ(arena.used_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
-  uint64_t* q = moved.AllocateArray<uint64_t>(4);
-  EXPECT_NE(q, nullptr);
-}
-
-TEST(ArenaTest, SmallArenaStaysSmall) {
-  // Plan-cache entries are charged ApproxBytes against byte budgets of a
-  // few KB; a handful of nodes must not reserve megabytes.
-  Arena arena;
-  (void)arena.AllocateArray<uint64_t>(4);
-  EXPECT_LE(arena.ApproxBytes(), 2 * Arena::kMinBlockBytes);
-}
-
-TEST(PlanArenaTest, NodeReferencesStableAcrossGrowth) {
-  PlanArena arena;
-  const CostVector cost = CostVector::Scalar(1.0);
-  const PlanId first = arena.MakeScan(0, 10.0, cost);
-  const PlanNode* before = &arena.node(first);
-  for (int i = 1; i < 10000; ++i) {
-    arena.MakeScan(i % 30, static_cast<double>(i), cost);
-  }
-  EXPECT_EQ(&arena.node(first), before);
-  EXPECT_EQ(arena.size(), 10000u);
-  EXPECT_EQ(arena.node(9999).cardinality, 9999.0);
-}
 
 TEST(PlanArenaTest, DeepCopyIsIndependent) {
   PlanArena source;

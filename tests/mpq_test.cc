@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "catalog/generator.h"
+#include "common/rng.h"
 #include "optimizer/pruning.h"
 #include "plan/plan_serde.h"
 #include "plan/plan_validator.h"
@@ -454,6 +455,87 @@ TEST(MpqTest, WorkerSecondsPopulatedPerPartition) {
     max_seen = std::max(max_seen, s);
   }
   EXPECT_DOUBLE_EQ(max_seen, result.value().max_worker_seconds);
+}
+
+/// One seeded mutation of a worker response: one bit flipped, the bytes
+/// truncated, four random bytes inserted, or a run of 1 to 200,000 hash
+/// join tags inserted after the report and the plan count, which nests
+/// the first plan that deep.
+std::vector<uint8_t> Mutate(std::vector<uint8_t> response, Rng* rng) {
+  constexpr size_t kHeaderBytes = 3 * sizeof(uint64_t) + sizeof(double) +
+                                  sizeof(uint32_t);
+  const auto at = [&](size_t lo, size_t hi) {
+    return static_cast<size_t>(rng->UniformInt(static_cast<int64_t>(lo),
+                                               static_cast<int64_t>(hi)));
+  };
+  switch (rng->UniformInt(0, 3)) {
+    case 0: {
+      const size_t bit = at(0, response.size() * 8 - 1);
+      response[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      break;
+    }
+    case 1:
+      response.resize(at(0, response.size() - 1));
+      break;
+    case 2: {
+      uint8_t bytes[4];
+      for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(at(0, 255));
+      response.insert(response.begin() + at(0, response.size()), bytes,
+                      bytes + 4);
+      break;
+    }
+    default:
+      response.insert(response.begin() + kHeaderBytes, at(1, 200000),
+                      static_cast<uint8_t>(JoinAlgorithm::kHashJoin));
+  }
+  return response;
+}
+
+TEST(MpqTest, FinalizeSurvivesMutatedResponses) {
+  // The master decodes every worker's reply: whatever bytes come back, it
+  // must return, and refuse a reply it cannot read as Corruption.
+  const Query q = RandomQuery(8, 41);
+  Rng rng(43);
+  for (PlanSpace space : {PlanSpace::kLinear, PlanSpace::kBushy}) {
+    for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
+      MpqOptions opts = Options(space, 4);
+      opts.objective = objective;
+      opts.alpha = 1.2;
+      const std::string where =
+          std::string(PlanSpaceName(space)) +
+          (objective == Objective::kTime ? ", time" : ", time+buffer");
+      const std::vector<std::vector<uint8_t>> responses =
+          WorkerResponses(q, opts);
+      ASSERT_TRUE(MpqOptimizer::FinalizeResponses(responses, opts).ok());
+      // A reply computed for the other objective decodes, but its costs
+      // carry the wrong number of metrics.
+      MpqOptions other = opts;
+      other.objective = objective == Objective::kTime
+                            ? Objective::kTimeAndBuffer
+                            : Objective::kTime;
+      std::vector<std::vector<uint8_t>> mixed = responses;
+      mixed[1] = WorkerResponses(q, other)[1];
+      EXPECT_EQ(MpqOptimizer::FinalizeResponses(mixed, opts).status().code(),
+                StatusCode::kCorruption)
+          << where;
+      int failed = 0;
+      for (int i = 0; i < 500; ++i) {
+        std::vector<std::vector<uint8_t>> mutated = responses;
+        std::vector<uint8_t>& target =
+            mutated[static_cast<size_t>(rng.UniformInt(0, 3))];
+        target = Mutate(std::move(target), &rng);
+        StatusOr<MpqResult> result =
+            MpqOptimizer::FinalizeResponses(mutated, opts);
+        if (result.ok()) continue;
+        ++failed;
+        EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+            << where << ", mutation " << i << ": "
+            << result.status().ToString();
+      }
+      // Most mutations break the bytes the decoder checks.
+      EXPECT_GT(failed, 250) << where;
+    }
+  }
 }
 
 /// examples/interesting_orders.cpp's query: five 50,000-row tables

@@ -143,5 +143,58 @@ TEST(PlanSerdeTest, ScanTableOutOfRangeRejected) {
   EXPECT_FALSE(DeserializePlan(&r, &dst).ok());
 }
 
+/// kMaxTables scans joined by hash joins into one plan that nests every
+/// join under all the earlier ones: left-deep, or right-deep.
+PlanId BuildWidest(bool left_deep, PlanArena* arena) {
+  PlanId root = arena->MakeScan(0, 1, CostVector::Scalar(1));
+  for (int t = 1; t < kMaxTables; ++t) {
+    const PlanId scan = arena->MakeScan(t, 1, CostVector::Scalar(1));
+    root = left_deep ? arena->MakeJoin(JoinAlgorithm::kHashJoin, root, scan,
+                                       1, CostVector::Scalar(t))
+                     : arena->MakeJoin(JoinAlgorithm::kHashJoin, scan, root,
+                                       1, CostVector::Scalar(t));
+  }
+  return root;
+}
+
+TEST(PlanSerdeTest, NestingIsBoundedByTheWidestPlan) {
+  const uint8_t join = static_cast<uint8_t>(JoinAlgorithm::kHashJoin);
+  for (bool left_deep : {true, false}) {
+    PlanArena src;
+    const PlanId root = BuildWidest(left_deep, &src);
+    ByteWriter w;
+    SerializePlan(src, root, &w);
+    PlanArena dst;
+    ByteReader r(w.buffer());
+    StatusOr<PlanId> back = DeserializePlan(&r, &dst);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(PlanToString(dst, back.value()), PlanToString(src, root));
+    EXPECT_EQ(CountJoins(dst, back.value()), kMaxTables - 1);
+
+    // One more join on top nests the deepest join under kMaxTables - 1
+    // others, which no plan over kMaxTables tables does.
+    std::vector<uint8_t> deeper = w.buffer();
+    deeper.insert(deeper.begin(), join);
+    ByteReader deeper_reader(deeper);
+    const Status status = DeserializePlan(&deeper_reader, &dst).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_EQ(status.message(), "plan nests too deep");
+  }
+
+  // A peer's run of join tags must fail, not exhaust the decoder's stack.
+  const std::vector<uint8_t> tags(100000, join);
+  PlanArena dst;
+  ByteReader plan_reader(tags);
+  EXPECT_EQ(DeserializePlan(&plan_reader, &dst).status().code(),
+            StatusCode::kCorruption);
+  ByteWriter set;
+  set.WriteU32(1);
+  set.WriteBytes(tags.data(), tags.size());
+  ByteReader set_reader(set.buffer());
+  EXPECT_EQ(DeserializePlanSet(&set_reader, &dst).status().code(),
+            StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace mpqopt

@@ -574,7 +574,7 @@ void ExpectKernelsMatchReference(const Query& q, const ConstraintSet& c,
       ASSERT_EQ(got.num_plans, want.size())
           << where << " alpha " << alpha << " rank " << rank;
       for (uint32_t i = 0; i < got.num_plans; ++i) {
-        ASSERT_TRUE(SamePlan(got.plans[i], want[i]))
+        ASSERT_TRUE(SamePlan(dp.Plan(got, i), want[i]))
             << where << " alpha " << alpha << " rank " << rank << " plan "
             << i;
       }
