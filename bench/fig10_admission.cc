@@ -108,9 +108,9 @@ OverloadResult RunOverload(const std::vector<ArrivalPlan>& arrivals,
     // threads only builds queues downstream), shallow per-class queues,
     // and a deadline tight enough that shed work fails while the client
     // would still care about the answer.
-    service_opts.admission.max_concurrent = pool_threads;
-    service_opts.admission.queue_depth = 16;
-    service_opts.admission.queue_timeout_ms = 500;
+    service_opts.admission.queue.max_concurrent = pool_threads;
+    service_opts.admission.queue.queue_depth = 16;
+    service_opts.admission.queue.queue_timeout_ms = 500;
   }
   OptimizerService service(service_opts);
   if (admission) {
@@ -157,9 +157,9 @@ OverloadResult RunOverload(const std::vector<ArrivalPlan>& arrivals,
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   const ServiceStats stats = service.stats();
-  result.rejected_quota = stats.rejected_quota;
-  if (result.rejected_queue >= stats.rejected_quota) {
-    result.rejected_queue -= stats.rejected_quota;
+  result.rejected_quota = stats.admission.rejected_quota;
+  if (result.rejected_queue >= stats.admission.rejected_quota) {
+    result.rejected_queue -= stats.admission.rejected_quota;
   }
   return result;
 }

@@ -43,10 +43,10 @@ ChurnResult RunBatch(RpcWorkerFarm* farm, const std::vector<Query>& queries,
                      int restart_after_ms) {
   BackendOptions backend_opts;
   backend_opts.workers_addr = farm->workers_addr();
-  backend_opts.worker_backoff_ms = 20;
+  backend_opts.supervision.backoff_initial_ms = 20;
   // A budget generous enough to still be redialing when the restarted
   // worker comes back, so the reconnect path shows in the counters.
-  backend_opts.worker_retries = 6;
+  backend_opts.supervision.max_redials = 6;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(BackendKind::kRpc, backend_opts);
   MPQOPT_CHECK(backend.ok());
@@ -116,8 +116,9 @@ int Main() {
     std::printf("%-10s %10.3f %10.1f %9zu/%-2d %12llu %12llu\n",
                 churn ? "churn" : "stable", r.report.wall_seconds,
                 r.report.queries_per_second, completed, total,
-                static_cast<unsigned long long>(r.stats.tasks_rescattered),
-                static_cast<unsigned long long>(r.stats.worker_reconnects));
+                static_cast<unsigned long long>(
+                    r.stats.backend.tasks_rescattered),
+                static_cast<unsigned long long>(r.stats.backend.reconnects));
     if (completed != static_cast<size_t>(total)) {
       std::printf("FAIL: %zu/%d queries completed under %s\n", completed,
                   total, churn ? "churn" : "stable pool");

@@ -134,8 +134,8 @@ WorkloadRun RunWorkload(const Workload& workload,
     // offer, so no arrival is ever actually shed or reordered and the
     // deterministic plan-choice contract is untouched.
     service_opts.enable_admission = true;
-    service_opts.admission.max_concurrent = 1 << 16;
-    service_opts.admission.queue_depth = 1 << 16;
+    service_opts.admission.queue.max_concurrent = 1 << 16;
+    service_opts.admission.queue.queue_depth = 1 << 16;
   }
   OptimizerService service(service_opts);
 

@@ -162,14 +162,8 @@ StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
             "rpc backend requires worker endpoints "
             "(--workers-addr=host:port[,host:port...])");
       }
-      SupervisorOptions supervision;
-      supervision.connect_timeout_ms = options.connect_timeout_ms;
-      supervision.io_timeout_ms = options.io_timeout_ms;
-      supervision.max_redials = options.worker_retries;
-      supervision.backoff_initial_ms = options.worker_backoff_ms;
-      supervision.backoff_max_ms = options.worker_backoff_max_ms;
       StatusOr<std::shared_ptr<RpcBackend>> backend =
-          RpcBackend::Connect(endpoints, supervision);
+          RpcBackend::Connect(endpoints, options.supervision);
       if (!backend.ok()) return backend.status();
       return std::shared_ptr<ExecutionBackend>(std::move(backend).value());
     }

@@ -242,6 +242,28 @@ StatusOr<BackendKind> ParseBackendKind(const std::string& name);
 /// BackendKindName/ParseBackendKind, so it can never go stale.
 std::string BackendKindList();
 
+/// Knobs of the rpc backend's worker supervision state machine (see
+/// cluster/supervisor/worker_supervisor.h).
+struct SupervisorOptions {
+  /// TCP connect timeout per dial attempt.
+  int connect_timeout_ms = 5000;
+  /// Bound on each reply, read in the connection's FIFO order, and on a
+  /// send the worker stops taking bytes of; -1 waits indefinitely (worker
+  /// compute time is unbounded in general — see cluster/rpc_backend.h).
+  /// On expiry the connection fails, and every frame queued on it
+  /// re-scatters.
+  int io_timeout_ms = -1;
+  /// Redials allowed per failure episode before SUSPECT -> DEAD. 0 marks
+  /// a failed worker DEAD on its first failure (its tasks still
+  /// re-scatter to survivors). CLI: --worker-retries.
+  int max_redials = 2;
+  /// Initial redial backoff; doubles per failed redial up to
+  /// backoff_max_ms. CLI: --worker-backoff-ms.
+  int backoff_initial_ms = 50;
+  /// Cap on the exponential backoff.
+  int backoff_max_ms = 2000;
+};
+
 /// Everything MakeBackend can need; kinds ignore the fields that do not
 /// apply to them.
 struct BackendOptions {
@@ -252,23 +274,8 @@ struct BackendOptions {
   /// Comma-separated "host:port" worker endpoints (numeric IPv4 or
   /// "localhost") — required by kRpc, ignored by kAsyncBatch.
   std::string workers_addr;
-  /// TCP connect timeout per rpc worker endpoint.
-  int connect_timeout_ms = 5000;
-  /// Bound on each rpc reply, read in its connection's queue order, and
-  /// on a stalled send; -1 waits indefinitely (worker compute time is
-  /// unbounded in general — see cluster/rpc_backend.h). On expiry every
-  /// frame queued on the connection fails and re-scatters.
-  int io_timeout_ms = -1;
-  /// Redial budget per worker failure episode (rpc): how many reconnect
-  /// attempts a SUSPECT worker gets before it is marked DEAD. 0 marks a
-  /// failed worker DEAD on first failure (its tasks still re-scatter to
-  /// survivors). CLI: --worker-retries.
-  int worker_retries = 2;
-  /// Initial redial backoff (rpc); doubles per failed redial up to
-  /// `worker_backoff_max_ms`. CLI: --worker-backoff-ms.
-  int worker_backoff_ms = 50;
-  /// Cap on the exponential redial backoff (rpc).
-  int worker_backoff_max_ms = 2000;
+  /// Worker supervision of the rpc backend.
+  SupervisorOptions supervision;
 };
 
 /// Creates a backend of `kind`. Fails with a descriptive Status when the

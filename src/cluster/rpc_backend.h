@@ -44,8 +44,7 @@
 // (deterministic, never retried), when every worker is DEAD, or when the
 // bounded number of re-scatter passes is exhausted (a pathological worker
 // that keeps accepting and dying cannot livelock a round). Retry/backoff
-// knobs come from BackendOptions: worker_retries, worker_backoff_ms,
-// worker_backoff_max_ms, io_timeout_ms.
+// knobs come from BackendOptions::supervision (SupervisorOptions).
 //
 // Thread safety: RunRound may be called concurrently. Worker connections
 // are pipelined (cluster/supervisor/worker_supervisor.h): a round holds a

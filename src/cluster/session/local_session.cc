@@ -113,11 +113,10 @@ StatusOr<RoundResult> LocalSessionHandle::Broadcast(
   return result;
 }
 
-Status LocalSessionHandle::Close() {
-  if (closed_) return Status::OK();
+void LocalSessionHandle::Close() {
+  if (closed_) return;
   closed_ = true;
   states_.clear();
-  return Status::OK();
 }
 
 }  // namespace mpqopt

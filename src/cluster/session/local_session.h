@@ -39,7 +39,7 @@ class LocalSessionHandle : public SessionHandle {
       const std::vector<std::vector<uint8_t>>& requests) override;
   StatusOr<RoundResult> Broadcast(
       const std::vector<uint8_t>& payload) override;
-  Status Close() override;
+  void Close() override;
 
  private:
   LocalSessionHandle(ExecutionBackend* backend,

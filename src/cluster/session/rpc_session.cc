@@ -285,8 +285,8 @@ Status RpcSessionHandle::OpenNodeOn(size_t w, Node* node,
   return Status::OK();
 }
 
-Status RpcSessionHandle::Close() {
-  if (closed_) return Status::OK();
+void RpcSessionHandle::Close() {
+  if (closed_) return;
   closed_ = true;
   for (Node& node : nodes_) {
     // Best effort: a worker that is not currently healthy gets no close
@@ -300,7 +300,6 @@ Status RpcSessionHandle::Close() {
                           BuildSessionClosePayload(node.id), &response,
                           &seconds, &worker_failed);
   }
-  return Status::OK();
 }
 
 }  // namespace mpqopt

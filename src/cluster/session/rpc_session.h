@@ -59,7 +59,7 @@ class RpcSessionHandle : public SessionHandle {
       const std::vector<std::vector<uint8_t>>& requests) override;
   StatusOr<RoundResult> Broadcast(
       const std::vector<uint8_t>& payload) override;
-  Status Close() override;
+  void Close() override;
 
  private:
   struct Node {

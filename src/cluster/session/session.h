@@ -74,7 +74,7 @@ class SessionHandle {
   /// Ends the session on every node. Idempotent; errors after a node is
   /// already gone are swallowed (closing is advisory — worker-side TTL
   /// GC reclaims abandoned replicas regardless).
-  virtual Status Close() = 0;
+  virtual void Close() = 0;
 };
 
 }  // namespace mpqopt

@@ -85,23 +85,6 @@
 
 namespace mpqopt {
 
-/// Knobs of the supervision state machine (see header comment). The
-/// BackendOptions worker_* fields map onto these.
-struct SupervisorOptions {
-  /// TCP connect timeout per dial attempt.
-  int connect_timeout_ms = 5000;
-  /// Bound on each reply, read in the connection's FIFO order, and on a
-  /// send the worker stops taking bytes of; -1 waits indefinitely. On
-  /// expiry the connection fails, and with it every frame queued on it.
-  int io_timeout_ms = -1;
-  /// Redials allowed per failure episode before SUSPECT -> DEAD.
-  int max_redials = 2;
-  /// Initial redial backoff; doubles per failed redial.
-  int backoff_initial_ms = 50;
-  /// Cap on the exponential backoff.
-  int backoff_max_ms = 2000;
-};
-
 /// Upper bound on the recovery attempts a round (or a session node) gets
 /// before giving up: a pathological worker that keeps accepting and then
 /// dying must not livelock a caller. The pool's total redial budget is

@@ -16,27 +16,20 @@
 namespace mpqopt {
 namespace {
 
-/// Response trailer carried back from each worker alongside its plans.
-struct WorkerReport {
-  uint64_t admissible_sets = 0;
-  uint64_t splits_tried = 0;
-  uint64_t plans_costed = 0;
-  double seconds = 0;
-};
-
-void SerializeReport(const WorkerReport& r, ByteWriter* writer) {
-  writer->WriteU64(r.admissible_sets);
-  writer->WriteU64(r.splits_tried);
-  writer->WriteU64(r.plans_costed);
-  writer->WriteDouble(r.seconds);
+/// The report leading each worker's response: its DpStats.
+void SerializeReport(const DpStats& stats, ByteWriter* writer) {
+  writer->WriteI64(stats.admissible_sets);
+  writer->WriteI64(stats.splits_tried);
+  writer->WriteI64(stats.plans_costed);
+  writer->WriteDouble(stats.seconds);
 }
 
-Status DeserializeReport(ByteReader* reader, WorkerReport* r) {
+Status DeserializeReport(ByteReader* reader, DpStats* stats) {
   Status s;
-  if (!(s = reader->ReadU64(&r->admissible_sets)).ok()) return s;
-  if (!(s = reader->ReadU64(&r->splits_tried)).ok()) return s;
-  if (!(s = reader->ReadU64(&r->plans_costed)).ok()) return s;
-  return reader->ReadDouble(&r->seconds);
+  if (!(s = reader->ReadI64(&stats->admissible_sets)).ok()) return s;
+  if (!(s = reader->ReadI64(&stats->splits_tried)).ok()) return s;
+  if (!(s = reader->ReadI64(&stats->plans_costed)).ok()) return s;
+  return reader->ReadDouble(&stats->seconds);
 }
 
 }  // namespace
@@ -102,9 +95,10 @@ Status DecodeQuery(ByteReader* reader, Query* uncached, const Query** query) {
   return Status::OK();
 }
 
-/// The request fields after the partition id — identical for every
-/// partition of one run, so BuildRequests serializes them once.
-void SerializeOptionsTail(const MpqOptions& options, ByteWriter* writer) {
+}  // namespace
+
+void MpqOptimizer::SerializeOptions(const MpqOptions& options,
+                                    ByteWriter* writer) {
   writer->WriteU64(options.num_workers);
   writer->WriteU8(static_cast<uint8_t>(options.space));
   writer->WriteU8(static_cast<uint8_t>(options.objective));
@@ -114,13 +108,10 @@ void SerializeOptionsTail(const MpqOptions& options, ByteWriter* writer) {
   writer->WriteDouble(options.cost_options.hash_constant);
   writer->WriteDouble(options.cost_options.output_cost_factor);
   writer->WriteU64(static_cast<uint64_t>(options.max_memo_entries));
-  // Only the interesting-orders DP prices sorted scans.
   if (options.interesting_orders) {
     writer->WriteDouble(options.cost_options.sorted_scan_factor);
   }
 }
-
-}  // namespace
 
 std::vector<uint8_t> MpqOptimizer::BuildRequest(const Query& query,
                                                 uint64_t partition_id,
@@ -128,7 +119,7 @@ std::vector<uint8_t> MpqOptimizer::BuildRequest(const Query& query,
   ByteWriter writer;
   query.Serialize(&writer);
   writer.WriteU64(partition_id);
-  SerializeOptionsTail(options, &writer);
+  SerializeOptions(options, &writer);
   return writer.Release();
 }
 
@@ -143,7 +134,7 @@ std::vector<std::vector<uint8_t>> MpqOptimizer::BuildRequests(
   query.Serialize(&prefix_writer);
   const std::vector<uint8_t>& prefix = prefix_writer.buffer();
   ByteWriter suffix_writer;
-  SerializeOptionsTail(options, &suffix_writer);
+  SerializeOptions(options, &suffix_writer);
   const std::vector<uint8_t>& suffix = suffix_writer.buffer();
 
   std::vector<std::vector<uint8_t>> requests(m);
@@ -192,6 +183,9 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
            .ok()) {
     return s;
   }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("bytes after the request's options");
+  }
   if (space_raw > 1) return Status::Corruption("bad plan space tag");
   if (objective_raw > 1) return Status::Corruption("bad objective tag");
   config.space = static_cast<PlanSpace>(space_raw);
@@ -216,12 +210,7 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
                    result.arena.size() *
                        (14 + 8 * CostModel(config.objective).num_metrics()));
   ByteWriter writer(&response);
-  WorkerReport report;
-  report.admissible_sets = static_cast<uint64_t>(result.stats.admissible_sets);
-  report.splits_tried = static_cast<uint64_t>(result.stats.splits_tried);
-  report.plans_costed = static_cast<uint64_t>(result.stats.plans_costed);
-  report.seconds = result.stats.seconds;
-  SerializeReport(report, &writer);
+  SerializeReport(result.stats, &writer);
   SerializePlanSet(result.arena, result.best, &writer);
   return response;
 }
@@ -253,17 +242,19 @@ StatusOr<MpqResult> MpqOptimizer::FinalizeResponses(
   };
   for (size_t part = 0; part < m; ++part) {
     ByteReader reader(responses[part]);
-    WorkerReport report;
+    DpStats report;
     Status s = DeserializeReport(&reader, &report);
     if (!s.ok()) return s;
     StatusOr<std::vector<PlanId>> plans = DeserializePlanSet(&reader, &scratch);
     if (!plans.ok()) return plans.status();
+    if (!reader.AtEnd()) {
+      return Status::Corruption("bytes after the response's plan set");
+    }
 
     result.worker_seconds[part] = report.seconds;
-    result.worker_memo_sets[part] =
-        static_cast<int64_t>(report.admissible_sets);
-    result.total_splits += static_cast<int64_t>(report.splits_tried);
-    result.total_plans_costed += static_cast<int64_t>(report.plans_costed);
+    result.worker_memo_sets[part] = report.admissible_sets;
+    result.total_splits += report.splits_tried;
+    result.total_plans_costed += report.plans_costed;
     if (report.seconds > result.max_worker_seconds) {
       result.max_worker_seconds = report.seconds;
     }

@@ -15,9 +15,8 @@
 #define MPQOPT_MPQ_MPQ_H_
 
 #include <cstdint>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "catalog/query.h"
 #include "cluster/backend.h"
@@ -28,15 +27,12 @@
 
 namespace mpqopt {
 
-/// Options of one MPQ optimization run.
-struct MpqOptions {
-  PlanSpace space = PlanSpace::kLinear;
-  Objective objective = Objective::kTime;
-  /// Approximation factor of the multi-objective pruning function.
-  double alpha = 10.0;
-  /// Enable the interesting-orders DP on the workers (single-objective
-  /// only; see optimizer/orders.h).
-  bool interesting_orders = false;
+class ByteWriter;  // common/serialize.h
+
+/// Options of one MPQ optimization run: the DpConfig every worker runs
+/// with (SerializeOptions writes it into each request), plus over how
+/// many partitions and where the round runs.
+struct MpqOptions : DpConfig {
   /// Number of plan-space partitions / worker tasks. Must be a power of
   /// two not exceeding MaxWorkers(n, space); see UsableWorkers().
   uint64_t num_workers = 1;
@@ -48,8 +44,6 @@ struct MpqOptions {
   /// MakeBackend / OptimizerService), e.g. rpc, to host the tasks
   /// elsewhere.
   std::shared_ptr<ExecutionBackend> backend;
-  CostModelOptions cost_options;
-  int64_t max_memo_entries = int64_t{1} << 28;
 };
 
 /// Everything the benchmarks need from one run.
@@ -106,6 +100,14 @@ class MpqOptimizer {
   static std::vector<uint8_t> BuildRequest(const Query& query,
                                            uint64_t partition_id,
                                            const MpqOptions& options);
+
+  /// Writes the request fields after the partition id: the partition
+  /// count and the DpConfig fields the workers read (sorted_scan_factor
+  /// only with interesting orders, the one DP that prices sorted scans).
+  /// They are the same for every partition of one run, so BuildRequests
+  /// writes them once, and the plan cache key (plancache/fingerprint.h)
+  /// is the query followed by these bytes.
+  static void SerializeOptions(const MpqOptions& options, ByteWriter* writer);
 
   /// Builds all options.num_workers partition requests at once,
   /// byte-identical to per-partition BuildRequest calls but serializing

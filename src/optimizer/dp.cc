@@ -12,7 +12,9 @@ namespace mpqopt {
 StatusOr<DpResult> RunPartitionDp(const Query& query,
                                   const ConstraintSet& constraints,
                                   const DpConfig& config) {
-  if (config.objective == Objective::kTimeAndBuffer && config.alpha < 1.0) {
+  // Negated so that a NaN alpha fails too.
+  if (config.objective == Objective::kTimeAndBuffer &&
+      !(config.alpha >= 1.0)) {
     return Status::InvalidArgument("alpha must be >= 1");
   }
   if (config.interesting_orders && config.objective != Objective::kTime) {

@@ -42,9 +42,10 @@ inline uint64_t MergeRound(uint64_t acc, uint64_t val) {
 }
 
 /// Version tag of the fingerprint encoding. Bump whenever the canonical
-/// byte layout below (or Query::Serialize) changes so that persisted or
+/// byte layout below (or Query::Serialize, or
+/// MpqOptimizer::SerializeOptions) changes so that persisted or
 /// cross-process fingerprints from older layouts can never alias.
-constexpr uint8_t kFingerprintVersion = 1;
+constexpr uint8_t kFingerprintVersion = 2;
 
 }  // namespace
 
@@ -100,24 +101,15 @@ uint64_t HashBytes64(const uint8_t* data, size_t size, uint64_t seed) {
 PlanCacheKey FingerprintQuery(const Query& query, const MpqOptions& options) {
   ByteWriter writer;
   writer.WriteU8(kFingerprintVersion);
-  // The query: tables, statistics, predicates, selectivities — the exact
-  // deterministic wire encoding the workers receive.
-  query.Serialize(&writer);
-  // Plan-affecting options. num_workers is included because the merged
+  // The query and the options exactly as every worker receives them
+  // (minus the partition id): what the request says is what the plan is
+  // computed from. The options carry num_workers, since the merged
   // multi-objective frontier depends on how the plan space was
-  // partitioned; max_memo_entries because it decides success vs. failure
-  // (only successes are cached, but a run that would fail fresh must not
-  // be served from a larger-budget entry).
-  writer.WriteU8(static_cast<uint8_t>(options.space));
-  writer.WriteU8(static_cast<uint8_t>(options.objective));
-  writer.WriteBool(options.interesting_orders);
-  writer.WriteDouble(options.alpha);
-  writer.WriteU64(options.num_workers);
-  writer.WriteDouble(options.cost_options.block_size);
-  writer.WriteDouble(options.cost_options.hash_constant);
-  writer.WriteDouble(options.cost_options.output_cost_factor);
-  writer.WriteDouble(options.cost_options.sorted_scan_factor);
-  writer.WriteU64(static_cast<uint64_t>(options.max_memo_entries));
+  // partitioned, and max_memo_entries, since it decides success vs.
+  // failure (only successes are cached, but a run that would fail fresh
+  // must not be served from a larger-budget entry).
+  query.Serialize(&writer);
+  MpqOptimizer::SerializeOptions(options, &writer);
 
   PlanCacheKey key;
   key.bytes = writer.Release();

@@ -5,10 +5,12 @@
 // A fingerprint is the canonical byte encoding of everything that can
 // change which plan the optimizer returns: the query itself (tables,
 // statistics, predicates, selectivities — reusing the deterministic
-// wire serialization of catalog/query.h) plus the plan-affecting fields
-// of MpqOptions. Execution-only knobs (backend handle, thread caps, the
-// network model) are deliberately excluded — they change how fast a plan
-// is found, never which plan is found.
+// wire serialization of catalog/query.h) plus the options as the workers
+// receive them (MpqOptimizer::SerializeOptions), so the key holds
+// exactly the request bytes after the partition id. Execution-only knobs
+// (backend handle, thread caps, the network model) are not in the
+// request — they change how fast a plan is found, never which plan is
+// found.
 //
 // The 128-bit hash is only an index accelerator: the cache keeps the
 // full key bytes and compares them on every probe, so even a forced

@@ -3,40 +3,15 @@
 #include "service/admission/admission_controller.h"
 
 #include <chrono>
-#include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mpqopt {
-namespace {
-
-QuotaTrackerOptions MakeQuotaOptions(const AdmissionOptions& options) {
-  QuotaTrackerOptions out;
-  out.default_rate_per_second = options.tenant_rate;
-  out.default_burst = options.tenant_burst;
-  out.clock = options.clock;
-  return out;
-}
-
-AdmissionQueueOptions MakeQueueOptions(const AdmissionOptions& options) {
-  AdmissionQueueOptions out;
-  out.max_concurrent = options.max_concurrent;
-  if (out.max_concurrent <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    out.max_concurrent = 2 * static_cast<int>(hw == 0 ? 4 : hw);
-  }
-  out.queue_depth = options.queue_depth;
-  out.queue_timeout_ms = options.queue_timeout_ms;
-  out.weights = options.weights;
-  return out;
-}
-
-}  // namespace
 
 AdmissionController::AdmissionController(AdmissionOptions options)
-    : quota_(MakeQuotaOptions(options)),
-      queue_(MakeQueueOptions(options)) {}
+    : quota_(std::move(options.quota)), queue_(std::move(options.queue)) {}
 
 StatusOr<AdmissionController::Ticket> AdmissionController::Admit(
     const RequestContext& ctx) {

@@ -15,7 +15,7 @@
 // Admit() returns an RAII Ticket; destroying it releases the running
 // slot and dispatches the next queued request. The controller is what
 // every later fleet/multi-master layer queues behind, so its stats
-// surface (admitted / rejected / queued / timed-out) is mirrored into
+// surface (admitted / rejected / queued / timed-out) is part of
 // ServiceStats and the CLI report.
 
 #ifndef MPQOPT_SERVICE_ADMISSION_ADMISSION_CONTROLLER_H_
@@ -23,9 +23,7 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -47,20 +45,10 @@ struct RequestContext {
 /// Configuration of one AdmissionController (CLI: --admission,
 /// --tenant-rate, --tenant-burst, --queue-depth).
 struct AdmissionOptions {
-  /// Default per-tenant sustained admissions/second (0 = unlimited).
-  double tenant_rate = 0;
-  /// Default per-tenant burst credit (bucket capacity).
-  double tenant_burst = 1;
-  /// Concurrent running slots (0 = 2x hardware concurrency).
-  int max_concurrent = 0;
-  /// Per-class queue depth.
-  int queue_depth = 64;
-  /// Queued-request deadline; <= 0 waits indefinitely.
-  int queue_timeout_ms = 10000;
-  /// Weighted-fair share per class, indexed by Priority.
-  std::array<int, kNumPriorityClasses> weights = {8, 2, 1};
-  /// Injectable clock (quota refill); null uses steady_clock::now.
-  std::function<std::chrono::steady_clock::time_point()> clock;
+  /// Default per-tenant quota and the refill clock.
+  QuotaTrackerOptions quota;
+  /// Slots, per-class queue depth, queue deadline and class weights.
+  AdmissionQueueOptions queue;
 };
 
 /// Admission outcome counters (monotonic except the *_now gauges).

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/macros.h"
@@ -48,9 +49,21 @@ std::string PriorityList() {
   return out;
 }
 
+namespace {
+
+AdmissionQueueOptions ResolveSlots(AdmissionQueueOptions options) {
+  MPQOPT_CHECK(options.max_concurrent >= 0);
+  if (options.max_concurrent == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    options.max_concurrent = 2 * static_cast<int>(hw == 0 ? 4 : hw);
+  }
+  return options;
+}
+
+}  // namespace
+
 AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options)
-    : options_(std::move(options)) {
-  MPQOPT_CHECK(options_.max_concurrent >= 1);
+    : options_(ResolveSlots(std::move(options))) {
   MPQOPT_CHECK(options_.queue_depth >= 0);
 }
 

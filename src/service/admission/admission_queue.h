@@ -53,9 +53,9 @@ std::string PriorityList();
 
 /// Configuration of one AdmissionQueue.
 struct AdmissionQueueOptions {
-  /// Requests allowed to run concurrently (the slot count). Must be
-  /// >= 1.
-  int max_concurrent = 8;
+  /// Requests allowed to run concurrently (the slot count); 0 = twice
+  /// the hardware concurrency. Must be >= 0.
+  int max_concurrent = 0;
   /// Per-class queue depth; a request arriving at a full class queue is
   /// shed immediately. Must be >= 0 (0 = never queue, shed instead).
   int queue_depth = 64;
@@ -118,6 +118,7 @@ class AdmissionQueue {
   /// free, in weighted-fair order.
   void DispatchLocked();
 
+  /// max_concurrent resolved to the slot count.
   const AdmissionQueueOptions options_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;

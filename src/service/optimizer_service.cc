@@ -252,34 +252,9 @@ ServiceStats OptimizerService::stats() const {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     snapshot = stats_;
   }
-  if (cache_ != nullptr) {
-    const PlanCacheStats cache_stats = cache_->stats();
-    snapshot.cache_evictions = cache_stats.evictions();
-    snapshot.cache_evictions_capacity = cache_stats.evictions_capacity;
-    snapshot.cache_evictions_ttl = cache_stats.evictions_ttl;
-    snapshot.cache_evictions_invalidated = cache_stats.evictions_invalidated;
-  }
-  if (admission_ != nullptr) {
-    const AdmissionStats admission_stats = admission_->stats();
-    snapshot.admitted = admission_stats.admitted;
-    snapshot.rejected_quota = admission_stats.rejected_quota;
-    snapshot.rejected_queue = admission_stats.rejected_queue;
-    snapshot.admission_timed_out = admission_stats.timed_out;
-    snapshot.admission_queued_now = admission_stats.queued_now;
-    snapshot.admission_running_now = admission_stats.running_now;
-  }
-  BackendHealth health = backend_->health();
-  snapshot.worker_reconnect_attempts = health.reconnect_attempts;
-  snapshot.worker_reconnects = health.reconnects;
-  snapshot.tasks_rescattered = health.tasks_rescattered;
-  snapshot.rounds_recovered = health.rounds_recovered;
-  snapshot.scatter_batches = health.scatter_batches;
-  snapshot.tasks_coalesced = health.tasks_coalesced;
-  snapshot.sessions_opened = health.sessions.sessions_opened;
-  snapshot.session_rounds = health.sessions.session_rounds;
-  snapshot.sessions_recovered = health.sessions.sessions_recovered;
-  snapshot.sessions_failed = health.sessions.sessions_failed;
-  snapshot.workers = std::move(health.workers);
+  if (cache_ != nullptr) snapshot.cache = cache_->stats();
+  if (admission_ != nullptr) snapshot.admission = admission_->stats();
+  snapshot.backend = backend_->health();
   return snapshot;
 }
 

@@ -73,7 +73,8 @@ struct ServiceOptions {
   obs::TraceCollector* trace_collector = nullptr;
 };
 
-/// Aggregate counters since service construction.
+/// Aggregate counters since service construction: the service's own,
+/// then snapshots of the plan cache, the backend and admission.
 struct ServiceStats {
   uint64_t queries_completed = 0;
   uint64_t queries_failed = 0;
@@ -83,55 +84,24 @@ struct ServiceStats {
   double total_simulated_seconds = 0;
   uint64_t network_bytes = 0;
   uint64_t network_messages = 0;
-  /// Queries served from the plan cache (no worker round ran).
+  /// Queries served from the plan cache (no worker round ran). A
+  /// single-flight waiter counts here: it is handed the leader's plan
+  /// without a cache probe, so cache.hits does not count it (and
+  /// cache.misses counts its first probe).
   uint64_t cache_hits = 0;
-  /// Queries that ran a full optimization with the cache enabled. A
-  /// single-flight waiter counts toward hits, not misses — exactly one
-  /// miss is recorded per computed fingerprint.
+  /// Queries that ran a full optimization with the cache enabled:
+  /// exactly one per computed fingerprint.
   uint64_t cache_misses = 0;
-  /// Entries evicted from the plan cache for any reason (the sum of the
-  /// three per-cause counters below).
-  uint64_t cache_evictions = 0;
-  /// Evictions split by cause: LRU byte-budget pressure, TTL expiry, and
-  /// statistics invalidation (epoch bump, InvalidateWhere/Table, Clear).
-  uint64_t cache_evictions_capacity = 0;
-  uint64_t cache_evictions_ttl = 0;
-  uint64_t cache_evictions_invalidated = 0;
 
-  /// Remote-worker supervision (zero/empty on the in-process backend; see
-  /// cluster/supervisor/worker_supervisor.h). Redials attempted and
-  /// succeeded across all workers:
-  uint64_t worker_reconnect_attempts = 0;
-  uint64_t worker_reconnects = 0;
-  /// Tasks re-scattered after a worker failure, and rounds that needed
-  /// at least one recovery pass:
-  uint64_t tasks_rescattered = 0;
-  uint64_t rounds_recovered = 0;
-  /// Stateful-session activity on the shared backend (cluster/session/):
-  /// session groups opened, stateful rounds run, replicas rebuilt by
-  /// re-open + replay, and sessions that ended in an unrecoverable
-  /// error. All-zero unless session-based work (e.g. SMA) ran.
-  uint64_t sessions_opened = 0;
-  uint64_t session_rounds = 0;
-  uint64_t sessions_recovered = 0;
-  uint64_t sessions_failed = 0;
-  /// Admission outcomes (service/admission/; all-zero with admission
-  /// off): requests granted a slot, rejected over quota, shed at a full
-  /// class queue, and expired waiting. The gauges count requests queued
-  /// or running at snapshot time.
-  uint64_t admitted = 0;
-  uint64_t rejected_quota = 0;
-  uint64_t rejected_queue = 0;
-  uint64_t admission_timed_out = 0;
-  size_t admission_queued_now = 0;
-  size_t admission_running_now = 0;
-  /// Rpc scatter frames: kBatchTask envelopes sent and the task requests
-  /// that rode in them (zero on the in-process backend; see
-  /// BackendHealth).
-  uint64_t scatter_batches = 0;
-  uint64_t tasks_coalesced = 0;
-  /// Per-worker endpoint, health state, and failure counters.
-  std::vector<WorkerHealthSnapshot> workers;
+  /// The plan cache's own counters (evictions by cause, bytes, entries);
+  /// all-zero with the cache off.
+  PlanCacheStats cache;
+  /// Remote-worker supervision, rpc scatter batching and session activity
+  /// of the shared backend (zero/empty on the in-process backend apart
+  /// from sessions).
+  BackendHealth backend;
+  /// Admission outcomes; all-zero with admission off.
+  AdmissionStats admission;
 };
 
 /// Outcome of one OptimizeBatch call.

@@ -11,7 +11,6 @@
 #include "cluster/session/session.h"
 #include "cluster/session/stateful_task.h"
 #include "common/serialize.h"
-#include "sma/sma_node.h"
 
 namespace mpqopt {
 namespace {
@@ -50,6 +49,11 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
   if (m < 1) {
     return Status::InvalidArgument("num_workers must be at least 1");
   }
+  // Negated so that a NaN alpha fails too.
+  if (options.objective == Objective::kTimeAndBuffer &&
+      !(options.alpha >= 1.0)) {
+    return Status::InvalidArgument("alpha must be >= 1");
+  }
   std::shared_ptr<ExecutionBackend> backend = options.backend;
   if (backend == nullptr) {
     backend = std::make_shared<AsyncBatchBackend>(/*pool_threads=*/0);
@@ -64,13 +68,8 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
   // Round 0: ship the query (with statistics and the plan-affecting
   // options) to every worker node — the session open request each
   // replica is built from.
-  SmaNodeOptions node_options;
-  node_options.space = options.space;
-  node_options.objective = options.objective;
-  node_options.alpha = options.alpha;
-  node_options.cost_options = options.cost_options;
   const std::vector<uint8_t> open_request =
-      SmaNode::BuildOpenRequest(query, node_options);
+      SmaNode::BuildOpenRequest(query, options);
   for (uint64_t i = 0; i < m; ++i) {
     result.network_bytes += open_request.size();
     ++result.network_messages;
@@ -89,7 +88,7 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
       std::vector<std::vector<uint8_t>>(m, open_request));
   if (!session_or.ok()) return session_or.status();
   std::unique_ptr<SessionHandle> session = std::move(session_or).value();
-  SmaNode master_replica(query, node_options);
+  SmaNode master_replica(query, options);
   std::vector<double> node_seconds(m, 0.0);
 
   if (n >= 2) {

@@ -45,16 +45,14 @@
 #include "cluster/backend.h"
 #include "common/status.h"
 #include "net/network_model.h"
-#include "optimizer/dp.h"
 #include "plan/plan.h"
+#include "sma/sma_node.h"
 
 namespace mpqopt {
 
-/// Options of one SMA run.
-struct SmaOptions {
-  PlanSpace space = PlanSpace::kLinear;
-  Objective objective = Objective::kTime;
-  double alpha = 10.0;
+/// Options of one SMA run: the plan-affecting knobs every replica gets
+/// in its open request, plus the master-side execution knobs.
+struct SmaOptions : SmaNodeOptions {
   /// Number of workers (any value >= 1; SMA is not restricted to powers
   /// of two, tasks are dealt round-robin).
   uint64_t num_workers = 1;
@@ -66,7 +64,6 @@ struct SmaOptions {
   /// per-call pool of zero threads, so every chunk runs inline on the
   /// caller and per-chunk compute timing stays unpolluted.
   std::shared_ptr<ExecutionBackend> backend;
-  CostModelOptions cost_options;
   /// SMA materializes the full memo on every worker; refuse queries whose
   /// memo exceeds this (the paper stops SMA at 16 tables).
   int max_tables = 22;

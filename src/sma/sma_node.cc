@@ -127,10 +127,19 @@ StatusOr<std::unique_ptr<SmaNode>> SmaNode::FromOpenRequest(
            .ok()) {
     return s;
   }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("bytes after the open request's options");
+  }
+  if (space_raw > 1) return Status::Corruption("bad plan space tag");
+  if (objective_raw > 1) return Status::Corruption("bad objective tag");
   options.space = static_cast<PlanSpace>(space_raw);
   options.objective = static_cast<Objective>(objective_raw);
-  Status valid = query.value().Validate();
-  if (!valid.ok()) return valid;
+  // Negated so that a NaN alpha fails too.
+  if (options.objective == Objective::kTimeAndBuffer &&
+      !(options.alpha >= 1.0)) {
+    return Status::Corruption("open request's alpha is below 1");
+  }
+  // Query::Deserialize validated the query.
   return std::make_unique<SmaNode>(std::move(query).value(), options);
 }
 

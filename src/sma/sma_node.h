@@ -50,9 +50,9 @@
 
 namespace mpqopt {
 
-/// The plan-affecting knobs a replica needs; the execution knobs of
-/// SmaOptions (backend, num_workers, network) deliberately stay master-
-/// side so every node's open request is identical and tiny.
+/// The plan-affecting knobs a replica needs. SmaOptions extends them with
+/// the execution knobs (backend, num_workers, network, max_tables), which
+/// stay master-side so every node's open request is identical and tiny.
 struct SmaNodeOptions {
   PlanSpace space = PlanSpace::kLinear;
   Objective objective = Objective::kTime;
@@ -78,6 +78,8 @@ class SmaNode {
                                                const SmaNodeOptions& options);
 
   /// Reconstructs a replica from an open request (worker side).
+  /// Corruption for a space or objective tag above 1, an alpha below 1
+  /// (or NaN) with the time+buffer objective, or bytes after the options.
   static StatusOr<std::unique_ptr<SmaNode>> FromOpenRequest(
       const std::vector<uint8_t>& request);
 

@@ -237,8 +237,8 @@ TEST(AdmissionQueueTest, InteractiveOvertakesEarlierBackgroundInQueue) {
 TEST(AdmissionControllerTest, QuotaIsCheckedBeforeTheQueue) {
   FakeClock clock;
   AdmissionOptions opts;
-  opts.max_concurrent = 8;  // slots are plentiful; quota must still bite
-  opts.clock = clock.fn();
+  opts.queue.max_concurrent = 8;  // plentiful slots; quota must still bite
+  opts.quota.clock = clock.fn();
   AdmissionController controller(opts);
   controller.SetQuota("metered", /*rate_per_second=*/1, /*burst=*/1);
 
@@ -261,8 +261,8 @@ TEST(AdmissionControllerTest, QuotaIsCheckedBeforeTheQueue) {
 
 TEST(AdmissionControllerTest, TicketReleasesSlotOnDestruction) {
   AdmissionOptions opts;
-  opts.max_concurrent = 1;
-  opts.queue_depth = 0;
+  opts.queue.max_concurrent = 1;
+  opts.queue.queue_depth = 0;
   AdmissionController controller(opts);
   {
     StatusOr<AdmissionController::Ticket> ticket =
@@ -283,9 +283,9 @@ TEST(AdmissionControllerTest, TicketReleasesSlotOnDestruction) {
 /// must race cleanly, and the books must balance afterwards.
 TEST(AdmissionControllerTest, ConcurrentAdmitStressBalancesTheBooks) {
   AdmissionOptions opts;
-  opts.max_concurrent = 4;
-  opts.queue_depth = 8;
-  opts.queue_timeout_ms = 2000;
+  opts.queue.max_concurrent = 4;
+  opts.queue.queue_depth = 8;
+  opts.queue.queue_timeout_ms = 2000;
   AdmissionController controller(opts);
   controller.SetQuota("metered", /*rate_per_second=*/500, /*burst=*/32);
 
@@ -431,8 +431,8 @@ TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
   service_opts.backend = BackendOf(BackendKind::kRpc, farm.workers_addr());
   service_opts.dispatcher_threads = 4;
   service_opts.enable_admission = true;
-  service_opts.admission.max_concurrent = 3;
-  service_opts.admission.queue_depth = 16;
+  service_opts.admission.queue.max_concurrent = 3;
+  service_opts.admission.queue.queue_depth = 16;
   OptimizerService service(service_opts);
   const std::shared_ptr<ExecutionBackend> backend = service.shared_backend();
   sma_opts.backend = backend;
@@ -477,10 +477,10 @@ TEST(RpcScatterIdentityTest, ConcurrentRpcUnderAdmissionWithPollsAndSessions) {
   EXPECT_EQ(sma_failures.load(), 0);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries_completed, queries.size());
-  EXPECT_EQ(stats.admitted, queries.size());
-  EXPECT_EQ(stats.scatter_batches, 2 * queries.size());
-  EXPECT_EQ(stats.tasks_coalesced, opts.num_workers * queries.size());
-  EXPECT_EQ(stats.admission_running_now, 0u);
+  EXPECT_EQ(stats.admission.admitted, queries.size());
+  EXPECT_EQ(stats.backend.scatter_batches, 2 * queries.size());
+  EXPECT_EQ(stats.backend.tasks_coalesced, opts.num_workers * queries.size());
+  EXPECT_EQ(stats.admission.running_now, 0u);
 }
 
 }  // namespace

@@ -94,6 +94,21 @@ TEST(MpqTest, WorkerMainRejectsTruncatedRequest) {
   EXPECT_FALSE(MpqOptimizer::WorkerMain(request).ok());
 }
 
+TEST(MpqTest, AlphaBelowOneOrNaNIsInvalidArgument) {
+  const Query q = RandomQuery(8, 53);
+  for (double alpha : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    MpqOptions opts = Options(PlanSpace::kLinear, 4);
+    opts.objective = Objective::kTimeAndBuffer;
+    opts.alpha = alpha;
+    StatusOr<MpqResult> result = MpqOptimizer(opts).Optimize(q);
+    ASSERT_FALSE(result.ok()) << alpha;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << alpha;
+    EXPECT_EQ(OptimizeSerial(q, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << alpha;
+  }
+}
+
 TEST(MpqTest, NetworkBytesLinearInWorkers) {
   // Theorem 1: O(m * (b_q + b_p)). Doubling m should roughly double the
   // traffic, and traffic must not scale with the memo size.
@@ -441,6 +456,30 @@ TEST(MpqTest, FinalizeSurfacesTheFirstBadResponseByPartitionIndex) {
             MpqOptimizer::FinalizeResponses({responses[1]}, opts)
                 .status()
                 .ToString());
+}
+
+TEST(MpqTest, TrailingBytesAreCorruption) {
+  // Master and worker account for every byte a peer sends: bytes after a
+  // reply's plan set, or after a request's options, are Corruption.
+  const Query q = RandomQuery(8, 47);
+  const MpqOptions opts = Options(PlanSpace::kLinear, 4);
+  std::vector<std::vector<uint8_t>> responses = WorkerResponses(q, opts);
+  ASSERT_TRUE(MpqOptimizer::FinalizeResponses(responses, opts).ok());
+  responses[2].insert(responses[2].end(), 1000, 0xAB);
+  EXPECT_EQ(MpqOptimizer::FinalizeResponses(responses, opts).status().code(),
+            StatusCode::kCorruption);
+
+  for (bool interesting_orders : {false, true}) {
+    MpqOptions with_orders = opts;
+    with_orders.interesting_orders = interesting_orders;
+    std::vector<uint8_t> request =
+        MpqOptimizer::BuildRequest(q, 1, with_orders);
+    ASSERT_TRUE(MpqOptimizer::WorkerMain(request).ok());
+    request.push_back(0);
+    EXPECT_EQ(MpqOptimizer::WorkerMain(request).status().code(),
+              StatusCode::kCorruption)
+        << interesting_orders;
+  }
 }
 
 TEST(MpqTest, WorkerSecondsPopulatedPerPartition) {

@@ -224,7 +224,7 @@ TEST(OptimizerServiceTest2, StatsSnapshotIsConsistentUnderConcurrency) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries_completed);
   // Four distinct fingerprints, each single-flighted to one miss.
   EXPECT_EQ(stats.cache_misses, 4u);
-  EXPECT_EQ(stats.cache_evictions, 0u);
+  EXPECT_EQ(stats.cache.evictions(), 0u);
 }
 
 TEST(OptimizerServiceTest2, EvictionCountersAreSplitByCause) {
@@ -241,18 +241,18 @@ TEST(OptimizerServiceTest2, EvictionCountersAreSplitByCause) {
   ASSERT_TRUE(service.Optimize(queries[0], opts).ok());
   ASSERT_TRUE(service.Optimize(queries[1], opts).ok());
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_evictions, 0u);
+  EXPECT_EQ(stats.cache.evictions(), 0u);
 
   // A statistics-epoch bump eagerly evicts both entries, attributed to
   // the invalidation cause — not to capacity or TTL.
   service.plan_cache()->BumpStatisticsEpoch();
   stats = service.stats();
-  EXPECT_EQ(stats.cache_evictions_invalidated, 2u);
-  EXPECT_EQ(stats.cache_evictions_capacity, 0u);
-  EXPECT_EQ(stats.cache_evictions_ttl, 0u);
-  EXPECT_EQ(stats.cache_evictions, stats.cache_evictions_capacity +
-                                       stats.cache_evictions_ttl +
-                                       stats.cache_evictions_invalidated);
+  EXPECT_EQ(stats.cache.evictions_invalidated, 2u);
+  EXPECT_EQ(stats.cache.evictions_capacity, 0u);
+  EXPECT_EQ(stats.cache.evictions_ttl, 0u);
+  EXPECT_EQ(stats.cache.evictions(), stats.cache.evictions_capacity +
+                                       stats.cache.evictions_ttl +
+                                       stats.cache.evictions_invalidated);
 }
 
 TEST(OptimizerServiceTest2, CacheCountersStayZeroWhenDisabled) {
@@ -266,7 +266,7 @@ TEST(OptimizerServiceTest2, CacheCountersStayZeroWhenDisabled) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.cache_evictions, 0u);
+  EXPECT_EQ(stats.cache.evictions(), 0u);
   EXPECT_EQ(stats.queries_completed, 2u);
 }
 

@@ -80,6 +80,26 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   changed = opts;
   changed.cost_options.hash_constant = 7.5;
   EXPECT_NE(FingerprintQuery(query, changed), a);
+  changed = opts;
+  changed.cost_options.block_size = 64;
+  EXPECT_NE(FingerprintQuery(query, changed), a);
+  changed = opts;
+  changed.cost_options.output_cost_factor = 0.5;
+  EXPECT_NE(FingerprintQuery(query, changed), a);
+  changed = opts;
+  changed.max_memo_entries = int64_t{1} << 20;
+  EXPECT_NE(FingerprintQuery(query, changed), a);
+
+  // Only the interesting-orders DP prices sorted scans, so the factor
+  // splits keys with interesting orders on and not with them off.
+  MpqOptions orders = opts;
+  orders.interesting_orders = true;
+  changed = orders;
+  changed.cost_options.sorted_scan_factor = 3.0;
+  EXPECT_NE(FingerprintQuery(query, changed), FingerprintQuery(query, orders));
+  changed = opts;
+  changed.cost_options.sorted_scan_factor = 3.0;
+  EXPECT_EQ(FingerprintQuery(query, changed), a);
 
   // Execution-only knobs must NOT perturb it: the same plan serves any
   // backend or thread count.
@@ -341,7 +361,7 @@ TEST(PlanCacheServiceTest, EpochBumpForcesReoptimization) {
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after.value().from_plan_cache);
   EXPECT_EQ(service.stats().cache_misses, 2u);
-  EXPECT_GT(service.stats().cache_evictions, 0u);
+  EXPECT_GT(service.stats().cache.evictions(), 0u);
 }
 
 // ------------------------------------------------------------ single-flight

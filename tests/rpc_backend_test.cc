@@ -84,7 +84,7 @@ TEST(RpcBackendTest, SplitEndpoints) {
 TEST(RpcBackendTest, ConnectFailsWhenNoWorkerListens) {
   BackendOptions options;
   options.workers_addr = "127.0.0.1:1";
-  options.connect_timeout_ms = 500;
+  options.supervision.connect_timeout_ms = 500;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(BackendKind::kRpc, options);
   ASSERT_FALSE(backend.ok());
@@ -497,7 +497,7 @@ TEST(RpcBackendTest, IoTimeoutBoundsAStuckReplyWait) {
   farm.Start(1);
   BackendOptions options;
   options.workers_addr = farm.workers_addr();
-  options.io_timeout_ms = 200;
+  options.supervision.io_timeout_ms = 200;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(BackendKind::kRpc, options);
   ASSERT_TRUE(backend.ok());

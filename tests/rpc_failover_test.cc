@@ -45,9 +45,9 @@ BackendOptions FastFailoverOptions(const RpcWorkerFarm& farm,
                                    int retries = 2) {
   BackendOptions options;
   options.workers_addr = farm.workers_addr();
-  options.worker_retries = retries;
-  options.worker_backoff_ms = 20;
-  options.worker_backoff_max_ms = 200;
+  options.supervision.max_redials = retries;
+  options.supervision.backoff_initial_ms = 20;
+  options.supervision.backoff_max_ms = 200;
   return options;
 }
 
@@ -342,10 +342,10 @@ TEST(RpcFailoverTest, ServicePlansAreByteIdenticalUnderWorkerCrash) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries_completed, queries.size());
   EXPECT_EQ(stats.queries_failed, 0u);
-  EXPECT_GE(stats.tasks_rescattered, 1u);
-  EXPECT_GE(stats.rounds_recovered, 1u);
-  EXPECT_GE(stats.worker_reconnect_attempts, 1u);
-  ASSERT_EQ(stats.workers.size(), 4u);
+  EXPECT_GE(stats.backend.tasks_rescattered, 1u);
+  EXPECT_GE(stats.backend.rounds_recovered, 1u);
+  EXPECT_GE(stats.backend.reconnect_attempts, 1u);
+  ASSERT_EQ(stats.backend.workers.size(), 4u);
   // The crashed worker burns its redial budget (nothing listens on its
   // port anymore) and goes DEAD; redials happen lazily in scatter
   // passes once the backoff expires, so drive rounds until the state
@@ -359,9 +359,9 @@ TEST(RpcFailoverTest, ServicePlansAreByteIdenticalUnderWorkerCrash) {
         backend->RunRound({WorkerTask(&EchoTaskMain)}, {{1}}).ok());
   }
   const ServiceStats settled = service.stats();
-  EXPECT_EQ(settled.workers[3].health, WorkerHealth::kDead);
+  EXPECT_EQ(settled.backend.workers[3].health, WorkerHealth::kDead);
   for (size_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(settled.workers[w].health, WorkerHealth::kHealthy)
+    EXPECT_EQ(settled.backend.workers[w].health, WorkerHealth::kHealthy)
         << "worker " << w;
   }
   EXPECT_EQ(farm.WaitExit(3), 42);  // the chaos exit code, not a signal

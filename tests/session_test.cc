@@ -259,8 +259,8 @@ TEST_P(SessionBackendTest, StatePersistsAcrossRoundsAndIsPerNode) {
   EXPECT_EQ(peek.value().responses[1], Bytes("b+"));
   EXPECT_EQ(peek.value().responses[2], Bytes("c+"));
 
-  EXPECT_TRUE(session->Close().ok());
-  EXPECT_TRUE(session->Close().ok());  // idempotent
+  session->Close();
+  session->Close();  // idempotent
 
   const SessionCounterSnapshot counters = backend->health().sessions;
   EXPECT_EQ(counters.sessions_opened, 1u);
@@ -329,9 +329,9 @@ BackendOptions FastRecoveryOptions(const RpcWorkerFarm& farm,
                                    int retries = 5) {
   BackendOptions options;
   options.workers_addr = farm.workers_addr();
-  options.worker_retries = retries;
-  options.worker_backoff_ms = 20;
-  options.worker_backoff_max_ms = 200;
+  options.supervision.max_redials = retries;
+  options.supervision.backoff_initial_ms = 20;
+  options.supervision.backoff_max_ms = 200;
   return options;
 }
 

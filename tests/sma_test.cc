@@ -263,6 +263,56 @@ TEST(SmaTest, RejectsOversizedQuery) {
   EXPECT_EQ(SmaOptimize(q, opts).status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(SmaTest, AlphaBelowOneOrNaNIsInvalidArgument) {
+  const Query q = RandomQuery(6, 91);
+  for (double alpha : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SmaOptions opts = Options(PlanSpace::kLinear, 2);
+    opts.objective = Objective::kTimeAndBuffer;
+    opts.alpha = alpha;
+    EXPECT_EQ(SmaOptimize(q, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << alpha;
+  }
+}
+
+TEST(SmaTest, CorruptedOpenRequestIsCorruption) {
+  // A replica is built only from an open request it can account for
+  // byte by byte: tags above 1, a time+buffer alpha below 1 (or NaN) and
+  // bytes after the options all fail.
+  const Query q = RandomQuery(4, 92);
+  SmaNodeOptions options;
+  options.objective = Objective::kTimeAndBuffer;
+  options.alpha = 1.5;
+  const std::vector<uint8_t> request = SmaNode::BuildOpenRequest(q, options);
+  ASSERT_TRUE(SmaNode::FromOpenRequest(request).ok());
+  const auto code = [](const std::vector<uint8_t>& bytes) {
+    return SmaNode::FromOpenRequest(bytes).status().code();
+  };
+  ByteWriter query_bytes;
+  q.Serialize(&query_bytes);
+  const size_t space_at = query_bytes.size();  // the objective tag follows
+
+  std::vector<uint8_t> bad = request;
+  bad[space_at] = 7;
+  EXPECT_EQ(code(bad), StatusCode::kCorruption);
+  bad = request;
+  bad[space_at + 1] = 9;
+  EXPECT_EQ(code(bad), StatusCode::kCorruption);
+  bad = request;
+  bad.push_back(0);
+  EXPECT_EQ(code(bad), StatusCode::kCorruption);
+  bad[space_at] = 7;
+  bad[space_at + 1] = 9;
+  bad.push_back(0);
+  EXPECT_EQ(code(bad), StatusCode::kCorruption);
+  for (double alpha : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    options.alpha = alpha;
+    EXPECT_EQ(code(SmaNode::BuildOpenRequest(q, options)),
+              StatusCode::kCorruption)
+        << alpha;
+  }
+}
+
 TEST(SmaTest, SingleTableQuery) {
   const Query q = RandomQuery(1, 81);
   StatusOr<SmaResult> r = SmaOptimize(q, Options(PlanSpace::kLinear, 2));

@@ -393,8 +393,8 @@ StatusOr<std::shared_ptr<ExecutionBackend>> BuildBackend(
     const CliOptions& cli) {
   BackendOptions backend_opts;
   backend_opts.workers_addr = cli.workers_addr;
-  backend_opts.worker_retries = cli.worker_retries;
-  backend_opts.worker_backoff_ms = cli.worker_backoff_ms;
+  backend_opts.supervision.max_redials = cli.worker_retries;
+  backend_opts.supervision.backoff_initial_ms = cli.worker_backoff_ms;
   return MakeBackend(cli.backend, backend_opts);
 }
 
@@ -447,9 +447,9 @@ int RunService(QueryGenerator* generator, const CliOptions& cli) {
       static_cast<size_t>(cli.plan_cache_mb) << 20;
   service_opts.plan_cache_ttl_seconds = cli.plan_cache_ttl;
   service_opts.enable_admission = cli.admission;
-  service_opts.admission.tenant_rate = cli.tenant_rate;
-  service_opts.admission.tenant_burst = cli.tenant_burst;
-  service_opts.admission.queue_depth = cli.queue_depth;
+  service_opts.admission.quota.default_rate_per_second = cli.tenant_rate;
+  service_opts.admission.quota.default_burst = cli.tenant_burst;
+  service_opts.admission.queue.queue_depth = cli.queue_depth;
   obs::TraceCollectorOptions trace_opts;
   trace_opts.chrome_out_path = cli.trace_out;
   trace_opts.slow_query_ms = cli.slow_query_ms;
@@ -510,55 +510,46 @@ int RunService(QueryGenerator* generator, const CliOptions& cli) {
   std::printf("completed/failed   %llu / %llu\n",
               static_cast<unsigned long long>(stats.queries_completed),
               static_cast<unsigned long long>(stats.queries_failed));
-  SessionCounterSnapshot sessions;
-  sessions.sessions_opened = stats.sessions_opened;
-  sessions.session_rounds = stats.session_rounds;
-  sessions.sessions_recovered = stats.sessions_recovered;
-  sessions.sessions_failed = stats.sessions_failed;
-  PrintSessionCounters(sessions);
+  const BackendHealth& health = stats.backend;
+  PrintSessionCounters(health.sessions);
   if (cli.admission) {
     std::printf("admission          %llu admitted (as %s), %llu over quota, "
                 "%llu shed at full queue, %llu timed out\n",
-                static_cast<unsigned long long>(stats.admitted),
+                static_cast<unsigned long long>(stats.admission.admitted),
                 PriorityName(cli.priority),
-                static_cast<unsigned long long>(stats.rejected_quota),
-                static_cast<unsigned long long>(stats.rejected_queue),
-                static_cast<unsigned long long>(stats.admission_timed_out));
+                static_cast<unsigned long long>(stats.admission.rejected_quota),
+                static_cast<unsigned long long>(stats.admission.rejected_queue),
+                static_cast<unsigned long long>(stats.admission.timed_out));
   }
-  if (stats.scatter_batches > 0) {
+  if (health.scatter_batches > 0) {
     std::printf("rpc scatter        %llu task requests rode %llu batch "
                 "frames\n",
-                static_cast<unsigned long long>(stats.tasks_coalesced),
-                static_cast<unsigned long long>(stats.scatter_batches));
+                static_cast<unsigned long long>(health.tasks_coalesced),
+                static_cast<unsigned long long>(health.scatter_batches));
   }
   if (cli.plan_cache) {
     std::printf("plan cache         %llu hits / %llu misses / %llu evictions"
                 " (capacity %llu / ttl %llu / invalidated %llu)\n",
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
-                static_cast<unsigned long long>(stats.cache_evictions),
-                static_cast<unsigned long long>(stats.cache_evictions_capacity),
-                static_cast<unsigned long long>(stats.cache_evictions_ttl),
+                static_cast<unsigned long long>(stats.cache.evictions()),
+                static_cast<unsigned long long>(stats.cache.evictions_capacity),
+                static_cast<unsigned long long>(stats.cache.evictions_ttl),
                 static_cast<unsigned long long>(
-                    stats.cache_evictions_invalidated));
+                    stats.cache.evictions_invalidated));
   }
-  if (!stats.workers.empty()) {
-    size_t healthy = 0, suspect = 0, dead = 0;
-    for (const WorkerHealthSnapshot& w : stats.workers) {
-      healthy += w.health == WorkerHealth::kHealthy;
-      suspect += w.health == WorkerHealth::kSuspect;
-      dead += w.health == WorkerHealth::kDead;
-    }
+  if (!health.workers.empty()) {
     std::printf("worker health      %zu healthy / %zu suspect / %zu dead; "
                 "%llu/%llu reconnects; %llu tasks re-scattered in %llu "
                 "rounds\n",
-                healthy, suspect, dead,
-                static_cast<unsigned long long>(stats.worker_reconnects),
-                static_cast<unsigned long long>(
-                    stats.worker_reconnect_attempts),
-                static_cast<unsigned long long>(stats.tasks_rescattered),
-                static_cast<unsigned long long>(stats.rounds_recovered));
-    for (const WorkerHealthSnapshot& w : stats.workers) {
+                health.CountWorkers(WorkerHealth::kHealthy),
+                health.CountWorkers(WorkerHealth::kSuspect),
+                health.CountWorkers(WorkerHealth::kDead),
+                static_cast<unsigned long long>(health.reconnects),
+                static_cast<unsigned long long>(health.reconnect_attempts),
+                static_cast<unsigned long long>(health.tasks_rescattered),
+                static_cast<unsigned long long>(health.rounds_recovered));
+    for (const WorkerHealthSnapshot& w : health.workers) {
       std::printf("  %-18s %s (%llu reconnects, %llu io failures%s%s)\n",
                   w.endpoint.c_str(), WorkerHealthName(w.health),
                   static_cast<unsigned long long>(w.reconnects),
